@@ -69,7 +69,6 @@ from .models import (
     load_model,
     loss_and_grads,
     model_digest,
-    pairwise_logit_reference,
     prediction_parts,
     predict,
     save_model,
@@ -77,6 +76,6 @@ from .models import (
     deserialize,
 )
 from .synth import SynthConfig, SynthResult, generate
-from .training import Adam, TrainConfig, TrainReport, sgd_step_reference, train
+from .training import Adam, TrainConfig, TrainReport, train
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ from .analysis import RegressionFit, group_stats, ols_fit
 from .data import Dataset
 from .errors import ConfigError, MetricError
 from .evaluation import DEFAULT_K, ndcg_at_k, user_auc
-from .models import ModelParams, model_digest, predict
+from .models import ModelParams, model_digest, prediction_parts
 from .numeric import to_jsonable
 
 DEFAULT_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
@@ -34,15 +34,12 @@ VARIANTS = ("vanilla", "wo_ratio", "wo_residual")
 
 @dataclass(frozen=True)
 class DebiasConfig:
-    alpha: float = 0.0
     beta_grid: tuple[float, ...] = DEFAULT_GRID
     gamma_grid: tuple[float, ...] = DEFAULT_GRID
     variant: str = "vanilla"
     k: int = DEFAULT_K
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         for name in ("beta_grid", "gamma_grid"):
@@ -210,6 +207,15 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     improvements replace the incumbent, so ties resolve to the smallest
     coefficients. NDCG@k is recorded for every point but does not drive
     the choice.
+
+    Only the bias-field linear weights change across the grid, so the
+    interaction (FM) or MLP (NFM) term is scored once per search with
+    prediction_parts. Each point then rebuilds just the linear term,
+    adding the same pieces in the same order as predict(), so its scores
+    equal those of predict() on the reconstructed model bit for bit. User
+    and item ids become integer codes once (np.unique keeps their order),
+    which makes the per-point ranking sorts cheap. Only the winning model
+    is built, at the end, by reconstruct_weights.
     """
     cfg = cfg or DebiasConfig()
     if len(unbiased_ds) == 0:
@@ -217,40 +223,40 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     ratios = estimate_unbiased_ratios(unbiased_ds)
     residual_fit = fit_weight_residuals(params, train_ds)
     bias_range = train_ds.schema.bias_range
-    source_digest = model_digest(params)
+    lo, hi = bias_range
 
-    best_point: GridPoint | None = None
-    best_params: ModelParams | None = None
+    ds = unbiased_ds
+    indices, values = ds.indices, ds.values
+    high = prediction_parts(params, indices, values, bias_range).high_order
+    _, users = np.unique(ds.user_ids, return_inverse=True)
+    _, items = np.unique(ds.item_ids, return_inverse=True)
+    w = params.w.copy()
+
+    best: GridPoint | None = None
     table: list[GridPoint] = []
     errors: list[str] = []
     for beta, gamma in _grid_for(cfg):
-        candidate = params.copy()
-        lo, hi = bias_range
-        candidate.w[lo:hi] = beta * ratios.values + gamma * residual_fit.residuals
-        scores = predict(candidate, unbiased_ds.indices, unbiased_ds.values)
-        uauc, _ = user_auc(unbiased_ds.user_ids, scores, unbiased_ds.labels)
+        w[lo:hi] = beta * ratios.values + gamma * residual_fit.residuals
+        # predict()'s full logit: the same operations in the same order
+        scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
+        uauc, _ = user_auc(users, scores, ds.labels)
         if not np.isfinite(uauc):
             errors.append(f"beta={beta} gamma={gamma}: per-user AUC undefined")
             continue
-        ndcg, _ = ndcg_at_k(unbiased_ds.user_ids, scores, unbiased_ds.labels,
-                            unbiased_ds.item_ids, cfg.k)
+        ndcg, _ = ndcg_at_k(users, scores, ds.labels, items, cfg.k)
         point = GridPoint(beta, gamma, float(uauc), float(ndcg))
         table.append(point)
-        if best_point is None or point.uauc > best_point.uauc:
-            best_point = point
-            best_params = candidate
-    if best_point is None or best_params is None:
+        if best is None or point.uauc > best.uauc:
+            best = point
+    if best is None:
         raise MetricError("no grid point produced a defined per-user AUC")
-    best_params.provenance = {
-        "created_by": "reconstruct",
-        "variant": cfg.variant,
-        "beta": best_point.beta,
-        "gamma": best_point.gamma,
-        "source_digest": source_digest,
-    }
+    best_params = reconstruct_weights(params, bias_range, ratios.values,
+                                      residual_fit.residuals, best.beta,
+                                      best.gamma)
+    best_params.provenance["variant"] = cfg.variant
     result = GridSearchResult(
         variant=cfg.variant,
-        best=best_point,
+        best=best,
         table=table,
         ratio_fallback_labels=ratios.fallback_labels,
         residual_fallback_labels=residual_fit.fallback_labels,

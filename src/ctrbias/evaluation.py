@@ -1,13 +1,30 @@
 """Ranking metrics over per-user score lists, with group-level exposure views.
 
-All rankings order a user's samples by descending score with lexicographic
-item-id tie-breaks, so every metric is deterministic for any input order.
+Every metric starts from one sort. rank_users() orders the rows by (user
+asc, score desc, item_id asc), so each user's samples form a contiguous
+block in ranking order, and evaluate() shares that one RankedData across
+AUC, NDCG, TPR@k and EHR. Per-user quantities then come from block and run
+boundaries and np.bincount, with no Python loop over users:
+
+* AUC gives each run of tied scores inside a user the mean of the run's
+  positions, so the positives' rank sums are exact half-integers.
+* NDCG lays each user's top-k gains out as one row of a (users x k) table;
+  a row sum reduces exactly like the 1-D sum over that user's gains.
+* The per-user values enter each mean in user order through sequential
+  adds (a cumulative sum), the order a loop over users adds them in.
+
+So every result equals, bit for bit, that of a per-user loop; the loops in
+tests/oracles.py are the reference. The item-id tie-break makes the top-k
+metrics deterministic for any input order. AUC is tie-invariant, so
+user_auc() sorts without it.
+
 Group-level metrics key off the bias field: a sample counts for group j
 when its feature vector has positive mass on that group's feature.
 
 Undefined values (a user with no positives, a group with no positive
 samples) are skipped or reported as NaN rather than silently treated as
-zero; the evaluate() driver collects them into an error list.
+zero; the evaluate() driver collects them into an error list. NaN scores
+have no rank and are rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError
-from .numeric import average_ranks, to_jsonable
+from .numeric import to_jsonable
 
 DEFAULT_K = 5
 
@@ -37,20 +54,36 @@ class RankedData:
     def n_users(self) -> int:
         return len(self.users)
 
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.user_starts)
+
     def block(self, u: int) -> np.ndarray:
         return self.order[self.user_starts[u]:self.user_starts[u + 1]]
 
+    def row_users(self) -> np.ndarray:
+        """Block number of each ordered row."""
+        return np.repeat(np.arange(self.n_users), self.sizes)
 
-def rank_users(user_ids, scores, item_ids) -> RankedData:
-    """Sort rows by (user asc, score desc, item_id asc) and find user blocks."""
+
+def rank_users(user_ids, scores, item_ids=None) -> RankedData:
+    """Sort rows by (user asc, score desc, item_id asc) and find user blocks.
+
+    Without item_ids, tied scores keep their input order, which only a
+    tie-invariant metric such as AUC can accept.
+    """
     user_ids = np.asarray(user_ids)
     scores = np.asarray(scores, dtype=np.float64)
-    item_ids = np.asarray(item_ids)
-    if not (len(user_ids) == len(scores) == len(item_ids)):
+    keys = (-scores, user_ids)
+    if item_ids is not None:
+        keys = (np.asarray(item_ids),) + keys
+    if len({len(key) for key in keys}) != 1:
         raise ConfigError("user_ids, scores, item_ids must have equal length")
     if len(user_ids) == 0:
         raise ConfigError("cannot rank an empty sample list")
-    order = np.lexsort((item_ids, -scores, user_ids))
+    if np.isnan(scores).any():
+        raise ConfigError("scores contain NaN, which has no rank")
+    order = np.lexsort(keys)
     sorted_users = user_ids[order]
     new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
     user_starts = np.concatenate([[0], new_user, [len(order)]])
@@ -59,9 +92,8 @@ def rank_users(user_ids, scores, item_ids) -> RankedData:
 
 def _positions_within_user(ranked: RankedData) -> np.ndarray:
     """0-based rank of each ordered row inside its user's block."""
-    n = len(ranked.order)
-    sizes = np.diff(ranked.user_starts)
-    return np.arange(n) - np.repeat(ranked.user_starts[:-1], sizes)
+    return np.arange(len(ranked.order)) - np.repeat(ranked.user_starts[:-1],
+                                                    ranked.sizes)
 
 
 def _per_user_positive_counts(ranked: RankedData, labels) -> np.ndarray:
@@ -72,81 +104,73 @@ def _per_user_positive_counts(ranked: RankedData, labels) -> np.ndarray:
 
 def _prefix_mask_by_row(ranked: RankedData, cutoffs: np.ndarray) -> np.ndarray:
     """Boolean per original row: row sits inside its user's top-`cutoff`."""
-    sizes = np.diff(ranked.user_starts)
-    within = _positions_within_user(ranked) < np.repeat(cutoffs, sizes)
+    within = _positions_within_user(ranked) < np.repeat(cutoffs, ranked.sizes)
     by_row = np.empty(len(ranked.order), dtype=bool)
     by_row[ranked.order] = within
     return by_row
 
 
-def user_auc(user_ids, scores, labels) -> tuple[float, int]:
-    """Mean per-user AUC; ties count half. Users without both classes are
-    skipped; returns (nan, n_users) when every user is skipped."""
-    user_ids = np.asarray(user_ids)
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    order = np.lexsort((scores, user_ids))
-    su, ss, sl = user_ids[order], scores[order], labels[order]
-    starts = np.concatenate(
-        [[0], np.flatnonzero(su[1:] != su[:-1]) + 1, [len(su)]])
-    total = 0.0
-    valid = 0
-    skipped = 0
-    for a, b in zip(starts[:-1], starts[1:]):
-        y = sl[a:b]
-        n_pos = int(y.sum())
-        n_neg = (b - a) - n_pos
-        if n_pos == 0 or n_neg == 0:
-            skipped += 1
-            continue
-        ranks = average_ranks(ss[a:b])
-        rank_sum = float(ranks[y == 1].sum())
-        total += (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-        valid += 1
-    if valid == 0:
-        return float("nan"), skipped
-    return total / valid, skipped
+def _mean_in_user_order(values: np.ndarray, n_users: int) -> tuple[float, int]:
+    """Mean of the defined per-user values, and how many users were skipped.
 
-
-def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[float, int]:
-    """Mean NDCG@k with binary gains and 1/log2(rank+1) discounts.
-
-    Users with no positive samples are skipped.
+    A cumulative sum adds the values one at a time in user order, as a loop
+    over users would; np.sum's pairwise reduction would round differently.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    ranked = rank_users(user_ids, scores, item_ids)
-    labels = np.asarray(labels)
+    if len(values) == 0:
+        return float("nan"), n_users
+    return float(np.cumsum(values)[-1] / len(values)), n_users - len(values)
+
+
+def _ranked_auc(ranked: RankedData, scores, labels) -> tuple[float, int]:
+    s = np.asarray(scores, dtype=np.float64)[ranked.order]
+    n = len(s)
+    # a run of tied scores inside one user shares the mean of its positions
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = s[1:] != s[:-1]
+    new_run[ranked.user_starts[:-1]] = True
+    edges = np.append(np.flatnonzero(new_run), n)
+    run = np.cumsum(new_run) - 1
+    # blocks run by descending score: in a block ending at e, position p
+    # has ascending 1-based rank e - p, averaged here over p's run
+    block_end = np.repeat(ranked.user_starts[1:], ranked.sizes)
+    ranks = block_end - 0.5 * (edges[run] + edges[run + 1] - 1)
+    positive = np.asarray(labels)[ranked.order] == 1
+    rank_sums = np.bincount(ranked.row_users()[positive],
+                            weights=ranks[positive], minlength=ranked.n_users)
+    n_pos = _per_user_positive_counts(ranked, labels)
+    n_neg = ranked.sizes - n_pos
+    both = (n_pos > 0) & (n_neg > 0)
+    p, q = n_pos[both], n_neg[both]
+    return _mean_in_user_order((rank_sums[both] - p * (p + 1) / 2.0) / (p * q),
+                               ranked.n_users)
+
+
+def _ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    total = 0.0
-    valid = 0
-    skipped = 0
-    for u in range(ranked.n_users):
-        rows = ranked.block(u)
-        y = labels[rows]
-        n_pos = int(y.sum())
-        if n_pos == 0:
-            skipped += 1
-            continue
-        depth = min(k, len(rows))
-        dcg = float((y[:depth] * discounts[:depth]).sum())
-        ideal_depth = min(k, n_pos)
-        idcg = float(discounts[:ideal_depth].sum())
-        total += dcg / idcg
-        valid += 1
-    if valid == 0:
-        return float("nan"), skipped
-    return total / valid, skipped
+    sizes = ranked.sizes
+    width = min(k, int(sizes.max()))
+    pos = _positions_within_user(ranked)
+    top = pos < width
+    gains = np.zeros((ranked.n_users, width))
+    gains[ranked.row_users()[top], pos[top]] = (
+        np.asarray(labels)[ranked.order][top] * discounts[pos[top]])
+    n_pos = _per_user_positive_counts(ranked, labels)
+    has_pos = n_pos > 0
+    depth = np.minimum(sizes, k)
+    ideal_depth = np.minimum(n_pos, k)
+    dcg = np.empty(ranked.n_users)
+    idcg = np.empty(ranked.n_users)
+    # summing d columns row-wise rounds like the 1-D sum of d values, so
+    # users are grouped by depth rather than summed over zero padding
+    for d in np.unique(depth):
+        rows = depth == d
+        dcg[rows] = gains[rows, :d].sum(axis=1)
+    for d in np.unique(ideal_depth[has_pos]):
+        idcg[ideal_depth == d] = discounts[:d].sum()
+    return _mean_in_user_order(dcg[has_pos] / idcg[has_pos], ranked.n_users)
 
 
-def group_exposure_hit_rate(ds: Dataset, scores) -> np.ndarray:
-    """EHR per group: exposures inside each user's top-|positives| prefix
-    that carry the group's feature, over positive samples carrying it.
-
-    The numerator counts prefix exposures regardless of their own label.
-    Groups with no positive samples get NaN.
-    """
-    ranked = rank_users(ds.user_ids, np.asarray(scores, dtype=np.float64), ds.item_ids)
+def _ranked_ehr(ds: Dataset, ranked: RankedData) -> np.ndarray:
     k_plus = _per_user_positive_counts(ranked, ds.labels)
     in_prefix = _prefix_mask_by_row(ranked, k_plus)
     rows, groups = ds.bias_memberships()
@@ -160,15 +184,7 @@ def group_exposure_hit_rate(ds: Dataset, scores) -> np.ndarray:
     return out
 
 
-def group_tpr_at_k(ds: Dataset, scores, k: int | None = DEFAULT_K) -> np.ndarray:
-    """True-positive rate per group inside each user's top-k.
-
-    k=None means the whole list (every positive is recovered). Groups with
-    no positive samples get NaN.
-    """
-    if k is not None and k < 1:
-        raise ConfigError(f"k must be >= 1 or None, got {k}")
-    ranked = rank_users(ds.user_ids, np.asarray(scores, dtype=np.float64), ds.item_ids)
+def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int | None) -> np.ndarray:
     if k is None:
         in_topk = np.ones(len(ds), dtype=bool)
     else:
@@ -183,6 +199,43 @@ def group_tpr_at_k(ds: Dataset, scores, k: int | None = DEFAULT_K) -> np.ndarray
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denominator > 0, numerator / denominator, np.nan)
     return out
+
+
+def user_auc(user_ids, scores, labels) -> tuple[float, int]:
+    """Mean per-user AUC; ties count half. Users without both classes are
+    skipped; returns (nan, n_users) when every user is skipped."""
+    return _ranked_auc(rank_users(user_ids, scores), scores, labels)
+
+
+def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[float, int]:
+    """Mean NDCG@k with binary gains and 1/log2(rank+1) discounts.
+
+    Users with no positive samples are skipped.
+    """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    return _ranked_ndcg(rank_users(user_ids, scores, item_ids), labels, k)
+
+
+def group_exposure_hit_rate(ds: Dataset, scores) -> np.ndarray:
+    """EHR per group: exposures inside each user's top-|positives| prefix
+    that carry the group's feature, over positive samples carrying it.
+
+    The numerator counts prefix exposures regardless of their own label.
+    Groups with no positive samples get NaN.
+    """
+    return _ranked_ehr(ds, rank_users(ds.user_ids, scores, ds.item_ids))
+
+
+def group_tpr_at_k(ds: Dataset, scores, k: int | None = DEFAULT_K) -> np.ndarray:
+    """True-positive rate per group inside each user's top-k.
+
+    k=None means the whole list (every positive is recovered). Groups with
+    no positive samples get NaN.
+    """
+    if k is not None and k < 1:
+        raise ConfigError(f"k must be >= 1 or None, got {k}")
+    return _ranked_tpr(ds, rank_users(ds.user_ids, scores, ds.item_ids), k)
 
 
 def reo_at_k(ds: Dataset, scores, k: int | None = DEFAULT_K,
@@ -244,21 +297,25 @@ class EvalReport:
 
 
 def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
-    """Compute every supported metric for one split with one score vector."""
+    """Compute every supported metric for one split with one score vector,
+    from a single ranking of its rows."""
     scores = np.asarray(scores, dtype=np.float64)
     if len(scores) != len(ds):
         raise ConfigError("scores length does not match dataset")
     if len(ds) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    ranked = rank_users(ds.user_ids, scores, ds.item_ids)
     errors: list[str] = []
-    uauc, uauc_skipped = user_auc(ds.user_ids, scores, ds.labels)
+    uauc, uauc_skipped = _ranked_auc(ranked, scores, ds.labels)
     if math.isnan(uauc):
         errors.append("uauc undefined: no user has both a positive and a negative")
-    ndcg, ndcg_skipped = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k)
+    ndcg, ndcg_skipped = _ranked_ndcg(ranked, ds.labels, k)
     if math.isnan(ndcg):
         errors.append("ndcg undefined: no user has a positive sample")
-    tpr = group_tpr_at_k(ds, scores, k)
-    ehr = group_exposure_hit_rate(ds, scores)
+    tpr = _ranked_tpr(ds, ranked, k)
+    ehr = _ranked_ehr(ds, ranked)
     try:
         reo = reo_at_k(ds, scores, k, tpr=tpr)
     except MetricError as exc:
@@ -275,7 +332,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         split_tag=ds.split_tag,
         k=k,
         n_samples=len(ds),
-        n_users=len(np.unique(ds.user_ids)),
+        n_users=ranked.n_users,
         uauc=uauc,
         uauc_skipped_users=uauc_skipped,
         ndcg=ndcg,

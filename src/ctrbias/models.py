@@ -315,25 +315,6 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     return loss, grads, cache
 
 
-def pairwise_logit_reference(params: ModelParams, sample_indices, sample_values) -> float:
-    """Quadratic-time FM score for one sample, for checking the fast path.
-
-    Only valid for arch == "fm"; sums w_i x_i and all i < j pairwise
-    dot-product interactions explicitly.
-    """
-    if params.arch != "fm":
-        raise ConfigError("reference scorer only covers fm")
-    idx = np.asarray(sample_indices, dtype=np.int64)
-    val = np.asarray(sample_values, dtype=np.float64)
-    total = params.w0
-    for i in range(len(idx)):
-        total += params.w[idx[i]] * val[i]
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            total += float(params.V[idx[i]] @ params.V[idx[j]]) * val[i] * val[j]
-    return float(total)
-
-
 def serialize(params: ModelParams) -> bytes:
     """Fixed binary layout; equal params always produce equal bytes."""
     digest_hex = params.schema_digest or "0" * 64

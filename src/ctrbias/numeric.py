@@ -56,7 +56,11 @@ def average_ranks(a):
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy containers/scalars for json.dump; NaN -> None."""
+    """Recursively convert numpy containers/scalars for json.dump.
+
+    NaN and +-inf become None, so the output is standard JSON (json.dumps
+    would otherwise write the non-standard NaN and Infinity tokens).
+    """
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -65,7 +69,7 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if np.isnan(v) else v
+        return v if np.isfinite(v) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

@@ -26,7 +26,7 @@ from .data import Dataset
 from .errors import ConfigError, DivergenceError
 from .evaluation import user_auc
 from .models import ModelParams, init_params, loss_and_grads, predict
-from .numeric import sigmoid, to_jsonable
+from .numeric import to_jsonable
 
 ABLATIONS = ("none", "unaware")
 OPTIMIZERS = ("adam", "plain_sgd")
@@ -124,12 +124,6 @@ class Adam:
             v_hat = v / (1.0 - self.beta2 ** self.t)
             out[key] = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
-
-
-def sgd_step_reference(w_j: float, lr: float, y: float, logit: float,
-                       x_j: float) -> float:
-    """Closed-form single-weight SGD update for a one-sample batch, l2 = 0."""
-    return w_j + lr * (y - sigmoid(logit)) * x_j
 
 
 def _apply(params: ModelParams, deltas: dict) -> None:

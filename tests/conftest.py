@@ -1,5 +1,7 @@
 """Shared builders for small schemas, datasets, and models."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,20 @@ def random_params(rng, n, d, arch="fm", hidden=4, scale=0.5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.<name> wherever a ctrbias module holds it; return the
+    list that gains one (args, kwargs) entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.split(".")[0] == "ctrbias"
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations of the ranking metrics.
+"""Brute-force reference implementations of scoring, updates and metrics.
 
 Everything here is written in the most literal way possible (python loops,
 explicit pair enumeration) so the vectorized package code can be checked
@@ -9,6 +9,33 @@ accumulation order so exact comparisons are meaningful.
 import math
 
 import numpy as np
+
+from ctrbias.errors import ConfigError
+from ctrbias.numeric import sigmoid
+
+
+def pairwise_logit_reference(params, sample_indices, sample_values):
+    """Quadratic-time FM score for one sample, for checking the fast path.
+
+    Only valid for arch == "fm"; sums w_i x_i and all i < j pairwise
+    dot-product interactions explicitly.
+    """
+    if params.arch != "fm":
+        raise ConfigError("reference scorer only covers fm")
+    idx = np.asarray(sample_indices, dtype=np.int64)
+    val = np.asarray(sample_values, dtype=np.float64)
+    total = params.w0
+    for i in range(len(idx)):
+        total += params.w[idx[i]] * val[i]
+    for i in range(len(idx)):
+        for j in range(i + 1, len(idx)):
+            total += float(params.V[idx[i]] @ params.V[idx[j]]) * val[i] * val[j]
+    return float(total)
+
+
+def sgd_step_reference(w_j, lr, y, logit, x_j):
+    """Closed-form single-weight SGD update for a one-sample batch, l2 = 0."""
+    return w_j + lr * (y - sigmoid(logit)) * x_j
 
 
 def bias_entries(ds, i):

@@ -21,9 +21,7 @@ from ctrbias.debias import DebiasConfig, grid_search_reconstruction, reduce_weig
 from ctrbias.errors import MetricError
 from ctrbias.evaluation import (evaluate, group_exposure_hit_rate,
                                 group_tpr_at_k, ndcg_at_k, reo_at_k, user_auc)
-from ctrbias.models import (init_params, loss_and_grads,
-                            pairwise_logit_reference, predict,
-                            prediction_parts)
+from ctrbias.models import init_params, loss_and_grads, predict, prediction_parts
 from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate
 from ctrbias.training import TrainConfig, train
@@ -155,7 +153,7 @@ def test_criterion_02_fm_oracle():
             idx = np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)
             val = rng.uniform(0.1, 1.0, size=m)
             fast = float(predict(params, idx[None, :], val[None, :])[0])
-            slow = pairwise_logit_reference(params, idx, val)
+            slow = oracles.pairwise_logit_reference(params, idx, val)
             worst = max(worst, abs(fast - slow))
         elapsed = time.perf_counter() - t0
         ok = worst <= 1e-10 and elapsed < 5.0

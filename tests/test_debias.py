@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_schema, random_dataset, random_params
+from conftest import count_calls, make_schema, random_dataset, random_params
+from ctrbias import evaluation, models
 from ctrbias.data import Dataset, Sample
 from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, GridSearchResult,
                             UnbiasedRatios, estimate_unbiased_ratios,
                             fit_weight_residuals, grid_search_reconstruction,
                             reconstruct_weights, reduce_weights)
 from ctrbias.errors import ConfigError, MetricError
-from ctrbias.models import model_digest
+from ctrbias.evaluation import ndcg_at_k, user_auc
+from ctrbias.models import model_digest, predict
 
 
 def build_log(schema, rows_spec, split_tag="train"):
@@ -49,14 +51,14 @@ def train_ds(schema):
 class TestDebiasConfig:
     def test_defaults(self):
         cfg = DebiasConfig()
-        assert cfg.alpha == 0.0
+        assert not hasattr(cfg, "alpha")  # reduction strength is not a config
         assert cfg.beta_grid == DEFAULT_GRID
         assert cfg.gamma_grid == DEFAULT_GRID
         assert cfg.variant == "vanilla"
         assert cfg.k == 5
 
     @pytest.mark.parametrize("kwargs", [
-        {"alpha": -0.1}, {"alpha": 1.5},
+        {"beta_grid": (float("-inf"), 1.0)}, {"gamma_grid": (float("nan"),)},
         {"variant": "nonsense"},
         {"beta_grid": ()}, {"gamma_grid": ()},
         {"beta_grid": (1.0, float("nan"))},
@@ -303,3 +305,48 @@ class TestGridSearch:
                                                DebiasConfig(k=2))
         for p in result.table:
             assert math.isfinite(p.ndcg)
+
+
+class TestGridScoresMatchPredict:
+    """Each grid row scores exactly what predict() gives the rebuilt model."""
+
+    GRID = (0.5, 1.0, 3.0)
+
+    def search(self, rng, arch):
+        kw = dict(n_users=6, n_items=9, n_groups=4)
+        train_ds = random_dataset(rng, n_rows=120, **kw)
+        unbiased = random_dataset(rng, n_rows=90, multi_group_prob=0.3,
+                                  split_tag="unbiased-val", **kw)
+        params = random_params(rng, train_ds.schema.n, 3, arch=arch)
+        cfg = DebiasConfig(beta_grid=self.GRID, gamma_grid=self.GRID, k=3)
+        return params, train_ds, unbiased, grid_search_reconstruction(
+            params, train_ds, unbiased, cfg)
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_every_row_equals_rescoring(self, rng, arch, monkeypatch):
+        scored = count_calls(monkeypatch, evaluation, "user_auc")
+        params, train_ds, unbiased, (best, result) = self.search(rng, arch)
+        ratios = estimate_unbiased_ratios(unbiased).values
+        residuals = fit_weight_residuals(params, train_ds).residuals
+        assert len(result.table) == len(scored) == len(self.GRID) ** 2
+        for point, (args, _) in zip(result.table, scored):
+            rebuilt = reconstruct_weights(params, train_ds.schema.bias_range,
+                                          ratios, residuals, point.beta,
+                                          point.gamma)
+            scores = predict(rebuilt, unbiased.indices, unbiased.values)
+            np.testing.assert_array_equal(args[1], scores)
+            assert point.uauc == user_auc(unbiased.user_ids, scores,
+                                          unbiased.labels)[0]
+            assert point.ndcg == ndcg_at_k(unbiased.user_ids, scores,
+                                           unbiased.labels, unbiased.item_ids,
+                                           3)[0]
+        scores = predict(best, unbiased.indices, unbiased.values)
+        assert result.best.uauc == user_auc(unbiased.user_ids, scores,
+                                            unbiased.labels)[0]
+
+    def test_search_scores_the_model_once(self, rng, monkeypatch):
+        predicts = count_calls(monkeypatch, models, "predict")
+        parts = count_calls(monkeypatch, models, "prediction_parts")
+        self.search(rng, "nfm")
+        assert predicts == []
+        assert len(parts) == 1

@@ -6,9 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import make_schema, random_dataset
+from conftest import count_calls, make_schema, random_dataset
+from ctrbias import numeric
 from ctrbias.data import Dataset, Sample
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import (EvalReport, evaluate, group_exposure_hit_rate,
@@ -28,6 +31,140 @@ def random_instance(rng, coarse=True, **kwargs):
     else:
         scores = rng.normal(size=len(ds))
     return ds, scores
+
+
+@st.composite
+def ranking_logs(draw, max_users=5, max_rows=40):
+    """(dataset, scores) in arbitrary row order; tie-heavy scores are drawn
+    from four levels, others from a continuous range."""
+    n_users = draw(st.integers(1, max_users))
+    n_items = draw(st.integers(1, 8))
+    n_groups = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        score = st.integers(0, 3).map(lambda v: v / 2.0)
+    else:
+        score = st.floats(-4.0, 4.0, allow_nan=False)
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
+                  st.integers(0, n_groups - 1), st.integers(0, 1), score),
+        min_size=1, max_size=max_rows))
+    schema = make_schema(n_users, n_items, n_groups)
+    samples = [Sample(indices=np.array([u, n_users + i, n_users + n_items + g]),
+                      values=np.ones(3), label=y, user_id=f"u{u}",
+                      item_id=f"i{i}", timestamp=t)
+               for t, (u, i, g, y, _) in enumerate(rows)]
+    ds = Dataset.from_samples(schema, samples)
+    scores = np.array([r[4] for r in rows], dtype=np.float64)
+    perm = np.array(draw(st.permutations(range(len(rows)))))
+    return ds.subset(perm), scores[perm]
+
+
+def same_or_both_nan(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestOracleProperties:
+    """The one-sort metrics equal the brute-force loops bit for bit."""
+
+    # up to 25 users, so the per-user means add more than 8 values, where
+    # np.sum would switch to its pairwise reduction
+    @settings(max_examples=150, deadline=None)
+    @given(ranking_logs(max_users=25, max_rows=100))
+    def test_user_auc(self, log):
+        ds, scores = log
+        got = user_auc(ds.user_ids, scores, ds.labels)
+        want = oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+        assert got[1] == want[1]
+        assert same_or_both_nan(got[0], want[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranking_logs(max_users=25, max_rows=100), st.integers(1, 7))
+    def test_ndcg(self, log, k):
+        ds, scores = log
+        got = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k)
+        want = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
+                                  ds.item_ids, k)
+        assert got[1] == want[1]
+        assert same_or_both_nan(got[0], want[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranking_logs(max_users=2, max_rows=80), st.integers(8, 40))
+    def test_ndcg_long_lists(self, log, k):
+        # long user lists: each DCG sums 8+ gains, pairwise in np.sum
+        ds, scores = log
+        got = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k)
+        want = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
+                                  ds.item_ids, k)
+        assert got[1] == want[1]
+        assert same_or_both_nan(got[0], want[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ranking_logs(), st.integers(1, 7))
+    def test_evaluate(self, log, k):
+        ds, scores = log
+        report = evaluate(ds, scores, k)
+        uauc, uauc_skipped = oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+        ndcg, ndcg_skipped = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
+                                                ds.item_ids, k)
+        assert same_or_both_nan(report.uauc, uauc)
+        assert report.uauc_skipped_users == uauc_skipped
+        assert same_or_both_nan(report.ndcg, ndcg)
+        assert report.ndcg_skipped_users == ndcg_skipped
+        assert report.n_users == len(set(ds.user_ids))
+        np.testing.assert_array_equal(report.group_tpr,
+                                      oracles.tpr_brute(ds, scores, k))
+        np.testing.assert_array_equal(report.group_ehr,
+                                      oracles.ehr_brute(ds, scores))
+
+
+class TestManyUsers:
+    """About 150 users: each mean adds far more than 8 per-user values."""
+
+    def instance(self, rng, coarse):
+        return random_instance(rng, coarse=coarse, n_users=150, n_items=40,
+                               n_rows=1200)
+
+    @pytest.mark.parametrize("coarse", [True, False])
+    def test_user_auc(self, rng, coarse):
+        ds, scores = self.instance(rng, coarse)
+        assert user_auc(ds.user_ids, scores, ds.labels) == \
+            oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+
+    @pytest.mark.parametrize("k", [3, 7, 12])
+    def test_ndcg(self, rng, k):
+        ds, scores = self.instance(rng, coarse=False)
+        assert ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k) == \
+            oracles.ndcg_brute(ds.user_ids, scores, ds.labels, ds.item_ids, k)
+
+    def test_ndcg_mixed_depths(self, rng):
+        # few users, so one DCG's last bit survives the mean: a short list
+        # next to a long one must not be summed as if padded with zeros
+        for _ in range(150):
+            ds, scores = random_instance(rng, coarse=False, n_users=3,
+                                         n_rows=int(rng.integers(12, 60)))
+            k = int(rng.integers(8, 41))
+            assert ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids,
+                             k) == oracles.ndcg_brute(
+                ds.user_ids, scores, ds.labels, ds.item_ids, k)
+
+
+class TestRankingStructure:
+    def test_no_per_user_rank_calls(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, numeric, "average_ranks")
+        ds, scores = random_instance(rng, n_rows=50)
+        user_auc(ds.user_ids, scores, ds.labels)
+        evaluate(ds, scores, k=3)
+        assert calls == []
+
+    def test_nan_scores_are_rejected(self, rng):
+        ds, scores = random_instance(rng, n_rows=10)
+        scores[3] = np.nan
+        with pytest.raises(ConfigError):
+            user_auc(ds.user_ids, scores, ds.labels)
+        with pytest.raises(ConfigError):
+            ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids)
+        with pytest.raises(ConfigError):
+            evaluate(ds, scores)
 
 
 class TestRankUsers:

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import random_params
+from oracles import pairwise_logit_reference
 from ctrbias.errors import ConfigError, ModelFormatError
 from ctrbias.models import (ARCH_TAGS, MlpParams, ModelParams, deserialize,
                             forward, init_params, load_model, loss_and_grads,
-                            model_digest, pairwise_logit_reference, predict,
+                            model_digest, predict,
                             prediction_parts, save_model, serialize)
 from ctrbias.numeric import bce_loss
 

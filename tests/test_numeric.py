@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrbias.analysis import CorrelationResult
 from ctrbias.numeric import average_ranks, bce_loss, log1pexp, sigmoid, to_jsonable
 
 
@@ -131,6 +132,17 @@ class TestToJsonable:
         out = to_jsonable({"a": float("nan"), "b": np.array([1.0, np.nan])})
         assert out["a"] is None
         assert out["b"] == [1.0, None]
+
+    def test_infinities_become_none(self):
+        out = to_jsonable({"a": float("inf"), "b": np.array([1.0, -np.inf]),
+                           "c": np.float32(np.inf)})
+        assert out == {"a": None, "b": [1.0, None], "c": None}
+
+    def test_report_with_infinity_is_standard_json(self):
+        report = CorrelationResult(r=1.0, p_value=float("inf"), n=3,
+                                   method="pearson")
+        text = json.dumps(report.to_json_dict(), allow_nan=False)
+        assert json.loads(text)["p_value"] is None
 
     def test_plain_values_pass_through(self):
         assert to_jsonable({"s": "x", "n": None, "i": 3}) == {"s": "x", "n": None, "i": 3}

@@ -10,9 +10,9 @@ from ctrbias.errors import ConfigError, DivergenceError
 from ctrbias.models import init_params, loss_and_grads, predict
 from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate
-from ctrbias.training import (Adam, TrainConfig, TrainReport,
-                              sgd_step_reference, train)
+from ctrbias.training import Adam, TrainConfig, TrainReport, train
 from conftest import make_schema
+from oracles import sgd_step_reference
 
 TINY = SynthConfig(n_users=30, n_items=20, n_groups=3, exposures_per_user=12,
                    unbiased_val_per_user=1, unbiased_test_per_user=2,
