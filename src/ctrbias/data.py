@@ -6,6 +6,15 @@ timestamp. One designated field (the *bias field*) partitions items into
 groups; all bias diagnostics key off it. Within every field the feature
 values of a sample sum to one: a single-valued field contributes one entry
 of value 1, a cell with m categories contributes m entries of value 1/m.
+
+CSV I/O works column by column, never row by row. `Dataset.to_csv` labels
+entries through one table over the global feature index and hands blocks
+of CSV_BLOCK_ROWS rows to `csv.writer.writerows`. `ingest_csv` reads
+blocks of CSV_BLOCK_ROWS records, transposes each into columns, and maps
+every field's column through its vocabulary at once; only a column that
+holds a '|' is split cell by cell. A malformed file raises the error a row
+loop would meet first: the earliest bad record, and within it the column
+count, the timestamp, the label, then the cells in field order.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +32,8 @@ from .errors import ConfigError, CsvParseError, LabelError, SchemaError
 
 FIELD_SUM_TOL = 1e-12
 RESERVED_COLUMNS = ("user_id", "item_id", "label", "timestamp")
+CSV_BLOCK_ROWS = 16384  # rows per block when reading or writing CSV
+_BINARY_LABELS = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,12 @@ class FieldSchema:
                 )
             if len(set(cats)) != len(cats):
                 raise ConfigError(f"duplicate categories for field {name!r}")
+            for cat in cats:
+                if not isinstance(cat, str) or not cat or "|" in cat:
+                    raise ConfigError(
+                        f"field {name!r}: category {cat!r} cannot round-trip through "
+                        "CSV; categories must be non-empty strings without '|'"
+                    )
 
     @property
     def n(self) -> int:
@@ -92,6 +110,12 @@ class FieldSchema:
                 return off
             off += card
         raise ConfigError(f"unknown field {name!r}")
+
+    def labels(self, name: str) -> tuple[str, ...]:
+        """Label per local index: the declared vocabulary, then `name:j`."""
+        cats = self.categories.get(name, ())
+        return tuple(cats[j] if j < len(cats) else f"{name}:{j}"
+                     for j in range(self.cardinality(name)))
 
     def cardinality(self, name: str) -> int:
         for fname, card in self.fields:
@@ -184,9 +208,8 @@ class FeatureIndex:
 
     def labels(self, field_name: str) -> tuple[str, ...]:
         """Category label per local index; unassigned slots get placeholders."""
-        m = self._maps[field_name]
-        out = [f"{field_name}:{i}" for i in range(self.schema.cardinality(field_name))]
-        for cat, local in m.items():
+        out = list(self.schema.labels(field_name))
+        for cat, local in self._maps[field_name].items():
             out[local] = cat
         return tuple(out)
 
@@ -241,12 +264,7 @@ class Dataset:
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.split_tag = split_tag
         if bias_labels is None:
-            start, end = schema.bias_range
-            cats = schema.categories.get(schema.bias_field, ())
-            bias_labels = tuple(
-                cats[j] if j < len(cats) else f"{schema.bias_field}:{j}"
-                for j in range(end - start)
-            )
+            bias_labels = schema.labels(schema.bias_field)
         self.bias_labels = tuple(bias_labels)
         self._memberships = None
         if _validate:
@@ -293,10 +311,6 @@ class Dataset:
             item_id=str(self.item_ids[i]),
             timestamp=int(self.timestamps[i]),
         )
-
-    def iter_samples(self):
-        for i in range(len(self)):
-            yield self.sample(i)
 
     @classmethod
     def from_samples(cls, schema, samples, split_tag="train", bias_labels=None):
@@ -347,43 +361,170 @@ class Dataset:
         return self._memberships
 
     def to_csv(self, path) -> None:
-        """Write the canonical CSV form (header, '|'-joined multi-values)."""
-        start_of = {name: self.schema.offset(name) for name, _ in self.schema.fields}
-        labels_of = {}
-        for name, card in self.schema.fields:
-            cats = self.schema.categories.get(name, ())
-            labels_of[name] = [
-                cats[j] if j < len(cats) else f"{name}:{j}" for j in range(card)
-            ]
-        bounds = self.schema.boundaries
-        with open(path, "w", newline="") as fh:
+        """Write the canonical CSV form (header, '|'-joined multi-values).
+
+        Columnar: one label table over the global feature index, and each
+        field's cells gathered for a block of CSV_BLOCK_ROWS rows at once,
+        by a direct take where every row of the block has exactly one live
+        entry in the field and by a join over each row's entries otherwise.
+        Entries of a multi-valued cell keep their column order. The csv
+        module does all quoting.
+        """
+        schema = self.schema
+        table = np.array([label for name, _ in schema.fields
+                          for label in schema.labels(name)], dtype=object)
+        bounds = schema.boundaries
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(RESERVED_COLUMNS) + list(self.schema.field_names))
-            for i in range(len(self)):
-                live = self.values[i] > 0
-                idx = self.indices[i][live]
+            writer.writerow(list(RESERVED_COLUMNS) + list(schema.field_names))
+            for lo in range(0, len(self), CSV_BLOCK_ROWS):
+                block = slice(lo, lo + CSV_BLOCK_ROWS)
+                idx = self.indices[block]
                 field_of = np.searchsorted(bounds, idx, side="right") - 1
-                cells = []
-                for f, name in enumerate(self.schema.field_names):
-                    local = idx[field_of == f] - start_of[name]
-                    cells.append("|".join(labels_of[name][j] for j in local))
-                writer.writerow(
-                    [self.user_ids[i], self.item_ids[i], int(self.labels[i]),
-                     int(self.timestamps[i])] + cells
-                )
+                field_of[~(self.values[block] > 0)] = -1
+                cells = [_cell_column(table, idx, field_of == f)
+                         for f in range(len(schema.fields))]
+                writer.writerows(zip(
+                    list(self.user_ids[block]), list(self.item_ids[block]),
+                    self.labels[block].tolist(), self.timestamps[block].tolist(),
+                    *cells))
 
 
-def _parse_label(cell: str, threshold, path, line_no) -> int:
-    if threshold is not None:
+def _cell_column(table, idx, member) -> list[str]:
+    """One field's CSV cells: labels of each row's member entries, '|'-joined."""
+    counts = member.sum(axis=1)
+    labels = table[idx[member]].tolist()  # row-major: rows in order
+    if (counts == 1).all():
+        return labels
+    ends = np.cumsum(counts).tolist()
+    return ["|".join(labels[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+
+
+def _take_rows(reader, n, path):
+    """Up to n records, and the CsvParseError that stopped reading early (or None)."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(islice(reader, n))
+    except UnicodeDecodeError as exc:
+        raw = Path(path).read_bytes()
         try:
-            return 1 if float(cell) > threshold else 0
-        except ValueError:
-            raise CsvParseError(path, line_no, f"non-numeric label {cell!r}")
-    if cell in ("0", "1"):
-        return int(cell)
-    raise LabelError(
-        f"{path}:{line_no}: label {cell!r} is not binary and no threshold is configured"
-    )
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:  # offsets into the file, not a read chunk
+            exc = whole
+        return rows, CsvParseError(
+            path, raw.count(b"\n", 0, exc.start) + 1,
+            f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+    except csv.Error as exc:
+        return rows, CsvParseError(path, reader.line_num, str(exc))
+    return rows, None
+
+
+def _convert_column(convert, column):
+    """(converted cells, None), or (None, position of the first rejected cell)."""
+    try:
+        return list(map(convert, column)), None
+    except (ValueError, KeyError):
+        for pos, cell in enumerate(column):
+            try:
+                convert(cell)
+            except (ValueError, KeyError):
+                return None, pos
+        raise
+
+
+def _parse_block(rows, first_line, schema, index, path):
+    """Columns of one block of data records, or raise its first error.
+
+    Every check records the first row it fails on with a rank that orders
+    the checks within a row (column count, timestamp, label, then per field
+    in declaration order: an empty cell or a duplicate category, then
+    overflow), and the (row, rank)-smallest failure is raised, as a row
+    loop would.
+
+    Returns (indices, values, timestamps, labels, user_ids, item_ids).
+    """
+    width = len(RESERVED_COLUMNS) + len(schema.fields)
+    failures: list[tuple[int, int, Exception]] = []
+    if set(map(len, rows)) - {width}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != width)
+        failures.append((bad, 0, CsvParseError(
+            path, first_line + bad, f"expected {width} columns, got {len(rows[bad])}")))
+        rows = rows[:bad]
+    n = len(rows)
+    cols = list(zip(*rows)) or [()] * width
+
+    stamps, bad = _convert_column(int, cols[3])
+    if bad is not None:
+        failures.append((bad, 1, CsvParseError(
+            path, first_line + bad, f"non-integer timestamp {cols[3][bad]!r}")))
+    threshold = schema.label_threshold
+    if threshold is None:
+        labels, bad = _convert_column(_BINARY_LABELS.__getitem__, cols[2])
+        if bad is not None:
+            failures.append((bad, 2, LabelError(
+                f"{path}:{first_line + bad}: label {cols[2][bad]!r} is not binary "
+                "and no threshold is configured")))
+    else:
+        labels, bad = _convert_column(lambda c: int(float(c) > threshold), cols[2])
+        if bad is not None:
+            failures.append((bad, 2, CsvParseError(
+                path, first_line + bad, f"non-numeric label {cols[2][bad]!r}")))
+
+    fields = []  # (offset, counts, local indices) per field
+    for f, (name, _) in enumerate(schema.fields):
+        col, rank = cols[4 + f], 3 + 2 * f
+        if "|" in "".join(col):
+            cells = [cell.split("|") if cell else [] for cell in col]
+            for pos, parts in enumerate(cells):
+                if not parts or len(set(parts)) != len(parts):
+                    what = "duplicate category in" if parts else "empty cell for"
+                    failures.append((pos, rank, CsvParseError(
+                        path, first_line + pos, f"{what} field {name!r}")))
+                    break
+            counts = np.fromiter(map(len, cells), dtype=np.int64, count=n)
+            keys = list(chain.from_iterable(cells))
+        else:
+            if "" in col:
+                pos = col.index("")
+                failures.append((pos, rank, CsvParseError(
+                    path, first_line + pos, f"empty cell for field {name!r}")))
+            counts = np.ones(n, dtype=np.int64)
+            keys = col
+        seen = index._maps[name]
+        for key in dict.fromkeys(keys):  # unseen categories in first-appearance order
+            if key not in seen:
+                try:
+                    index.index_of(name, key, create=True)
+                except SchemaError as exc:
+                    row = int(np.searchsorted(np.cumsum(counts), keys.index(key), side="right"))
+                    failures.append((row, rank + 1, exc))
+                    break
+        if not failures:
+            local = np.fromiter(map(seen.__getitem__, keys), dtype=np.int64, count=len(keys))
+            fields.append((schema.offset(name), counts, local))
+    if failures:
+        raise min(failures, key=lambda fail: fail[:2])[2]
+
+    total = sum(counts for _, counts, _ in fields)
+    indices = np.zeros((n, int(total.max(initial=0))), dtype=np.int64)
+    values = np.zeros(indices.shape, dtype=np.float64)
+    start = np.zeros(n, dtype=np.int64)  # first column of the field in each row
+    for offset, counts, local in fields:
+        row_of = np.repeat(np.arange(n), counts)
+        first = np.cumsum(counts) - counts  # first entry of each row in `local`
+        if len(local) > n:  # some multi-valued cell: sort each row's entries
+            local = local[np.lexsort((local, row_of))]
+        pos = np.arange(len(local)) + np.repeat(start - first, counts)
+        indices[row_of, pos] = offset + local
+        values[row_of, pos] = np.repeat(1.0 / counts, counts)
+        start += counts
+    return (indices, values, stamps, np.asarray(labels, dtype=np.int8),
+            np.asarray(cols[0]), np.asarray(cols[1]))
+
+
+def _concat(parts):
+    """Concatenate the non-empty parts; none gives np.asarray([]), like an empty list."""
+    return np.concatenate([p for p in parts if len(p)] or [np.asarray([])])
 
 
 def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
@@ -394,70 +535,60 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     schema declaration order. Multi-valued cells use '|' separators and are
     normalized to value 1/m per category. Pass a shared FeatureIndex when
     ingesting several files so category assignment stays consistent.
+
+    The file is read as UTF-8 in blocks of CSV_BLOCK_ROWS records, never
+    whole. Each block is transposed into columns: timestamps parse with
+    int(), each field's unseen categories get local indices in order of
+    first appearance, and the column maps through the field's vocabulary
+    at once; only a field whose column holds a '|' is split cell by cell.
+    Fields occupy increasing index ranges, so rows come out sorted.
+
+    Errors: the first bad record in file order raises; within a record
+    the column count is checked first, then the timestamp, the label, and
+    the cells in field order (empty, then duplicate, then overflow).
+    Malformed records and undecodable bytes raise CsvParseError with the
+    line number, a non-binary label LabelError, and an overflowing
+    vocabulary SchemaError. A byte that is not UTF-8 raises as soon as
+    the text layer decodes it, which may be before the records just ahead
+    of it are checked. The state of a shared FeatureIndex after an
+    error is unspecified: it may hold categories of any record in the
+    failing block.
     """
     path = Path(path)
     if index is None:
         index = FeatureIndex(schema)
     expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
-    samples_idx: list[np.ndarray] = []
-    samples_val: list[np.ndarray] = []
-    labels: list[int] = []
-    users: list[str] = []
-    items: list[str] = []
-    stamps: list[int] = []
-    with open(path, newline="") as fh:
+    blocks = []
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header, failure = _take_rows(reader, 1, path)
+        if failure is not None:
+            raise failure
+        if not header:
             raise CsvParseError(path, 1, "empty file")
-        if header != expected_header:
+        if header[0] != expected_header:
             raise CsvParseError(
-                path, 1, f"header {header!r} does not match declared fields {expected_header!r}"
+                path, 1, f"header {header[0]!r} does not match declared fields {expected_header!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise CsvParseError(
-                    path, line_no,
-                    f"expected {len(expected_header)} columns, got {len(row)}",
-                )
-            user, item, label_cell, ts_cell = row[:4]
-            try:
-                ts = int(ts_cell)
-            except ValueError:
-                raise CsvParseError(path, line_no, f"non-integer timestamp {ts_cell!r}")
-            label = _parse_label(label_cell, schema.label_threshold, path, line_no)
-            idx_list: list[int] = []
-            val_list: list[float] = []
-            for cell, (fname, _) in zip(row[4:], schema.fields):
-                parts = cell.split("|") if cell else []
-                if not parts:
-                    raise CsvParseError(path, line_no, f"empty cell for field {fname!r}")
-                if len(set(parts)) != len(parts):
-                    raise CsvParseError(path, line_no, f"duplicate category in field {fname!r}")
-                v = 1.0 / len(parts)
-                for cat in parts:
-                    idx_list.append(index.index_of(fname, cat, create=True))
-                    val_list.append(v)
-            order = np.argsort(idx_list)
-            samples_idx.append(np.asarray(idx_list, dtype=np.int64)[order])
-            samples_val.append(np.asarray(val_list, dtype=np.float64)[order])
-            labels.append(label)
-            users.append(user)
-            items.append(item)
-            stamps.append(ts)
-    n = len(labels)
-    width = max((len(a) for a in samples_idx), default=0)
-    indices = np.zeros((n, width), dtype=np.int64)
-    values = np.zeros((n, width), dtype=np.float64)
-    for i, (ia, va) in enumerate(zip(samples_idx, samples_val)):
-        indices[i, : len(ia)] = ia
-        values[i, : len(va)] = va
+        line_no = 2
+        while True:
+            rows, failure = _take_rows(reader, CSV_BLOCK_ROWS, path)
+            blocks.append(_parse_block(rows, line_no, schema, index, path))
+            if failure is not None:
+                raise failure
+            if len(rows) < CSV_BLOCK_ROWS:
+                break
+            line_no += len(rows)
+    indices, values, stamps, labels, users, items = zip(*blocks)
+    width = max(block.shape[1] for block in indices)
     return Dataset(
-        schema, indices, values,
-        np.asarray(labels, dtype=np.int8),
-        np.asarray(users), np.asarray(items),
-        np.asarray(stamps, dtype=np.int64),
+        schema,
+        np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in indices]),
+        np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in values]),
+        _concat(labels), _concat(users), _concat(items),
+        # Python ints until now: a stamp beyond int64 fails after the whole
+        # file is read, as in a row loop
+        list(chain.from_iterable(stamps)),
         split_tag=split_tag,
         bias_labels=index.labels(schema.bias_field),
     )

@@ -1,16 +1,20 @@
-"""Brute-force reference implementations of scoring, updates and metrics.
+"""Brute-force reference implementations of scoring, updates, metrics
+and CSV I/O.
 
 Everything here is written in the most literal way possible (python loops,
-explicit pair enumeration) so the vectorized package code can be checked
-against an independently derived answer. Arithmetic mirrors the package's
+explicit pair enumeration, one CSV row at a time) so the vectorized package
+code can be checked against an independently derived answer. Arithmetic mirrors the package's
 accumulation order so exact comparisons are meaningful.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from ctrbias.errors import ConfigError
+from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex
+from ctrbias.errors import ConfigError, CsvParseError, LabelError
 from ctrbias.numeric import sigmoid
 
 
@@ -163,3 +167,108 @@ def reo_brute(tpr):
     mean = sum(vals) / len(vals)
     var = sum((v - mean) ** 2 for v in vals) / len(vals)
     return math.sqrt(var) / mean
+
+
+def to_csv_reference(ds, path):
+    """Dataset.to_csv as a row loop: one searchsorted and join per row."""
+    start_of = {name: ds.schema.offset(name) for name, _ in ds.schema.fields}
+    labels_of = {}
+    for name, card in ds.schema.fields:
+        cats = ds.schema.categories.get(name, ())
+        labels_of[name] = [
+            cats[j] if j < len(cats) else f"{name}:{j}" for j in range(card)
+        ]
+    bounds = ds.schema.boundaries
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(RESERVED_COLUMNS) + list(ds.schema.field_names))
+        for i in range(len(ds)):
+            live = ds.values[i] > 0
+            idx = ds.indices[i][live]
+            field_of = np.searchsorted(bounds, idx, side="right") - 1
+            cells = []
+            for f, name in enumerate(ds.schema.field_names):
+                local = idx[field_of == f] - start_of[name]
+                cells.append("|".join(labels_of[name][j] for j in local))
+            writer.writerow(
+                [ds.user_ids[i], ds.item_ids[i], int(ds.labels[i]),
+                 int(ds.timestamps[i])] + cells
+            )
+
+
+def _parse_label_reference(cell, threshold, path, line_no):
+    if threshold is not None:
+        try:
+            return 1 if float(cell) > threshold else 0
+        except ValueError:
+            raise CsvParseError(path, line_no, f"non-numeric label {cell!r}")
+    if cell in ("0", "1"):
+        return int(cell)
+    raise LabelError(
+        f"{path}:{line_no}: label {cell!r} is not binary and no threshold is configured"
+    )
+
+
+def ingest_csv_reference(path, schema, index=None, split_tag="train"):
+    """ingest_csv as a row loop: index_of per category, argsort per row."""
+    path = Path(path)
+    if index is None:
+        index = FeatureIndex(schema)
+    expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
+    samples_idx, samples_val = [], []
+    labels, users, items, stamps = [], [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvParseError(path, 1, "empty file")
+        if header != expected_header:
+            raise CsvParseError(
+                path, 1, f"header {header!r} does not match declared fields {expected_header!r}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(expected_header):
+                raise CsvParseError(
+                    path, line_no,
+                    f"expected {len(expected_header)} columns, got {len(row)}",
+                )
+            user, item, label_cell, ts_cell = row[:4]
+            try:
+                ts = int(ts_cell)
+            except ValueError:
+                raise CsvParseError(path, line_no, f"non-integer timestamp {ts_cell!r}")
+            label = _parse_label_reference(label_cell, schema.label_threshold, path, line_no)
+            idx_list, val_list = [], []
+            for cell, (fname, _) in zip(row[4:], schema.fields):
+                parts = cell.split("|") if cell else []
+                if not parts:
+                    raise CsvParseError(path, line_no, f"empty cell for field {fname!r}")
+                if len(set(parts)) != len(parts):
+                    raise CsvParseError(path, line_no, f"duplicate category in field {fname!r}")
+                v = 1.0 / len(parts)
+                for cat in parts:
+                    idx_list.append(index.index_of(fname, cat, create=True))
+                    val_list.append(v)
+            order = np.argsort(idx_list)
+            samples_idx.append(np.asarray(idx_list, dtype=np.int64)[order])
+            samples_val.append(np.asarray(val_list, dtype=np.float64)[order])
+            labels.append(label)
+            users.append(user)
+            items.append(item)
+            stamps.append(ts)
+    n = len(labels)
+    width = max((len(a) for a in samples_idx), default=0)
+    indices = np.zeros((n, width), dtype=np.int64)
+    values = np.zeros((n, width), dtype=np.float64)
+    for i, (ia, va) in enumerate(zip(samples_idx, samples_val)):
+        indices[i, : len(ia)] = ia
+        values[i, : len(va)] = va
+    return Dataset(
+        schema, indices, values,
+        np.asarray(labels, dtype=np.int8),
+        np.asarray(users), np.asarray(items),
+        np.asarray(stamps, dtype=np.int64),
+        split_tag=split_tag,
+        bias_labels=index.labels(schema.bias_field),
+    )

@@ -151,6 +151,22 @@ class TestEval:
         assert rows[0][3] == "tpr_at_3"
         assert len(rows) == 4
 
+    def test_undecodable_csv_exits_2_with_one_line(self, corpus, tmp_path,
+                                                   capsys):
+        lines = (corpus["data"] / "test.csv").read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4].replace(b",", b"\xff,", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        rc = main([
+            "eval", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]), "--data", str(bad),
+            "--out", str(tmp_path / "eval.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}:5: byte 0xff is not UTF-8")
+
 
 class TestDebias:
     def test_reduce_scales_weights(self, corpus, tmp_path):

@@ -1,15 +1,20 @@
-"""Schema, CSV ingestion, splits, and k-core against hand-built oracles."""
+"""Schema, CSV I/O, splits, and k-core against hand-built oracles."""
+
+import csv
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_schema, random_dataset
+from ctrbias import data
 from ctrbias.data import (Dataset, FeatureIndex, FieldSchema, Sample,
                           chronological_split, ingest_csv, k_core_filter)
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
                             SchemaError)
+from oracles import ingest_csv_reference, to_csv_reference
 
 
 class TestFieldSchema:
@@ -43,6 +48,18 @@ class TestFieldSchema:
         with pytest.raises(ConfigError):
             FieldSchema(fields=(("a", 2),), bias_field="a",
                         categories={"a": ("x", "x")})
+
+    @pytest.mark.parametrize("bad", ["a|b", "|", "", 1, None])
+    def test_rejects_categories_that_cannot_round_trip_csv(self, bad):
+        with pytest.raises(ConfigError, match="round-trip"):
+            FieldSchema(fields=(("a", 3),), bias_field="a",
+                        categories={"a": ("x", bad)})
+
+    def test_labels_are_vocabulary_then_placeholders(self):
+        s = FieldSchema(fields=(("a", 3), ("g", 2)), bias_field="g",
+                        categories={"a": ("x, y", "\"q\"")})
+        assert s.labels("a") == ("x, y", "\"q\"", "a:2")
+        assert s.labels("g") == ("g:0", "g:1")
 
     def test_digest_frozen_value(self):
         s = FieldSchema(
@@ -139,7 +156,7 @@ class TestDataset:
         back = ds.sample(0)
         assert np.array_equal(back.indices, short.indices)
         assert np.array_equal(back.values, short.values)
-        assert [s.item_id for s in ds.iter_samples()] == ["i0", "i1"]
+        assert [ds.sample(i).item_id for i in range(len(ds))] == ["i0", "i1"]
 
     def test_validation_rejects_bad_field_sums(self):
         schema = make_schema(2, 2, 2)
@@ -312,6 +329,242 @@ class TestIngestErrors:
             "user_id,item_id,label,timestamp,g\nu,i,1,0,a\nu,i,1,1,b\nu,i,1,2,c\n")
         with pytest.raises(SchemaError, match="overflow"):
             ingest_csv(path, schema)
+
+    def test_undecodable_byte_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"user_id,item_id,label,timestamp,user,item,group\n"
+                         b"u0,i0,1,0,u0,i0,g0\n"
+                         b"u1,i\xff,1,1,u1,i1,g1\n")
+        with pytest.raises(CsvParseError, match="0xff is not UTF-8") as e:
+            ingest_csv(path, make_schema())
+        assert e.value.line_no == 3
+
+    def test_csv_module_error_reports_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("user_id,item_id,label,timestamp,user,item,group\n"
+                        "u0,i0,1,0,u0,i0,g0\n"
+                        f"u0,{'x' * (csv.field_size_limit() + 1)},1,1,u0,i0,g0\n")
+        with pytest.raises(CsvParseError, match="field limit") as e:
+            ingest_csv(path, make_schema())
+        assert e.value.line_no == 3
+
+
+# --- columnar CSV I/O against the row loops in tests/oracles.py -----------
+
+LETTERS = st.sampled_from(list('ab,;" \'é\n'))
+CATEGORY = st.text(LETTERS, min_size=1, max_size=3)
+
+
+@st.composite
+def schemas(draw):
+    """1-3 fields, some multi-valued, partial vocabularies, odd characters."""
+    fields, categories, multi = [], {}, []
+    for f in range(draw(st.integers(1, 3))):
+        name, card = f"f{f}", draw(st.integers(2, 5))
+        fields.append((name, card))
+        multi.append(draw(st.booleans()))
+        vocab = draw(st.lists(CATEGORY, max_size=card, unique=True))
+        if vocab:
+            categories[name] = tuple(vocab)
+    threshold = draw(st.one_of(st.none(), st.sampled_from([0.5, 2.0])))
+    schema = FieldSchema(tuple(fields), "f0", categories, threshold)
+    return schema, multi
+
+
+@st.composite
+def datasets(draw):
+    """Valid datasets whose rows hold live entries in any column order,
+    with padding between them and widths that differ from row to row."""
+    schema, multi = draw(schemas())
+    n = draw(st.integers(0, 9))
+    rows = []
+    for _ in range(n):
+        entries = []
+        for (name, card), many in zip(schema.fields, multi):
+            m = draw(st.integers(1, min(3, card) if many else 1))
+            for local in draw(st.lists(st.integers(0, card - 1), min_size=m,
+                                       max_size=m, unique=True)):
+                entries.append((schema.offset(name) + local, 1.0 / m))
+        entries += [(0, 0.0)] * draw(st.integers(0, 2))
+        rows.append(draw(st.permutations(entries)))
+    width = max((len(r) for r in rows), default=0)
+    indices = np.zeros((n, width), dtype=np.int64)
+    values = np.zeros((n, width))
+    for i, row in enumerate(rows):
+        for j, (index, value) in enumerate(row):
+            indices[i, j], values[i, j] = index, value
+    ids = st.lists(st.text(LETTERS, max_size=3), min_size=n, max_size=n)
+    return Dataset(schema, indices, values,
+                   draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                   draw(ids), draw(ids),
+                   draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n,
+                                 max_size=n)))
+
+
+def cell_text(draw, schema, name, many, spill):
+    """A cell of 1-3 categories from the vocabulary and unseen ones, with
+    one more than the field holds if `spill`; '|'-joined in random order."""
+    vocab = schema.categories.get(name, ())
+    spare = schema.cardinality(name) - len(vocab)
+    pool = list(vocab) + [f"{name}n{j}" for j in range(spare + spill)]
+    m = draw(st.integers(1, min(3, len(pool)) if many else 1))
+    return "|".join(draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m,
+                                  unique=True)))
+
+
+@st.composite
+def csv_logs(draw, schema, multi):
+    """CSV text for `schema`, rows in arbitrary order, labels per threshold."""
+    label_cells = (["0", "1"] if schema.label_threshold is None
+                   else ["0", "1", "2.5", "-1", "7e0"])
+    spill = draw(st.booleans())
+    rows = [[draw(st.text(LETTERS, max_size=3)), draw(st.text(LETTERS, max_size=3)),
+             draw(st.sampled_from(label_cells)), str(draw(st.integers(-99, 99)))]
+            + [cell_text(draw, schema, name, many, spill)
+               for (name, _), many in zip(schema.fields, multi)]
+            for _ in range(draw(st.integers(0, 9)))]
+    return rows, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+def write_rows(path, schema, rows, terminator="\n"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=terminator)
+        writer.writerow(list(data.RESERVED_COLUMNS) + list(schema.field_names))
+        writer.writerows(rows)
+
+
+def outcome(read, path, schema, index):
+    """The Dataset read, or the (class, message) of the exception raised."""
+    try:
+        return read(path, schema, index, split_tag="x")
+    except (ConfigError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    for name in ("indices", "values", "labels", "user_ids", "item_ids", "timestamps"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+    assert got.bias_labels == want.bias_labels
+    assert got.split_tag == want.split_tag
+
+
+IO_SETTINGS = settings(max_examples=80, deadline=None,
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestColumnarCsvAgainstRowLoops:
+    @IO_SETTINGS
+    @given(datasets(), st.integers(1, 4))
+    def test_to_csv_bytes_equal_oracle(self, tmp_path, ds, block):
+        with mock.patch.object(data, "CSV_BLOCK_ROWS", block):
+            ds.to_csv(tmp_path / "new.csv")
+        to_csv_reference(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @IO_SETTINGS
+    @given(datasets(), st.integers(1, 4))
+    def test_to_csv_round_trip_equals_oracle_ingest(self, tmp_path, ds, block):
+        path = tmp_path / "log.csv"
+        to_csv_reference(ds, path)
+        with mock.patch.object(data, "CSV_BLOCK_ROWS", block):
+            got = outcome(ingest_csv, path, ds.schema, FeatureIndex(ds.schema))
+        want = outcome(ingest_csv_reference, path, ds.schema, FeatureIndex(ds.schema))
+        assert_same_outcome(got, want)
+
+    @IO_SETTINGS
+    @given(st.data(), st.integers(1, 4))
+    def test_ingest_two_files_equals_oracle(self, tmp_path, draw, block):
+        schema, multi = draw.draw(schemas())
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            rows, terminator = draw.draw(csv_logs(schema, multi))
+            paths.append(tmp_path / name)
+            write_rows(paths[-1], schema, rows, terminator)
+        new, old = FeatureIndex(schema), FeatureIndex(schema)
+        for path in paths:
+            with mock.patch.object(data, "CSV_BLOCK_ROWS", block):
+                got = outcome(ingest_csv, path, schema, new)
+            want = outcome(ingest_csv_reference, path, schema, old)
+            assert_same_outcome(got, want)
+            if isinstance(want, tuple):
+                return  # index state after an error is unspecified
+        assert new._maps == old._maps
+        assert [list(m) for m in new._maps.values()] == \
+            [list(m) for m in old._maps.values()]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_rows_across_block_boundaries(self, tmp_path, rng, block, monkeypatch):
+        ds = random_dataset(rng, n_rows=23, multi_group_prob=0.3)
+        # multi-valued rows only in some blocks, so block widths differ
+        ds = ds.subset(np.argsort(ds.values.min(axis=1) < 1, kind="stable"))
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+        ds.to_csv(tmp_path / "new.csv")
+        to_csv_reference(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert_same_outcome(
+            ingest_csv(tmp_path / "new.csv", ds.schema, split_tag="x"),
+            ingest_csv_reference(tmp_path / "new.csv", ds.schema, split_tag="x"))
+
+    def test_empty_log_keeps_row_loop_dtypes(self, tmp_path):
+        schema = make_schema()
+        write_rows(tmp_path / "e.csv", schema, [])
+        assert_same_outcome(ingest_csv(tmp_path / "e.csv", schema, split_tag="x"),
+                            ingest_csv_reference(tmp_path / "e.csv", schema, split_tag="x"))
+
+
+HEADER = "user_id,item_id,label,timestamp,a,g\n"
+ERROR_CASES = {
+    "empty file": "",
+    "wrong header": "user_id,item_id,label,timestamp,g,a\n",
+    "too few columns": HEADER + "u,i,1,0,x,p\nu,i,1,1,x\n",
+    "too many columns": HEADER + "u,i,1,0,x,p,extra\n",
+    "timestamp": HEADER + "u,i,1,0,x,p\nu,i,1,1.5,x,p\n",
+    "huge timestamp": HEADER + "u,i,1,99999999999999999999,x,p\n",
+    "label": HEADER + "u,i,x,0,x,p\n",
+    "empty cell, first field": HEADER + "u,i,1,0,,p\n",
+    "empty cell, multi-valued field": HEADER + "u,i,1,0,x|y,p\nu,i,1,1,x,\n",
+    "bare separator": HEADER + "u,i,1,0,|,p\n",
+    "duplicate": HEADER + "u,i,1,0,x|y|x,p\n",
+    "overflow": HEADER + "u,i,1,0,x,p\nu,i,1,1,y,p\nu,i,1,2,z,p\nu,i,1,3,w,p\n",
+    "overflow in a multi-valued cell": HEADER + "u,i,1,0,x|y,p\nu,i,1,1,z|w,p\n",
+    # two different errors on different lines: the earlier line wins
+    "count before timestamp": HEADER + "u,i,1,0,x\nu,i,1,t,x,p\n",
+    "timestamp before count": HEADER + "u,i,1,t,x,p\nu,i,1,0,x\n",
+    "empty before overflow": HEADER + "u,i,1,0,x,\nu,i,1,1,y|z|w,p\n",
+    "overflow before label": HEADER + "u,i,1,0,x|y|z|w,p\nu,i,x,1,x,p\n",
+    "duplicate before count": HEADER + "u,i,1,0,x,p|p\nu,i,1,1\n",
+    "label before empty": HEADER + "u,i,x,0,x,p\nu,i,1,1,,p\n",
+    "far apart": HEADER + "u,i,1,0,x,p\n" * 5 + "u,i,1,5,x,\n" + "u,i,1,6,x,p\n" * 3
+                 + "u,i,1,t,x,p\n",
+    # two errors on one line: column count, timestamp, label, cells by field
+    "timestamp and label": HEADER + "u,i,x,t,x,p\n",
+    "label and empty cell": HEADER + "u,i,x,0,,p\n",
+    "empty cell in second field and overflow in first": HEADER
+        + "u,i,1,0,x|y|z,p\nu,i,1,1,w,\n",
+    "duplicate in first field and overflow in second": HEADER
+        + "u,i,1,0,x,p|q\nu,i,1,1,x|x,r\n",
+    "duplicate cell holding the overflow": HEADER + "u,i,1,0,x|y|z,p\nu,i,1,1,w|w,p\n",
+    "huge timestamp then bad line": HEADER + "u,i,1,99999999999999999999,x,p\nu,i,1,1\n",
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("threshold", [None, 0.5])
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, block):
+    schema = FieldSchema(fields=(("a", 3), ("g", 2)), bias_field="g",
+                         label_threshold=threshold)
+    path = tmp_path / "bad.csv"
+    path.write_text(ERROR_CASES[case])
+    want = outcome(ingest_csv_reference, path, schema, FeatureIndex(schema))
+    assert isinstance(want, tuple), "every case is malformed"
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+    assert outcome(ingest_csv, path, schema, FeatureIndex(schema)) == want
 
 
 class TestChronologicalSplit:
