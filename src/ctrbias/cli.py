@@ -121,7 +121,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, optimizer: str, ablation: str, seed: int) -> TrainConfig:
     return TrainConfig(
         arch=args.arch,
         embedding_dim=args.embedding_dim,
@@ -133,9 +133,9 @@ def _train_config(args) -> TrainConfig:
         dropout_hidden=args.dropout_hidden,
         max_epochs=args.max_epochs,
         patience=args.patience,
-        optimizer=args.optimizer,
-        ablation=args.ablation,
-        seed=args.seed,
+        optimizer=optimizer,
+        ablation=ablation,
+        seed=seed,
     )
 
 
@@ -145,7 +145,8 @@ def cmd_train(args) -> int:
     index = FeatureIndex(schema)
     train_ds = ingest_csv(args.train, schema, index)
     val_ds = ingest_csv(args.val, schema, index) if args.val else None
-    params, report = train(train_ds, val_ds, _train_config(args))
+    cfg = _train_config(args, args.optimizer, args.ablation, args.seed)
+    params, report = train(train_ds, val_ds, cfg)
     save_model(params, args.out)
     report_path = Path(args.report) if args.report else Path(str(args.out) + ".report.json")
     _write_json(report_path, report.to_json_dict())
@@ -242,14 +243,7 @@ def cmd_pipeline(args) -> int:
     result = generate(_synth_config(args))
     outputs = _write_synth(result, outdir)
 
-    tcfg = TrainConfig(
-        arch=args.arch, embedding_dim=args.embedding_dim, hidden=args.hidden,
-        lr=args.lr, batch_size=args.batch_size, l2=args.l2,
-        dropout_interaction=args.dropout_interaction,
-        dropout_hidden=args.dropout_hidden, max_epochs=args.max_epochs,
-        patience=args.patience, optimizer="adam", ablation="none",
-        seed=args.seed + 1,
-    )
+    tcfg = _train_config(args, "adam", "none", args.seed + 1)
     params, report = train(result.train, result.val, tcfg)
     model_path = outdir / "model_base.bin"
     save_model(params, model_path)

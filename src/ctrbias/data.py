@@ -33,6 +33,7 @@ from .errors import ConfigError, CsvParseError, LabelError, SchemaError
 FIELD_SUM_TOL = 1e-12
 RESERVED_COLUMNS = ("user_id", "item_id", "label", "timestamp")
 CSV_BLOCK_ROWS = 16384  # rows per block when reading or writing CSV
+_INT64 = np.iinfo(np.int64)
 _BINARY_LABELS = {"0": 0, "1": 1}
 
 
@@ -168,7 +169,11 @@ class FieldSchema:
     @classmethod
     def load(cls, path) -> "FieldSchema":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} "
+                f"is not UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return cls.from_json_dict(raw)
@@ -454,7 +459,13 @@ def _parse_block(rows, first_line, schema, index, path):
     cols = list(zip(*rows)) or [()] * width
 
     stamps, bad = _convert_column(int, cols[3])
-    if bad is not None:
+    parsed = stamps if bad is None else list(map(int, cols[3][:bad]))
+    if parsed and not (_INT64.min <= min(parsed) and max(parsed) <= _INT64.max):
+        bad = next(pos for pos, ts in enumerate(parsed)
+                   if not _INT64.min <= ts <= _INT64.max)
+        failures.append((bad, 1, CsvParseError(
+            path, first_line + bad, f"timestamp {cols[3][bad]!r} is outside the int64 range")))
+    elif bad is not None:
         failures.append((bad, 1, CsvParseError(
             path, first_line + bad, f"non-integer timestamp {cols[3][bad]!r}")))
     threshold = schema.label_threshold
@@ -546,7 +557,8 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     Errors: the first bad record in file order raises; within a record
     the column count is checked first, then the timestamp, the label, and
     the cells in field order (empty, then duplicate, then overflow).
-    Malformed records and undecodable bytes raise CsvParseError with the
+    Malformed records (a timestamp that is not an integer or lies outside
+    int64 among them) and undecodable bytes raise CsvParseError with the
     line number, a non-binary label LabelError, and an overflowing
     vocabulary SchemaError. A byte that is not UTF-8 raises as soon as
     the text layer decodes it, which may be before the records just ahead
@@ -586,8 +598,6 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
         np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in indices]),
         np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in values]),
         _concat(labels), _concat(users), _concat(items),
-        # Python ints until now: a stamp beyond int64 fails after the whole
-        # file is read, as in a row loop
         list(chain.from_iterable(stamps)),
         split_tag=split_tag,
         bias_labels=index.labels(schema.bias_field),

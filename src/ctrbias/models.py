@@ -310,8 +310,10 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     dV = np.zeros_like(params.V)
     np.add.at(dV, cache.indices.ravel(), contrib.reshape(-1, params.d))
 
-    grads["w"] = dw + 2.0 * l2 * params.w
-    grads["V"] = dV + 2.0 * l2 * params.V
+    dw += 2.0 * l2 * params.w
+    dV += 2.0 * l2 * params.V
+    grads["w"] = dw
+    grads["V"] = dV
     return loss, grads, cache
 
 

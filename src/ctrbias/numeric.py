@@ -9,14 +9,15 @@ def sigmoid(z):
     """Numerically stable logistic function, scalar or array.
 
     Branches on sign so no exp() argument exceeds 0; exact for |z| > 30
-    where the naive form would overflow.
+    where the naive form would overflow. Both branches are computed for
+    every element and np.where picks one. The exp() argument is -z where
+    z >= 0 and z elsewhere, not -|z|, so a NaN passes through with its
+    sign bit, which -|z| would set.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.where(pos, -z, z))
+    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

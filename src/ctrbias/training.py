@@ -1,8 +1,15 @@
 """Mini-batch training for FM/NFM with Adam or plain SGD.
 
 Adam follows the standard bias-corrected moment recursion with dense
-updates. The plain-SGD path skips shuffling and momentum entirely so a
-single step is exactly
+updates. Its moments live in buffers updated in place across steps, and
+only the delta it returns for each array is a fresh array; the IEEE
+operations and their order are fixed, so every parameter is bitwise
+identical to the textbook allocate-per-step form. Each epoch gathers the
+shuffled rows once into buffers allocated per train() call, and every
+batch is a slice of them.
+
+The plain-SGD path skips shuffling and momentum entirely so a single step
+is exactly
 
     w_j <- w_j + lr * (y - sigmoid(logit)) * x_j
 
@@ -99,7 +106,22 @@ class TrainReport:
 
 
 class Adam:
-    """Dense Adam with bias correction; one shared step counter for all keys."""
+    """Dense Adam with bias correction; one shared step counter for all keys.
+
+    For an array key the moments m and v, and one scratch buffer, persist
+    across steps and are updated in place; the delta returned is the only
+    fresh array. The operations and their order are fixed for bit parity
+    with the textbook form
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        delta = lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    with c1 = 1 - b1**t and c2 = 1 - b2**t: only commuted factors and
+    addends differ, which IEEE arithmetic rounds identically. Reassociating
+    any of them (say, lr / c1 * m) changes the last bits of the parameters.
+    Scalar keys (w0, b_out) use the textbook form itself.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -110,19 +132,42 @@ class Adam:
         self.t = 0
         self.m: dict = {}
         self.v: dict = {}
+        self._scratch: dict = {}
 
     def step(self, grads: dict) -> dict:
         """Deltas to subtract from each parameter, given this step's grads."""
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         out = {}
         for key, g in grads.items():
-            m = self.beta1 * self.m.get(key, 0.0) + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v.get(key, 0.0) + (1.0 - self.beta2) * (g * g)
-            self.m[key] = m
-            self.v[key] = v
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            out[key] = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if np.ndim(g) == 0:
+                m = b1 * self.m.get(key, 0.0) + (1.0 - b1) * g
+                v = b2 * self.v.get(key, 0.0) + (1.0 - b2) * (g * g)
+                self.m[key] = m
+                self.v[key] = v
+                out[key] = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                continue
+            if key not in self.m:
+                self.m[key] = np.zeros_like(g, dtype=np.float64)
+                self.v[key] = np.zeros_like(g, dtype=np.float64)
+                self._scratch[key] = np.empty_like(g, dtype=np.float64)
+            m, v, tmp = self.m[key], self.v[key], self._scratch[key]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            delta = m / c1
+            delta *= self.lr
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            delta /= tmp
+            out[key] = delta
         return out
 
 
@@ -179,28 +224,39 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
     stopped_early = False
     epochs_run = 0
 
+    # One epoch's rows in shuffled order, refilled in place each epoch so a
+    # batch is a slice view. Every order is a permutation of range(n), so
+    # mode="clip" never clips; it spares the temporary copy that take()
+    # makes with out= under mode="raise".
+    labels = train_ds.labels.astype(np.float64)
+    epoch_idx = np.empty_like(train_ds.indices)
+    epoch_val = np.empty_like(train_ds.values)
+    epoch_lab = np.empty_like(labels)
+
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n) if shuffle else np.arange(n)
+        np.take(train_ds.indices, order, axis=0, out=epoch_idx, mode="clip")
+        np.take(train_ds.values, order, axis=0, out=epoch_val, mode="clip")
+        np.take(labels, order, out=epoch_lab, mode="clip")
         batch_losses = []
-        for b, lo in enumerate(range(0, n, cfg.batch_size)):
-            rows = order[lo:lo + cfg.batch_size]
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for b, lo in enumerate(range(0, n, cfg.batch_size)):
+                hi = lo + cfg.batch_size
                 loss, grads, cache = loss_and_grads(
-                    params, train_ds.indices[rows], train_ds.values[rows],
-                    train_ds.labels[rows], l2=cfg.l2, train=True,
-                    dropout=dropout, rng=rng,
+                    params, epoch_idx[lo:hi], epoch_val[lo:hi], epoch_lab[lo:hi],
+                    l2=cfg.l2, train=True, dropout=dropout, rng=rng,
                 )
-            if not np.isfinite(loss):
-                logits = cache.logits[np.isfinite(cache.logits)]
-                peak = float(np.abs(logits).max()) if len(logits) else float("inf")
-                raise DivergenceError(epoch, b, peak)
-            if cfg.ablation == "unaware":
-                grads["w"][bias_lo:bias_hi] = 0.0
-                grads["V"][bias_lo:bias_hi, :] = 0.0
-            deltas = opt.step(grads) if opt else {k: cfg.lr * g
-                                                 for k, g in grads.items()}
-            _apply(params, deltas)
-            batch_losses.append(loss)
+                if not np.isfinite(loss):
+                    logits = cache.logits[np.isfinite(cache.logits)]
+                    peak = float(np.abs(logits).max()) if len(logits) else float("inf")
+                    raise DivergenceError(epoch, b, peak)
+                if cfg.ablation == "unaware":
+                    grads["w"][bias_lo:bias_hi] = 0.0
+                    grads["V"][bias_lo:bias_hi, :] = 0.0
+                deltas = opt.step(grads) if opt else {k: cfg.lr * g
+                                                     for k, g in grads.items()}
+                _apply(params, deltas)
+                batch_losses.append(loss)
         losses_by_epoch.append(float(np.mean(batch_losses)))
         epochs_run = epoch + 1
 

@@ -9,6 +9,11 @@ from ctrbias.data import Dataset, FieldSchema, Sample
 from ctrbias.models import init_params
 
 
+def float_bits(x):
+    """Raw bytes of a float64 array or scalar, so -0.0 and NaN signs count."""
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
 def make_schema(n_users=4, n_items=6, n_groups=3):
     """user/item/group schema in the layout the synthetic generator uses."""
     return FieldSchema(

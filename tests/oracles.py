@@ -1,5 +1,5 @@
 """Brute-force reference implementations of scoring, updates, metrics
-and CSV I/O.
+and CSV I/O, and the allocate-per-step forms of Adam and the sigmoid.
 
 Everything here is written in the most literal way possible (python loops,
 explicit pair enumeration, one CSV row at a time) so the vectorized package
@@ -35,6 +35,49 @@ def pairwise_logit_reference(params, sample_indices, sample_values):
         for j in range(i + 1, len(idx)):
             total += float(params.V[idx[i]] @ params.V[idx[j]]) * val[i] * val[j]
     return float(total)
+
+
+class AdamReference:
+    """Adam that allocates fresh m, v and temporaries on every step from
+    the textbook expressions. The referee for training.Adam, which must
+    match it bit for bit."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self.m = {}
+        self.v = {}
+
+    def step(self, grads):
+        self.t += 1
+        out = {}
+        for key, g in grads.items():
+            m = self.beta1 * self.m.get(key, 0.0) + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v.get(key, 0.0) + (1.0 - self.beta2) * (g * g)
+            self.m[key] = m
+            self.v[key] = v
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            out[key] = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return out
+
+
+def sigmoid_reference(z):
+    """Logistic function by boolean scatter: exp(-z) where z >= 0, exp(z)
+    elsewhere, each branch on its own subset. The referee for
+    numeric.sigmoid, which must match it bit for bit."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    if out.ndim == 0:
+        return float(out)
+    return out
 
 
 def sgd_step_reference(w_j, lr, y, logit, x_j):
@@ -238,6 +281,9 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
                 ts = int(ts_cell)
             except ValueError:
                 raise CsvParseError(path, line_no, f"non-integer timestamp {ts_cell!r}")
+            if not -2 ** 63 <= ts < 2 ** 63:
+                raise CsvParseError(
+                    path, line_no, f"timestamp {ts_cell!r} is outside the int64 range")
             label = _parse_label_reference(label_cell, schema.label_threshold, path, line_no)
             idx_list, val_list = [], []
             for cell, (fname, _) in zip(row[4:], schema.fields):

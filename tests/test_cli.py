@@ -167,6 +167,40 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {bad}:5: byte 0xff is not UTF-8")
 
+    def test_timestamp_beyond_int64_exits_2_with_one_line(self, corpus, tmp_path,
+                                                           capsys):
+        lines = (corpus["data"] / "test.csv").read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[3] = "99999999999999999999"
+        lines[4] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        rc = main([
+            "eval", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]), "--data", str(bad),
+            "--out", str(tmp_path / "eval.json"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:5: timestamp '99999999999999999999' is outside "
+            "the int64 range\n")
+
+    def test_undecodable_schema_exits_2_with_one_line(self, corpus, tmp_path,
+                                                      capsys):
+        raw = corpus["schema"].read_bytes()
+        bad = tmp_path / "schema.json"
+        bad.write_bytes(raw.replace(b'"', b'"\xff', 1))
+        rc = main([
+            "eval", "--schema", str(bad), "--model", str(corpus["model"]),
+            "--data", str(corpus["data"] / "test.csv"),
+            "--out", str(tmp_path / "eval.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: byte 0xff at offset ")
+        assert "is not UTF-8" in err
+
 
 class TestDebias:
     def test_reduce_scales_weights(self, corpus, tmp_path):

@@ -510,6 +510,16 @@ class TestColumnarCsvAgainstRowLoops:
             ingest_csv(tmp_path / "new.csv", ds.schema, split_tag="x"),
             ingest_csv_reference(tmp_path / "new.csv", ds.schema, split_tag="x"))
 
+    def test_int64_boundary_timestamps_ingest(self, tmp_path):
+        schema = make_schema()
+        rows = [["u", "i", "1", str(ts), "u0", "i0", "g0"]
+                for ts in (-2 ** 63, 2 ** 63 - 1, 0)]
+        write_rows(tmp_path / "t.csv", schema, rows)
+        got = ingest_csv(tmp_path / "t.csv", schema, split_tag="x")
+        assert got.timestamps.tolist() == [-2 ** 63, 2 ** 63 - 1, 0]
+        assert_same_outcome(
+            got, ingest_csv_reference(tmp_path / "t.csv", schema, split_tag="x"))
+
     def test_empty_log_keeps_row_loop_dtypes(self, tmp_path):
         schema = make_schema()
         write_rows(tmp_path / "e.csv", schema, [])
@@ -550,6 +560,13 @@ ERROR_CASES = {
         + "u,i,1,0,x,p|q\nu,i,1,1,x|x,r\n",
     "duplicate cell holding the overflow": HEADER + "u,i,1,0,x|y|z,p\nu,i,1,1,w|w,p\n",
     "huge timestamp then bad line": HEADER + "u,i,1,99999999999999999999,x,p\nu,i,1,1\n",
+    "timestamp just above int64": HEADER + "u,i,1,9223372036854775808,x,p\n",
+    "timestamp just below int64": HEADER + "u,i,1,0,x,p\nu,i,1,-9223372036854775809,x,p\n",
+    "huge timestamp before non-integer": HEADER
+        + "u,i,1,0,x,p\nu,i,1,99999999999999999999,x,p\nu,i,1,t,x,p\n",
+    "non-integer before huge timestamp": HEADER
+        + "u,i,1,t,x,p\nu,i,1,99999999999999999999,x,p\n",
+    "huge timestamp and label": HEADER + "u,i,x,99999999999999999999,x,p\n",
 }
 
 

@@ -203,6 +203,19 @@ class TestGradients:
         expected += 0.01 * params.l2_norm_sq()
         assert loss == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_l2_tail_adds_to_the_data_gradient(self, rng, arch):
+        # dw + 2*l2*w exactly: no other grouping of the penalty term
+        params = random_params(rng, 12, 3, arch=arch)
+        idx, val = random_batch(rng, 12, 4, 9)
+        labels = rng.integers(2, size=9)
+        _, bare, _ = loss_and_grads(params, idx, val, labels, l2=0.0)
+        for l2 in (1e-6, 1e-3, 0.37):
+            _, grads, _ = loss_and_grads(params, idx, val, labels, l2=l2)
+            for key in ("w", "V"):
+                want = bare[key] + 2.0 * l2 * getattr(params, key)
+                assert grads[key].tobytes() == want.tobytes(), (key, l2)
+
     def test_global_bias_is_exempt_from_l2(self, rng):
         params = random_params(rng, 6, 2)
         before = params.l2_norm_sq()

@@ -8,9 +8,25 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctrbias.analysis import CorrelationResult
 from ctrbias.numeric import average_ranks, bce_loss, log1pexp, sigmoid, to_jsonable
+from conftest import float_bits
+from oracles import sigmoid_reference
+
+
+def nan_with(sign, payload):
+    bits = (sign << 63) | (0x7FF << 52) | (1 << 51) | payload
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+EDGE_CASES = np.array([
+    np.inf, -np.inf, nan_with(0, 0), nan_with(1, 0), nan_with(0, 0x123),
+    nan_with(1, 0x123), 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+    30.0, -30.0, 36.8, -36.8, 709.8, -709.8, 745.1, -745.1, 746.0, -746.0,
+    1e300, -1e300, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+])
 
 
 class TestSigmoid:
@@ -36,6 +52,27 @@ class TestSigmoid:
     def test_monotone(self):
         z = np.linspace(-40, 40, 301)
         assert np.all(np.diff(sigmoid(z)) >= 0)
+
+    @pytest.mark.parametrize("reps", [1, 3, 17])
+    def test_edge_cases_bit_equal_to_reference(self, reps):
+        # repeated so SIMD loops see each case at several lane offsets
+        z = np.tile(EDGE_CASES, reps)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(z)
+        assert float_bits(got) == float_bits(sigmoid_reference(z))
+
+    @pytest.mark.parametrize("z", EDGE_CASES.tolist())
+    def test_zero_dim_input_bit_equal_to_reference(self, z):
+        for arg in (z, np.float64(z), np.array(z)):
+            got = sigmoid(arg)
+            assert isinstance(got, float)
+            assert float_bits(got) == float_bits(sigmoid_reference(arg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=40),
+                      elements=st.floats(width=64) | st.sampled_from(EDGE_CASES.tolist())))
+    def test_bit_equal_to_reference(self, z):
+        assert float_bits(sigmoid(z)) == float_bits(sigmoid_reference(z))
 
 
 class TestLog1pExp:

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctrbias import models
 from ctrbias.data import Dataset, Sample
 from ctrbias.errors import ConfigError, DivergenceError
-from ctrbias.models import init_params, loss_and_grads, predict
+from ctrbias.models import init_params, loss_and_grads, predict, serialize
 from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate
 from ctrbias.training import Adam, TrainConfig, TrainReport, train
-from conftest import make_schema
-from oracles import sgd_step_reference
+from conftest import float_bits, make_schema
+from oracles import AdamReference, sgd_step_reference, sigmoid_reference
 
 TINY = SynthConfig(n_users=30, n_items=20, n_groups=3, exposures_per_user=12,
                    unbiased_val_per_user=1, unbiased_test_per_user=2,
@@ -35,6 +38,13 @@ def adam_reference(grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8, t_start=1):
         v_hat = v / (1 - beta2 ** t)
         out.append(lr * m_hat / (math.sqrt(v_hat) + eps))
     return out
+
+
+GRAD_VALUES = (
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    | st.floats(-10.0, 10.0)
+    | st.floats(1e-300, 1e300).flatmap(lambda x: st.sampled_from([x, -x]))
+)
 
 
 class TestAdam:
@@ -68,6 +78,46 @@ class TestAdam:
         opt = Adam(lr=0.05)
         delta = opt.step({"x": np.array([3.0, -7.0])})["x"]
         assert delta == pytest.approx([0.05, -0.05], rel=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bit_equal_to_allocating_reference(self, data):
+        lr = data.draw(st.sampled_from([1e-3, 0.1, 3.0]), label="lr")
+        betas = data.draw(st.sampled_from([(0.9, 0.999), (0.5, 0.75)]), label="betas")
+        shapes = {"w0": (), "b_out": (), "w": (5,), "V": (3, 2)}
+        # a key joins at its first step and stays, as in training; one may
+        # join late, so its moments start at a shared counter t > 1
+        first = {key: data.draw(st.integers(0, 3), label=f"first {key}")
+                 for key in shapes}
+        n_steps = data.draw(st.integers(1, 6), label="steps")
+        opt, ref = Adam(lr, *betas), AdamReference(lr, *betas)
+        for t in range(n_steps):
+            grads = {}
+            for key, shape in shapes.items():
+                if t < first[key]:
+                    continue
+                cells = data.draw(st.lists(GRAD_VALUES, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape))), label=key)
+                grads[key] = float(cells[0]) if shape == () else \
+                    np.array(cells, dtype=np.float64).reshape(shape)
+            with np.errstate(all="ignore"):
+                got, want = opt.step(grads), ref.step(grads)
+            assert list(got) == list(want)
+            for key in want:
+                assert float_bits(got[key]) == float_bits(want[key]), key
+            for key in ref.m:
+                assert float_bits(opt.m[key]) == float_bits(ref.m[key]), key
+                assert float_bits(opt.v[key]) == float_bits(ref.v[key]), key
+
+    def test_returns_a_fresh_delta_each_step(self):
+        opt = Adam(lr=0.1)
+        g = np.array([1.0, -2.0])
+        d1 = opt.step({"x": g})["x"]
+        d2 = opt.step({"x": g})["x"]
+        assert d1 is not d2
+        assert not np.shares_memory(d1, opt.m["x"])
+        assert not np.shares_memory(d1, opt.v["x"])
+        assert np.array_equal(g, [1.0, -2.0])  # the gradient is read, not written
 
 
 def one_sample_dataset(y=1, timestamp=0):
@@ -187,6 +237,64 @@ class TestTrainLoop:
         empty = tiny.train.subset(np.array([], dtype=int))
         with pytest.raises(ConfigError):
             train(empty, None, TrainConfig())
+
+
+def replay_train(ds, cfg):
+    """train() without early stopping, written as the plain loop: a fresh
+    permutation per epoch, fancy-indexed batches, the allocating reference
+    Adam and the reference sigmoid, and updates applied as train() does."""
+    schema = ds.schema
+    params = init_params(schema.n, cfg.embedding_dim, cfg.arch, cfg.seed,
+                         hidden=cfg.hidden, schema_digest=schema.digest())
+    lo, hi = schema.bias_range
+    if cfg.ablation == "unaware":
+        params.V[lo:hi, :] = 0.0
+    opt = AdamReference(cfg.lr)
+    rng = np.random.default_rng([cfg.seed, 1])
+    n = len(ds)
+    for _ in range(cfg.max_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                _, grads, _ = loss_and_grads(
+                    params, ds.indices[rows], ds.values[rows], ds.labels[rows],
+                    l2=cfg.l2, train=True,
+                    dropout=(cfg.dropout_interaction, cfg.dropout_hidden), rng=rng)
+            if cfg.ablation == "unaware":
+                grads["w"][lo:hi] = 0.0
+                grads["V"][lo:hi, :] = 0.0
+            for key, delta in opt.step(grads).items():
+                if key == "w0":
+                    params.w0 = float(params.w0 - delta)
+                elif key == "b_out":
+                    params.mlp.b_out = float(params.mlp.b_out - delta)
+                elif key in ("w", "V"):
+                    setattr(params, key, getattr(params, key) - delta)
+                else:
+                    setattr(params.mlp, key, getattr(params.mlp, key) - delta)
+    params.provenance = {
+        "created_by": "train", "arch": cfg.arch, "optimizer": cfg.optimizer,
+        "ablation": cfg.ablation, "seed": cfg.seed,
+        "epochs_run": cfg.max_epochs, "best_epoch": cfg.max_epochs - 1,
+    }
+    return params
+
+
+class TestReplay:
+    @pytest.mark.parametrize("ablation", ["none", "unaware"])
+    @pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.2, 0.3)])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_train_serializes_like_the_plain_loop(self, tiny, monkeypatch, arch,
+                                                  l2, dropout, ablation):
+        cfg = TrainConfig(arch=arch, embedding_dim=4, hidden=6, lr=0.01,
+                          batch_size=40, l2=l2, dropout_interaction=dropout[0],
+                          dropout_hidden=dropout[1], max_epochs=3,
+                          ablation=ablation, seed=5)
+        params, _ = train(tiny.train, None, cfg)
+        monkeypatch.setattr(models, "sigmoid", sigmoid_reference)
+        assert serialize(params) == serialize(replay_train(tiny.train, cfg))
 
 
 class TestUnawareAblation:
