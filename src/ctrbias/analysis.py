@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError, NumericalError, UndefinedCorrelationError
-from .models import ModelParams, PredictionParts, prediction_parts
+from .models import ModelParams, PredictionParts, predict, prediction_parts
 from .numeric import average_ranks, sigmoid, to_jsonable
 
 _CF_MAX_ITER = 300
@@ -306,7 +306,6 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     eval_ds when given. Undefined correlations are recorded, not raised.
     """
     from .evaluation import group_exposure_hit_rate
-    from .models import predict
 
     stats = group_stats(train_ds)
     lo, hi = train_ds.schema.bias_range
@@ -344,8 +343,7 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     variances = None
     ehr_spearman = None
     if eval_ds is not None and len(eval_ds):
-        parts = prediction_parts(params, eval_ds.indices, eval_ds.values,
-                                 eval_ds.schema.bias_range)
+        parts = prediction_parts(params, eval_ds.indices, eval_ds.values)
         try:
             variances = variance_decomposition(eval_ds, parts)
         except MetricError as exc:

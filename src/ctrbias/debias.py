@@ -210,9 +210,9 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
 
     Only the bias-field linear weights change across the grid, so the
     interaction (FM) or MLP (NFM) term is scored once per search with
-    prediction_parts. Each point then rebuilds just the linear term,
-    adding the same pieces in the same order as predict(), so its scores
-    equal those of predict() on the reconstructed model bit for bit. User
+    prediction_parts. Each point then rebuilds just the linear term and
+    adds the pieces in forward's logit order, (w0 + linear) + high_order,
+    so its scores equal predict() on the reconstructed model bit for bit. User
     and item ids become integer codes once (np.unique keeps their order),
     which makes the per-point ranking sorts cheap. Only the winning model
     is built, at the end, by reconstruct_weights.
@@ -227,7 +227,7 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
 
     ds = unbiased_ds
     indices, values = ds.indices, ds.values
-    high = prediction_parts(params, indices, values, bias_range).high_order
+    high = prediction_parts(params, indices, values).high_order
     _, users = np.unique(ds.user_ids, return_inverse=True)
     _, items = np.unique(ds.item_ids, return_inverse=True)
     w = params.w.copy()
@@ -237,7 +237,7 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     errors: list[str] = []
     for beta, gamma in _grid_for(cfg):
         w[lo:hi] = beta * ratios.values + gamma * residual_fit.residuals
-        # predict()'s full logit: the same operations in the same order
+        # forward's logit order: (w0 + linear) + high_order
         scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
         uauc, _ = user_auc(users, scores, ds.labels)
         if not np.isfinite(uauc):

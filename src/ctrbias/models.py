@@ -35,8 +35,7 @@ FORMAT_VERSION = 1
 ARCH_TAGS = {"fm": 0, "nfm": 1}
 ARCH_NAMES = {v: k for k, v in ARCH_TAGS.items()}
 DEFAULT_HIDDEN = 64
-PREDICT_CHUNK = 8192
-COMPONENTS = ("full", "linear_only", "high_order_only", "zero_bias_linear")
+PREDICT_CHUNK = 8192  # rows per forward pass when scoring a whole dataset
 
 
 @dataclass
@@ -124,7 +123,7 @@ def init_params(n: int, d: int, arch: str, seed: int, hidden: int = DEFAULT_HIDD
 
 @dataclass
 class ForwardCache:
-    """Intermediates kept for the backward pass of one batch."""
+    """One batch's logit parts (as in PredictionParts) and backward intermediates."""
 
     indices: np.ndarray
     values: np.ndarray
@@ -136,26 +135,21 @@ class ForwardCache:
     a1_used: np.ndarray | None
     mask_bi: np.ndarray | None
     mask_hidden: np.ndarray | None
+    linear: np.ndarray
+    high_order: np.ndarray
     logits: np.ndarray
 
 
 @dataclass
 class PredictionParts:
-    """Per-sample decomposition of the logit into its additive pieces."""
+    """Per-sample decomposition of the logit into its additive pieces.
+
+    linear excludes the global bias w0; logits = (w0 + linear) + high_order.
+    """
 
     logits: np.ndarray
     linear: np.ndarray
     high_order: np.ndarray
-    bias_linear: np.ndarray
-
-
-def _interaction(params: ModelParams, indices, values):
-    gathered = params.V[indices]
-    xv = values[..., None] * gathered
-    sum_v = xv.sum(axis=1)
-    sum_sq = ((values ** 2)[..., None] * gathered ** 2).sum(axis=1)
-    bi = 0.5 * (sum_v * sum_v - sum_sq)
-    return bi, sum_v, gathered
 
 
 def forward(params: ModelParams, indices, values, train: bool = False,
@@ -168,8 +162,11 @@ def forward(params: ModelParams, indices, values, train: bool = False,
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    linear = params.w0 + (params.w[indices] * values).sum(axis=1)
-    bi, sum_v, gathered = _interaction(params, indices, values)
+    linear = (params.w[indices] * values).sum(axis=1)
+    gathered = params.V[indices]
+    sum_v = (values[..., None] * gathered).sum(axis=1)
+    sum_sq = ((values ** 2)[..., None] * gathered ** 2).sum(axis=1)
+    bi = 0.5 * (sum_v * sum_v - sum_sq)
 
     p_bi, p_h = dropout if train else (0.0, 0.0)
     mask_bi = mask_hidden = None
@@ -195,78 +192,29 @@ def forward(params: ModelParams, indices, values, train: bool = False,
             a1_used = a1 * mask_hidden
         high = a1_used @ mlp.w_out + mlp.b_out
 
-    logits = linear + high
+    logits = (params.w0 + linear) + high
     return ForwardCache(indices, values, gathered, sum_v, bi, bi_used,
-                        z1, a1_used, mask_bi, mask_hidden, logits)
+                        z1, a1_used, mask_bi, mask_hidden, linear, high, logits)
 
 
-def predict(params: ModelParams, indices, values, component: str = "full",
-            bias_range: tuple[int, int] | None = None,
-            chunk: int = PREDICT_CHUNK) -> np.ndarray:
-    """Logits for a dataset-sized batch, computed in bounded-memory chunks.
-
-    component selects which additive pieces enter the logit;
-    "zero_bias_linear" scores as if every linear weight inside bias_range
-    were zero, leaving embeddings untouched.
-    """
-    if component not in COMPONENTS:
-        raise ConfigError(f"unknown component {component!r}")
-    if component == "zero_bias_linear" and bias_range is None:
-        raise ConfigError("zero_bias_linear needs the bias index range")
+def prediction_parts(params: ModelParams, indices, values) -> PredictionParts:
+    """Eval-mode forward over a dataset-sized batch, PREDICT_CHUNK rows at a time."""
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    out = np.empty(len(indices))
+    parts = PredictionParts(*(np.empty(len(indices)) for _ in range(3)))
+    chunk = PREDICT_CHUNK
     for lo in range(0, len(indices), chunk):
-        idx = indices[lo:lo + chunk]
-        val = values[lo:lo + chunk]
-        wx = params.w[idx] * val
-        if component == "zero_bias_linear":
-            start, end = bias_range
-            wx = np.where((idx >= start) & (idx < end), 0.0, wx)
-        linear = params.w0 + wx.sum(axis=1)
-        if component == "linear_only":
-            out[lo:lo + chunk] = linear
-            continue
-        bi, _, _ = _interaction(params, idx, val)
-        if params.arch == "fm":
-            high = bi.sum(axis=1)
-        else:
-            mlp = params.mlp
-            a1 = np.maximum(bi @ mlp.W1 + mlp.b1, 0.0)
-            high = a1 @ mlp.w_out + mlp.b_out
-        if component == "high_order_only":
-            out[lo:lo + chunk] = params.w0 + high
-        else:
-            out[lo:lo + chunk] = linear + high
-    return out
+        rows = slice(lo, lo + chunk)
+        cache = forward(params, indices[rows], values[rows])
+        parts.logits[rows] = cache.logits
+        parts.linear[rows] = cache.linear
+        parts.high_order[rows] = cache.high_order
+    return parts
 
 
-def prediction_parts(params: ModelParams, indices, values,
-                     bias_range: tuple[int, int],
-                     chunk: int = PREDICT_CHUNK) -> PredictionParts:
-    """Per-sample linear, high-order, and bias-field linear contributions."""
-    indices = np.asarray(indices, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    n = len(indices)
-    linear = np.empty(n)
-    high = np.empty(n)
-    bias_linear = np.empty(n)
-    start, end = bias_range
-    for lo in range(0, n, chunk):
-        idx = indices[lo:lo + chunk]
-        val = values[lo:lo + chunk]
-        wx = params.w[idx] * val
-        linear[lo:lo + chunk] = wx.sum(axis=1)
-        in_bias = (idx >= start) & (idx < end)
-        bias_linear[lo:lo + chunk] = np.where(in_bias, wx, 0.0).sum(axis=1)
-        bi, _, _ = _interaction(params, idx, val)
-        if params.arch == "fm":
-            high[lo:lo + chunk] = bi.sum(axis=1)
-        else:
-            mlp = params.mlp
-            a1 = np.maximum(bi @ mlp.W1 + mlp.b1, 0.0)
-            high[lo:lo + chunk] = a1 @ mlp.w_out + mlp.b_out
-    return PredictionParts(params.w0 + linear + high, linear, high, bias_linear)
+def predict(params: ModelParams, indices, values) -> np.ndarray:
+    """Logits for a dataset-sized batch, computed in bounded-memory chunks."""
+    return prediction_parts(params, indices, values).logits
 
 
 def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0,
@@ -387,9 +335,13 @@ def deserialize(buf: bytes, origin: str = "<bytes>") -> ModelParams:
     (prov_len,) = cur.unpack("<I")
     try:
         provenance = json.loads(cur.take(prov_len).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, huge int, nesting
         raise ModelFormatError(f"{origin}: corrupt provenance record: {exc}")
+    if not isinstance(provenance, dict):
+        raise ModelFormatError(f"{origin}: provenance record is not a JSON object")
     n, d = cur.unpack("<QQ")
+    if n < 1 or d < 1:
+        raise ModelFormatError(f"{origin}: empty weight shape n={n} d={d}")
     (w0,) = cur.unpack("<d")
     w = cur.floats(n)
     V = cur.floats(n * d).reshape(n, d)

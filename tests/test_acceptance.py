@@ -237,8 +237,7 @@ def test_criterion_05_variance_split(study):
     desc = "linear part carries the group-level score variance"
     with criterion(5, desc):
         res, params = study["res"], study["params"]
-        parts = prediction_parts(params, res.test.indices, res.test.values,
-                                 res.schema.bias_range)
+        parts = prediction_parts(params, res.test.indices, res.test.values)
         vd = variance_decomposition(res.test, parts)
         ok = (vd.linear[0] > vd.high_order[0]
               and vd.linear[1] > vd.high_order[1])

@@ -270,8 +270,7 @@ class TestVarianceDecomposition:
         linear = np.asarray(linear, dtype=np.float64)
         high_order = np.asarray(high_order, dtype=np.float64)
         return PredictionParts(logits=linear + high_order, linear=linear,
-                               high_order=high_order,
-                               bias_linear=np.zeros_like(linear))
+                               high_order=high_order)
 
     def test_hand_example(self):
         schema = make_schema(1, 4, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from ctrbias.cli import main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
-from ctrbias.models import load_model
+from ctrbias.models import load_model, save_model
 
 SYNTH_FLAGS = [
     "--users", "60", "--items", "30", "--groups", "3",
@@ -249,6 +249,21 @@ class TestDebias:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    def test_non_object_provenance_exits_2_with_one_line(self, corpus,
+                                                         tmp_path, capsys):
+        params = load_model(corpus["model"])
+        params.provenance = [1, 2]
+        bad = tmp_path / "listprov.bin"
+        save_model(params, bad)
+        rc = main([
+            "debias", "--schema", str(corpus["schema"]), "--model", str(bad),
+            "--mode", "reduce", "--out", str(tmp_path / "x.bin"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err == f"error: {bad}: provenance record is not a JSON object\n"
 
     def test_reconstruct_writes_model_and_grid(self, corpus, tmp_path):
         out = tmp_path / "recon.bin"
