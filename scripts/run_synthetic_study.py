@@ -1,142 +1,123 @@
 #!/usr/bin/env python3
-"""End-to-end study on synthetic data: train, trace the bias chain, then
-apply both corrections and print before/after metric tables.
+"""End-to-end study on synthetic data: `ctrbias pipeline` on the study
+world, then its bias-chain and correction tables.
 
 The exposure log over-samples some groups and under-samples others, so
 their training positive ratios diverge from the unbiased click rates.
 The tables show how far that imbalance travels into the linear weights
-and rankings, and what each correction buys back.
+and rankings, and what each correction buys back: reduction at every
+--alpha strength on the biased test split (deltas are relative to the
+untouched model), reconstruction by each variant on the unbiased one.
+
+Any `ctrbias pipeline` flag may follow; flags override the preset, e.g.
+`run_synthetic_study.py --alpha 0.5,0 --out runs/other`. Every number
+printed is read back from the run directory's JSON files.
 """
 
-import argparse
+import json
+import math
+import sys
+from pathlib import Path
 
-import numpy as np
+from ctrbias import cli
 
-from ctrbias.analysis import bias_chain_report
-from ctrbias.debias import DebiasConfig, grid_search_reconstruction, reduce_weights
-from ctrbias.evaluation import evaluate, ndcg_at_k, user_auc
-from ctrbias.models import predict
-from ctrbias.synth import SynthConfig, generate
-from ctrbias.training import TrainConfig, train
-
-
-def parse_args():
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--users", type=int, default=2500)
-    p.add_argument("--items", type=int, default=1200)
-    p.add_argument("--groups", type=int, default=12)
-    p.add_argument("--exposures-per-user", type=int, default=104)
-    p.add_argument("--unbiased-val-per-user", type=int, default=4)
-    p.add_argument("--unbiased-test-per-user", type=int, default=12)
-    p.add_argument("--pref-scale", type=float, default=1.5)
-    p.add_argument("--item-offset-scale", type=float, default=0.4)
-    p.add_argument("--temp-high", type=float, default=4.0)
-    p.add_argument("--arch", choices=("fm", "nfm"), default="fm")
-    p.add_argument("--embedding-dim", type=int, default=16)
-    p.add_argument("--l2", type=float, default=1.5e-4)
-    p.add_argument("--max-epochs", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="reduction strength for the weight-scaling pass")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=7)
-    return p.parse_args()
+PRESET = [
+    "--users", "2500", "--items", "1200", "--groups", "12",
+    "--exposures-per-user", "104",
+    "--unbiased-val-per-user", "4", "--unbiased-test-per-user", "12",
+    "--pref-scale", "1.5", "--item-offset-scale", "0.4", "--temp-high", "4.0",
+    "--l2", "1.5e-4", "--seed", "7", "--out", "runs/study",
+]
 
 
 def fmt(v, width=9, prec=4):
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
+    if v is None or not math.isfinite(v):
         return " " * (width - 3) + "n/a"
     return f"{v:{width}.{prec}f}"
 
 
-def eval_row(name, ds, scores, k):
-    report = evaluate(ds, scores, k=k)
-    print(f"  {name:<22s} {fmt(report.uauc)} {fmt(report.ndcg)} "
-          f"{fmt(report.reo)}")
-    return report
+def delta(a, b):
+    if a is None or b is None or b == 0:
+        return "     n/a"
+    return f"{(a - b) / b:+8.2%}"
 
 
-def main():
-    args = parse_args()
-    scfg = SynthConfig(
-        n_users=args.users, n_items=args.items, n_groups=args.groups,
-        rho=tuple(np.linspace(0.1, 0.9, args.groups)),
-        exposures_per_user=args.exposures_per_user,
-        unbiased_val_per_user=args.unbiased_val_per_user,
-        unbiased_test_per_user=args.unbiased_test_per_user,
-        pref_scale=args.pref_scale,
-        item_offset_scale=args.item_offset_scale,
-        temp_high=args.temp_high,
-        seed=args.seed,
-    )
-    res = generate(scfg)
-    print(f"synthetic log: {len(res.train)} train / {len(res.val)} val / "
-          f"{len(res.test)} test biased rows, "
-          f"{len(res.unbiased_val)} + {len(res.unbiased_test)} unbiased")
+def print_tables(run: Path, n_unbiased_val: int) -> None:
+    def load(name):
+        return json.loads((run / name).read_text())
 
-    tcfg = TrainConfig(arch=args.arch, embedding_dim=args.embedding_dim,
-                       l2=args.l2, max_epochs=args.max_epochs,
-                       seed=args.seed + 1)
-    params, report = train(res.train, res.val, tcfg)
-    print(f"trained {args.arch}: {report.epochs_run} epochs, "
-          f"best val UAUC {report.best_val_uauc:.4f} "
-          f"at epoch {report.best_epoch}")
+    report, chain, summary = (load("train_report.json"), load("analysis.json"),
+                              load("eval_summary.json"))
+    base, base_ub = summary["base_test"], summary["base_unbiased_test"]
+    print(f"synthetic log: {report['n_train']} train / {report['n_val']} val / "
+          f"{base['n_samples']} test biased rows, "
+          f"{n_unbiased_val} + {base_ub['n_samples']} unbiased")
+    print(f"trained {report['arch']}: {report['epochs_run']} epochs, "
+          f"best val UAUC {report['best_val_uauc']:.4f} "
+          f"at epoch {report['best_epoch']}")
 
-    chain = bias_chain_report(params, res.train, eval_ds=res.test)
     print("\nper-group view (train split):")
     print("  group      n_pos    n_neg    ratio    weight")
-    stats = chain.train_stats
-    lo, hi = res.schema.bias_range
-    for i, label in enumerate(chain.group_labels):
-        print(f"  {label:<8s} {stats.n_pos[i]:8d} {stats.n_neg[i]:8d} "
-              f"{fmt(stats.ratio[i], 8)} {fmt(params.w[lo + i], 9, 4)}")
+    stats = chain["train_stats"]
+    for label, n_pos, n_neg, ratio, weight in zip(
+            chain["group_labels"], stats["n_pos"], stats["n_neg"],
+            stats["ratio"], chain["bias_weights"]):
+        print(f"  {label:<8s} {n_pos:8d} {n_neg:8d} "
+              f"{fmt(ratio, 8)} {fmt(weight, 9, 4)}")
 
     print("\nchain correlations against train positive ratios:")
-    for name, corr in (("weight pearson", chain.weight_ratio_pearson),
-                       ("weight spearman", chain.weight_ratio_spearman),
-                       ("mean score pearson", chain.score_ratio_pearson),
-                       ("test EHR spearman", chain.ehr_ratio_spearman)):
+    for name, key in (("weight pearson", "weight_ratio_pearson"),
+                      ("weight spearman", "weight_ratio_spearman"),
+                      ("mean score pearson", "score_ratio_pearson"),
+                      ("test EHR spearman", "ehr_ratio_spearman")):
+        corr = chain[key]
         if corr is None:
             print(f"  {name:<20s} undefined")
         else:
-            print(f"  {name:<20s} r={corr.r:+.4f}  p={corr.p_value:.3e}")
-    if chain.variances is not None:
-        v = chain.variances
+            print(f"  {name:<20s} r={corr['r']:+.4f}  p={corr['p_value']:.3e}")
+    if chain["variances"] is not None:
+        lin, high = chain["variances"]["linear"], chain["variances"]["high_order"]
         print("\ngroup-mean score variance on test (linear vs high-order):")
-        print(f"  label 0: {v.linear[0]:.4f} vs {v.high_order[0]:.4f}")
-        print(f"  label 1: {v.linear[1]:.4f} vs {v.high_order[1]:.4f}")
-    for err in chain.errors:
+        for label in (0, 1):
+            print(f"  label {label}: {lin[f'label_{label}']:.4f} vs "
+                  f"{high[f'label_{label}']:.4f}")
+    for err in chain["errors"]:
         print(f"  note: {err}")
 
-    print(f"\nbiased test split (k={args.k}):")
-    print(f"  {'model':<22s} {'UAUC':>9s} {'NDCG':>9s} {'REO':>9s}")
-    eval_row("base", res.test,
-             predict(params, res.test.indices, res.test.values), args.k)
-    reduced = reduce_weights(params, res.schema.bias_range, args.alpha)
-    eval_row(f"reduced (alpha={args.alpha:g})", res.test,
-             predict(reduced, res.test.indices, res.test.values), args.k)
+    print(f"\nbiased test split, reduction sweep (k={base['k']}):")
+    print(f"  {'model':<12s} {'UAUC':>8s} {'dUAUC':>8s} "
+          f"{'NDCG':>8s} {'dNDCG':>8s} {'REO':>8s} {'dREO':>8s}")
+    reduced = sorted(((float(key[len("reduced_"):-len("_test")]), rep)
+                      for key, rep in summary.items()
+                      if key.startswith("reduced_")),
+                     key=lambda pair: pair[0], reverse=True)
+    for name, rep in [("base", base)] + [(f"alpha={a:g}", r) for a, r in reduced]:
+        print(f"  {name:<12s} {fmt(rep['uauc'], 8)} {delta(rep['uauc'], base['uauc'])} "
+              f"{fmt(rep['ndcg'], 8)} {delta(rep['ndcg'], base['ndcg'])} "
+              f"{fmt(rep['reo'], 8)} {delta(rep['reo'], base['reo'])}")
 
-    print(f"\nunbiased test split (k={args.k}):")
+    print(f"\nunbiased test split (k={base_ub['k']}):")
     print(f"  {'model':<22s} {'UAUC':>9s} {'NDCG':>9s}")
-    ubt = res.unbiased_test
+    print(f"  {'base':<22s} {fmt(base_ub['uauc'])} {fmt(base_ub['ndcg'])}")
+    for key, rep in summary.items():
+        if not key.startswith("reconstructed_"):
+            continue
+        variant = key[len("reconstructed_"):-len("_unbiased_test")]
+        best = load(f"grid_{variant}.json")["best"]
+        print(f"  {'recon ' + variant:<22s} {fmt(rep['uauc'])} {fmt(rep['ndcg'])}")
+        print(f"  {'':<22s} beta={best['beta']:g} gamma={best['gamma']:g} "
+              f"({delta(rep['uauc'], base_ub['uauc']).strip()} UAUC vs base)")
 
-    def unbiased_row(name, scores):
-        uauc, _ = user_auc(ubt.user_ids, scores, ubt.labels)
-        ndcg, _ = ndcg_at_k(ubt.user_ids, scores, ubt.labels,
-                            ubt.item_ids, args.k)
-        print(f"  {name:<22s} {fmt(uauc)} {fmt(ndcg)}")
-        return uauc
 
-    base_uauc = unbiased_row("base", predict(params, ubt.indices, ubt.values))
-    for variant in ("vanilla", "wo_residual", "wo_ratio"):
-        best, result = grid_search_reconstruction(
-            params, res.train, res.unbiased_val,
-            DebiasConfig(variant=variant, k=args.k))
-        uauc = unbiased_row(
-            f"recon {variant}", predict(best, ubt.indices, ubt.values))
-        print(f"  {'':<22s} beta={result.best.beta:g} "
-              f"gamma={result.best.gamma:g} "
-              f"({(uauc - base_uauc) / base_uauc:+.2%} UAUC vs base)")
+def main(argv=None) -> int:
+    argv = [*PRESET, *(sys.argv[1:] if argv is None else argv)]
+    code = cli.main(["pipeline", *argv])
+    if code == 0:
+        args = cli.build_parser().parse_args(["pipeline", *argv])
+        # synth draws exactly this many unbiased validation rows
+        print_tables(Path(args.out), args.users * args.unbiased_val_per_user)
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,7 +28,6 @@ from .data import (
     Sample,
     chronological_split,
     ingest_csv,
-    k_core_filter,
 )
 from .debias import (
     DebiasConfig,

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .analysis import bias_chain_report
 from .data import Dataset, FeatureIndex, FieldSchema, ingest_csv
-from .debias import DebiasConfig, grid_search_reconstruction, reduce_weights
+from .debias import VARIANTS, DebiasConfig, grid_search_reconstruction, reduce_weights
 from .errors import ConfigError, CtrBiasError, NumericalError
 from .evaluation import evaluate
 from .models import load_model, predict, save_model
@@ -233,60 +233,56 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    """synth -> train -> analyze -> debias (both modes) -> eval, in memory.
+    """synth -> train -> analyze -> every correction -> eval, in memory.
 
-    Stage seeds derive from --seed (synth uses it directly, training uses
-    seed + 1) so one flag pins the whole run.
+    One trained model is reduced at each --alpha strength and
+    reconstructed with each of the debias.VARIANTS. Stage seeds derive
+    from --seed (synth uses it directly, training uses seed + 1) so one
+    flag pins the whole run. Every setting is checked before synthesis,
+    so a bad one leaves no run directory behind.
     """
     t0 = time.perf_counter()
+    alphas = {}  # artifact name -> strength; equal names are duplicates
+    for alpha in _parse_grid(args.alpha, "--alpha"):
+        if not 0.0 <= alpha <= 1.0:
+            raise ConfigError(f"--alpha values must be in [0, 1], got {alpha}")
+        alphas.setdefault(f"{alpha:g}", alpha)
+    debias_cfgs = [DebiasConfig(variant=v, k=args.k) for v in VARIANTS]
+    tcfg = _train_config(args, "adam", "none", args.seed + 1)
     outdir = Path(args.out)
     result = generate(_synth_config(args))
     outputs = _write_synth(result, outdir)
 
-    tcfg = _train_config(args, "adam", "none", args.seed + 1)
+    def artifact(name: str) -> Path:
+        outputs[name] = outdir / name
+        return outputs[name]
+
+    def evaluated(model, ds):
+        return evaluate(ds, predict(model, ds.indices, ds.values), args.k)
+
     params, report = train(result.train, result.val, tcfg)
-    model_path = outdir / "model_base.bin"
-    save_model(params, model_path)
-    outputs["model_base"] = model_path
-    report_path = outdir / "train_report.json"
-    _write_json(report_path, report.to_json_dict())
-    outputs["train_report"] = report_path
-
+    save_model(params, artifact("model_base.bin"))
+    _write_json(artifact("train_report.json"), report.to_json_dict())
     chain = bias_chain_report(params, result.train, eval_ds=result.test)
-    analysis_path = outdir / "analysis.json"
-    _write_json(analysis_path, chain.to_json_dict())
-    outputs["analysis"] = analysis_path
+    _write_json(artifact("analysis.json"), chain.to_json_dict())
+    summary = {"base_test": evaluated(params, result.test),
+               "base_unbiased_test": evaluated(params, result.unbiased_test)}
 
-    bias_range = result.schema.bias_range
-    reduced = reduce_weights(params, bias_range, args.alpha)
-    reduced_path = outdir / "model_reduced.bin"
-    save_model(reduced, reduced_path)
-    outputs["model_reduced"] = reduced_path
+    for name, alpha in alphas.items():
+        reduced = reduce_weights(params, result.schema.bias_range, alpha)
+        save_model(reduced, artifact(f"model_reduced_{name}.bin"))
+        summary[f"reduced_{name}_test"] = evaluated(reduced, result.test)
 
-    best, grid = grid_search_reconstruction(
-        params, result.train, result.unbiased_val, DebiasConfig(k=args.k))
-    recon_path = outdir / "model_reconstructed.bin"
-    save_model(best, recon_path)
-    outputs["model_reconstructed"] = recon_path
-    grid_path = outdir / "grid_report.json"
-    _write_json(grid_path, grid.to_json_dict())
-    outputs["grid_report"] = grid_path
+    for cfg in debias_cfgs:
+        best, grid = grid_search_reconstruction(
+            params, result.train, result.unbiased_val, cfg)
+        save_model(best, artifact(f"model_reconstructed_{cfg.variant}.bin"))
+        _write_json(artifact(f"grid_{cfg.variant}.json"), grid.to_json_dict())
+        summary[f"reconstructed_{cfg.variant}_unbiased_test"] = evaluated(
+            best, result.unbiased_test)
 
-    def scores(p, ds):
-        return predict(p, ds.indices, ds.values)
-
-    summary = {
-        "base_test": evaluate(result.test, scores(params, result.test), args.k),
-        "reduced_test": evaluate(result.test, scores(reduced, result.test), args.k),
-        "base_unbiased_test": evaluate(
-            result.unbiased_test, scores(params, result.unbiased_test), args.k),
-        "reconstructed_unbiased_test": evaluate(
-            result.unbiased_test, scores(best, result.unbiased_test), args.k),
-    }
-    summary_path = outdir / "eval_summary.json"
-    _write_json(summary_path, {k: v.to_json_dict() for k, v in summary.items()})
-    outputs["eval_summary"] = summary_path
-
+    _write_json(artifact("eval_summary.json"),
+                {k: v.to_json_dict() for k, v in summary.items()})
     _write_manifest(outdir / "manifest.json", "pipeline", args, {}, outputs, t0)
     return 0
 
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="reduction strength (reduce only)")
     p.add_argument("--train", help="training CSV (reconstruct only)")
     p.add_argument("--unbiased", help="unbiased CSV (reconstruct only)")
-    p.add_argument("--variant", choices=("vanilla", "wo_ratio", "wo_residual"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--beta-grid", help="comma-separated ratio coefficients")
     p.add_argument("--gamma-grid", help="comma-separated residual coefficients")
     p.add_argument("--k", type=int, default=5)
@@ -382,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage on synthetic data")
     _add_synth_flags(p)
     _add_train_flags(p)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", default="1.0,0.8,0.6,0.4,0.2,0.0",
+                   help="comma-separated reduction strengths in [0, 1]")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")

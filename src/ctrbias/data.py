@@ -1,4 +1,4 @@
-"""Sparse field-structured datasets: schema, CSV ingestion, splits, k-core.
+"""Sparse field-structured datasets: schema, CSV ingestion, splits.
 
 A dataset row is a sparse feature vector over a fixed set of categorical
 fields, plus a binary click label, the interacting user/item ids, and a
@@ -626,24 +626,3 @@ def chronological_split(d: Dataset, fractions=(0.8, 0.1, 0.1),
     c2 = min(max(c2, c1), n)
     parts = (order[:c1], order[c1:c2], order[c2:])
     return tuple(d.subset(rows, tag) for rows, tag in zip(parts, split_tags))
-
-
-def k_core_filter(d: Dataset, core: int) -> Dataset:
-    """Iteratively drop users and items with fewer than `core` interactions.
-
-    Repeats until a fixpoint, which is the unique maximal k-core of the
-    user-item interaction graph. May return an empty dataset.
-    """
-    if core < 1:
-        raise ConfigError(f"core must be >= 1, got {core}")
-    rows = np.arange(len(d))
-    while len(rows):
-        users = d.user_ids[rows]
-        items = d.item_ids[rows]
-        ukeys, uinv, ucnt = np.unique(users, return_inverse=True, return_counts=True)
-        ikeys, iinv, icnt = np.unique(items, return_inverse=True, return_counts=True)
-        keep = (ucnt[uinv] >= core) & (icnt[iinv] >= core)
-        if keep.all():
-            break
-        rows = rows[keep]
-    return d.subset(rows)

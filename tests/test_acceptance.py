@@ -17,7 +17,8 @@ from conftest import make_schema, random_dataset, random_params
 from ctrbias.analysis import group_stats, ols_fit, pearson, spearman
 from ctrbias.cli import main as cli_main
 from ctrbias.data import Dataset, Sample
-from ctrbias.debias import DebiasConfig, grid_search_reconstruction, reduce_weights
+from ctrbias.debias import (VARIANTS, DebiasConfig, grid_search_reconstruction,
+                            reduce_weights)
 from ctrbias.errors import MetricError
 from ctrbias.evaluation import (evaluate, group_exposure_hit_rate,
                                 group_tpr_at_k, ndcg_at_k, reo_at_k, user_auc)
@@ -400,7 +401,9 @@ PIPELINE_FILES = [
     "train.csv", "val.csv", "test.csv",
     "unbiased_val.csv", "unbiased_test.csv",
     "model_base.bin", "train_report.json", "analysis.json",
-    "model_reduced.bin", "model_reconstructed.bin", "grid_report.json",
+    *(f"model_reduced_{a}.bin" for a in ("1", "0.8", "0.6", "0.4", "0.2", "0")),
+    *(f"model_reconstructed_{v}.bin" for v in VARIANTS),
+    *(f"grid_{v}.json" for v in VARIANTS),
     "eval_summary.json",
 ]
 

@@ -9,7 +9,10 @@ import pytest
 
 from ctrbias.cli import main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
-from ctrbias.models import load_model, save_model
+from ctrbias.debias import VARIANTS, DebiasConfig, grid_search_reconstruction
+from ctrbias.evaluation import evaluate
+from ctrbias.models import load_model, predict, save_model
+from ctrbias.numeric import to_jsonable
 
 SYNTH_FLAGS = [
     "--users", "60", "--items", "30", "--groups", "3",
@@ -42,6 +45,11 @@ def corpus(tmp_path_factory):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def as_json(obj):
+    """obj as it reads back from a JSON artifact."""
+    return json.loads(json.dumps(to_jsonable(obj)))
 
 
 class TestSynth:
@@ -331,19 +339,25 @@ class TestDebias:
         assert "comma-separated" in capsys.readouterr().err
 
 
+ALPHA_NAMES = ("1", "0.8", "0.6", "0.4", "0.2", "0")
 PIPELINE_FILES = [
     "schema.json", "truth.json", "manifest.json",
     "train.csv", "val.csv", "test.csv",
     "unbiased_val.csv", "unbiased_test.csv",
     "model_base.bin", "train_report.json", "analysis.json",
-    "model_reduced.bin", "model_reconstructed.bin", "grid_report.json",
+    *(f"model_reduced_{a}.bin" for a in ALPHA_NAMES),
+    *(f"model_reconstructed_{v}.bin" for v in VARIANTS),
+    *(f"grid_{v}.json" for v in VARIANTS),
     "eval_summary.json",
 ]
+SUMMARY_KEYS = {"base_test", "base_unbiased_test",
+                *(f"reduced_{a}_test" for a in ALPHA_NAMES),
+                *(f"reconstructed_{v}_unbiased_test" for v in VARIANTS)}
 
 
-def run_pipeline(outdir):
+def run_pipeline(outdir, *extra):
     return main([
-        "pipeline", *SYNTH_FLAGS, *TRAIN_FLAGS,
+        "pipeline", *SYNTH_FLAGS, *TRAIN_FLAGS, *extra,
         "--out", str(outdir),
     ])
 
@@ -355,9 +369,7 @@ class TestPipeline:
         present = sorted(p.name for p in out.iterdir())
         assert present == sorted(PIPELINE_FILES)
         summary = read_json(out / "eval_summary.json")
-        assert set(summary) == {"base_test", "reduced_test",
-                                "base_unbiased_test",
-                                "reconstructed_unbiased_test"}
+        assert set(summary) == SUMMARY_KEYS
         for report in summary.values():
             assert 0.0 <= report["uauc"] <= 1.0
         manifest = read_json(out / "manifest.json")
@@ -377,6 +389,51 @@ class TestPipeline:
             m.pop("wall_seconds")
             m["arguments"].pop("out")
         assert ma == mb
+
+    def test_summary_and_grids_match_the_saved_files(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_pipeline(out, "--alpha", "0.5,0,0.5", "--k", "3") == 0
+        assert sorted(p.name for p in out.glob("model_reduced_*")) == [
+            "model_reduced_0.5.bin", "model_reduced_0.bin"]
+        schema = FieldSchema.load(out / "schema.json")
+
+        def load(split, tag="train"):
+            return ingest_csv(out / f"{split}.csv", schema, FeatureIndex(schema),
+                              split_tag=tag)
+
+        summary = read_json(out / "eval_summary.json")
+        assert set(summary) == {"base_test", "base_unbiased_test",
+                                "reduced_0.5_test", "reduced_0_test",
+                                *(f"reconstructed_{v}_unbiased_test"
+                                  for v in VARIANTS)}
+        for key, saved in summary.items():
+            stem = key.removesuffix("_test")
+            split, tag = "test", "test-nbt"
+            if stem.endswith("_unbiased"):
+                stem = stem.removesuffix("_unbiased")
+                split = tag = "unbiased_test"
+            params = load_model(out / f"model_{stem}.bin")
+            ds = load(split, tag)
+            report = evaluate(ds, predict(params, ds.indices, ds.values), k=3)
+            assert saved == as_json(report.to_json_dict()), key
+
+        base = load_model(out / "model_base.bin")
+        train_ds, unbiased_val = load("train"), load("unbiased_val")
+        for variant in VARIANTS:
+            _, grid = grid_search_reconstruction(
+                base, train_ds, unbiased_val, DebiasConfig(variant=variant, k=3))
+            assert read_json(out / f"grid_{variant}.json") == as_json(
+                grid.to_json_dict()), variant
+
+    @pytest.mark.parametrize("bad", [
+        ["--alpha", "1.5"], ["--alpha", "nan"], ["--alpha", "0.5,-0.1"],
+        ["--alpha", "0.5,x"], ["--k", "0"],
+    ])
+    def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        assert run_pipeline(out, *bad) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_version_flag():

@@ -1,4 +1,4 @@
-"""Schema, CSV I/O, splits, and k-core against hand-built oracles."""
+"""Schema, CSV I/O and splits against hand-built oracles."""
 
 import csv
 from unittest import mock
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_schema, random_dataset
 from ctrbias import data
 from ctrbias.data import (Dataset, FeatureIndex, FieldSchema, Sample,
-                          chronological_split, ingest_csv, k_core_filter)
+                          chronological_split, ingest_csv)
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
                             SchemaError)
 from oracles import ingest_csv_reference, to_csv_reference
@@ -633,67 +633,3 @@ class TestChronologicalSplit:
             chronological_split(ds, (0.8, 0.3, 0.1))
         with pytest.raises(ConfigError):
             chronological_split(ds, (1.0, -0.1, 0.1))
-
-
-def naive_k_core(users, items, core):
-    """Alternating deletion until stable, the textbook formulation."""
-    keep = set(range(len(users)))
-    changed = True
-    while changed:
-        changed = False
-        from collections import Counter
-        ucnt = Counter(users[i] for i in keep)
-        icnt = Counter(items[i] for i in keep)
-        drop = {i for i in keep
-                if ucnt[users[i]] < core or icnt[items[i]] < core}
-        if drop:
-            keep -= drop
-            changed = True
-    return sorted(keep)
-
-
-class TestKCore:
-    def test_matches_naive_oracle_on_random_graphs(self, rng):
-        for trial in range(20):
-            ds = random_dataset(rng, n_users=6, n_items=8,
-                                n_rows=int(rng.integers(5, 60)))
-            core = int(rng.integers(1, 5))
-            filtered = k_core_filter(ds, core)
-            expected = naive_k_core(list(ds.user_ids), list(ds.item_ids), core)
-            got = sorted(
-                np.flatnonzero(np.isin(ds.timestamps, filtered.timestamps)).tolist())
-            assert got == expected, f"trial {trial} core {core}"
-
-    def test_fixpoint_property(self, rng):
-        ds = random_dataset(rng, n_users=6, n_items=8, n_rows=50)
-        filtered = k_core_filter(ds, 3)
-        if len(filtered):
-            _, ucnt = np.unique(filtered.user_ids, return_counts=True)
-            _, icnt = np.unique(filtered.item_ids, return_counts=True)
-            assert ucnt.min() >= 3 and icnt.min() >= 3
-        again = k_core_filter(filtered, 3)
-        assert len(again) == len(filtered)
-
-    def test_core_one_keeps_everything(self, rng):
-        ds = random_dataset(rng, n_rows=20)
-        assert len(k_core_filter(ds, 1)) == 20
-
-    def test_invalid_core(self, rng):
-        with pytest.raises(ConfigError):
-            k_core_filter(random_dataset(rng, n_rows=5), 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                    min_size=1, max_size=40),
-           st.integers(1, 4))
-    def test_matches_naive_oracle_property(self, pairs, core):
-        schema = make_schema(5, 5, 2)
-        samples = [
-            Sample(np.array([u, 5 + i, 10]), np.array([1.0, 1.0, 1.0]), 1,
-                   f"u{u}", f"i{i}", t)
-            for t, (u, i) in enumerate(pairs)
-        ]
-        ds = Dataset.from_samples(schema, samples)
-        filtered = k_core_filter(ds, core)
-        expected = naive_k_core([p[0] for p in pairs], [p[1] for p in pairs], core)
-        assert sorted(filtered.timestamps.tolist()) == expected
