@@ -16,9 +16,7 @@ from .analysis import (
     group_stats,
     ols_fit,
     pearson,
-    regularized_incomplete_beta,
     spearman,
-    student_t_two_sided_p,
     variance_decomposition,
 )
 from .data import (
@@ -74,6 +72,7 @@ from .models import (
     serialize,
     deserialize,
 )
+from .numeric import regularized_incomplete_beta, student_t_two_sided_p
 from .synth import SynthConfig, SynthResult, generate
 from .training import Adam, TrainConfig, TrainReport, train
 

@@ -7,9 +7,8 @@ every exposure of the group. This module quantifies each link with group
 counts, correlation tests, a per-label variance decomposition of the
 score's linear vs higher-order parts, and an OLS fit of weights on ratios.
 
-Correlation p-values use the exact two-sided Student-t tail, computed from
-the regularized incomplete beta function via a modified Lentz continued
-fraction; no statistics package is involved.
+Correlation p-values use the exact two-sided Student-t tail of
+numeric.student_t_two_sided_p; no statistics package is involved.
 """
 
 from __future__ import annotations
@@ -20,14 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, MetricError, NumericalError, UndefinedCorrelationError
+from .errors import ConfigError, MetricError, UndefinedCorrelationError
 from .models import ModelParams, PredictionParts, predict, prediction_parts
-from .numeric import average_ranks, sigmoid, to_jsonable
-
-_CF_MAX_ITER = 300
-_CF_EPS = 3e-14
-_CF_FPMIN = 1e-300
-
+from .numeric import average_ranks, sigmoid, student_t_two_sided_p, to_jsonable
 
 @dataclass
 class GroupStats:
@@ -65,73 +59,6 @@ def group_stats(ds: Dataset) -> GroupStats:
     n_pos = np.bincount(groups[is_pos], minlength=g).astype(np.int64)
     n_neg = np.bincount(groups[~is_pos], minlength=g).astype(np.int64)
     return GroupStats(ds.bias_labels, n_pos, n_neg)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz method."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise NumericalError(
-        f"incomplete beta continued fraction failed to converge "
-        f"(a={a}, b={b}, x={x})"
-    )
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1], accurate to ~1e-14."""
-    if a <= 0 or b <= 0:
-        raise NumericalError(f"beta parameters must be positive, got a={a} b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise NumericalError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return x
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    # the continued fraction converges fast only on one side of the mean
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def student_t_two_sided_p(t: float, dof: float) -> float:
-    """P(|T| >= t) for Student-t with dof degrees of freedom."""
-    if dof <= 0:
-        raise NumericalError(f"degrees of freedom must be positive, got {dof}")
-    if math.isinf(t):
-        return 0.0
-    x = dof / (dof + t * t)
-    return regularized_incomplete_beta(dof / 2.0, 0.5, x)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,9 @@ def cmd_pipeline(args) -> int:
     reconstructed with each of the debias.VARIANTS. Stage seeds derive
     from --seed (synth uses it directly, training uses seed + 1) so one
     flag pins the whole run. Every setting is checked before synthesis,
-    so a bad one leaves no run directory behind.
+    so a bad one leaves no run directory behind. Reduced models of
+    strengths this run does not write are deleted, so the directory holds
+    exactly the models its manifest lists.
     """
     t0 = time.perf_counter()
     alphas = {}  # artifact name -> strength; equal names are duplicates
@@ -272,6 +274,9 @@ def cmd_pipeline(args) -> int:
         reduced = reduce_weights(params, result.schema.bias_range, alpha)
         save_model(reduced, artifact(f"model_reduced_{name}.bin"))
         summary[f"reduced_{name}_test"] = evaluated(reduced, result.test)
+    for path in outdir.glob("model_reduced_*.bin"):  # an earlier run's strengths
+        if path.name not in outputs:
+            path.unlink()
 
     for cfg in debias_cfgs:
         best, grid = grid_search_reconstruction(

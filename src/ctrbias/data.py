@@ -280,23 +280,29 @@ class Dataset:
         for name, arr in (("indices", self.indices), ("values", self.values)):
             if arr.ndim != 2 or arr.shape[0] != n:
                 raise ConfigError(f"{name} must be (N, E) with N = number of samples")
+        if self.values.shape != self.indices.shape:
+            raise ConfigError("indices and values must have the same (N, E) shape")
         for name, arr in (("user_ids", self.user_ids), ("item_ids", self.item_ids),
                           ("timestamps", self.timestamps)):
             if arr.shape != (n,):
                 raise ConfigError(f"{name} must have shape (N,)")
         if not np.isin(self.labels, (0, 1)).all():
             raise ConfigError("labels must be 0/1")
-        live = self.values > 0
-        if n and live.any():
-            if self.indices[live].min() < 0 or self.indices[live].max() >= self.schema.n:
-                raise ConfigError("feature index out of schema range")
-        # per-field value sums must be 1 for every sample
-        bounds = self.schema.boundaries
+        # padding too: the models gather and scatter at every index
+        if self.indices.size and (self.indices.min() < 0
+                                  or self.indices.max() >= self.schema.n):
+            raise ConfigError("feature index out of schema range")
+        # the models multiply by every value, so padding must be exactly 0
+        if not (self.values >= 0).all():  # NaN fails this too
+            raise ConfigError("feature values must be >= 0 (padding is 0)")
+        # per-field value sums must be 1 for every sample; one flat bincount
+        # over the (row, field) cells, padding entries adding 0
         if n:
-            field_of = np.searchsorted(bounds, self.indices, side="right") - 1
-            sums = np.zeros((n, len(self.schema.fields)))
-            rows = np.repeat(np.arange(n), self.indices.shape[1]).reshape(self.indices.shape)
-            np.add.at(sums, (rows[live], field_of[live]), self.values[live])
+            n_fields = len(self.schema.fields)
+            cells = np.searchsorted(self.schema.boundaries, self.indices, side="right") - 1
+            cells += (np.arange(n) * n_fields)[:, None]
+            sums = np.bincount(cells.ravel(), self.values.ravel(),
+                               minlength=n * n_fields).reshape(n, n_fields)
             if np.abs(sums - 1.0).max() > FIELD_SUM_TOL:
                 bad = int(np.argmax(np.abs(sums - 1.0).max(axis=1)))
                 raise ConfigError(

@@ -13,6 +13,17 @@ which is linear in the number of live features. FM scores f = sum_k bi_k;
 NFM feeds the bi-interaction vector through one ReLU hidden layer and a
 linear readout. Padded entries (value 0) contribute nothing to any term.
 
+The field sums are einsum contractions and the gradient scatters are flat
+np.bincount calls, each a single pass over the batch. They add in the
+same order as a broadcast product summed over the entry axis and a 2-D
+np.add.at (the reference forms the tests compare against): einsum
+accumulates a row's entries into a zeroed output one entry after
+another along the d axis, and bincount adds its weights in input order
+onto zeros, so every float comes out bit for bit the same. The one
+exception is d = 1, where an axis-1 sum is a pairwise sum over a row's
+entries and einsum adds them in SIMD lanes instead; with three or more
+entries a row's sums can differ there in the last bits.
+
 Serialization is a fixed little-endian binary layout with a schema digest
 and a provenance record, so downstream tools can refuse weight files that
 do not match the feature space they expect.
@@ -158,14 +169,16 @@ def forward(params: ModelParams, indices, values, train: bool = False,
     """Score a batch, keeping intermediates. Dropout only fires when train=True.
 
     dropout = (p_interaction, p_hidden); inverted scaling keeps expected
-    activations unchanged, so evaluation needs no compensation.
+    activations unchanged, so evaluation needs no compensation. sum_v and
+    sum_sq are einsum contractions over the entry axis (see the module
+    docstring for why they match the broadcast sums).
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     linear = (params.w[indices] * values).sum(axis=1)
     gathered = params.V[indices]
-    sum_v = (values[..., None] * gathered).sum(axis=1)
-    sum_sq = ((values ** 2)[..., None] * gathered ** 2).sum(axis=1)
+    sum_v = np.einsum("bf,bfd->bd", values, gathered)
+    sum_sq = np.einsum("bf,bfd->bd", values ** 2, gathered ** 2)
     bi = 0.5 * (sum_v * sum_v - sum_sq)
 
     p_bi, p_h = dropout if train else (0.0, 0.0)
@@ -225,6 +238,13 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     Returns (loss, grads, cache) with grads keyed "w0", "w", "V" and, for
     NFM, "W1", "b1", "w_out", "b_out". The L2 term covers w, V and the MLP
     but not the global bias w0.
+
+    The per-entry contributions to dV are einsum outer products, one
+    rounding per product as in the broadcast form. dw and dV are each one
+    flat np.bincount: an entry's d contributions land on cells
+    index * d + k of the flattened table, added in entry order as
+    np.add.at does. bincount rejects negative indices where fancy indexing
+    would wrap them; Dataset refuses any index outside [0, n).
     """
     labels = np.asarray(labels, dtype=np.float64)
     cache = forward(params, indices, values, train=train, dropout=dropout, rng=rng)
@@ -234,11 +254,11 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     dlogit = (sigmoid(cache.logits) - labels) / m
     grads: dict[str, np.ndarray | float] = {}
     grads["w0"] = float(dlogit.sum())
-    dw = np.zeros_like(params.w)
-    np.add.at(dw, cache.indices.ravel(), (dlogit[:, None] * cache.values).ravel())
+    dw = np.bincount(cache.indices.ravel(), (dlogit[:, None] * cache.values).ravel(),
+                     minlength=params.n)
 
     if params.arch == "fm":
-        dbi_used = np.broadcast_to(dlogit[:, None], cache.bi.shape)
+        dbi_used = np.repeat(dlogit[:, None], params.d, axis=1)  # unit-stride for einsum
     else:
         mlp = params.mlp
         da1_used = dlogit[:, None] * mlp.w_out
@@ -253,10 +273,12 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     dbi = dbi_used if cache.mask_bi is None else dbi_used * cache.mask_bi
     # d bi_k / d V_jk = x_j * sum_v_k - x_j^2 * V_jk, scattered per live entry
     val = cache.values
-    contrib = (val[..., None] * (dbi[:, None, :] * cache.sum_v[:, None, :])
-               - (val ** 2)[..., None] * dbi[:, None, :] * cache.gathered_V)
-    dV = np.zeros_like(params.V)
-    np.add.at(dV, cache.indices.ravel(), contrib.reshape(-1, params.d))
+    contrib = np.einsum("bj,bk->bjk", val ** 2, dbi)
+    contrib *= cache.gathered_V
+    np.subtract(np.einsum("bj,bk->bjk", val, dbi * cache.sum_v), contrib, out=contrib)
+    n, d = params.V.shape
+    cells = (cache.indices * d)[..., None] + np.arange(d)
+    dV = np.bincount(cells.ravel(), contrib.ravel(), minlength=n * d).reshape(n, d)
 
     dw += 2.0 * l2 * params.w
     dV += 2.0 * l2 * params.V

@@ -1,5 +1,6 @@
 """Brute-force reference implementations of scoring, updates, metrics
-and CSV I/O, and the allocate-per-step forms of Adam and the sigmoid.
+and CSV I/O, the allocate-per-step forms of Adam and the sigmoid, and the
+broadcast-and-scatter form of the model's forward and backward pass.
 
 Everything here is written in the most literal way possible (python loops,
 explicit pair enumeration, one CSV row at a time) so the vectorized package
@@ -15,7 +16,8 @@ import numpy as np
 
 from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex
 from ctrbias.errors import ConfigError, CsvParseError, LabelError
-from ctrbias.numeric import sigmoid
+from ctrbias.models import ForwardCache
+from ctrbias.numeric import bce_loss, sigmoid
 
 
 def pairwise_logit_reference(params, sample_indices, sample_values):
@@ -35,6 +37,87 @@ def pairwise_logit_reference(params, sample_indices, sample_values):
         for j in range(i + 1, len(idx)):
             total += float(params.V[idx[i]] @ params.V[idx[j]]) * val[i] * val[j]
     return float(total)
+
+
+def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
+                      rng=None):
+    """models.forward with the field sums as broadcast products summed over
+    axis 1. The referee for the einsum sums, which must match it bit for
+    bit for d >= 2."""
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    linear = (params.w[indices] * values).sum(axis=1)
+    gathered = params.V[indices]
+    sum_v = (values[..., None] * gathered).sum(axis=1)
+    sum_sq = ((values ** 2)[..., None] * gathered ** 2).sum(axis=1)
+    bi = 0.5 * (sum_v * sum_v - sum_sq)
+
+    p_bi, p_h = dropout if train else (0.0, 0.0)
+    mask_bi = mask_hidden = None
+    bi_used = bi
+    if p_bi > 0:
+        mask_bi = (rng.random(bi.shape) >= p_bi) / (1.0 - p_bi)
+        bi_used = bi * mask_bi
+
+    if params.arch == "fm":
+        high = bi_used.sum(axis=1)
+        z1 = a1_used = None
+    else:
+        mlp = params.mlp
+        z1 = bi_used @ mlp.W1 + mlp.b1
+        a1 = np.maximum(z1, 0.0)
+        a1_used = a1
+        if p_h > 0:
+            mask_hidden = (rng.random(a1.shape) >= p_h) / (1.0 - p_h)
+            a1_used = a1 * mask_hidden
+        high = a1_used @ mlp.w_out + mlp.b_out
+
+    logits = (params.w0 + linear) + high
+    return ForwardCache(indices, values, gathered, sum_v, bi, bi_used,
+                        z1, a1_used, mask_bi, mask_hidden, linear, high, logits)
+
+
+def loss_and_grads_reference(params, indices, values, labels, l2=0.0, train=False,
+                             dropout=(0.0, 0.0), rng=None):
+    """models.loss_and_grads over forward_reference, with the per-entry
+    contributions built by broadcasting and scattered by 2-D np.add.at.
+    The referee for the flat bincount scatters."""
+    labels = np.asarray(labels, dtype=np.float64)
+    cache = forward_reference(params, indices, values, train=train, dropout=dropout,
+                              rng=rng)
+    m = len(labels)
+    loss = float(np.mean(bce_loss(cache.logits, labels))) + l2 * params.l2_norm_sq()
+
+    dlogit = (sigmoid(cache.logits) - labels) / m
+    grads = {"w0": float(dlogit.sum())}
+    dw = np.zeros_like(params.w)
+    np.add.at(dw, cache.indices.ravel(), (dlogit[:, None] * cache.values).ravel())
+
+    if params.arch == "fm":
+        dbi_used = np.broadcast_to(dlogit[:, None], cache.bi.shape)
+    else:
+        mlp = params.mlp
+        da1_used = dlogit[:, None] * mlp.w_out
+        da1 = da1_used if cache.mask_hidden is None else da1_used * cache.mask_hidden
+        dz1 = da1 * (cache.z1 > 0)
+        grads["W1"] = cache.bi_used.T @ dz1 + 2.0 * l2 * mlp.W1
+        grads["b1"] = dz1.sum(axis=0) + 2.0 * l2 * mlp.b1
+        grads["w_out"] = cache.a1_used.T @ dlogit + 2.0 * l2 * mlp.w_out
+        grads["b_out"] = float(dlogit.sum()) + 2.0 * l2 * mlp.b_out
+        dbi_used = dz1 @ mlp.W1.T
+
+    dbi = dbi_used if cache.mask_bi is None else dbi_used * cache.mask_bi
+    val = cache.values
+    contrib = (val[..., None] * (dbi[:, None, :] * cache.sum_v[:, None, :])
+               - (val ** 2)[..., None] * dbi[:, None, :] * cache.gathered_V)
+    dV = np.zeros_like(params.V)
+    np.add.at(dV, cache.indices.ravel(), contrib.reshape(-1, params.d))
+
+    dw += 2.0 * l2 * params.w
+    dV += 2.0 * l2 * params.V
+    grads["w"] = dw
+    grads["V"] = dV
+    return loss, grads, cache
 
 
 class AdamReference:

@@ -14,12 +14,12 @@ from conftest import make_schema, random_dataset, random_params
 from ctrbias.analysis import (BiasChainReport, CorrelationResult, GroupStats,
                               RegressionFit, VarianceDecomposition,
                               bias_chain_report, group_stats, ols_fit,
-                              pearson, regularized_incomplete_beta, spearman,
-                              student_t_two_sided_p, variance_decomposition)
+                              pearson, spearman, variance_decomposition)
 from ctrbias.data import Dataset, Sample
 from ctrbias.errors import (ConfigError, MetricError, NumericalError,
                             UndefinedCorrelationError)
 from ctrbias.models import PredictionParts
+from ctrbias.numeric import regularized_incomplete_beta, student_t_two_sided_p
 
 AB_GRID = [0.5, 1.0, 2.5, 7.0, 30.0]
 X_GRID = [0.001, 0.02, 0.1, 0.3, 0.5, 0.62, 0.77, 0.9, 0.98, 0.999]

@@ -425,6 +425,16 @@ class TestPipeline:
             assert read_json(out / f"grid_{variant}.json") == as_json(
                 grid.to_json_dict()), variant
 
+    def test_rerun_into_same_directory_drops_other_strengths(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_pipeline(out) == 0
+        assert run_pipeline(out, "--alpha", "0.5") == 0
+        manifest = read_json(out / "manifest.json")
+        on_disk = sorted(p.name for p in out.glob("model_reduced_*"))
+        assert on_disk == sorted(name for name in manifest["outputs"]
+                                 if name.startswith("model_reduced_"))
+        assert on_disk == ["model_reduced_0.5.bin"]
+
     @pytest.mark.parametrize("bad", [
         ["--alpha", "1.5"], ["--alpha", "nan"], ["--alpha", "0.5,-0.1"],
         ["--alpha", "0.5,x"], ["--k", "0"],

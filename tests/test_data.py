@@ -171,6 +171,29 @@ class TestDataset:
             Dataset(schema, np.array([[0, 2, 99]]), np.array([[1.0, 1.0, 1.0]]),
                     [0], ["u0"], ["i0"], [0])
 
+    @pytest.mark.parametrize("pad_index", [99, 6, -1, -7], ids=["far", "n", "-1", "-n"])
+    def test_validation_rejects_out_of_range_padding(self, pad_index):
+        # padding is index 0 by contract; the models gather and scatter at
+        # padded entries too, so any other out-of-range index must not pass
+        schema = make_schema(2, 2, 2)
+        with pytest.raises(ConfigError, match="out of schema range"):
+            Dataset(schema, np.array([[0, 2, 4, pad_index]]),
+                    np.array([[1.0, 1.0, 1.0, 0.0]]), [0], ["u0"], ["i0"], [0])
+
+    @pytest.mark.parametrize("pad_value", [-0.5, float("nan")], ids=["negative", "nan"])
+    def test_validation_rejects_non_inert_padding_values(self, pad_value):
+        # a padded entry with a nonzero value would still move every score
+        schema = make_schema(2, 2, 2)
+        with pytest.raises(ConfigError, match=">= 0"):
+            Dataset(schema, np.array([[0, 2, 4, 5]]),
+                    np.array([[1.0, 1.0, 1.0, pad_value]]), [0], ["u0"], ["i0"], [0])
+
+    def test_validation_rejects_mismatched_values_shape(self):
+        schema = make_schema(2, 2, 2)
+        with pytest.raises(ConfigError, match="same"):
+            Dataset(schema, np.array([[0, 2, 4]]), np.array([[1.0, 1.0, 1.0, 0.0]]),
+                    [0], ["u0"], ["i0"], [0])
+
     def test_validation_rejects_non_binary_labels(self):
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="labels"):

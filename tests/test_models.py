@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_params
-from oracles import pairwise_logit_reference
+from conftest import float_bits, random_params
+from oracles import loss_and_grads_reference, pairwise_logit_reference
 from ctrbias import models
 from ctrbias.debias import reduce_weights
 from ctrbias.errors import ConfigError, ModelFormatError
@@ -241,6 +241,61 @@ class TestGradients:
         before = params.l2_norm_sq()
         params.w0 += 100.0
         assert params.l2_norm_sq() == before
+
+
+class TestBroadcastReferee:
+    """forward and loss_and_grads against their broadcast-and-scatter forms,
+    byte for byte: any regrouping of a sum would show in the last bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bit_equal_to_broadcast_reference(self, data):
+        arch = data.draw(st.sampled_from(["fm", "nfm"]), label="arch")
+        d = data.draw(st.sampled_from([1, 2, 3, 16]), label="d")
+        width = data.draw(st.integers(1, 9), label="fields")
+        n = data.draw(st.integers(1, 6), label="n")  # few features: heavy duplicates
+        batch = data.draw(st.integers(1, 40), label="batch")
+        pad_share = data.draw(st.sampled_from([0.0, 0.3, 0.9]), label="padding")
+        zero_share = data.draw(st.sampled_from([0.0, 0.5]), label="signed zeros in V")
+        dropout = data.draw(st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.4),
+                                             (0.3, 0.4)]), label="dropout")
+        l2 = data.draw(st.sampled_from([0.0, 1e-3]), label="l2")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, n, d, arch=arch, hidden=5)
+        zeros = rng.random(params.V.shape) < zero_share
+        params.V[zeros] = np.copysign(0.0, rng.normal(size=params.V.shape))[zeros]
+        indices = rng.integers(0, n, size=(batch, width))
+        values = rng.uniform(0.05, 1.0, size=(batch, width))
+        pad = rng.random((batch, width)) < pad_share
+        indices[pad] = 0
+        values[pad] = 0.0
+        labels = rng.integers(0, 2, size=batch)
+
+        loss, grads, cache = loss_and_grads(
+            params, indices, values, labels, l2=l2, train=True, dropout=dropout,
+            rng=np.random.default_rng(seed))
+        ref_loss, ref_grads, ref = loss_and_grads_reference(
+            params, indices, values, labels, l2=l2, train=True, dropout=dropout,
+            rng=np.random.default_rng(seed))
+        assert list(grads) == list(ref_grads)
+        got = {"loss": loss, "logits": cache.logits, "sum_v": cache.sum_v,
+               "bi": cache.bi, **grads}
+        want = {"loss": ref_loss, "logits": ref.logits, "sum_v": ref.sum_v,
+                "bi": ref.bi, **ref_grads}
+        if d > 1 or width <= 2:
+            for key in want:
+                assert float_bits(got[key]) == float_bits(want[key]), key
+            return
+        # At d = 1 the axis-1 sum is a pairwise sum over a row's entries and
+        # the einsum adds them in SIMD lanes: two orders of the same products,
+        # each within (width - 1) rounding units of their absolute sum.
+        bound = 2 * (width - 1) * 2.0 ** -53 * np.einsum(
+            "bf,bfd->bd", np.abs(values), np.abs(cache.gathered_V))
+        assert (np.abs(cache.sum_v - ref.sum_v) <= bound).all()
+        for key in want:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=1e-12,
+                                       err_msg=key)
 
 
 class TestDropout:
