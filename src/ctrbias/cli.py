@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import bias_chain_report
-from .data import Dataset, FeatureIndex, FieldSchema, ingest_csv
+from .data import FeatureIndex, FieldSchema, ingest_csv
 from .debias import VARIANTS, DebiasConfig, grid_search_reconstruction, reduce_weights
 from .errors import ConfigError, CtrBiasError, NumericalError
 from .evaluation import evaluate

@@ -7,14 +7,19 @@ groups; all bias diagnostics key off it. Within every field the feature
 values of a sample sum to one: a single-valued field contributes one entry
 of value 1, a cell with m categories contributes m entries of value 1/m.
 
-CSV I/O works column by column, never row by row. `Dataset.to_csv` labels
-entries through one table over the global feature index and hands blocks
-of CSV_BLOCK_ROWS rows to `csv.writer.writerows`. `ingest_csv` reads
-blocks of CSV_BLOCK_ROWS records, transposes each into columns, and maps
-every field's column through its vocabulary at once; only a column that
-holds a '|' is split cell by cell. A malformed file raises the error a row
-loop would meet first: the earliest bad record, and within it the column
-count, the timestamp, the label, then the cells in field order.
+CSV I/O works column by column, never row by row. `Dataset.to_csv` quotes
+the label table over the global feature index once and each block's user
+and item ids once per distinct value, with csv.writer, and writes a block
+of CSV_BLOCK_ROWS rows as one ','- and '\\n'-joined string. `ingest_csv`
+reads blocks of CSV_BLOCK_ROWS lines; a block without '"', '\\r' or NUL
+whose every line holds exactly one comma fewer than the header's columns,
+none longer than csv.field_size_limit(), is cut into columns by one
+str.split, which is exactly where the csv module would cut it. Any other
+block, and the rest of the file after it, goes through csv.reader. Every
+field's column then maps through its vocabulary at once; only a column
+that holds a '|' is split cell by cell. A malformed file raises the error
+a row loop would meet first: the earliest bad record, and within it the
+column count, the timestamp, the label, then the cells in field order.
 """
 
 from __future__ import annotations
@@ -22,9 +27,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -374,45 +380,74 @@ class Dataset:
     def to_csv(self, path) -> None:
         """Write the canonical CSV form (header, '|'-joined multi-values).
 
-        Columnar: one label table over the global feature index, and each
-        field's cells gathered for a block of CSV_BLOCK_ROWS rows at once,
-        by a direct take where every row of the block has exactly one live
-        entry in the field and by a join over each row's entries otherwise.
-        Entries of a multi-valued cell keep their column order. The csv
-        module does all quoting.
+        Columnar: the label table over the global feature index is quoted
+        once, and a block of CSV_BLOCK_ROWS rows is built as columns of
+        finished cells, joined with ',' per row and '\\n' per line, and
+        written as one string. A field's cells are a direct take from the
+        quoted table where every row of the block has exactly one live
+        entry in the field; otherwise each row's labels are '|'-joined in
+        column order and the joined cell is quoted. User and item ids are
+        quoted once per distinct value in the block. All quoting is
+        csv.writer's, so the bytes are those of writing row by row.
         """
         schema = self.schema
-        table = np.array([label for name, _ in schema.fields
-                          for label in schema.labels(name)], dtype=object)
+        table = [label for name, _ in schema.fields for label in schema.labels(name)]
+        quoted = np.array(_quoted(table), dtype=object)
+        table = np.array(table, dtype=object)
         bounds = schema.boundaries
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(list(RESERVED_COLUMNS) + list(schema.field_names))
+            csv.writer(fh, lineterminator="\n").writerow(
+                list(RESERVED_COLUMNS) + list(schema.field_names))
             for lo in range(0, len(self), CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
                 idx = self.indices[block]
                 field_of = np.searchsorted(bounds, idx, side="right") - 1
                 field_of[~(self.values[block] > 0)] = -1
-                cells = [_cell_column(table, idx, field_of == f)
+                cols = [_quoted(self.user_ids[block].tolist()),
+                        _quoted(self.item_ids[block].tolist()),
+                        list(map(str, self.labels[block].tolist())),
+                        list(map(str, self.timestamps[block].tolist()))]
+                cols += [_cell_column(table, quoted, idx, field_of == f)
                          for f in range(len(schema.fields))]
-                writer.writerows(zip(
-                    list(self.user_ids[block]), list(self.item_ids[block]),
-                    self.labels[block].tolist(), self.timestamps[block].tolist(),
-                    *cells))
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def _cell_column(table, idx, member) -> list[str]:
-    """One field's CSV cells: labels of each row's member entries, '|'-joined."""
+def _quoted(values: list) -> list[str]:
+    """Each value as csv.writer writes it inside a row of several fields.
+
+    Quoting only lengthens a field, so when the writer's row of the
+    distinct values is their plain ','-join, no value needs quotes;
+    otherwise each distinct value is written once as a record of its own.
+    """
+    distinct = list(dict.fromkeys(values))
+    records: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\n")
+    writer.writerow(distinct)
+    row = records.pop()
+    if all(map(isinstance, distinct, repeat(str))) and row == ",".join(distinct) + "\n":
+        return values
+    writer.writerows(zip(distinct, repeat("")))  # one "<cell>,\n" record each
+    form = dict(zip(distinct, [record[:-2] for record in records]))
+    return list(map(form.__getitem__, values))
+
+
+def _cell_column(table, quoted, idx, member) -> list[str]:
+    """One field's CSV cells: labels of each row's member entries,
+    '|'-joined, then quoted."""
     counts = member.sum(axis=1)
-    labels = table[idx[member]].tolist()  # row-major: rows in order
     if (counts == 1).all():
-        return labels
+        return quoted[idx[member]].tolist()
+    labels = table[idx[member]].tolist()  # row-major: rows in order
     ends = np.cumsum(counts).tolist()
-    return ["|".join(labels[s:e]) for s, e in zip([0] + ends[:-1], ends)]
+    return _quoted(["|".join(labels[s:e]) for s, e in zip([0] + ends[:-1], ends)])
 
 
-def _take_rows(reader, n, path):
-    """Up to n records, and the CsvParseError that stopped reading early (or None)."""
+def _take_rows(reader, n, path, lines_before=0):
+    """Up to n records, and the CsvParseError that stopped reading early (or None).
+
+    `lines_before` is the number of physical lines of the file read before
+    the reader's first line, so a csv.Error reports its line in the file.
+    """
     rows: list[list[str]] = []
     try:
         rows.extend(islice(reader, n))
@@ -426,8 +461,46 @@ def _take_rows(reader, n, path):
             path, raw.count(b"\n", 0, exc.start) + 1,
             f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})")
     except csv.Error as exc:
-        return rows, CsvParseError(path, reader.line_num, str(exc))
+        return rows, CsvParseError(path, lines_before + reader.line_num, str(exc))
     return rows, None
+
+
+def _raising(exc):
+    """An iterator that raises exc at its first item."""
+    raise exc
+    yield  # pragma: no cover - makes this a generator
+
+
+def _split_columns(lines, width):
+    """The columns of a block of physical lines by one str.split, or None
+    when the csv module must read the block.
+
+    Exact where no line holds '"', '\\r' or NUL, every line holds width - 1
+    commas and none is longer than csv.field_size_limit(): the csv module
+    then cuts each line at its commas, drops its final '\\n', and rejects
+    no field. An empty block goes to the csv module too.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text
+            or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    flat = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        del flat[-1]
+    return [flat[k::width] for k in range(width)]
+
+
+def _columns(rows, width, first_line, path):
+    """Columns of the records before the first whose column count is not
+    width, and that record's failure (or None)."""
+    failure = None
+    if set(map(len, rows)) - {width}:
+        bad = next(i for i, row in enumerate(rows) if len(row) != width)
+        failure = (bad, 0, CsvParseError(
+            path, first_line + bad, f"expected {width} columns, got {len(rows[bad])}"))
+        rows = rows[:bad]
+    return list(zip(*rows)) or [()] * width, failure
 
 
 def _convert_column(convert, column):
@@ -443,26 +516,21 @@ def _convert_column(convert, column):
         raise
 
 
-def _parse_block(rows, first_line, schema, index, path):
-    """Columns of one block of data records, or raise its first error.
+def _parse_block(cols, first_line, schema, index, path, failure=None):
+    """Arrays of one block of data records given as columns, or raise its
+    first error.
 
     Every check records the first row it fails on with a rank that orders
     the checks within a row (column count, timestamp, label, then per field
     in declaration order: an empty cell or a duplicate category, then
     overflow), and the (row, rank)-smallest failure is raised, as a row
-    loop would.
+    loop would. `failure` is the column-count failure of the record just
+    after the given rows, if there is one.
 
     Returns (indices, values, timestamps, labels, user_ids, item_ids).
     """
-    width = len(RESERVED_COLUMNS) + len(schema.fields)
-    failures: list[tuple[int, int, Exception]] = []
-    if set(map(len, rows)) - {width}:
-        bad = next(i for i, row in enumerate(rows) if len(row) != width)
-        failures.append((bad, 0, CsvParseError(
-            path, first_line + bad, f"expected {width} columns, got {len(rows[bad])}")))
-        rows = rows[:bad]
-    n = len(rows)
-    cols = list(zip(*rows)) or [()] * width
+    failures: list[tuple[int, int, Exception]] = [] if failure is None else [failure]
+    n = len(cols[0])
 
     stamps, bad = _convert_column(int, cols[3])
     parsed = stamps if bad is None else list(map(int, cols[3][:bad]))
@@ -508,16 +576,22 @@ def _parse_block(rows, first_line, schema, index, path):
             counts = np.ones(n, dtype=np.int64)
             keys = col
         seen = index._maps[name]
-        for key in dict.fromkeys(keys):  # unseen categories in first-appearance order
-            if key not in seen:
-                try:
-                    index.index_of(name, key, create=True)
-                except SchemaError as exc:
-                    row = int(np.searchsorted(np.cumsum(counts), keys.index(key), side="right"))
-                    failures.append((row, rank + 1, exc))
-                    break
+        local = np.fromiter(map(seen.get, keys, repeat(-1)), dtype=np.int64,
+                            count=len(keys))
+        if local.min(initial=0) < 0:  # unseen categories, in first-appearance order
+            for key in dict.fromkeys(keys):
+                if key not in seen:
+                    try:
+                        index.index_of(name, key, create=True)
+                    except SchemaError as exc:
+                        row = int(np.searchsorted(np.cumsum(counts), keys.index(key),
+                                                  side="right"))
+                        failures.append((row, rank + 1, exc))
+                        break
+            else:
+                local = np.fromiter(map(seen.__getitem__, keys), dtype=np.int64,
+                                    count=len(keys))
         if not failures:
-            local = np.fromiter(map(seen.__getitem__, keys), dtype=np.int64, count=len(keys))
             fields.append((schema.offset(name), counts, local))
     if failures:
         raise min(failures, key=lambda fail: fail[:2])[2]
@@ -553,12 +627,20 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     normalized to value 1/m per category. Pass a shared FeatureIndex when
     ingesting several files so category assignment stays consistent.
 
-    The file is read as UTF-8 in blocks of CSV_BLOCK_ROWS records, never
-    whole. Each block is transposed into columns: timestamps parse with
-    int(), each field's unseen categories get local indices in order of
-    first appearance, and the column maps through the field's vocabulary
-    at once; only a field whose column holds a '|' is split cell by cell.
-    Fields occupy increasing index ranges, so rows come out sorted.
+    The file is read as UTF-8 in blocks of CSV_BLOCK_ROWS lines, never
+    whole. A block with no '"', '\\r' or NUL, whose every line holds one
+    comma fewer than the header has columns and is no longer than
+    csv.field_size_limit(), is one record per line, and its columns are
+    the strided slices of one str.split: the csv dialect quotes with '"'
+    and ends records at '\\r' or '\\n' only, so it cuts such lines at
+    the same places. The first block that fails this test, and the rest
+    of the file, are read by csv.reader in blocks of CSV_BLOCK_ROWS
+    records; a csv.Error still reports its line in the file. In each
+    block, timestamps parse with int(), and each field's column maps
+    through the field's vocabulary with one lookup per cell; only when
+    some category is unseen are local indices assigned, in order of first
+    appearance. Only a field whose column holds a '|' is split cell by
+    cell. Fields occupy increasing index ranges, so rows come out sorted.
 
     Errors: the first bad record in file order raises; within a record
     the column count is checked first, then the timestamp, the label, and
@@ -576,6 +658,7 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     if index is None:
         index = FeatureIndex(schema)
     expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
+    width = len(expected_header)
     blocks = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -588,15 +671,32 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
             raise CsvParseError(
                 path, 1, f"header {header[0]!r} does not match declared fields {expected_header!r}"
             )
+        lines_read = reader.line_num  # physical lines before the next block
+        records = None  # the csv module reads the rest once a block needs it
         line_no = 2
         while True:
-            rows, failure = _take_rows(reader, CSV_BLOCK_ROWS, path)
-            blocks.append(_parse_block(rows, line_no, schema, index, path))
+            failure = count_failure = None
+            if records is None:
+                lines: list[str] = []
+                rest = fh
+                try:
+                    lines.extend(islice(fh, CSV_BLOCK_ROWS))
+                except UnicodeDecodeError as exc:
+                    rest = _raising(exc)  # raised again after the lines before it
+                cols = _split_columns(lines, width) if rest is fh else None
+                if cols is None:
+                    records = csv.reader(chain(lines, rest))
+                else:
+                    lines_read += len(lines)
+            if records is not None:
+                rows, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
+                cols, count_failure = _columns(rows, width, line_no, path)
+            blocks.append(_parse_block(cols, line_no, schema, index, path, count_failure))
             if failure is not None:
                 raise failure
-            if len(rows) < CSV_BLOCK_ROWS:
+            if len(cols[0]) < CSV_BLOCK_ROWS:
                 break
-            line_no += len(rows)
+            line_no += CSV_BLOCK_ROWS
     indices, values, stamps, labels, users, items = zip(*blocks)
     width = max(block.shape[1] for block in indices)
     return Dataset(

@@ -211,9 +211,18 @@ def forward(params: ModelParams, indices, values, train: bool = False,
 
 
 def prediction_parts(params: ModelParams, indices, values) -> PredictionParts:
-    """Eval-mode forward over a dataset-sized batch, PREDICT_CHUNK rows at a time."""
+    """Eval-mode forward over a dataset-sized batch, PREDICT_CHUNK rows at a time.
+
+    Every index, padding included, must lie in [0, n): a negative one would
+    wrap around to the end of the weight table.
+    """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
+    if indices.size:
+        low, high = int(indices.min()), int(indices.max())
+        if low < 0 or high >= params.n:
+            raise ConfigError(f"feature index {low if low < 0 else high} is outside "
+                              f"[0, {params.n}) of the model")
     parts = PredictionParts(*(np.empty(len(indices)) for _ in range(3)))
     chunk = PREDICT_CHUNK
     for lo in range(0, len(indices), chunk):

@@ -335,6 +335,29 @@ def _parse_label_reference(cell, threshold, path, line_no):
     )
 
 
+def _records_reference(reader, path):
+    """The reader's records one at a time; a csv.Error raises CsvParseError
+    at the reader's line, and an undecodable byte at the line of the
+    file's first one."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise CsvParseError(path, reader.line_num, str(exc))
+        except UnicodeDecodeError:
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CsvParseError(
+                    path, raw[:exc.start].count(b"\n") + 1,
+                    f"byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+            raise
+        yield row
+
+
 def ingest_csv_reference(path, schema, index=None, split_tag="train"):
     """ingest_csv as a row loop: index_of per category, argsort per row."""
     path = Path(path)
@@ -344,7 +367,7 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
     samples_idx, samples_val = [], []
     labels, users, items, stamps = [], [], [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _records_reference(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:

@@ -446,7 +446,7 @@ def csv_logs(draw, schema, multi):
             + [cell_text(draw, schema, name, many, spill)
                for (name, _), many in zip(schema.fields, multi)]
             for _ in range(draw(st.integers(0, 9)))]
-    return rows, draw(st.sampled_from(["\n", "\r\n"]))
+    return rows, draw(st.sampled_from(["\n", "\r\n", "\r"]))
 
 
 def write_rows(path, schema, rows, terminator="\n"):
@@ -533,6 +533,14 @@ class TestColumnarCsvAgainstRowLoops:
             ingest_csv(tmp_path / "new.csv", ds.schema, split_tag="x"),
             ingest_csv_reference(tmp_path / "new.csv", ds.schema, split_tag="x"))
 
+    def test_to_csv_non_string_ids_equal_oracle(self, tmp_path):
+        ds = Dataset(make_schema(), [[0, 4, 10]] * 3, [[1.0, 1.0, 1.0]] * 3, [1, 0, 1],
+                     np.array([7, 8, 7]), np.array([0.5, "a,b", 0.5], dtype=object),
+                     [0, 1, 2])
+        ds.to_csv(tmp_path / "new.csv")
+        to_csv_reference(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_int64_boundary_timestamps_ingest(self, tmp_path):
         schema = make_schema()
         rows = [["u", "i", "1", str(ts), "u0", "i0", "g0"]
@@ -590,6 +598,12 @@ ERROR_CASES = {
     "non-integer before huge timestamp": HEADER
         + "u,i,1,t,x,p\nu,i,1,99999999999999999999,x,p\n",
     "huge timestamp and label": HEADER + "u,i,x,99999999999999999999,x,p\n",
+    # records the csv module reads after quote-free ones; lines count records
+    "error after a multi-line quoted record": HEADER
+        + 'u,i,1,0,x,p\n"u\nv",i,1,1,x,p\nu,i,1,t,x,p\n',
+    "blank line": HEADER + "u,i,1,0,x,p\n\nu,i,1,1,x,p\n",
+    "error after CRLF lines": HEADER + "u,i,1,0,x,p\nu,i,1,1,x,p\r\nu,i,1,t,x,p\r\n",
+    "error after a lone CR": HEADER + "u,i,1,0,x,p\nu,i,1,1,x,p\ru,i,1,t,x,p\n",
 }
 
 
@@ -605,6 +619,81 @@ def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, bloc
     assert isinstance(want, tuple), "every case is malformed"
     monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
     assert outcome(ingest_csv, path, schema, FeatureIndex(schema)) == want
+
+
+# --- quote-free blocks are split by str.split, the rest by the csv module --
+
+HAND_OVER_SCHEMA = FieldSchema(fields=(("a", 8), ("g", 3)), bias_field="g",
+                               categories={"g": ("p",)})
+# what follows block + 1 quote-free records, so it starts a later block
+HAND_OVER = {
+    "quoted comma": b'u,i,1,7,"x,y",p\nu,i,0,8,x1,p\n',
+    "quoted quote": b'u,i,1,7,"x""y",p\nu,i,0,8,x1,p\n',
+    "quoted newline": b'"u\nv",i,1,7,x1,"p"\nu,i,0,8,x1,p\n',
+    "error after a multi-line quoted record": b'u,i,1,7,"x\ny",p\nu,i,1,t,x1,p\n',
+    "CRLF from mid-file": b"u,i,1,7,x1,p\r\nu,i,0,8,x2,p\r\n",
+    "lone CR mid-file": b"u,i,1,7,x1,p\ru,i,0,8,x2,p\n",
+    "NUL byte": b"u,i,1,7,x\0,p\nu,i,0,8,x1,p\n",
+    "blank line": b"u,i,1,7,x1,p\n\nu,i,0,8,x1,p\n",
+    "no final newline": b"u,i,1,7,x1,p\nu,i,0,8,x1,p",
+    "bad UTF-8": b"u,i,1,7,x1,p\nu,i\xff,0,8,x1,p\n",
+    "extra comma": b"u,i,1,7,x1,p,\n",
+    "missing comma": b"u,i,1,7,x1\n",
+}
+HAND_OVER_ERRORS = {  # the error each malformed case must raise, if any
+    "error after a multi-line quoted record": "non-integer timestamp 't'",
+    "blank line": "expected 6 columns, got 0",
+    "bad UTF-8": "0xff is not UTF-8",
+    "extra comma": "expected 6 columns, got 7",
+    "missing comma": "expected 6 columns, got 5",
+}
+
+
+def quote_free_records(n):
+    return b"".join(b"u%d,i%d,%d,%d,x%d,p\n" % (k, k, k % 2, k, k % 4) for k in range(n))
+
+
+def assert_hand_over_equals_row_loop(path, monkeypatch, block):
+    schema = HAND_OVER_SCHEMA
+    want = outcome(ingest_csv_reference, path, schema, FeatureIndex(schema))
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+    assert_same_outcome(outcome(ingest_csv, path, schema, FeatureIndex(schema)), want)
+    return want
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("case", sorted(HAND_OVER))
+def test_hand_over_to_csv_module_equals_row_loop(tmp_path, monkeypatch, case, block):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"user_id,item_id,label,timestamp,a,g\n"
+                     + quote_free_records(block + 1) + HAND_OVER[case])
+    want = assert_hand_over_equals_row_loop(path, monkeypatch, block)
+    if case in HAND_OVER_ERRORS:
+        assert HAND_OVER_ERRORS[case] in want[1]
+
+
+@pytest.fixture
+def field_limit_25():
+    old = csv.field_size_limit(25)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("tail, error", [
+    (b"u,i,1,7," + b"x" * 26 + b",p\n", "field larger than field limit (25)"),
+    (b"u" * 25 + b",i,1,7,x1,p\n", None),  # the line is over the limit, no field is
+])
+def test_hand_over_at_the_field_size_limit(tmp_path, monkeypatch, field_limit_25,
+                                           block, tail, error):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"user_id,item_id,label,timestamp,a,g\n"
+                     + quote_free_records(4) + tail + quote_free_records(2))
+    want = assert_hand_over_equals_row_loop(path, monkeypatch, block)
+    if error is None:
+        assert not isinstance(want, tuple)
+    else:
+        assert want == (CsvParseError, f"{path}:6: {error}")
 
 
 class TestChronologicalSplit:

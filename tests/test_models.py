@@ -18,7 +18,7 @@ from oracles import loss_and_grads_reference, pairwise_logit_reference
 from ctrbias import models
 from ctrbias.debias import reduce_weights
 from ctrbias.errors import ConfigError, ModelFormatError
-from ctrbias.models import (ARCH_TAGS, MlpParams, ModelParams, deserialize,
+from ctrbias.models import (ARCH_TAGS, ModelParams, deserialize,
                             forward, init_params, load_model, loss_and_grads,
                             model_digest, predict,
                             prediction_parts, save_model, serialize)
@@ -181,6 +181,15 @@ class TestPredict:
         params = random_params(rng, 6, 2)
         scores = predict(params, np.zeros((0, 3), np.int64), np.zeros((0, 3)))
         assert scores.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_index_raises_one_line(self, rng, bad):
+        # before the check, -1 wrapped to index 4 and 5 escaped as IndexError
+        params = random_params(rng, 5, 2)
+        for call in (predict, prediction_parts):
+            with pytest.raises(ConfigError, match=f"feature index {bad} is outside") as e:
+                call(params, [[0, 1], [0, bad]], [[1.0, 1.0], [1.0, 1.0]])
+            assert "\n" not in str(e.value)
 
 
 class TestGradients:
