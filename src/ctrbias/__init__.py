@@ -52,6 +52,7 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
+    UserBlocks,
     evaluate,
     group_exposure_hit_rate,
     group_tpr_at_k,

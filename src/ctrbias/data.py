@@ -388,7 +388,9 @@ class Dataset:
         entry in the field; otherwise each row's labels are '|'-joined in
         column order and the joined cell is quoted. User and item ids are
         quoted once per distinct value in the block. All quoting is
-        csv.writer's, so the bytes are those of writing row by row.
+        csv.writer's, so the bytes are those of writing row by row, except
+        that a cell or header name holding a lone '\\r' is quoted on every
+        Python, so that ingest_csv reads it back.
         """
         schema = self.schema
         table = [label for name, _ in schema.fields for label in schema.labels(name)]
@@ -396,8 +398,8 @@ class Dataset:
         table = np.array(table, dtype=object)
         bounds = schema.boundaries
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(
-                list(RESERVED_COLUMNS) + list(schema.field_names))
+            fh.write(",".join(_quoted(list(RESERVED_COLUMNS)
+                                      + list(schema.field_names))) + "\n")
             for lo in range(0, len(self), CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
                 idx = self.indices[block]
@@ -421,13 +423,15 @@ def _quoted(values: list) -> list[str]:
     """
     distinct = list(dict.fromkeys(values))
     records: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\n")
+    # the writer quotes a field holding any character of its terminator, so
+    # "\r\n" quotes a lone CR on every Python (before 3.13, "\n" does not)
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
     writer.writerow(distinct)
     row = records.pop()
-    if all(map(isinstance, distinct, repeat(str))) and row == ",".join(distinct) + "\n":
+    if all(map(isinstance, distinct, repeat(str))) and row == ",".join(distinct) + "\r\n":
         return values
-    writer.writerows(zip(distinct, repeat("")))  # one "<cell>,\n" record each
-    form = dict(zip(distinct, [record[:-2] for record in records]))
+    writer.writerows(zip(distinct, repeat("")))  # one "<cell>,\r\n" record each
+    form = dict(zip(distinct, [record[:-3] for record in records]))
     return list(map(form.__getitem__, values))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import RegressionFit, group_stats, ols_fit
 from .data import Dataset
 from .errors import ConfigError, MetricError
-from .evaluation import DEFAULT_K, ndcg_at_k, user_auc
+from .evaluation import DEFAULT_K, UserBlocks, ranked_auc, ranked_ndcg
 from .models import ModelParams, model_digest, prediction_parts
 from .numeric import to_jsonable
 
@@ -212,10 +212,14 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     interaction (FM) or MLP (NFM) term is scored once per search with
     prediction_parts. Each point then rebuilds just the linear term and
     adds the pieces in forward's logit order, (w0 + linear) + high_order,
-    so its scores equal predict() on the reconstructed model bit for bit. User
-    and item ids become integer codes once (np.unique keeps their order),
-    which makes the per-point ranking sorts cheap. Only the winning model
-    is built, at the end, by reconstruct_weights.
+    so its scores equal predict() on the reconstructed model bit for bit.
+
+    Only the scores change between points, so the ranking's id part is
+    fixed once: user and item ids become integer codes (np.unique keeps
+    their order) and one UserBlocks is built from them. Each point ranks
+    its scores once, and AUC and NDCG share that RankedData, exactly as in
+    evaluate(). Only the winning model is built, at the end, by
+    reconstruct_weights.
     """
     cfg = cfg or DebiasConfig()
     if len(unbiased_ds) == 0:
@@ -230,6 +234,7 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     high = prediction_parts(params, indices, values).high_order
     _, users = np.unique(ds.user_ids, return_inverse=True)
     _, items = np.unique(ds.item_ids, return_inverse=True)
+    blocks = UserBlocks(users, items)
     w = params.w.copy()
 
     best: GridPoint | None = None
@@ -239,11 +244,12 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
         w[lo:hi] = beta * ratios.values + gamma * residual_fit.residuals
         # forward's logit order: (w0 + linear) + high_order
         scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
-        uauc, _ = user_auc(users, scores, ds.labels)
+        ranked = blocks.rank(scores)
+        uauc, _ = ranked_auc(ranked, scores, ds.labels)
         if not np.isfinite(uauc):
             errors.append(f"beta={beta} gamma={gamma}: per-user AUC undefined")
             continue
-        ndcg, _ = ndcg_at_k(users, scores, ds.labels, items, cfg.k)
+        ndcg, _ = ranked_ndcg(ranked, ds.labels, cfg.k)
         point = GridPoint(beta, gamma, float(uauc), float(ndcg))
         table.append(point)
         if best is None or point.uauc > best.uauc:

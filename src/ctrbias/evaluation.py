@@ -1,13 +1,25 @@
 """Ranking metrics over per-user score lists, with group-level exposure views.
 
-Every metric starts from one sort. rank_users() orders the rows by (user
-asc, score desc, item_id asc), so each user's samples form a contiguous
-block in ranking order, and evaluate() shares that one RankedData across
-AUC, NDCG, TPR@k and EHR. Per-user quantities then come from block and run
-boundaries and np.bincount, with no Python loop over users:
+Every metric starts from one ranking. rank_users() orders the rows by
+(user asc, score desc, item_id asc), so each user's samples form a
+contiguous block in ranking order, and evaluate() shares that one
+RankedData across AUC, NDCG, TPR@k and EHR. The ranking splits into the
+part the ids fix and the part the scores change. A UserBlocks, built once
+from the ids, holds the rows sorted by (user, item, input position), the
+user blocks and each row's block number. UserBlocks.rank() then sorts one
+score vector with two argsorts: an unstable one that turns the scores into
+dense integer ranks, and a stable one of block * n + dense rank. Equal
+scores (0.0 and -0.0 among them) get equal dense ranks, so the unstable
+sort's tie order cannot show, and the stable sort keeps the base order
+inside a tie: the result is the three-key lexsort exactly. The grid search
+builds one UserBlocks per search and ranks each point once. Per-user
+quantities then come from block and run boundaries and np.bincount, with
+no Python loop over users:
 
 * AUC gives each run of tied scores inside a user the mean of the run's
-  positions, so the positives' rank sums are exact half-integers.
+  positions, so the positives' rank sums are exact half-integers. A sum of
+  such values below 2**53 is exact in any order, so AUC is the same on the
+  item-tie-broken order as on any other order of the ties.
 * NDCG lays each user's top-k gains out as one row of a (users x k) table;
   a row sum reduces exactly like the 1-D sum over that user's gains.
 * The per-user values enter each mean in user order through sequential
@@ -15,8 +27,8 @@ boundaries and np.bincount, with no Python loop over users:
 
 So every result equals, bit for bit, that of a per-user loop; the loops in
 tests/oracles.py are the reference. The item-id tie-break makes the top-k
-metrics deterministic for any input order. AUC is tie-invariant, so
-user_auc() sorts without it.
+metrics deterministic for any input order; user_auc() ranks without item
+ids, keeping tied rows in input order.
 
 Group-level metrics key off the bias field: a sample counts for group j
 when its feature vector has positive mass on that group's feature.
@@ -66,28 +78,60 @@ class RankedData:
         return np.repeat(np.arange(self.n_users), self.sizes)
 
 
+class UserBlocks:
+    """The part of a ranking the ids fix, built once for many score vectors.
+
+    `base` sorts the rows by (user, item, input position); without item
+    ids, by (user, input position). `user_starts` and `users` are the user
+    blocks along it, and `offsets` is block number * n for each base
+    position.
+    """
+
+    def __init__(self, user_ids, item_ids=None):
+        user_ids = np.asarray(user_ids)
+        n = len(user_ids)
+        if item_ids is not None and len(item_ids) != n:
+            raise ConfigError("user_ids, scores, item_ids must have equal length")
+        if n == 0:
+            raise ConfigError("cannot rank an empty sample list")
+        if item_ids is None:
+            self.base = np.argsort(user_ids, kind="stable")
+        else:
+            self.base = np.lexsort((np.asarray(item_ids), user_ids))
+        sorted_users = user_ids[self.base]
+        new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
+        self.user_starts = np.concatenate([[0], new_user, [n]])
+        self.users = sorted_users[self.user_starts[:-1]]
+        # block * n + dense rank stays below n**2, which fits int64 for
+        # n < 3e9
+        self.offsets = np.repeat(np.arange(len(self.users), dtype=np.int64) * n,
+                                 np.diff(self.user_starts))
+
+    def rank(self, scores) -> RankedData:
+        """Rows by (user asc, score desc), tied scores in base order."""
+        scores = np.asarray(scores, dtype=np.float64)
+        if len(scores) != len(self.base):
+            raise ConfigError("user_ids, scores, item_ids must have equal length")
+        if np.isnan(scores).any():
+            raise ConfigError("scores contain NaN, which has no rank")
+        neg = -scores[self.base]
+        by_score = np.argsort(neg)
+        ascending = neg[by_score]
+        dense = np.empty(len(neg), dtype=np.int64)
+        dense[by_score[0]] = 0
+        dense[by_score[1:]] = np.cumsum(ascending[1:] != ascending[:-1])
+        within = np.argsort(self.offsets + dense, kind="stable")
+        return RankedData(self.base[within], self.user_starts, self.users)
+
+
 def rank_users(user_ids, scores, item_ids=None) -> RankedData:
     """Sort rows by (user asc, score desc, item_id asc) and find user blocks.
 
-    Without item_ids, tied scores keep their input order, which only a
+    Builds a UserBlocks and ranks the one score vector against it. Without
+    item_ids, tied scores keep their input order, which only a
     tie-invariant metric such as AUC can accept.
     """
-    user_ids = np.asarray(user_ids)
-    scores = np.asarray(scores, dtype=np.float64)
-    keys = (-scores, user_ids)
-    if item_ids is not None:
-        keys = (np.asarray(item_ids),) + keys
-    if len({len(key) for key in keys}) != 1:
-        raise ConfigError("user_ids, scores, item_ids must have equal length")
-    if len(user_ids) == 0:
-        raise ConfigError("cannot rank an empty sample list")
-    if np.isnan(scores).any():
-        raise ConfigError("scores contain NaN, which has no rank")
-    order = np.lexsort(keys)
-    sorted_users = user_ids[order]
-    new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
-    user_starts = np.concatenate([[0], new_user, [len(order)]])
-    return RankedData(order, user_starts, sorted_users[user_starts[:-1]])
+    return UserBlocks(user_ids, item_ids).rank(scores)
 
 
 def _positions_within_user(ranked: RankedData) -> np.ndarray:
@@ -121,7 +165,7 @@ def _mean_in_user_order(values: np.ndarray, n_users: int) -> tuple[float, int]:
     return float(np.cumsum(values)[-1] / len(values)), n_users - len(values)
 
 
-def _ranked_auc(ranked: RankedData, scores, labels) -> tuple[float, int]:
+def ranked_auc(ranked: RankedData, scores, labels) -> tuple[float, int]:
     s = np.asarray(scores, dtype=np.float64)[ranked.order]
     n = len(s)
     # a run of tied scores inside one user shares the mean of its positions
@@ -145,7 +189,7 @@ def _ranked_auc(ranked: RankedData, scores, labels) -> tuple[float, int]:
                                ranked.n_users)
 
 
-def _ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
+def ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     sizes = ranked.sizes
     width = min(k, int(sizes.max()))
@@ -204,7 +248,7 @@ def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int | None) -> np.ndarray:
 def user_auc(user_ids, scores, labels) -> tuple[float, int]:
     """Mean per-user AUC; ties count half. Users without both classes are
     skipped; returns (nan, n_users) when every user is skipped."""
-    return _ranked_auc(rank_users(user_ids, scores), scores, labels)
+    return ranked_auc(rank_users(user_ids, scores), scores, labels)
 
 
 def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[float, int]:
@@ -214,7 +258,7 @@ def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[f
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    return _ranked_ndcg(rank_users(user_ids, scores, item_ids), labels, k)
+    return ranked_ndcg(rank_users(user_ids, scores, item_ids), labels, k)
 
 
 def group_exposure_hit_rate(ds: Dataset, scores) -> np.ndarray:
@@ -308,10 +352,10 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         raise ConfigError(f"k must be >= 1, got {k}")
     ranked = rank_users(ds.user_ids, scores, ds.item_ids)
     errors: list[str] = []
-    uauc, uauc_skipped = _ranked_auc(ranked, scores, ds.labels)
+    uauc, uauc_skipped = ranked_auc(ranked, scores, ds.labels)
     if math.isnan(uauc):
         errors.append("uauc undefined: no user has both a positive and a negative")
-    ndcg, ndcg_skipped = _ranked_ndcg(ranked, ds.labels, k)
+    ndcg, ndcg_skipped = ranked_ndcg(ranked, ds.labels, k)
     if math.isnan(ndcg):
         errors.append("ndcg undefined: no user has a positive sample")
     tpr = _ranked_tpr(ds, ranked, k)

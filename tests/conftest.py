@@ -73,8 +73,9 @@ def rng():
 
 
 def count_calls(monkeypatch, module, name):
-    """Wrap module.<name> wherever a ctrbias module holds it; return the
-    list that gains one (args, kwargs) entry per call."""
+    """Wrap module.<name> wherever a ctrbias module holds it, or on the
+    class itself when `module` is a class; return the list that gains one
+    (args, kwargs) entry per call."""
     original = getattr(module, name)
     calls = []
 
@@ -82,6 +83,9 @@ def count_calls(monkeypatch, module, name):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
+    if isinstance(module, type):
+        monkeypatch.setattr(module, name, counted)
+        return calls
     for mod_name, mod in list(sys.modules.items()):
         if (mod_name.split(".")[0] == "ctrbias"
                 and getattr(mod, name, None) is original):

@@ -11,11 +11,13 @@ accumulation order so exact comparisons are meaningful.
 import csv
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex
 from ctrbias.errors import ConfigError, CsvParseError, LabelError
+from ctrbias.evaluation import RankedData
 from ctrbias.models import ForwardCache
 from ctrbias.numeric import bce_loss, sigmoid
 
@@ -178,6 +180,20 @@ def bias_entries(ds, i):
     return out
 
 
+def rank_users_reference(user_ids, scores, item_ids=None):
+    """rank_users as one np.lexsort over (user, -score[, item]) keys. The
+    referee for UserBlocks.rank, whose order must equal it exactly."""
+    user_ids = np.asarray(user_ids)
+    keys = (-np.asarray(scores, dtype=np.float64), user_ids)
+    if item_ids is not None:
+        keys = (np.asarray(item_ids),) + keys
+    order = np.lexsort(keys)
+    sorted_users = user_ids[order]
+    new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
+    user_starts = np.concatenate([[0], new_user, [len(order)]])
+    return RankedData(order, user_starts, sorted_users[user_starts[:-1]])
+
+
 def ordered_rows_by_user(user_ids, scores, item_ids):
     """Row indices grouped per user, ordered by (score desc, item asc)."""
     users = sorted(set(str(u) for u in user_ids))
@@ -296,7 +312,11 @@ def reo_brute(tpr):
 
 
 def to_csv_reference(ds, path):
-    """Dataset.to_csv as a row loop: one searchsorted and join per row."""
+    """Dataset.to_csv as a row loop: one searchsorted and join per row.
+
+    Rows are written with a "\\r\\n" terminator, which makes csv.writer
+    quote a field holding a lone CR on every Python, and each record's
+    "\\r\\n" is then cut to "\\n"."""
     start_of = {name: ds.schema.offset(name) for name, _ in ds.schema.fields}
     labels_of = {}
     for name, card in ds.schema.fields:
@@ -306,7 +326,9 @@ def to_csv_reference(ds, path):
         ]
     bounds = ds.schema.boundaries
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(
+            SimpleNamespace(write=lambda record: fh.write(record[:-2] + "\n")),
+            lineterminator="\r\n")
         writer.writerow(list(RESERVED_COLUMNS) + list(ds.schema.field_names))
         for i in range(len(ds)):
             live = ds.values[i] > 0

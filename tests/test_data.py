@@ -241,6 +241,15 @@ class TestCsvRoundTrip:
             assert np.array_equal(a.indices, b.indices)
             assert np.allclose(a.values, b.values, atol=0, rtol=1e-15)
 
+    def test_lone_cr_in_ids_labels_and_header_round_trips(self, tmp_path):
+        schema = FieldSchema(fields=(("f\r", 3), ("g", 2)), bias_field="g",
+                             categories={"f\r": ("x\ry", "z"), "g": ("a\r",)})
+        ds = Dataset(schema, [[0, 3], [1, 4]], [[1.0, 1.0], [1.0, 1.0]], [1, 0],
+                     np.array(["a\rb", "u"]), np.array(["i\r", "\r"]), [0, 1])
+        ds.to_csv(tmp_path / "log.csv")
+        assert_same_outcome(ingest_csv(tmp_path / "log.csv", schema, split_tag="x"),
+                            ds.subset(np.arange(2), split_tag="x"))
+
     def test_multi_valued_cell_gets_fractional_values(self, tmp_path):
         schema = FieldSchema(fields=(("g", 4),), bias_field="g")
         path = tmp_path / "log.csv"
@@ -374,7 +383,7 @@ class TestIngestErrors:
 
 # --- columnar CSV I/O against the row loops in tests/oracles.py -----------
 
-LETTERS = st.sampled_from(list('ab,;" \'é\n'))
+LETTERS = st.sampled_from(list('ab,;" \'é\n\r'))
 CATEGORY = st.text(LETTERS, min_size=1, max_size=3)
 
 

@@ -324,7 +324,7 @@ class TestGridScoresMatchPredict:
 
     @pytest.mark.parametrize("arch", ["fm", "nfm"])
     def test_every_row_equals_rescoring(self, rng, arch, monkeypatch):
-        scored = count_calls(monkeypatch, evaluation, "user_auc")
+        scored = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
         params, train_ds, unbiased, (best, result) = self.search(rng, arch)
         ratios = estimate_unbiased_ratios(unbiased).values
         residuals = fit_weight_residuals(params, train_ds).residuals
@@ -343,6 +343,28 @@ class TestGridScoresMatchPredict:
         scores = predict(best, unbiased.indices, unbiased.values)
         assert result.best.uauc == user_auc(unbiased.user_ids, scores,
                                             unbiased.labels)[0]
+
+    def test_search_builds_blocks_once_and_ranks_once_per_point(
+            self, rng, monkeypatch):
+        builds = count_calls(monkeypatch, evaluation.UserBlocks, "__init__")
+        ranks = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
+        aucs = count_calls(monkeypatch, evaluation, "user_auc")
+        ndcgs = count_calls(monkeypatch, evaluation, "ndcg_at_k")
+        _, _, _, (_, result) = self.search(rng, "fm")
+        assert len(builds) == 1
+        assert len(ranks) == len(self.GRID) ** 2
+        assert len(result.table) + len(result.errors) == len(ranks)
+        assert aucs == ndcgs == []
+
+    def test_nan_scores_raise_config_error(self, rng):
+        kw = dict(n_users=6, n_items=9, n_groups=4)
+        train_ds = random_dataset(rng, n_rows=120, **kw)
+        unbiased = random_dataset(rng, n_rows=90, split_tag="unbiased-val",
+                                  **kw)
+        params = random_params(rng, train_ds.schema.n, 3)
+        params.V[int(unbiased.indices[0, 0])] = np.nan  # one user's factor
+        with pytest.raises(ConfigError, match="NaN"):
+            grid_search_reconstruction(params, train_ds, unbiased)
 
     def test_search_scores_the_model_once(self, rng, monkeypatch):
         predicts = count_calls(monkeypatch, models, "predict")

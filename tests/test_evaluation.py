@@ -35,19 +35,21 @@ def random_instance(rng, coarse=True, **kwargs):
 
 @st.composite
 def ranking_logs(draw, max_users=5, max_rows=40):
-    """(dataset, scores) in arbitrary row order; tie-heavy scores are drawn
-    from four levels, others from a continuous range."""
+    """(dataset, scores) in arbitrary row order; scores are tie-heavy (four
+    levels), signed zeros and infinities, or from a continuous range, and a
+    few rows may repeat exactly."""
     n_users = draw(st.integers(1, max_users))
     n_items = draw(st.integers(1, 8))
     n_groups = draw(st.integers(2, 4))
-    if draw(st.booleans()):
-        score = st.integers(0, 3).map(lambda v: v / 2.0)
-    else:
-        score = st.floats(-4.0, 4.0, allow_nan=False)
+    score = draw(st.sampled_from((
+        st.integers(0, 3).map(lambda v: v / 2.0),
+        st.sampled_from((0.0, -0.0, math.inf, -math.inf, 1.0)),
+        st.floats(-4.0, 4.0, allow_nan=False))))
     rows = draw(st.lists(
         st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
                   st.integers(0, n_groups - 1), st.integers(0, 1), score),
         min_size=1, max_size=max_rows))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     schema = make_schema(n_users, n_items, n_groups)
     samples = [Sample(indices=np.array([u, n_users + i, n_users + n_items + g]),
                       values=np.ones(3), label=y, user_id=f"u{u}",
@@ -167,7 +169,35 @@ class TestRankingStructure:
             evaluate(ds, scores)
 
 
+def assert_same_ranking(got, want):
+    for name in ("order", "user_starts", "users"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 class TestRankUsers:
+    @settings(max_examples=200, deadline=None)
+    @given(ranking_logs(max_users=25, max_rows=100), st.booleans(),
+           st.booleans())
+    def test_equals_lexsort_referee(self, log, codes, with_items):
+        ds, scores = log
+        users, items = ds.user_ids, ds.item_ids
+        if codes:
+            users = np.unique(users, return_inverse=True)[1]
+            items = np.unique(items, return_inverse=True)[1]
+        items = items if with_items else None
+        assert_same_ranking(rank_users(users, scores, items),
+                            oracles.rank_users_reference(users, scores, items))
+
+    @pytest.mark.parametrize("score", [0.0, -0.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("users, items", [
+        (["u"], None), (["u"], ["i"]), ([3], None), ([3], [7])])
+    def test_one_row(self, score, users, items):
+        assert_same_ranking(
+            rank_users(users, [score], items),
+            oracles.rank_users_reference(users, [score], items))
+
     def test_frozen_example(self):
         users = ["b", "a", "a", "b", "a"]
         scores = [1.0, 2.0, 5.0, 3.0, 2.0]
