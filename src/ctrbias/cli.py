@@ -3,10 +3,11 @@
 Subcommands mirror the library stages: synth (generate data), train,
 analyze (bias chain report), debias (reduce or reconstruct weights), eval
 (metrics for one model on one split), and pipeline (all stages in memory
-on synthetic data). Every command writes a manifest JSON recording its
-arguments, input digests, output digests, and wall time; wall time lives
-only in the manifest so all other artifacts are byte-stable across reruns
-with the same seed.
+on synthetic data). Each command returns where its manifest goes and the
+files it wrote; main times the command and writes that manifest, recording
+the arguments, the digest of every file named by a path flag, the output
+digests, and the wall time. Wall time lives only in the manifest so all
+other artifacts are byte-stable across reruns with the same seed.
 
 Exit codes: 0 success, 2 configuration/input errors, 3 numerical failures.
 """
@@ -43,9 +44,13 @@ def _write_json(path, obj) -> None:
         json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(path, command: str, args: argparse.Namespace,
-                    inputs: dict, outputs: dict, t0: float) -> None:
+# Path flags whose files a manifest digests as inputs, when given.
+INPUT_FLAGS = ("schema", "model", "train", "val", "eval", "unbiased", "data")
+
+
+def _write_manifest(path, args: argparse.Namespace, outputs, t0: float) -> None:
     base = Path(path).resolve().parent
+    inputs = [p for p in (getattr(args, flag, None) for flag in INPUT_FLAGS) if p]
 
     def rel(p) -> str:
         resolved = Path(p).resolve()
@@ -55,11 +60,11 @@ def _write_manifest(path, command: str, args: argparse.Namespace,
             return str(p)
 
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "arguments": {k: v for k, v in vars(args).items() if k != "func"},
-        "inputs": {rel(p): _file_digest(p) for p in inputs.values() if p},
-        "outputs": {rel(p): _file_digest(p) for p in outputs.values() if p},
+        "inputs": {rel(p): _file_digest(p) for p in inputs},
+        "outputs": {rel(p): _file_digest(p) for p in outputs},
         "wall_seconds": time.perf_counter() - t0,
     }
     _write_json(path, manifest)
@@ -96,29 +101,42 @@ def _synth_config(args) -> SynthConfig:
     )
 
 
-def _write_synth(result, outdir: Path) -> dict:
+def _write_synth(result, outdir: Path) -> list:
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = {}
-    schema_path = outdir / "schema.json"
-    result.schema.save(schema_path)
-    outputs["schema"] = schema_path
+    outputs = [outdir / "schema.json"]
+    result.schema.save(outputs[0])
     for name, ds in result.splits.items():
-        path = outdir / f"{name}.csv"
-        ds.to_csv(path)
-        outputs[name] = path
-    truth_path = outdir / "truth.json"
-    _write_json(truth_path, result.truth)
-    outputs["truth"] = truth_path
+        outputs.append(outdir / f"{name}.csv")
+        ds.to_csv(outputs[-1])
+    outputs.append(outdir / "truth.json")
+    _write_json(outputs[-1], result.truth)
     return outputs
 
 
-def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
+def _load(args, *csv_flags):
+    """The schema; the model when --model is given (checked against the
+    schema's digest), else None; and one Dataset per named CSV flag, None
+    where the flag is absent. The CSVs are ingested through one
+    FeatureIndex in the order named, each tagged with its file's stem.
+    """
+    schema = FieldSchema.load(args.schema)
+    model = getattr(args, "model", None)
+    params = (load_model(model, expected_schema_digest=schema.digest())
+              if model else None)
+    index = FeatureIndex(schema)
+    datasets = [ingest_csv(p, schema, index, split_tag=Path(p).stem) if p else None
+                for p in (getattr(args, flag) for flag in csv_flags)]
+    return schema, params, datasets
+
+
+def _evaluated(params, ds, k: int):
+    return evaluate(ds, predict(params, ds.indices, ds.values), k)
+
+
+def cmd_synth(args):
     result = generate(_synth_config(args))
     outdir = Path(args.out)
-    outputs = _write_synth(result, outdir)
-    _write_manifest(outdir / "manifest.json", "synth", args, {}, outputs, t0)
-    return 0
+    return outdir / "manifest.json", _write_synth(result, outdir)
 
 
 def _train_config(args, optimizer: str, ablation: str, seed: int) -> TrainConfig:
@@ -139,45 +157,25 @@ def _train_config(args, optimizer: str, ablation: str, seed: int) -> TrainConfig
     )
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    schema = FieldSchema.load(args.schema)
-    index = FeatureIndex(schema)
-    train_ds = ingest_csv(args.train, schema, index)
-    val_ds = ingest_csv(args.val, schema, index) if args.val else None
+def cmd_train(args):
+    _, _, (train_ds, val_ds) = _load(args, "train", "val")
     cfg = _train_config(args, args.optimizer, args.ablation, args.seed)
     params, report = train(train_ds, val_ds, cfg)
     save_model(params, args.out)
     report_path = Path(args.report) if args.report else Path(str(args.out) + ".report.json")
     _write_json(report_path, report.to_json_dict())
-    inputs = {"schema": args.schema, "train": args.train, "val": args.val}
-    outputs = {"model": args.out, "report": report_path}
-    _write_manifest(Path(str(args.out) + ".manifest.json"), "train", args,
-                    inputs, outputs, t0)
-    return 0
+    return Path(str(args.out) + ".manifest.json"), [args.out, report_path]
 
 
-def cmd_analyze(args) -> int:
-    t0 = time.perf_counter()
-    schema = FieldSchema.load(args.schema)
-    params = load_model(args.model, expected_schema_digest=schema.digest())
-    index = FeatureIndex(schema)
-    train_ds = ingest_csv(args.train, schema, index)
-    eval_ds = ingest_csv(args.eval, schema, index) if args.eval else None
+def cmd_analyze(args):
+    _, params, (train_ds, eval_ds) = _load(args, "train", "eval")
     report = bias_chain_report(params, train_ds, eval_ds)
     _write_json(args.out, report.to_json_dict())
-    inputs = {"schema": args.schema, "model": args.model,
-              "train": args.train, "eval": args.eval}
-    _write_manifest(Path(str(args.out) + ".manifest.json"), "analyze", args,
-                    inputs, {"report": args.out}, t0)
-    return 0
+    return Path(str(args.out) + ".manifest.json"), [args.out]
 
 
-def cmd_debias(args) -> int:
-    t0 = time.perf_counter()
-    schema = FieldSchema.load(args.schema)
-    params = load_model(args.model, expected_schema_digest=schema.digest())
-    outputs = {"model": args.out}
+def cmd_debias(args):
+    outputs = [args.out]
     if args.mode == "reduce":
         for flag, value in (("--unbiased", args.unbiased), ("--train", args.train),
                             ("--variant", args.variant),
@@ -186,53 +184,40 @@ def cmd_debias(args) -> int:
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to reduction")
         alpha = 0.0 if args.alpha is None else args.alpha
+        schema, params, _ = _load(args)
         adjusted = reduce_weights(params, schema.bias_range, alpha)
-        inputs = {"schema": args.schema, "model": args.model}
     else:
         if args.alpha is not None:
             raise ConfigError("--alpha only applies to reduction")
         if not args.train or not args.unbiased:
             raise ConfigError("reconstruction requires --train and --unbiased")
-        index = FeatureIndex(schema)
-        train_ds = ingest_csv(args.train, schema, index)
-        unbiased_ds = ingest_csv(args.unbiased, schema, index)
         cfg = DebiasConfig(
             beta_grid=_parse_grid(args.beta_grid, "--beta-grid") or DebiasConfig().beta_grid,
             gamma_grid=_parse_grid(args.gamma_grid, "--gamma-grid") or DebiasConfig().gamma_grid,
             variant=args.variant or "vanilla",
             k=args.k,
         )
+        _, params, (train_ds, unbiased_ds) = _load(args, "train", "unbiased")
         adjusted, result = grid_search_reconstruction(params, train_ds, unbiased_ds, cfg)
         grid_path = Path(args.grid_report) if args.grid_report else Path(str(args.out) + ".grid.json")
         _write_json(grid_path, result.to_json_dict())
-        outputs["grid_report"] = grid_path
-        inputs = {"schema": args.schema, "model": args.model,
-                  "train": args.train, "unbiased": args.unbiased}
+        outputs.append(grid_path)
     save_model(adjusted, args.out)
-    _write_manifest(Path(str(args.out) + ".manifest.json"), "debias", args,
-                    inputs, outputs, t0)
-    return 0
+    return Path(str(args.out) + ".manifest.json"), outputs
 
 
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    schema = FieldSchema.load(args.schema)
-    params = load_model(args.model, expected_schema_digest=schema.digest())
-    ds = ingest_csv(args.data, schema, FeatureIndex(schema))
-    scores = predict(params, ds.indices, ds.values)
-    report = evaluate(ds, scores, k=args.k)
+def cmd_eval(args):
+    _, params, (ds,) = _load(args, "data")
+    report = _evaluated(params, ds, args.k)
     _write_json(args.out, report.to_json_dict())
-    outputs = {"report": args.out}
+    outputs = [args.out]
     if args.group_csv:
         report.write_group_csv(args.group_csv)
-        outputs["group_csv"] = args.group_csv
-    inputs = {"schema": args.schema, "model": args.model, "data": args.data}
-    _write_manifest(Path(str(args.out) + ".manifest.json"), "eval", args,
-                    inputs, outputs, t0)
-    return 0
+        outputs.append(args.group_csv)
+    return Path(str(args.out) + ".manifest.json"), outputs
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     """synth -> train -> analyze -> every correction -> eval, in memory.
 
     One trained model is reduced at each --alpha strength and
@@ -243,7 +228,6 @@ def cmd_pipeline(args) -> int:
     strengths this run does not write are deleted, so the directory holds
     exactly the models its manifest lists.
     """
-    t0 = time.perf_counter()
     alphas = {}  # artifact name -> strength; equal names are duplicates
     for alpha in _parse_grid(args.alpha, "--alpha"):
         if not 0.0 <= alpha <= 1.0:
@@ -256,26 +240,23 @@ def cmd_pipeline(args) -> int:
     outputs = _write_synth(result, outdir)
 
     def artifact(name: str) -> Path:
-        outputs[name] = outdir / name
-        return outputs[name]
-
-    def evaluated(model, ds):
-        return evaluate(ds, predict(model, ds.indices, ds.values), args.k)
+        outputs.append(outdir / name)
+        return outputs[-1]
 
     params, report = train(result.train, result.val, tcfg)
     save_model(params, artifact("model_base.bin"))
     _write_json(artifact("train_report.json"), report.to_json_dict())
     chain = bias_chain_report(params, result.train, eval_ds=result.test)
     _write_json(artifact("analysis.json"), chain.to_json_dict())
-    summary = {"base_test": evaluated(params, result.test),
-               "base_unbiased_test": evaluated(params, result.unbiased_test)}
+    summary = {"base_test": _evaluated(params, result.test, args.k),
+               "base_unbiased_test": _evaluated(params, result.unbiased_test, args.k)}
 
     for name, alpha in alphas.items():
         reduced = reduce_weights(params, result.schema.bias_range, alpha)
         save_model(reduced, artifact(f"model_reduced_{name}.bin"))
-        summary[f"reduced_{name}_test"] = evaluated(reduced, result.test)
+        summary[f"reduced_{name}_test"] = _evaluated(reduced, result.test, args.k)
     for path in outdir.glob("model_reduced_*.bin"):  # an earlier run's strengths
-        if path.name not in outputs:
+        if path not in outputs:
             path.unlink()
 
     for cfg in debias_cfgs:
@@ -283,13 +264,12 @@ def cmd_pipeline(args) -> int:
             params, result.train, result.unbiased_val, cfg)
         save_model(best, artifact(f"model_reconstructed_{cfg.variant}.bin"))
         _write_json(artifact(f"grid_{cfg.variant}.json"), grid.to_json_dict())
-        summary[f"reconstructed_{cfg.variant}_unbiased_test"] = evaluated(
-            best, result.unbiased_test)
+        summary[f"reconstructed_{cfg.variant}_unbiased_test"] = _evaluated(
+            best, result.unbiased_test, args.k)
 
     _write_json(artifact("eval_summary.json"),
                 {k: v.to_json_dict() for k, v in summary.items()})
-    _write_manifest(outdir / "manifest.json", "pipeline", args, {}, outputs, t0)
-    return 0
+    return outdir / "manifest.json", outputs
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
@@ -395,8 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        manifest, outputs = args.func(args)
+        _write_manifest(manifest, args, outputs, t0)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
@@ -406,3 +388,4 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    return 0

@@ -114,12 +114,12 @@ class ModelParams:
 
 
 def init_params(n: int, d: int, arch: str, seed: int, hidden: int = DEFAULT_HIDDEN,
-                v_scale: float = 0.01, schema_digest: str = "") -> ModelParams:
+                schema_digest: str = "") -> ModelParams:
     """Fresh weights: zero linear part, small normal embeddings, He-init MLP."""
     if n < 1 or d < 1:
         raise ConfigError(f"need n >= 1 and d >= 1, got n={n} d={d}")
     rng = np.random.default_rng(seed)
-    V = rng.normal(0.0, v_scale, size=(n, d))
+    V = rng.normal(0.0, 0.01, size=(n, d))
     mlp = None
     if arch == "nfm":
         mlp = MlpParams(

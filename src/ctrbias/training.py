@@ -108,10 +108,10 @@ class TrainReport:
 class Adam:
     """Dense Adam with bias correction; one shared step counter for all keys.
 
-    For an array key the moments m and v, and one scratch buffer, persist
-    across steps and are updated in place; the delta returned is the only
-    fresh array. The operations and their order are fixed for bit parity
-    with the textbook form
+    For each key (0-d for w0 and b_out) the moments m and v, and one
+    scratch buffer, persist across steps and are updated in place; the
+    delta returned is the only fresh array. The operations and their order
+    are fixed for bit parity with the textbook form
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * (g * g)
@@ -120,7 +120,6 @@ class Adam:
     with c1 = 1 - b1**t and c2 = 1 - b2**t: only commuted factors and
     addends differ, which IEEE arithmetic rounds identically. Reassociating
     any of them (say, lr / c1 * m) changes the last bits of the parameters.
-    Scalar keys (w0, b_out) use the textbook form itself.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -142,13 +141,6 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         out = {}
         for key, g in grads.items():
-            if np.ndim(g) == 0:
-                m = b1 * self.m.get(key, 0.0) + (1.0 - b1) * g
-                v = b2 * self.v.get(key, 0.0) + (1.0 - b2) * (g * g)
-                self.m[key] = m
-                self.v[key] = v
-                out[key] = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-                continue
             if key not in self.m:
                 self.m[key] = np.zeros_like(g, dtype=np.float64)
                 self.v[key] = np.zeros_like(g, dtype=np.float64)

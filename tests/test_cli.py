@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def read_json(path):
 def as_json(obj):
     """obj as it reads back from a JSON artifact."""
     return json.loads(json.dumps(to_jsonable(obj)))
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def assert_manifest_lists(out, inputs, outputs):
+    """<out>.manifest.json digests exactly these input and output files."""
+    path = Path(str(out) + ".manifest.json")
+    manifest = read_json(path)
+    for section, files in (("inputs", inputs), ("outputs", outputs)):
+        listed = {(path.parent / name).resolve(): digest
+                  for name, digest in manifest[section].items()}
+        assert listed == {Path(f).resolve(): sha256(f) for f in files}, section
 
 
 class TestSynth:
@@ -158,6 +173,17 @@ class TestEval:
             rows = list(csv.reader(fh))
         assert rows[0][3] == "tpr_at_3"
         assert len(rows) == 4
+
+    def test_report_is_tagged_with_the_file_stem(self, corpus, tmp_path):
+        out = tmp_path / "eval.json"
+        rc = main([
+            "eval", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]),
+            "--data", str(corpus["data"] / "unbiased_test.csv"),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        assert read_json(out)["split_tag"] == "unbiased_test"
 
     def test_undecodable_csv_exits_2_with_one_line(self, corpus, tmp_path,
                                                    capsys):
@@ -337,6 +363,56 @@ class TestDebias:
         ])
         assert rc == 2
         assert "comma-separated" in capsys.readouterr().err
+
+
+class TestManifests:
+    """Each manifest digests the files its path flags name and the files
+    its command wrote, and nothing else."""
+
+    def test_train_with_val(self, corpus):
+        data, model = corpus["data"], corpus["model"]
+        assert_manifest_lists(
+            model, [corpus["schema"], data / "train.csv", data / "val.csv"],
+            [model, str(model) + ".report.json"])
+
+    def test_analyze_with_eval(self, corpus, tmp_path):
+        data, out = corpus["data"], tmp_path / "analysis.json"
+        assert main(["analyze", "--schema", str(corpus["schema"]),
+                     "--model", str(corpus["model"]),
+                     "--train", str(data / "train.csv"),
+                     "--eval", str(data / "test.csv"), "--out", str(out)]) == 0
+        assert_manifest_lists(
+            out, [corpus["schema"], corpus["model"], data / "train.csv",
+                  data / "test.csv"], [out])
+
+    def test_debias_reduce(self, corpus, tmp_path):
+        out = tmp_path / "reduced.bin"
+        assert main(["debias", "--schema", str(corpus["schema"]),
+                     "--model", str(corpus["model"]), "--mode", "reduce",
+                     "--out", str(out)]) == 0
+        assert_manifest_lists(out, [corpus["schema"], corpus["model"]], [out])
+
+    def test_debias_reconstruct(self, corpus, tmp_path):
+        data, out = corpus["data"], tmp_path / "recon.bin"
+        grid = tmp_path / "grid.json"
+        assert main(["debias", "--schema", str(corpus["schema"]),
+                     "--model", str(corpus["model"]), "--mode", "reconstruct",
+                     "--train", str(data / "train.csv"),
+                     "--unbiased", str(data / "unbiased_val.csv"),
+                     "--beta-grid", "1", "--gamma-grid", "1",
+                     "--grid-report", str(grid), "--out", str(out)]) == 0
+        assert_manifest_lists(
+            out, [corpus["schema"], corpus["model"], data / "train.csv",
+                  data / "unbiased_val.csv"], [out, grid])
+
+    def test_eval_with_group_csv(self, corpus, tmp_path):
+        out, groups = tmp_path / "eval.json", tmp_path / "groups.csv"
+        data = corpus["data"] / "test.csv"
+        assert main(["eval", "--schema", str(corpus["schema"]),
+                     "--model", str(corpus["model"]), "--data", str(data),
+                     "--out", str(out), "--group-csv", str(groups)]) == 0
+        assert_manifest_lists(out, [corpus["schema"], corpus["model"], data],
+                              [out, groups])
 
 
 ALPHA_NAMES = ("1", "0.8", "0.6", "0.4", "0.2", "0")
