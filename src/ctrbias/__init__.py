@@ -23,7 +23,6 @@ from .data import (
     Dataset,
     FeatureIndex,
     FieldSchema,
-    Sample,
     chronological_split,
     ingest_csv,
 )

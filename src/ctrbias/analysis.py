@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError, UndefinedCorrelationError
+from .evaluation import group_exposure_hit_rate
 from .models import ModelParams, PredictionParts, predict, prediction_parts
 from .numeric import average_ranks, sigmoid, student_t_two_sided_p, to_jsonable
 
@@ -232,8 +233,6 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     ratios; the variance decomposition and the exposure-hit-rate link use
     eval_ds when given. Undefined correlations are recorded, not raised.
     """
-    from .evaluation import group_exposure_hit_rate
-
     stats = group_stats(train_ds)
     lo, hi = train_ds.schema.bias_range
     w_bias = params.w[lo:hi].copy()

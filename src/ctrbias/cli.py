@@ -233,6 +233,10 @@ def cmd_pipeline(args):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"--alpha values must be in [0, 1], got {alpha}")
         alphas.setdefault(f"{alpha:g}", alpha)
+    if args.unbiased_val_per_user < 2:
+        # a user needs both labels for a per-user AUC to select a grid point
+        raise ConfigError("--unbiased-val-per-user must be >= 2, got "
+                          f"{args.unbiased_val_per_user}")
     debias_cfgs = [DebiasConfig(variant=v, k=args.k) for v in VARIANTS]
     tcfg = _train_config(args, "adam", "none", args.seed + 1)
     outdir = Path(args.out)

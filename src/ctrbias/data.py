@@ -225,36 +225,6 @@ class FeatureIndex:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One interaction: sparse features, click label, ids, timestamp."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: int
-    user_id: str
-    item_id: str
-    timestamp: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ConfigError("sample indices/values must be 1-d arrays of equal length")
-        if len(idx) and np.any(np.diff(idx) <= 0):
-            raise ConfigError("sample feature indices must be strictly increasing")
-        if np.any(val <= 0):
-            raise ConfigError("sample feature values must be positive")
-        if self.label not in (0, 1):
-            raise ConfigError(f"label must be 0 or 1, got {self.label!r}")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
-
-
 class Dataset:
     """Immutable collection of samples stored columnar for fast batch math.
 
@@ -317,38 +287,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def sample(self, i: int) -> Sample:
-        live = self.values[i] > 0
-        return Sample(
-            indices=self.indices[i][live].copy(),
-            values=self.values[i][live].copy(),
-            label=int(self.labels[i]),
-            user_id=str(self.user_ids[i]),
-            item_id=str(self.item_ids[i]),
-            timestamp=int(self.timestamps[i]),
-        )
-
-    @classmethod
-    def from_samples(cls, schema, samples, split_tag="train", bias_labels=None):
-        n = len(samples)
-        width = max((len(s.indices) for s in samples), default=0)
-        indices = np.zeros((n, width), dtype=np.int64)
-        values = np.zeros((n, width), dtype=np.float64)
-        for i, s in enumerate(samples):
-            indices[i, : len(s.indices)] = s.indices
-            values[i, : len(s.values)] = s.values
-        return cls(
-            schema,
-            indices,
-            values,
-            np.array([s.label for s in samples], dtype=np.int8),
-            np.array([s.user_id for s in samples]),
-            np.array([s.item_id for s in samples]),
-            np.array([s.timestamp for s in samples], dtype=np.int64),
-            split_tag=split_tag,
-            bias_labels=bias_labels,
-        )
 
     def subset(self, rows, split_tag=None) -> "Dataset":
         rows = np.asarray(rows)
@@ -714,9 +652,9 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     )
 
 
-def chronological_split(d: Dataset, fractions=(0.8, 0.1, 0.1),
-                        split_tags=("train", "val-nbt", "test-nbt")):
-    """Partition by ascending timestamp into contiguous train/val/test blocks.
+def chronological_split(d: Dataset, fractions=(0.8, 0.1, 0.1)):
+    """Partition by ascending timestamp into contiguous train/val/test blocks,
+    tagged "train", "val" and "test".
 
     Ties are broken by (user_id, item_id) so the split is deterministic for
     any input ordering. Block sizes are round(N * cumulative fraction).
@@ -735,4 +673,5 @@ def chronological_split(d: Dataset, fractions=(0.8, 0.1, 0.1),
     c1 = min(max(c1, 0), n)
     c2 = min(max(c2, c1), n)
     parts = (order[:c1], order[c1:c2], order[c2:])
-    return tuple(d.subset(rows, tag) for rows, tag in zip(parts, split_tags))
+    return tuple(d.subset(rows, tag)
+                 for rows, tag in zip(parts, ("train", "val", "test")))

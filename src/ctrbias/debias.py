@@ -84,9 +84,6 @@ class UnbiasedRatios:
     global_ratio: float
     fallback_labels: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
-
 
 def estimate_unbiased_ratios(ds: Dataset) -> UnbiasedRatios:
     """Positive ratio per group on ds, which should be unbiased exposure."""

@@ -70,9 +70,6 @@ class RankedData:
     def sizes(self) -> np.ndarray:
         return np.diff(self.user_starts)
 
-    def block(self, u: int) -> np.ndarray:
-        return self.order[self.user_starts[u]:self.user_starts[u + 1]]
-
     def row_users(self) -> np.ndarray:
         """Block number of each ordered row."""
         return np.repeat(np.arange(self.n_users), self.sizes)
@@ -214,18 +211,22 @@ def ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
     return _mean_in_user_order(dcg[has_pos] / idcg[has_pos], ranked.n_users)
 
 
-def _ranked_ehr(ds: Dataset, ranked: RankedData) -> np.ndarray:
-    k_plus = _per_user_positive_counts(ranked, ds.labels)
-    in_prefix = _prefix_mask_by_row(ranked, k_plus)
+def _per_group_rate(ds: Dataset, row_weights: np.ndarray) -> np.ndarray:
+    """Per group, the sum of row_weights over its member rows divided by
+    its positive member rows; nan for a group without positives."""
     rows, groups = ds.bias_memberships()
     g = ds.schema.num_groups
-    numerator = np.bincount(groups, weights=in_prefix[rows].astype(np.float64),
-                            minlength=g)
+    numerator = np.bincount(groups, weights=row_weights[rows], minlength=g)
     is_pos = ds.labels[rows] == 1
     denominator = np.bincount(groups[is_pos], minlength=g).astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denominator > 0, numerator / denominator, np.nan)
-    return out
+        return np.where(denominator > 0, numerator / denominator, np.nan)
+
+
+def _ranked_ehr(ds: Dataset, ranked: RankedData) -> np.ndarray:
+    k_plus = _per_user_positive_counts(ranked, ds.labels)
+    in_prefix = _prefix_mask_by_row(ranked, k_plus)
+    return _per_group_rate(ds, in_prefix.astype(np.float64))
 
 
 def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int | None) -> np.ndarray:
@@ -234,15 +235,8 @@ def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int | None) -> np.ndarray:
     else:
         cutoffs = np.full(ranked.n_users, k, dtype=np.int64)
         in_topk = _prefix_mask_by_row(ranked, cutoffs)
-    rows, groups = ds.bias_memberships()
-    g = ds.schema.num_groups
-    is_pos = ds.labels[rows] == 1
-    hit = in_topk[rows] & is_pos
-    numerator = np.bincount(groups[hit], minlength=g).astype(np.float64)
-    denominator = np.bincount(groups[is_pos], minlength=g).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denominator > 0, numerator / denominator, np.nan)
-    return out
+    # sums of ones are exact in float64
+    return _per_group_rate(ds, (in_topk & (ds.labels == 1)).astype(np.float64))
 
 
 def user_auc(user_ids, scores, labels) -> tuple[float, int]:

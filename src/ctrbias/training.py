@@ -24,7 +24,6 @@ model's output.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,11 +79,7 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch history and the stopping decision.
-
-    wall_seconds is informational only and deliberately left out of the
-    JSON form so that reruns of the same seed serialize identically.
-    """
+    """Per-epoch history and the stopping decision."""
 
     arch: str
     optimizer: str
@@ -98,11 +93,9 @@ class TrainReport:
     val_uauc: list[float] = field(default_factory=list)
     best_val_uauc: float = float("nan")
     stopped_early: bool = False
-    wall_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "wall_seconds"}
-        return to_jsonable(d)
+        return to_jsonable(self.__dict__)
 
 
 class Adam:
@@ -189,7 +182,6 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
     Returns the best-validation snapshot (or the final weights when no
     validation split is supplied).
     """
-    t0 = time.perf_counter()
     schema = train_ds.schema
     params = init_params(schema.n, cfg.embedding_dim, cfg.arch, cfg.seed,
                          hidden=cfg.hidden, schema_digest=schema.digest())
@@ -293,6 +285,5 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
         val_uauc=uaucs,
         best_val_uauc=float(best_uauc) if have_val else float("nan"),
         stopped_early=stopped_early,
-        wall_seconds=time.perf_counter() - t0,
     )
     return params, report

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ctrbias.data import Dataset, FieldSchema, Sample
+from ctrbias.data import Dataset, FieldSchema
 from ctrbias.models import init_params
 
 
@@ -27,11 +27,26 @@ def make_schema(n_users=4, n_items=6, n_groups=3):
     )
 
 
+def make_dataset(schema, rows, split_tag="train"):
+    """Dataset from (indices, values, label, user_id, item_id, timestamp)
+    rows, each padded with index 0 / value 0.0 to the widest; Dataset
+    checks index range, values, per-field sums and labels."""
+    width = max((len(r[0]) for r in rows), default=0)
+    indices = np.zeros((len(rows), width), dtype=np.int64)
+    values = np.zeros((len(rows), width))
+    for i, (idx, val, *_) in enumerate(rows):
+        indices[i, :len(idx)] = idx
+        values[i, :len(val)] = val
+    labels, users, items, stamps = ([r[k] for r in rows] for k in range(2, 6))
+    return Dataset(schema, indices, values, labels, users, items, stamps,
+                   split_tag=split_tag)
+
+
 def random_dataset(rng, n_users=4, n_items=6, n_groups=3, n_rows=30,
                    multi_group_prob=0.0, split_tag="test"):
     """Random interaction log; rows may carry two groups (value 1/2 each)."""
     schema = make_schema(n_users, n_items, n_groups)
-    samples = []
+    rows = []
     for t in range(n_rows):
         u = int(rng.integers(n_users))
         i = int(rng.integers(n_items))
@@ -42,15 +57,9 @@ def random_dataset(rng, n_users=4, n_items=6, n_groups=3, n_rows=30,
         else:
             g_idx = [n_users + n_items + int(rng.integers(n_groups))]
             g_val = [1.0]
-        samples.append(Sample(
-            indices=np.array([u, n_users + i] + g_idx),
-            values=np.array([1.0, 1.0] + g_val),
-            label=int(rng.integers(2)),
-            user_id=f"u{u}",
-            item_id=f"i{i}",
-            timestamp=t,
-        ))
-    return Dataset.from_samples(schema, samples, split_tag=split_tag)
+        rows.append(([u, n_users + i] + g_idx, [1.0, 1.0] + g_val,
+                     int(rng.integers(2)), f"u{u}", f"i{i}", t))
+    return make_dataset(schema, rows, split_tag=split_tag)
 
 
 def random_params(rng, n, d, arch="fm", hidden=4, scale=0.5):

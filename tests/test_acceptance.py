@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_schema, random_dataset, random_params
+from conftest import make_dataset, make_schema, random_dataset, random_params
 from ctrbias.analysis import group_stats, ols_fit, pearson, spearman
 from ctrbias.cli import main as cli_main
-from ctrbias.data import Dataset, Sample
 from ctrbias.debias import (VARIANTS, DebiasConfig, grid_search_reconstruction,
                             reduce_weights)
 from ctrbias.errors import MetricError
@@ -170,18 +169,15 @@ def test_criterion_03_update_law():
         worst = 0.0
         signs_ok = True
         for y in (1, 0):
-            sample = Sample(indices=np.array([0, 2, 4, 5]),
-                            values=np.array([1.0, 1.0, 0.5, 0.5]),
-                            label=y, user_id="u0", item_id="i0", timestamp=0)
-            ds = Dataset.from_samples(schema, [sample], split_tag="train")
+            ds = make_dataset(schema, [([0, 2, 4, 5], [1.0, 1.0, 0.5, 0.5],
+                                        y, "u0", "i0", 0)])
             cfg = TrainConfig(arch="fm", embedding_dim=3, lr=lr, batch_size=1,
                               l2=0.0, max_epochs=1, optimizer="plain_sgd",
                               seed=123)
             fitted, _ = train(ds, None, cfg)
             start = init_params(schema.n, 3, "fm", seed=123)
-            logit0 = float(predict(start, sample.indices[None, :],
-                                   sample.values[None, :])[0])
-            for j, x_j in zip(sample.indices, sample.values):
+            logit0 = float(predict(start, ds.indices, ds.values)[0])
+            for j, x_j in zip(ds.indices[0], ds.values[0]):
                 expected = start.w[j] + lr * (y - sigmoid(logit0)) * x_j
                 worst = max(worst, abs(float(fitted.w[j]) - expected))
                 moved = float(fitted.w[j]) - float(start.w[j])

@@ -10,12 +10,11 @@ import scipy.special
 import scipy.stats
 
 import oracles
-from conftest import make_schema, random_dataset, random_params
+from conftest import make_dataset, make_schema, random_dataset, random_params
 from ctrbias.analysis import (BiasChainReport, CorrelationResult, GroupStats,
                               RegressionFit, VarianceDecomposition,
                               bias_chain_report, group_stats, ols_fit,
                               pearson, spearman, variance_decomposition)
-from ctrbias.data import Dataset, Sample
 from ctrbias.errors import (ConfigError, MetricError, NumericalError,
                             UndefinedCorrelationError)
 from ctrbias.models import PredictionParts
@@ -229,15 +228,11 @@ class TestGroupStats:
 
     def test_hand_example_with_empty_group(self):
         schema = make_schema(2, 3, 3)
-        rows = [
-            Sample(indices=np.array([0, 2, 5]), values=np.array([1.0, 1.0, 1.0]),
-                   label=1, user_id="u0", item_id="i0", timestamp=0),
-            Sample(indices=np.array([1, 3, 5]), values=np.array([1.0, 1.0, 1.0]),
-                   label=0, user_id="u1", item_id="i1", timestamp=1),
-            Sample(indices=np.array([0, 4, 6]), values=np.array([1.0, 1.0, 1.0]),
-                   label=1, user_id="u0", item_id="i2", timestamp=2),
-        ]
-        stats = group_stats(Dataset.from_samples(schema, rows))
+        stats = group_stats(make_dataset(schema, [
+            ([0, 2, 5], [1.0, 1.0, 1.0], 1, "u0", "i0", 0),
+            ([1, 3, 5], [1.0, 1.0, 1.0], 0, "u1", "i1", 1),
+            ([0, 4, 6], [1.0, 1.0, 1.0], 1, "u0", "i2", 2),
+        ]))
         assert stats.n_pos.tolist() == [1, 1, 0]
         assert stats.n_neg.tolist() == [1, 0, 0]
         assert stats.ratio[0] == 0.5
@@ -274,13 +269,9 @@ class TestVarianceDecomposition:
 
     def test_hand_example(self):
         schema = make_schema(1, 4, 2)
-        rows = []
-        for i, (g, y) in enumerate([(0, 1), (0, 0), (1, 1), (1, 0)]):
-            rows.append(Sample(
-                indices=np.array([0, 1 + i, 5 + g]),
-                values=np.array([1.0, 1.0, 1.0]),
-                label=y, user_id="u0", item_id=f"i{i}", timestamp=i))
-        ds = Dataset.from_samples(schema, rows)
+        ds = make_dataset(schema, [
+            ([0, 1 + i, 5 + g], [1.0, 1.0, 1.0], y, "u0", f"i{i}", i)
+            for i, (g, y) in enumerate([(0, 1), (0, 0), (1, 1), (1, 0)])])
         parts = self.make_parts([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 10.0, 10.0])
         vd = variance_decomposition(ds, parts)
         assert vd.linear == (1.0, 1.0)
@@ -310,11 +301,9 @@ class TestVarianceDecomposition:
     def test_single_group_label_raises(self):
         schema = make_schema(1, 4, 2)
         layout = [(0, 1), (1, 1), (0, 0), (0, 0)]  # label 0 only in group 0
-        rows = [Sample(indices=np.array([0, 1 + i, 5 + g]),
-                       values=np.array([1.0, 1.0, 1.0]),
-                       label=y, user_id="u0", item_id=f"i{i}", timestamp=i)
-                for i, (g, y) in enumerate(layout)]
-        ds = Dataset.from_samples(schema, rows)
+        ds = make_dataset(schema, [
+            ([0, 1 + i, 5 + g], [1.0, 1.0, 1.0], y, "u0", f"i{i}", i)
+            for i, (g, y) in enumerate(layout)])
         parts = self.make_parts(np.arange(4.0), np.arange(4.0))
         with pytest.raises(MetricError):
             variance_decomposition(ds, parts)
@@ -328,12 +317,9 @@ def dataset_without_group(rng, n_groups=4, n_rows=40, used_groups=3):
         u = int(rng.integers(3))
         i = int(rng.integers(4))
         g = t % used_groups
-        rows.append(Sample(
-            indices=np.array([u, 3 + i, 7 + g]),
-            values=np.array([1.0, 1.0, 1.0]),
-            label=int(rng.integers(2)),
-            user_id=f"u{u}", item_id=f"i{i}", timestamp=t))
-    return Dataset.from_samples(schema, rows, split_tag="train")
+        rows.append(([u, 3 + i, 7 + g], [1.0, 1.0, 1.0],
+                     int(rng.integers(2)), f"u{u}", f"i{i}", t))
+    return make_dataset(schema, rows)
 
 
 class TestBiasChainReport:
@@ -373,11 +359,9 @@ class TestBiasChainReport:
         for g in range(3):
             for y in (0, 1):
                 i = 2 * g + y
-                rows.append(Sample(
-                    indices=np.array([0, 1 + i, 7 + g]),
-                    values=np.array([1.0, 1.0, 1.0]),
-                    label=y, user_id="u0", item_id=f"i{i}", timestamp=i))
-        ds = Dataset.from_samples(schema, rows, split_tag="train")
+                rows.append(([0, 1 + i, 7 + g], [1.0, 1.0, 1.0], y, "u0",
+                             f"i{i}", i))
+        ds = make_dataset(schema, rows)
         params = random_params(np.random.default_rng(11),
                                schema.n, 4)
         report = bias_chain_report(params, ds)

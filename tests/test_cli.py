@@ -484,7 +484,7 @@ class TestPipeline:
                                   for v in VARIANTS)}
         for key, saved in summary.items():
             stem = key.removesuffix("_test")
-            split, tag = "test", "test-nbt"
+            split = tag = "test"
             if stem.endswith("_unbiased"):
                 stem = stem.removesuffix("_unbiased")
                 split = tag = "unbiased_test"
@@ -501,6 +501,17 @@ class TestPipeline:
             assert read_json(out / f"grid_{variant}.json") == as_json(
                 grid.to_json_dict()), variant
 
+    def test_eval_of_the_test_file_equals_base_test(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_pipeline(out) == 0
+        report = tmp_path / "eval.json"
+        assert main([
+            "eval", "--schema", str(out / "schema.json"),
+            "--model", str(out / "model_base.bin"),
+            "--data", str(out / "test.csv"), "--out", str(report),
+        ]) == 0
+        assert read_json(report) == read_json(out / "eval_summary.json")["base_test"]
+
     def test_rerun_into_same_directory_drops_other_strengths(self, tmp_path):
         out = tmp_path / "run"
         assert run_pipeline(out) == 0
@@ -514,6 +525,7 @@ class TestPipeline:
     @pytest.mark.parametrize("bad", [
         ["--alpha", "1.5"], ["--alpha", "nan"], ["--alpha", "0.5,-0.1"],
         ["--alpha", "0.5,x"], ["--k", "0"],
+        ["--unbiased-val-per-user", "1"], ["--unbiased-val-per-user", "0"],
     ])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
         out = tmp_path / "run"

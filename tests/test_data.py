@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_schema, random_dataset
+from conftest import make_dataset, make_schema, random_dataset
 from ctrbias import data
-from ctrbias.data import (Dataset, FeatureIndex, FieldSchema, Sample,
+from ctrbias.data import (Dataset, FeatureIndex, FieldSchema,
                           chronological_split, ingest_csv)
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
                             SchemaError)
@@ -128,36 +128,13 @@ class TestFeatureIndex:
         assert idx.labels("f") == ("seen", "f:1", "f:2")
 
 
-class TestSample:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Sample(np.array([2, 1]), np.array([1.0, 1.0]), 1, "u", "i", 0)
-        with pytest.raises(ConfigError):
-            Sample(np.array([1, 1]), np.array([0.5, 0.5]), 1, "u", "i", 0)
-        with pytest.raises(ConfigError):
-            Sample(np.array([0, 1]), np.array([1.0, 0.0]), 1, "u", "i", 0)
-        with pytest.raises(ConfigError):
-            Sample(np.array([0, 1]), np.array([1.0, 1.0]), 2, "u", "i", 0)
-
-    def test_entries(self):
-        s = Sample(np.array([0, 5]), np.array([1.0, 1.0]), 1, "u", "i", 3)
-        assert s.entries == [(0, 1.0), (5, 1.0)]
+def live_entries(ds, i):
+    """Row i's (index, value) entries without the zero padding."""
+    live = ds.values[i] > 0
+    return ds.indices[i][live], ds.values[i][live]
 
 
 class TestDataset:
-    def test_from_samples_pads_with_inert_zeros(self):
-        schema = make_schema(2, 2, 2)
-        short = Sample(np.array([0, 2, 4]), np.array([1.0, 1.0, 1.0]), 0, "u0", "i0", 0)
-        long = Sample(np.array([1, 3, 4, 5]), np.array([1.0, 1.0, 0.5, 0.5]), 1,
-                      "u1", "i1", 1)
-        ds = Dataset.from_samples(schema, [short, long])
-        assert ds.indices.shape == (2, 4)
-        assert ds.values[0, 3] == 0.0 and ds.indices[0, 3] == 0
-        back = ds.sample(0)
-        assert np.array_equal(back.indices, short.indices)
-        assert np.array_equal(back.values, short.values)
-        assert [ds.sample(i).item_id for i in range(len(ds))] == ["i0", "i1"]
-
     def test_validation_rejects_bad_field_sums(self):
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="sum to 1"):
@@ -237,9 +214,9 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.item_ids, ds.item_ids)
         assert np.array_equal(back.timestamps, ds.timestamps)
         for i in range(len(ds)):
-            a, b = ds.sample(i), back.sample(i)
-            assert np.array_equal(a.indices, b.indices)
-            assert np.allclose(a.values, b.values, atol=0, rtol=1e-15)
+            (ia, va), (ib, vb) = live_entries(ds, i), live_entries(back, i)
+            assert np.array_equal(ia, ib)
+            assert np.allclose(va, vb, atol=0, rtol=1e-15)
 
     def test_lone_cr_in_ids_labels_and_header_round_trips(self, tmp_path):
         schema = FieldSchema(fields=(("f\r", 3), ("g", 2)), bias_field="g",
@@ -256,9 +233,9 @@ class TestCsvRoundTrip:
         path.write_text("user_id,item_id,label,timestamp,g\n"
                         "u,i,1,5,a|b|c\n")
         ds = ingest_csv(path, schema)
-        s = ds.sample(0)
-        assert np.array_equal(s.indices, [0, 1, 2])
-        assert np.allclose(s.values, [1 / 3] * 3)
+        indices, values = live_entries(ds, 0)
+        assert np.array_equal(indices, [0, 1, 2])
+        assert np.allclose(values, [1 / 3] * 3)
 
     def test_shared_index_keeps_categories_aligned_across_files(self, tmp_path):
         schema = FieldSchema(fields=(("g", 3),), bias_field="g")
@@ -712,7 +689,7 @@ class TestChronologicalSplit:
         # cuts: round(10*0.7) = 7, round(10*0.85) = 8 (banker's rounding)
         assert (len(train), len(val), len(test)) == (7, 1, 2)
         assert (train.split_tag, val.split_tag, test.split_tag) == (
-            "train", "val-nbt", "test-nbt")
+            "train", "val", "test")
 
     def test_partitions_by_ascending_timestamp(self, rng):
         ds = random_dataset(rng, n_rows=40)
@@ -734,12 +711,11 @@ class TestChronologicalSplit:
 
     def test_tie_break_by_user_then_item(self):
         schema = make_schema(3, 3, 2)
-        rows = [
-            Sample(np.array([2, 3 + 1, 6]), np.array([1.0, 1.0, 1.0]), 0, "u2", "i1", 5),
-            Sample(np.array([0, 3 + 2, 6]), np.array([1.0, 1.0, 1.0]), 0, "u0", "i2", 5),
-            Sample(np.array([0, 3 + 0, 6]), np.array([1.0, 1.0, 1.0]), 0, "u0", "i0", 5),
-        ]
-        ds = Dataset.from_samples(schema, rows)
+        ds = make_dataset(schema, [
+            ([2, 3 + 1, 6], [1.0, 1.0, 1.0], 0, "u2", "i1", 5),
+            ([0, 3 + 2, 6], [1.0, 1.0, 1.0], 0, "u0", "i2", 5),
+            ([0, 3 + 0, 6], [1.0, 1.0, 1.0], 0, "u0", "i0", 5),
+        ])
         train, val, test = chronological_split(ds, (0.4, 0.3, 0.3))
         # all stamps equal: order is (u0,i0), (u0,i2), (u2,i1); cut at round(1.2)=1
         assert list(train.item_ids) == ["i0"]

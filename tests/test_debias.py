@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_schema, random_dataset, random_params
+from conftest import (count_calls, make_dataset, make_schema, random_dataset,
+                      random_params)
 from ctrbias import evaluation, models
-from ctrbias.data import Dataset, Sample
 from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, GridSearchResult,
                             UnbiasedRatios, estimate_unbiased_ratios,
                             fit_weight_residuals, grid_search_reconstruction,
@@ -22,16 +22,14 @@ def build_log(schema, rows_spec, split_tag="train"):
     """rows_spec: (user, item, group or [groups], label) tuples."""
     n_users = schema.cardinality("user")
     n_items = schema.cardinality("item")
-    samples = []
+    rows = []
     for t, (u, i, g, y) in enumerate(rows_spec):
         groups = g if isinstance(g, list) else [g]
         g_idx = [n_users + n_items + j for j in sorted(groups)]
         g_val = [1.0 / len(groups)] * len(groups)
-        samples.append(Sample(
-            indices=np.array([u, n_users + i] + g_idx),
-            values=np.array([1.0, 1.0] + g_val),
-            label=y, user_id=f"u{u}", item_id=f"i{i}", timestamp=t))
-    return Dataset.from_samples(schema, samples, split_tag=split_tag)
+        rows.append(([u, n_users + i] + g_idx, [1.0, 1.0] + g_val, y,
+                     f"u{u}", f"i{i}", t))
+    return make_dataset(schema, rows, split_tag=split_tag)
 
 
 @pytest.fixture
@@ -133,7 +131,6 @@ class TestUnbiasedRatios:
         assert ratios.values[1] == 0.0
         assert ratios.values[2] == ratios.global_ratio  # fallback
         assert ratios.fallback_labels == ("g2",)
-        json.dumps(ratios.to_json_dict())
 
     def test_multi_group_rows_count_for_each(self, schema):
         spec = [(0, 0, [0, 1], 1), (1, 1, 2, 0)]

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_calls, make_schema, random_dataset
+from conftest import count_calls, make_dataset, make_schema, random_dataset
 from ctrbias import numeric
-from ctrbias.data import Dataset, Sample
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import (EvalReport, evaluate, group_exposure_hit_rate,
                                 group_tpr_at_k, ndcg_at_k, rank_users,
@@ -51,11 +50,9 @@ def ranking_logs(draw, max_users=5, max_rows=40):
         min_size=1, max_size=max_rows))
     rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     schema = make_schema(n_users, n_items, n_groups)
-    samples = [Sample(indices=np.array([u, n_users + i, n_users + n_items + g]),
-                      values=np.ones(3), label=y, user_id=f"u{u}",
-                      item_id=f"i{i}", timestamp=t)
-               for t, (u, i, g, y, _) in enumerate(rows)]
-    ds = Dataset.from_samples(schema, samples)
+    ds = make_dataset(schema, [
+        ([u, n_users + i, n_users + n_items + g], np.ones(3), y, f"u{u}",
+         f"i{i}", t) for t, (u, i, g, y, _) in enumerate(rows)])
     scores = np.array([r[4] for r in rows], dtype=np.float64)
     perm = np.array(draw(st.permutations(range(len(rows)))))
     return ds.subset(perm), scores[perm]
@@ -207,15 +204,13 @@ class TestRankUsers:
         # user a: i1(5.0), then the 2.0 tie broken i3 < i5; user b: 3.0, 1.0
         assert ranked.order.tolist() == [2, 4, 1, 3, 0]
         assert ranked.user_starts.tolist() == [0, 3, 5]
-        assert ranked.block(1).tolist() == [3, 0]
         assert ranked.n_users == 2
 
     def test_order_is_permutation_with_sorted_blocks(self, rng):
         ds, scores = random_instance(rng, n_rows=50)
         ranked = rank_users(ds.user_ids, scores, ds.item_ids)
         assert sorted(ranked.order.tolist()) == list(range(50))
-        for u in range(ranked.n_users):
-            rows = ranked.block(u)
+        for rows in np.split(ranked.order, ranked.user_starts[1:-1]):
             assert len(set(ds.user_ids[rows])) == 1
             for a, b in zip(rows, rows[1:]):
                 assert scores[a] > scores[b] or (
@@ -343,28 +338,19 @@ class TestGroupMetrics:
         # one user, groups 0,0,1,1; labels 1,0,1,0; scores rank as listed.
         # prefix = top-2 rows (two positives overall), both carrying group 0.
         schema = make_schema(1, 4, 2)
-        rows = []
-        for i, (g, y) in enumerate([(0, 1), (0, 0), (1, 1), (1, 0)]):
-            rows.append(Sample(
-                indices=np.array([0, 1 + i, 5 + g]),
-                values=np.array([1.0, 1.0, 1.0]),
-                label=y, user_id="u0", item_id=f"i{i}", timestamp=i))
-        ds = Dataset.from_samples(schema, rows)
+        ds = make_dataset(schema, [
+            ([0, 1 + i, 5 + g], [1.0, 1.0, 1.0], y, "u0", f"i{i}", i)
+            for i, (g, y) in enumerate([(0, 1), (0, 0), (1, 1), (1, 0)])])
         ehr = group_exposure_hit_rate(ds, np.array([4.0, 3.0, 2.0, 1.0]))
         # group 0: both prefix exposures (incl. the negative) over 1 positive
         assert ehr.tolist() == [2.0, 0.0]
 
     def test_multi_group_rows_count_for_both_groups(self):
         schema = make_schema(1, 2, 2)
-        rows = [
-            Sample(indices=np.array([0, 1, 3, 4]),
-                   values=np.array([1.0, 1.0, 0.5, 0.5]),
-                   label=1, user_id="u0", item_id="i0", timestamp=0),
-            Sample(indices=np.array([0, 2, 3]),
-                   values=np.array([1.0, 1.0, 1.0]),
-                   label=0, user_id="u0", item_id="i1", timestamp=1),
-        ]
-        ds = Dataset.from_samples(schema, rows)
+        ds = make_dataset(schema, [
+            ([0, 1, 3, 4], [1.0, 1.0, 0.5, 0.5], 1, "u0", "i0", 0),
+            ([0, 2, 3], [1.0, 1.0, 1.0], 0, "u0", "i1", 1),
+        ])
         tpr = group_tpr_at_k(ds, np.array([2.0, 1.0]), k=1)
         # the positive row sits in the top-1 and belongs to both groups
         assert tpr.tolist() == [1.0, 1.0]

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrbias import models
-from ctrbias.data import Dataset, Sample
 from ctrbias.debias import reduce_weights
 from ctrbias.errors import ConfigError, DivergenceError
 from ctrbias.models import init_params, loss_and_grads, predict, serialize
 from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate
 from ctrbias.training import Adam, TrainConfig, TrainReport, train
-from conftest import float_bits, make_schema
+from conftest import float_bits, make_dataset, make_schema
 from oracles import AdamReference, sgd_step_reference, sigmoid_reference
 
 TINY = SynthConfig(n_users=30, n_items=20, n_groups=3, exposures_per_user=12,
@@ -122,10 +121,8 @@ class TestAdam:
 
 
 def one_sample_dataset(y=1, timestamp=0):
-    schema = make_schema(2, 2, 2)
-    s = Sample(np.array([0, 2, 4]), np.array([1.0, 1.0, 1.0]), y, "u0", "i0",
-               timestamp)
-    return Dataset.from_samples(schema, [s])
+    return make_dataset(make_schema(2, 2, 2),
+                        [([0, 2, 4], [1.0, 1.0, 1.0], y, "u0", "i0", timestamp)])
 
 
 class TestPlainSgd:
@@ -225,9 +222,7 @@ class TestTrainLoop:
         assert isinstance(report, TrainReport)
         assert len(report.train_loss) == report.epochs_run
         assert report.n_train == len(tiny.train)
-        assert report.wall_seconds > 0
         d = report.to_json_dict()
-        assert "wall_seconds" not in d
         assert d["arch"] == "fm" and d["optimizer"] == "adam"
 
     def test_loss_decreases_on_average(self, tiny):
