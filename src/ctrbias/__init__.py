@@ -23,7 +23,6 @@ from .data import (
     Dataset,
     FeatureIndex,
     FieldSchema,
-    chronological_split,
     ingest_csv,
 )
 from .debias import (

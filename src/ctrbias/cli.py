@@ -180,7 +180,8 @@ def cmd_debias(args):
         for flag, value in (("--unbiased", args.unbiased), ("--train", args.train),
                             ("--variant", args.variant),
                             ("--beta-grid", args.beta_grid),
-                            ("--gamma-grid", args.gamma_grid)):
+                            ("--gamma-grid", args.gamma_grid),
+                            ("--grid-report", args.grid_report)):
             if value is not None:
                 raise ConfigError(f"{flag} does not apply to reduction")
         alpha = 0.0 if args.alpha is None else args.alpha

@@ -1,4 +1,4 @@
-"""Sparse field-structured datasets: schema, CSV ingestion, splits.
+"""Sparse field-structured datasets: schema and CSV I/O.
 
 A dataset row is a sparse feature vector over a fixed set of categorical
 fields, plus a binary click label, the interacting user/item ids, and a
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -57,8 +58,9 @@ class FieldSchema:
         categories: optional per-field ordered category vocabularies; category
             j of a field maps to local index j. Vocabularies may be partial,
             ingestion assigns fresh local indices to unseen categories.
-        label_threshold: if set, ingestion binarizes numeric labels as
-            (value > threshold); otherwise labels must already be 0/1.
+        label_threshold: if set (a finite number), ingestion binarizes
+            numeric labels as (value > threshold), rejecting NaN; otherwise
+            labels must already be 0/1.
     """
 
     fields: tuple[tuple[str, int], ...]
@@ -69,14 +71,15 @@ class FieldSchema:
     def __post_init__(self):
         if not self.fields:
             raise ConfigError("schema declares no fields")
-        names = [name for name, _ in self.fields]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate field names in schema")
-        by_name = dict(self.fields)
         for name, card in self.fields:
-            if not isinstance(card, int) or card < 1:
+            if not isinstance(name, str):
+                raise ConfigError(f"field name {name!r} is not a string")
+            if not isinstance(card, int) or isinstance(card, bool) or card < 1:
                 raise ConfigError(f"field {name!r} has invalid cardinality {card!r}")
-        if self.bias_field not in by_name:
+        by_name = dict(self.fields)
+        if len(by_name) != len(self.fields):
+            raise ConfigError("duplicate field names in schema")
+        if not isinstance(self.bias_field, str) or self.bias_field not in by_name:
             raise ConfigError(f"bias field {self.bias_field!r} is not a declared field")
         if by_name[self.bias_field] < 2:
             raise ConfigError("bias field must have cardinality >= 2")
@@ -87,14 +90,18 @@ class FieldSchema:
                 raise SchemaError(
                     f"field {name!r}: {len(cats)} categories exceed cardinality {by_name[name]}"
                 )
-            if len(set(cats)) != len(cats):
-                raise ConfigError(f"duplicate categories for field {name!r}")
             for cat in cats:
                 if not isinstance(cat, str) or not cat or "|" in cat:
                     raise ConfigError(
                         f"field {name!r}: category {cat!r} cannot round-trip through "
                         "CSV; categories must be non-empty strings without '|'"
                     )
+            if len(set(cats)) != len(cats):
+                raise ConfigError(f"duplicate categories for field {name!r}")
+        t = self.label_threshold
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float))
+                              or not math.isfinite(t)):
+            raise ConfigError(f"label_threshold must be a finite number or null, got {t!r}")
 
     @property
     def n(self) -> int:
@@ -161,13 +168,16 @@ class FieldSchema:
     @classmethod
     def from_json_dict(cls, d: dict) -> "FieldSchema":
         try:
-            fields = tuple((f["name"], int(f["cardinality"])) for f in d["fields"])
+            fields = tuple((f["name"], f["cardinality"]) for f in d["fields"])
             bias_field = d["bias_field"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed schema declaration: {exc}") from exc
-        categories = {k: tuple(v) for k, v in d.get("categories", {}).items()}
-        threshold = d.get("label_threshold")
-        return cls(fields, bias_field, categories, threshold)
+        categories = d.get("categories", {})
+        if not (isinstance(categories, dict)
+                and all(isinstance(v, list) for v in categories.values())):
+            raise ConfigError("schema categories must be an object of string arrays")
+        categories = {k: tuple(v) for k, v in categories.items()}
+        return cls(fields, bias_field, categories, d.get("label_threshold"))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -182,7 +192,10 @@ class FieldSchema:
                 f"is not UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return cls.from_json_dict(raw)
+        try:
+            return cls.from_json_dict(raw)
+        except ConfigError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
 
 class FeatureIndex:
@@ -492,7 +505,13 @@ def _parse_block(cols, first_line, schema, index, path, failure=None):
                 f"{path}:{first_line + bad}: label {cols[2][bad]!r} is not binary "
                 "and no threshold is configured")))
     else:
-        labels, bad = _convert_column(lambda c: int(float(c) > threshold), cols[2])
+        def above(cell):
+            value = float(cell)
+            if math.isnan(value):
+                raise ValueError(cell)
+            return int(value > threshold)
+
+        labels, bad = _convert_column(above, cols[2])
         if bad is not None:
             failures.append((bad, 2, CsvParseError(
                 path, first_line + bad, f"non-numeric label {cols[2][bad]!r}")))
@@ -588,7 +607,8 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     the column count is checked first, then the timestamp, the label, and
     the cells in field order (empty, then duplicate, then overflow).
     Malformed records (a timestamp that is not an integer or lies outside
-    int64 among them) and undecodable bytes raise CsvParseError with the
+    int64, and under a label threshold a label that is not a number or is
+    NaN, among them) and undecodable bytes raise CsvParseError with the
     line number, a non-binary label LabelError, and an overflowing
     vocabulary SchemaError. A byte that is not UTF-8 raises as soon as
     the text layer decodes it, which may be before the records just ahead
@@ -650,28 +670,3 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
         split_tag=split_tag,
         bias_labels=index.labels(schema.bias_field),
     )
-
-
-def chronological_split(d: Dataset, fractions=(0.8, 0.1, 0.1)):
-    """Partition by ascending timestamp into contiguous train/val/test blocks,
-    tagged "train", "val" and "test".
-
-    Ties are broken by (user_id, item_id) so the split is deterministic for
-    any input ordering. Block sizes are round(N * cumulative fraction).
-    """
-    if len(d) == 0:
-        raise ConfigError("cannot split an empty dataset")
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ConfigError("need three positive split fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)}")
-    order = np.lexsort((d.item_ids, d.user_ids, d.timestamps))
-    n = len(d)
-    c1 = int(round(n * fractions[0]))
-    c2 = int(round(n * (fractions[0] + fractions[1])))
-    c1 = min(max(c1, 0), n)
-    c2 = min(max(c2, c1), n)
-    parts = (order[:c1], order[c1:c2], order[c2:])
-    return tuple(d.subset(rows, tag)
-                 for rows, tag in zip(parts, ("train", "val", "test")))

@@ -25,13 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FieldSchema, chronological_split
+from .data import Dataset, FieldSchema
 from .errors import CalibrationError, ConfigError
 from .numeric import sigmoid
 
 BISECT_LO = -50.0
 BISECT_HI = 50.0
 BISECT_TOL = 1e-12
+# shares of the biased log, in stamp order, that become train, val and test
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class SynthConfig:
     group_freq_decay: float = 0.9
     temp_low: float = 0.2
     temp_high: float = 3.0
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     realized_tol: float = 0.05
     seed: int = 0
 
@@ -135,15 +136,6 @@ def _calibrate_offset(d: np.ndarray, target: float, group_label: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def _columnar(cfg: SynthConfig, users, items, group_of):
-    n = len(users)
-    indices = np.empty((n, 3), dtype=np.int64)
-    indices[:, 0] = users
-    indices[:, 1] = cfg.n_users + items
-    indices[:, 2] = cfg.n_users + cfg.n_items + group_of[items]
-    return indices, np.ones((n, 3), dtype=np.float64)
-
-
 def generate(cfg: SynthConfig) -> SynthResult:
     """Draw the full five-way split (biased train/val/test, unbiased val/test).
 
@@ -201,10 +193,11 @@ def generate(cfg: SynthConfig) -> SynthResult:
         items_b[mask] = members[np.minimum(pos, len(members) - 1)]
     stamps_b = rng.permutation(n_b)
 
-    # the chronological split over distinct timestamps keeps the first
-    # round(n*f0) stamps for training; calibrate offsets on exactly that set
-    cut = int(round(n_b * cfg.fractions[0]))
-    in_train = stamps_b < cut
+    # train holds the first round(n*f_train) stamps and val the stamps up to
+    # round(n*(f_train + f_val)); calibrate offsets on exactly the train set
+    f_train, f_val, _ = SPLIT_FRACTIONS
+    cuts = [int(round(n_b * f_train)), int(round(n_b * (f_train + f_val)))]
+    in_train = stamps_b < cuts[0]
     c = np.empty(cfg.n_groups)
     for j in range(cfg.n_groups):
         sel = in_train & (groups_b == j)
@@ -215,16 +208,26 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     p_b = sigmoid(dots[users_b, items_b] + c[groups_b])
     labels_b = (rng.random(n_b) < p_b).astype(np.int8)
+    train_ratio = np.array([
+        float(labels_b[in_train & (groups_b == j)].mean()) for j in range(cfg.n_groups)
+    ])
     for j in range(cfg.n_groups):
-        sel = in_train & (groups_b == j)
-        realized = float(labels_b[sel].mean())
-        if abs(realized - rho[j]) > cfg.realized_tol:
+        if abs(train_ratio[j] - rho[j]) > cfg.realized_tol:
             raise CalibrationError(str(group_labels[j]), float(rho[j]))
 
-    idx_b, val_b = _columnar(cfg, users_b, items_b, group_of)
-    biased = Dataset(schema, idx_b, val_b, labels_b, user_labels[users_b],
-                     item_labels[items_b], stamps_b, split_tag="biased")
-    train, val, test = chronological_split(biased, cfg.fractions)
+    def split(tag, users, items, labels, stamps):
+        indices = np.empty((len(users), 3), dtype=np.int64)
+        indices[:, 0] = users
+        indices[:, 1] = cfg.n_users + items
+        indices[:, 2] = cfg.n_users + cfg.n_items + group_of[items]
+        return Dataset(schema, indices, np.ones(indices.shape), labels,
+                       user_labels[users], item_labels[items], stamps, split_tag=tag)
+
+    # the stamps are distinct, so their order alone is the chronological one
+    train, val, test = (
+        split(tag, users_b[rows], items_b[rows], labels_b[rows], stamps_b[rows])
+        for tag, rows in zip(("train", "val", "test"),
+                             np.split(np.argsort(stamps_b), cuts)))
 
     # unbiased holdouts: uniform items without replacement per user,
     # val and test disjoint within each user
@@ -240,13 +243,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
         labels_u = (rng.random(len(users_u)) < p_u).astype(np.int8)
         stamps_u = next_stamp + np.arange(len(users_u), dtype=np.int64)
         next_stamp += len(users_u)
-        idx_u, val_u = _columnar(cfg, users_u, items_u, group_of)
-        unbiased[tag] = Dataset(schema, idx_u, val_u, labels_u, user_labels[users_u],
-                                item_labels[items_u], stamps_u, split_tag=tag)
+        unbiased[tag] = split(tag, users_u, items_u, labels_u, stamps_u)
 
-    train_ratio = np.array([
-        float(labels_b[in_train & (groups_b == j)].mean()) for j in range(cfg.n_groups)
-    ])
     s_uniform = np.array([
         float(sigmoid(dots[:, group_of == j] + c[j]).mean()) for j in range(cfg.n_groups)
     ])

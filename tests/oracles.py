@@ -347,9 +347,12 @@ def to_csv_reference(ds, path):
 def _parse_label_reference(cell, threshold, path, line_no):
     if threshold is not None:
         try:
-            return 1 if float(cell) > threshold else 0
+            value = float(cell)
         except ValueError:
+            value = math.nan
+        if math.isnan(value):
             raise CsvParseError(path, line_no, f"non-numeric label {cell!r}")
+        return 1 if value > threshold else 0
     if cell in ("0", "1"):
         return int(cell)
     raise LabelError(

@@ -18,7 +18,6 @@ from ctrbias.analysis import group_stats, ols_fit, pearson, spearman
 from ctrbias.cli import main as cli_main
 from ctrbias.debias import (VARIANTS, DebiasConfig, grid_search_reconstruction,
                             reduce_weights)
-from ctrbias.errors import MetricError
 from ctrbias.evaluation import (evaluate, group_exposure_hit_rate,
                                 group_tpr_at_k, ndcg_at_k, reo_at_k, user_auc)
 from ctrbias.models import init_params, loss_and_grads, predict, prediction_parts

@@ -121,6 +121,40 @@ class TestTrain:
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("label_threshold", "abc",
+         "label_threshold must be a finite number or null, got 'abc'"),
+        ("label_threshold", float("nan"),
+         "label_threshold must be a finite number or null, got nan"),
+        ("cardinality", "abc", "field 'user' has invalid cardinality 'abc'"),
+        ("cardinality", 60.7, "field 'user' has invalid cardinality 60.7"),
+        ("cardinality", True, "field 'user' has invalid cardinality True"),
+        ("name", ["user"], "field name ['user'] is not a string"),
+        ("bias_field", ["group"], "bias field ['group'] is not a declared field"),
+        ("categories", ["x"], "schema categories must be an object of string arrays"),
+        ("categories", {"user": 5},
+         "schema categories must be an object of string arrays"),
+        ("categories", {"group": "g0"},
+         "schema categories must be an object of string arrays"),
+    ], ids=["threshold-text", "threshold-nan", "cardinality-text",
+            "cardinality-float", "cardinality-bool", "name-list", "bias-field-list",
+            "categories-list", "categories-number", "categories-string"])
+    def test_malformed_schema_exits_2_with_one_line(self, corpus, tmp_path, capsys,
+                                                    key, value, message):
+        schema = read_json(corpus["schema"])
+        if key in ("name", "cardinality"):
+            schema["fields"][0][key] = value  # the user field
+        else:
+            schema[key] = value
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(schema))
+        rc = main(["train", "--schema", str(bad),
+                   "--train", str(corpus["data"] / "train.csv"),
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestAnalyze:
     def test_report(self, corpus, tmp_path):
@@ -265,15 +299,20 @@ class TestDebias:
         lo, hi = schema.bias_range
         assert (load_model(out).w[lo:hi] == 0.0).all()
 
-    def test_reduce_rejects_reconstruction_flags(self, corpus, tmp_path,
-                                                 capsys):
+    @pytest.mark.parametrize("flag, value", [
+        ("--unbiased", "u.csv"), ("--train", "t.csv"), ("--variant", "vanilla"),
+        ("--beta-grid", "0,1"), ("--gamma-grid", "0,1"), ("--grid-report", "g.json"),
+    ])
+    def test_reduce_rejects_reconstruction_flags(self, corpus, tmp_path, capsys,
+                                                 flag, value):
         rc = main([
             "debias", "--schema", str(corpus["schema"]),
             "--model", str(corpus["model"]), "--mode", "reduce",
-            "--variant", "vanilla", "--out", str(tmp_path / "x.bin"),
+            flag, value, "--out", str(tmp_path / "x.bin"),
         ])
         assert rc == 2
-        assert "does not apply" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flag} does not apply to reduction\n"
+        assert not any(tmp_path.iterdir())
 
     def test_reduce_rejects_bad_alpha(self, corpus, tmp_path, capsys):
         rc = main([

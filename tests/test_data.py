@@ -1,4 +1,4 @@
-"""Schema, CSV I/O and splits against hand-built oracles."""
+"""Schema and CSV I/O against hand-built oracles."""
 
 import csv
 from unittest import mock
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_schema, random_dataset
+from conftest import make_schema, random_dataset
 from ctrbias import data
-from ctrbias.data import (Dataset, FeatureIndex, FieldSchema,
-                          chronological_split, ingest_csv)
+from ctrbias.data import Dataset, FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
                             SchemaError)
 from oracles import ingest_csv_reference, to_csv_reference
@@ -256,9 +255,21 @@ class TestCsvRoundTrip:
                              label_threshold=3.0)
         path = tmp_path / "r.csv"
         path.write_text("user_id,item_id,label,timestamp,g\n"
-                        "u,i,4.5,0,a\nu,i,3.0,1,a\nu,i,1,2,b\n")
+                        "u,i,4.5,0,a\nu,i,3.0,1,a\nu,i,1,2,b\n"
+                        "u,i,inf,3,a\nu,i,-inf,4,b\nu,i,+Infinity,5,b\n")
         ds = ingest_csv(path, schema)
-        assert list(ds.labels) == [1, 0, 0]
+        assert list(ds.labels) == [1, 0, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "-nan"])
+    def test_label_threshold_rejects_nan(self, tmp_path, cell):
+        schema = FieldSchema(fields=(("g", 2),), bias_field="g",
+                             label_threshold=3.0)
+        path = tmp_path / "r.csv"
+        path.write_text("user_id,item_id,label,timestamp,g\n"
+                        f"u,i,4.5,0,a\nu,i,{cell},1,a\n")
+        with pytest.raises(CsvParseError, match=f"non-numeric label '{cell}'") as e:
+            ingest_csv(path, schema)
+        assert e.value.line_no == 3
 
 
 class TestIngestErrors:
@@ -553,6 +564,7 @@ ERROR_CASES = {
     "timestamp": HEADER + "u,i,1,0,x,p\nu,i,1,1.5,x,p\n",
     "huge timestamp": HEADER + "u,i,1,99999999999999999999,x,p\n",
     "label": HEADER + "u,i,x,0,x,p\n",
+    "NaN label": HEADER + "u,i,1,0,x,p\nu,i,nan,1,x,p\n",
     "empty cell, first field": HEADER + "u,i,1,0,,p\n",
     "empty cell, multi-valued field": HEADER + "u,i,1,0,x|y,p\nu,i,1,1,x,\n",
     "bare separator": HEADER + "u,i,1,0,|,p\n",
@@ -681,52 +693,3 @@ def test_hand_over_at_the_field_size_limit(tmp_path, monkeypatch, field_limit_25
     else:
         assert want == (CsvParseError, f"{path}:6: {error}")
 
-
-class TestChronologicalSplit:
-    def test_rounded_cut_points(self, rng):
-        ds = random_dataset(rng, n_rows=10)
-        train, val, test = chronological_split(ds, (0.7, 0.15, 0.15))
-        # cuts: round(10*0.7) = 7, round(10*0.85) = 8 (banker's rounding)
-        assert (len(train), len(val), len(test)) == (7, 1, 2)
-        assert (train.split_tag, val.split_tag, test.split_tag) == (
-            "train", "val", "test")
-
-    def test_partitions_by_ascending_timestamp(self, rng):
-        ds = random_dataset(rng, n_rows=40)
-        train, val, test = chronological_split(ds)
-        assert train.timestamps.max() < val.timestamps.min()
-        assert val.timestamps.max() < test.timestamps.min()
-        merged = sorted(np.concatenate([train.timestamps, val.timestamps,
-                                        test.timestamps]).tolist())
-        assert merged == sorted(ds.timestamps.tolist())
-
-    def test_deterministic_under_row_permutation(self, rng):
-        ds = random_dataset(rng, n_rows=30)
-        perm = rng.permutation(len(ds))
-        shuffled = ds.subset(perm)
-        for a, b in zip(chronological_split(ds), chronological_split(shuffled)):
-            assert np.array_equal(a.timestamps, b.timestamps)
-            assert np.array_equal(a.user_ids, b.user_ids)
-            assert np.array_equal(a.indices, b.indices)
-
-    def test_tie_break_by_user_then_item(self):
-        schema = make_schema(3, 3, 2)
-        ds = make_dataset(schema, [
-            ([2, 3 + 1, 6], [1.0, 1.0, 1.0], 0, "u2", "i1", 5),
-            ([0, 3 + 2, 6], [1.0, 1.0, 1.0], 0, "u0", "i2", 5),
-            ([0, 3 + 0, 6], [1.0, 1.0, 1.0], 0, "u0", "i0", 5),
-        ])
-        train, val, test = chronological_split(ds, (0.4, 0.3, 0.3))
-        # all stamps equal: order is (u0,i0), (u0,i2), (u2,i1); cut at round(1.2)=1
-        assert list(train.item_ids) == ["i0"]
-        assert list(val.item_ids) == ["i2"]
-        assert list(test.item_ids) == ["i1"]
-
-    def test_fraction_validation(self, rng):
-        ds = random_dataset(rng, n_rows=5)
-        with pytest.raises(ConfigError):
-            chronological_split(ds, (0.5, 0.5))
-        with pytest.raises(ConfigError):
-            chronological_split(ds, (0.8, 0.3, 0.1))
-        with pytest.raises(ConfigError):
-            chronological_split(ds, (1.0, -0.1, 0.1))

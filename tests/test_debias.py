@@ -9,10 +9,10 @@ import pytest
 from conftest import (count_calls, make_dataset, make_schema, random_dataset,
                       random_params)
 from ctrbias import evaluation, models
-from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, GridSearchResult,
-                            UnbiasedRatios, estimate_unbiased_ratios,
-                            fit_weight_residuals, grid_search_reconstruction,
-                            reconstruct_weights, reduce_weights)
+from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, UnbiasedRatios,
+                            estimate_unbiased_ratios, fit_weight_residuals,
+                            grid_search_reconstruction, reconstruct_weights,
+                            reduce_weights)
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import ndcg_at_k, user_auc
 from ctrbias.models import model_digest, predict

@@ -5,7 +5,7 @@ import pytest
 
 from ctrbias.analysis import group_stats
 from ctrbias.errors import CalibrationError, ConfigError
-from ctrbias.synth import SynthConfig, generate
+from ctrbias.synth import SPLIT_FRACTIONS, SynthConfig, generate
 
 CFG = SynthConfig(n_users=60, n_items=40, n_groups=4, exposures_per_user=30,
                   unbiased_val_per_user=3, unbiased_test_per_user=5,
@@ -67,8 +67,9 @@ class TestDeterminism:
 class TestStructure:
     def test_split_sizes(self, result):
         n_b = CFG.n_users * CFG.exposures_per_user
-        c1 = int(round(n_b * CFG.fractions[0]))
-        c2 = int(round(n_b * (CFG.fractions[0] + CFG.fractions[1])))
+        f_train, f_val, _ = SPLIT_FRACTIONS
+        c1 = int(round(n_b * f_train))
+        c2 = int(round(n_b * (f_train + f_val)))
         assert len(result.train) == c1
         assert len(result.val) == c2 - c1
         assert len(result.test) == n_b - c2
@@ -95,6 +96,7 @@ class TestStructure:
         assert np.array_equal(np.sort(stamps), np.arange(n_b))
         # chronological split means train holds exactly the smallest stamps
         assert result.train.timestamps.max() < result.val.timestamps.min()
+        assert result.val.timestamps.max() < result.test.timestamps.min()
 
     def test_unbiased_items_unique_and_disjoint_per_user(self, result):
         for uid in np.unique(result.unbiased_val.user_ids):
@@ -130,7 +132,7 @@ class TestCalibration:
         rho = CFG.resolved_rho()
         realized = group_stats(result.train).ratio
         assert np.abs(realized - rho).max() <= CFG.realized_tol
-        assert np.allclose(realized, result.truth["rho_train_realized"])
+        assert np.array_equal(realized, result.truth["rho_train_realized"])
 
     def test_item_offsets_feed_click_odds(self):
         cfg = SynthConfig(**{**CFG.__dict__, "item_offset_scale": 2.0})

@@ -11,7 +11,6 @@ from ctrbias import models
 from ctrbias.debias import reduce_weights
 from ctrbias.errors import ConfigError, DivergenceError
 from ctrbias.models import init_params, loss_and_grads, predict, serialize
-from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate
 from ctrbias.training import Adam, TrainConfig, TrainReport, train
 from conftest import float_bits, make_dataset, make_schema
