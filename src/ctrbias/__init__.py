@@ -52,10 +52,7 @@ from .evaluation import (
     EvalReport,
     UserBlocks,
     evaluate,
-    group_exposure_hit_rate,
-    group_tpr_at_k,
     ndcg_at_k,
-    rank_users,
     reo_at_k,
     user_auc,
 )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError, UndefinedCorrelationError
-from .evaluation import group_exposure_hit_rate
+from .evaluation import evaluate
 from .models import ModelParams, PredictionParts, predict, prediction_parts
 from .numeric import average_ranks, sigmoid, student_t_two_sided_p, to_jsonable
 
@@ -274,7 +274,7 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
             variances = variance_decomposition(eval_ds, parts)
         except MetricError as exc:
             errors.append(f"variance decomposition: {exc}")
-        ehr = group_exposure_hit_rate(eval_ds, parts.logits)
+        ehr = np.asarray(evaluate(eval_ds, parts.logits).group_ehr)
         both = defined & np.isfinite(ehr)
         if both.sum() >= 2:
             try:

@@ -172,6 +172,12 @@ class FieldSchema:
             bias_field = d["bias_field"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed schema declaration: {exc}") from exc
+        # a misspelt key would otherwise be dropped without a word
+        unknown = [k for k in d if k not in ("fields", "bias_field", "categories",
+                                             "label_threshold")]
+        unknown += [k for f in d["fields"] for k in f if k not in ("name", "cardinality")]
+        if unknown:
+            raise ConfigError(f"unknown schema key {unknown[0]!r}")
         categories = d.get("categories", {})
         if not (isinstance(categories, dict)
                 and all(isinstance(v, list) for v in categories.values())):

@@ -1,20 +1,20 @@
 """Ranking metrics over per-user score lists, with group-level exposure views.
 
-Every metric starts from one ranking. rank_users() orders the rows by
-(user asc, score desc, item_id asc), so each user's samples form a
-contiguous block in ranking order, and evaluate() shares that one
-RankedData across AUC, NDCG, TPR@k and EHR. The ranking splits into the
-part the ids fix and the part the scores change. A UserBlocks, built once
-from the ids, holds the rows sorted by (user, item, input position), the
-user blocks and each row's block number. UserBlocks.rank() then sorts one
-score vector with two argsorts: an unstable one that turns the scores into
-dense integer ranks, and a stable one of block * n + dense rank. Equal
-scores (0.0 and -0.0 among them) get equal dense ranks, so the unstable
-sort's tie order cannot show, and the stable sort keeps the base order
-inside a tie: the result is the three-key lexsort exactly. The grid search
-builds one UserBlocks per search and ranks each point once. Per-user
-quantities then come from block and run boundaries and np.bincount, with
-no Python loop over users:
+Every metric starts from one ranking, in (user asc, score desc, item_id
+asc) order, so each user's samples form a contiguous block in ranking
+order. evaluate() is the one entry that turns a split's scores into group
+metrics: it shares one RankedData across AUC, NDCG, TPR@k, EHR and REO.
+The ranking splits into the part the ids fix and the part the scores
+change. A UserBlocks, built once from the ids, holds the rows sorted by
+(user, item, input position), the user blocks and each row's block number.
+UserBlocks.rank() then sorts one score vector with two argsorts: an
+unstable one that turns the scores into dense integer ranks, and a stable
+one of block * n + dense rank. Equal scores (0.0 and -0.0 among them) get
+equal dense ranks, so the unstable sort's tie order cannot show, and the
+stable sort keeps the base order inside a tie: the result is the three-key
+lexsort exactly. The grid search builds one UserBlocks per search and
+ranks each point once. Per-user quantities then come from block and run
+boundaries and np.bincount, with no Python loop over users:
 
 * AUC gives each run of tied scores inside a user the mean of the run's
   positions, so the positives' rank sums are exact half-integers. A sum of
@@ -121,16 +121,6 @@ class UserBlocks:
         return RankedData(self.base[within], self.user_starts, self.users)
 
 
-def rank_users(user_ids, scores, item_ids=None) -> RankedData:
-    """Sort rows by (user asc, score desc, item_id asc) and find user blocks.
-
-    Builds a UserBlocks and ranks the one score vector against it. Without
-    item_ids, tied scores keep their input order, which only a
-    tie-invariant metric such as AUC can accept.
-    """
-    return UserBlocks(user_ids, item_ids).rank(scores)
-
-
 def _positions_within_user(ranked: RankedData) -> np.ndarray:
     """0-based rank of each ordered row inside its user's block."""
     return np.arange(len(ranked.order)) - np.repeat(ranked.user_starts[:-1],
@@ -224,25 +214,27 @@ def _per_group_rate(ds: Dataset, row_weights: np.ndarray) -> np.ndarray:
 
 
 def _ranked_ehr(ds: Dataset, ranked: RankedData) -> np.ndarray:
+    """Per group, the exposures inside each user's top-|positives| prefix
+    that carry it, of any label, over its positive samples."""
     k_plus = _per_user_positive_counts(ranked, ds.labels)
     in_prefix = _prefix_mask_by_row(ranked, k_plus)
     return _per_group_rate(ds, in_prefix.astype(np.float64))
 
 
-def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int | None) -> np.ndarray:
-    if k is None:
-        in_topk = np.ones(len(ds), dtype=bool)
-    else:
-        cutoffs = np.full(ranked.n_users, k, dtype=np.int64)
-        in_topk = _prefix_mask_by_row(ranked, cutoffs)
+def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int) -> np.ndarray:
+    in_topk = _prefix_mask_by_row(ranked, np.full(ranked.n_users, k, dtype=np.int64))
     # sums of ones are exact in float64
     return _per_group_rate(ds, (in_topk & (ds.labels == 1)).astype(np.float64))
 
 
 def user_auc(user_ids, scores, labels) -> tuple[float, int]:
     """Mean per-user AUC; ties count half. Users without both classes are
-    skipped; returns (nan, n_users) when every user is skipped."""
-    return ranked_auc(rank_users(user_ids, scores), scores, labels)
+    skipped; returns (nan, n_users) when every user is skipped.
+
+    Ranks without item ids, so tied scores keep their input order, which
+    only a tie-invariant metric such as AUC can accept.
+    """
+    return ranked_auc(UserBlocks(user_ids).rank(scores), scores, labels)
 
 
 def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[float, int]:
@@ -252,37 +244,13 @@ def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[f
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    return ranked_ndcg(rank_users(user_ids, scores, item_ids), labels, k)
+    return ranked_ndcg(UserBlocks(user_ids, item_ids).rank(scores), labels, k)
 
 
-def group_exposure_hit_rate(ds: Dataset, scores) -> np.ndarray:
-    """EHR per group: exposures inside each user's top-|positives| prefix
-    that carry the group's feature, over positive samples carrying it.
-
-    The numerator counts prefix exposures regardless of their own label.
-    Groups with no positive samples get NaN.
-    """
-    return _ranked_ehr(ds, rank_users(ds.user_ids, scores, ds.item_ids))
-
-
-def group_tpr_at_k(ds: Dataset, scores, k: int | None = DEFAULT_K) -> np.ndarray:
-    """True-positive rate per group inside each user's top-k.
-
-    k=None means the whole list (every positive is recovered). Groups with
-    no positive samples get NaN.
-    """
-    if k is not None and k < 1:
-        raise ConfigError(f"k must be >= 1 or None, got {k}")
-    return _ranked_tpr(ds, rank_users(ds.user_ids, scores, ds.item_ids), k)
-
-
-def reo_at_k(ds: Dataset, scores, k: int | None = DEFAULT_K,
-             tpr: np.ndarray | None = None) -> float:
+def reo_at_k(tpr) -> float:
     """Ranking equal opportunity: population std over group TPRs divided by
-    their mean. Groups without positives are excluded; all-zero TPRs or no
-    measurable group at all raise MetricError."""
-    if tpr is None:
-        tpr = group_tpr_at_k(ds, scores, k)
+    their mean. Groups without positives (NaN) are excluded; all-zero TPRs
+    or no measurable group at all raise MetricError."""
     values = [float(p) for p in tpr if math.isfinite(p)]
     if not values:
         raise MetricError("no group has positive samples, equal-opportunity "
@@ -344,7 +312,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         raise ConfigError("cannot evaluate an empty dataset")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    ranked = rank_users(ds.user_ids, scores, ds.item_ids)
+    ranked = UserBlocks(ds.user_ids, ds.item_ids).rank(scores)
     errors: list[str] = []
     uauc, uauc_skipped = ranked_auc(ranked, scores, ds.labels)
     if math.isnan(uauc):
@@ -355,7 +323,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
     tpr = _ranked_tpr(ds, ranked, k)
     ehr = _ranked_ehr(ds, ranked)
     try:
-        reo = reo_at_k(ds, scores, k, tpr=tpr)
+        reo = reo_at_k(tpr)
     except MetricError as exc:
         errors.append(f"reo undefined: {exc}")
         reo = None

@@ -76,16 +76,18 @@ class SynthConfig:
             raise ConfigError("unbiased exposures per user exceed catalog size")
         if self.pref_dim < 1:
             raise ConfigError("pref_dim must be >= 1")
-        if self.item_offset_scale < 0:
-            raise ConfigError("item_offset_scale must be >= 0")
-        if not (0 < self.temp_low <= self.temp_high):
-            raise ConfigError("need 0 < temp_low <= temp_high")
+        if not np.isfinite(self.pref_scale):
+            raise ConfigError("pref_scale must be finite")
+        if not 0 <= self.item_offset_scale < np.inf:
+            raise ConfigError("item_offset_scale must be finite and >= 0")
+        if not 0 < self.temp_low <= self.temp_high < np.inf:
+            raise ConfigError("need 0 < temp_low <= temp_high, both finite")
         if not (0 < self.group_freq_decay <= 1):
             raise ConfigError("group_freq_decay must be in (0, 1]")
         rho = self.resolved_rho()
         if len(rho) != self.n_groups:
             raise ConfigError(f"rho has {len(rho)} entries for {self.n_groups} groups")
-        if np.any(rho <= 0) or np.any(rho >= 1):
+        if not np.all((rho > 0) & (rho < 1)):
             raise ConfigError("target ratios must lie strictly inside (0, 1)")
 
     def resolved_rho(self) -> np.ndarray:

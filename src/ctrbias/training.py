@@ -63,12 +63,12 @@ class TrainConfig:
             raise ConfigError(f"unknown ablation {self.ablation!r}")
         if self.embedding_dim < 1 or self.hidden < 1:
             raise ConfigError("embedding_dim and hidden must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        if not 0 <= self.l2 < np.inf:
+            raise ConfigError("l2 must be finite and >= 0")
         for name in ("dropout_interaction", "dropout_hidden"):
             p = getattr(self, name)
             if not (0.0 <= p < 1.0):

@@ -181,7 +181,7 @@ def bias_entries(ds, i):
 
 
 def rank_users_reference(user_ids, scores, item_ids=None):
-    """rank_users as one np.lexsort over (user, -score[, item]) keys. The
+    """The (user asc, score desc[, item asc]) ranking as one np.lexsort. The
     referee for UserBlocks.rank, whose order must equal it exactly."""
     user_ids = np.asarray(user_ids)
     keys = (-np.asarray(scores, dtype=np.float64), user_ids)

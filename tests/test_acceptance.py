@@ -18,8 +18,7 @@ from ctrbias.analysis import group_stats, ols_fit, pearson, spearman
 from ctrbias.cli import main as cli_main
 from ctrbias.debias import (VARIANTS, DebiasConfig, grid_search_reconstruction,
                             reduce_weights)
-from ctrbias.evaluation import (evaluate, group_exposure_hit_rate,
-                                group_tpr_at_k, ndcg_at_k, reo_at_k, user_auc)
+from ctrbias.evaluation import evaluate, ndcg_at_k, reo_at_k, user_auc
 from ctrbias.models import init_params, loss_and_grads, predict, prediction_parts
 from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate
@@ -319,20 +318,20 @@ def test_criterion_08_metric_oracles():
             if not (got_n == want_n
                     or (math.isnan(got_n) and math.isnan(want_n))):
                 bad.append(f"trial {trial}: ndcg {got_n} != {want_n}")
+            report = evaluate(ds, scores, 5)
+            tpr = np.asarray(report.group_tpr)
             for name, got_g, want_g in (
-                    ("ehr", group_exposure_hit_rate(ds, scores),
+                    ("ehr", np.asarray(report.group_ehr),
                      oracles.ehr_brute(ds, scores)),
-                    ("tpr", group_tpr_at_k(ds, scores, 5),
-                     oracles.tpr_brute(ds, scores, 5))):
+                    ("tpr", tpr, oracles.tpr_brute(ds, scores, 5))):
                 same_nan = np.array_equal(np.isnan(got_g), np.isnan(want_g))
                 mask = ~np.isnan(want_g)
                 if not (same_nan and (got_g[mask] == want_g[mask]).all()):
                     bad.append(f"trial {trial}: {name} mismatch")
-            finite = [v for v in group_tpr_at_k(ds, scores, 5)
-                      if math.isfinite(v)]
+            finite = [v for v in tpr if math.isfinite(v)]
             if finite and sum(finite) > 0:
-                got_r = reo_at_k(ds, scores, 5)
-                want_r = oracles.reo_brute(group_tpr_at_k(ds, scores, 5))
+                got_r = reo_at_k(tpr)
+                want_r = oracles.reo_brute(tpr)
                 if not math.isclose(got_r, want_r, rel_tol=1e-12,
                                     abs_tol=1e-15):
                     bad.append(f"trial {trial}: reo {got_r} != {want_r}")
@@ -346,11 +345,11 @@ def test_criterion_08_metric_oracles():
             n, _ = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, 5)
             if not math.isnan(n) and n != 1.0:
                 bad.append(f"perfect {trial}: ndcg {n}")
-            for v in group_exposure_hit_rate(ds, scores):
+            for v in evaluate(ds, scores).group_ehr:
                 if not math.isnan(v) and v != 1.0:
                     bad.append(f"perfect {trial}: ehr {v}")
-            tpr = group_tpr_at_k(ds, scores, k=None)
-            if np.isfinite(tpr).any() and reo_at_k(ds, scores, k=None) != 0.0:
+            whole_list = evaluate(ds, scores, k=len(ds))
+            if np.isfinite(whole_list.group_tpr).any() and whole_list.reo != 0.0:
                 bad.append(f"perfect {trial}: reo@inf nonzero")
         elapsed = time.perf_counter() - t0
         ok = not bad and elapsed < 10.0

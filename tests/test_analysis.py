@@ -17,8 +17,10 @@ from ctrbias.analysis import (BiasChainReport, CorrelationResult, GroupStats,
                               pearson, spearman, variance_decomposition)
 from ctrbias.errors import (ConfigError, MetricError, NumericalError,
                             UndefinedCorrelationError)
-from ctrbias.models import PredictionParts
+from ctrbias.evaluation import evaluate
+from ctrbias.models import PredictionParts, predict
 from ctrbias.numeric import regularized_incomplete_beta, student_t_two_sided_p
+from ctrbias.synth import SynthConfig, generate
 
 AB_GRID = [0.5, 1.0, 2.5, 7.0, 30.0]
 X_GRID = [0.001, 0.02, 0.1, 0.3, 0.5, 0.62, 0.77, 0.9, 0.98, 0.999]
@@ -338,6 +340,20 @@ class TestBiasChainReport:
         assert isinstance(report.weight_on_ratio_fit, RegressionFit)
         assert isinstance(report.variances, VarianceDecomposition)
         json.dumps(report.to_json_dict())
+
+    def test_ehr_link_reads_evaluate(self, rng):
+        world = generate(SynthConfig(n_users=60, n_items=40, n_groups=5,
+                                     exposures_per_user=30, realized_tol=0.2,
+                                     seed=5))
+        train, test = world.train, world.test
+        params = random_params(rng, train.schema.n, 4)
+        report = bias_chain_report(params, train, eval_ds=test)
+        ratio = group_stats(train).ratio
+        ehr = np.asarray(evaluate(
+            test, predict(params, test.indices, test.values)).group_ehr)
+        both = np.isfinite(ratio) & np.isfinite(ehr)
+        assert both.sum() >= 2
+        assert report.ehr_ratio_spearman == spearman(ratio[both], ehr[both])
 
     def test_without_eval_split(self, rng):
         ds = random_dataset(rng, n_rows=60, split_tag="train")

@@ -126,26 +126,28 @@ class TestTrain:
          "label_threshold must be a finite number or null, got 'abc'"),
         ("label_threshold", float("nan"),
          "label_threshold must be a finite number or null, got nan"),
-        ("cardinality", "abc", "field 'user' has invalid cardinality 'abc'"),
-        ("cardinality", 60.7, "field 'user' has invalid cardinality 60.7"),
-        ("cardinality", True, "field 'user' has invalid cardinality True"),
-        ("name", ["user"], "field name ['user'] is not a string"),
+        ("field.cardinality", "abc", "field 'user' has invalid cardinality 'abc'"),
+        ("field.cardinality", 60.7, "field 'user' has invalid cardinality 60.7"),
+        ("field.cardinality", True, "field 'user' has invalid cardinality True"),
+        ("field.name", ["user"], "field name ['user'] is not a string"),
         ("bias_field", ["group"], "bias field ['group'] is not a declared field"),
         ("categories", ["x"], "schema categories must be an object of string arrays"),
         ("categories", {"user": 5},
          "schema categories must be an object of string arrays"),
         ("categories", {"group": "g0"},
          "schema categories must be an object of string arrays"),
+        ("categoires", {}, "unknown schema key 'categoires'"),
+        ("field.cardinalty", 60, "unknown schema key 'cardinalty'"),
     ], ids=["threshold-text", "threshold-nan", "cardinality-text",
             "cardinality-float", "cardinality-bool", "name-list", "bias-field-list",
-            "categories-list", "categories-number", "categories-string"])
+            "categories-list", "categories-number", "categories-string",
+            "unknown-key", "unknown-field-key"])
     def test_malformed_schema_exits_2_with_one_line(self, corpus, tmp_path, capsys,
                                                     key, value, message):
         schema = read_json(corpus["schema"])
-        if key in ("name", "cardinality"):
-            schema["fields"][0][key] = value  # the user field
-        else:
-            schema[key] = value
+        # "field.<key>" is a key of the first field entry, the user field
+        entry, _, key = key.rpartition(".")
+        (schema["fields"][0] if entry else schema)[key] = value
         bad = tmp_path / "schema.json"
         bad.write_text(json.dumps(schema))
         rc = main(["train", "--schema", str(bad),
@@ -565,6 +567,9 @@ class TestPipeline:
         ["--alpha", "1.5"], ["--alpha", "nan"], ["--alpha", "0.5,-0.1"],
         ["--alpha", "0.5,x"], ["--k", "0"],
         ["--unbiased-val-per-user", "1"], ["--unbiased-val-per-user", "0"],
+        ["--item-offset-scale", "nan"], ["--temp-high", "inf"],
+        ["--lr", "nan"], ["--l2", "inf"], ["--rho-min", "nan"],
+        ["--pref-scale", "nan"],
     ])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
         out = tmp_path / "run"

@@ -13,8 +13,7 @@ import oracles
 from conftest import count_calls, make_dataset, make_schema, random_dataset
 from ctrbias import numeric
 from ctrbias.errors import ConfigError, MetricError
-from ctrbias.evaluation import (EvalReport, evaluate, group_exposure_hit_rate,
-                                group_tpr_at_k, ndcg_at_k, rank_users,
+from ctrbias.evaluation import (EvalReport, UserBlocks, evaluate, ndcg_at_k,
                                 reo_at_k, user_auc)
 
 
@@ -184,7 +183,7 @@ class TestRankUsers:
             users = np.unique(users, return_inverse=True)[1]
             items = np.unique(items, return_inverse=True)[1]
         items = items if with_items else None
-        assert_same_ranking(rank_users(users, scores, items),
+        assert_same_ranking(UserBlocks(users, items).rank(scores),
                             oracles.rank_users_reference(users, scores, items))
 
     @pytest.mark.parametrize("score", [0.0, -0.0, math.inf, -math.inf])
@@ -192,14 +191,14 @@ class TestRankUsers:
         (["u"], None), (["u"], ["i"]), ([3], None), ([3], [7])])
     def test_one_row(self, score, users, items):
         assert_same_ranking(
-            rank_users(users, [score], items),
+            UserBlocks(users, items).rank([score]),
             oracles.rank_users_reference(users, [score], items))
 
     def test_frozen_example(self):
         users = ["b", "a", "a", "b", "a"]
         scores = [1.0, 2.0, 5.0, 3.0, 2.0]
         items = ["i9", "i5", "i1", "i2", "i3"]
-        ranked = rank_users(users, scores, items)
+        ranked = UserBlocks(users, items).rank(scores)
         assert list(ranked.users) == ["a", "b"]
         # user a: i1(5.0), then the 2.0 tie broken i3 < i5; user b: 3.0, 1.0
         assert ranked.order.tolist() == [2, 4, 1, 3, 0]
@@ -208,7 +207,7 @@ class TestRankUsers:
 
     def test_order_is_permutation_with_sorted_blocks(self, rng):
         ds, scores = random_instance(rng, n_rows=50)
-        ranked = rank_users(ds.user_ids, scores, ds.item_ids)
+        ranked = UserBlocks(ds.user_ids, ds.item_ids).rank(scores)
         assert sorted(ranked.order.tolist()) == list(range(50))
         for rows in np.split(ranked.order, ranked.user_starts[1:-1]):
             assert len(set(ds.user_ids[rows])) == 1
@@ -219,9 +218,11 @@ class TestRankUsers:
 
     def test_empty_and_mismatched_inputs(self):
         with pytest.raises(ConfigError):
-            rank_users([], [], [])
+            UserBlocks([], [])
         with pytest.raises(ConfigError):
-            rank_users(["a"], [1.0, 2.0], ["i"])
+            UserBlocks(["a"], ["i", "j"])
+        with pytest.raises(ConfigError):
+            UserBlocks(["a"], ["i"]).rank([1.0, 2.0])
 
 
 class TestUserAuc:
@@ -308,7 +309,7 @@ class TestGroupMetrics:
     def test_ehr_matches_brute_force(self, rng):
         for _ in range(40):
             ds, scores = random_instance(rng, multi_group_prob=0.3)
-            got = group_exposure_hit_rate(ds, scores)
+            got = np.asarray(evaluate(ds, scores).group_ehr)
             want = oracles.ehr_brute(ds, scores)
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
             ok = ~np.isnan(want)
@@ -318,7 +319,8 @@ class TestGroupMetrics:
         for _ in range(40):
             ds, scores = random_instance(rng, multi_group_prob=0.3)
             k = [None, 1, 3, 5][int(rng.integers(4))]
-            got = group_tpr_at_k(ds, scores, k)
+            # k = len(ds) reaches past every user's list: the whole list
+            got = np.asarray(evaluate(ds, scores, k or len(ds)).group_tpr)
             want = oracles.tpr_brute(ds, scores, k)
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
             ok = ~np.isnan(want)
@@ -326,13 +328,13 @@ class TestGroupMetrics:
 
     def test_full_list_tpr_is_one_where_defined(self, rng):
         ds, scores = random_instance(rng, n_rows=30)
-        for v in group_tpr_at_k(ds, scores, k=None):
+        for v in evaluate(ds, scores, k=len(ds)).group_tpr:
             assert math.isnan(v) or v == 1.0
 
     def test_invalid_k(self, rng):
         ds, scores = random_instance(rng, n_rows=10)
         with pytest.raises(ConfigError):
-            group_tpr_at_k(ds, scores, k=0)
+            evaluate(ds, scores, k=0)
 
     def test_ehr_hand_example(self):
         # one user, groups 0,0,1,1; labels 1,0,1,0; scores rank as listed.
@@ -341,9 +343,9 @@ class TestGroupMetrics:
         ds = make_dataset(schema, [
             ([0, 1 + i, 5 + g], [1.0, 1.0, 1.0], y, "u0", f"i{i}", i)
             for i, (g, y) in enumerate([(0, 1), (0, 0), (1, 1), (1, 0)])])
-        ehr = group_exposure_hit_rate(ds, np.array([4.0, 3.0, 2.0, 1.0]))
+        ehr = evaluate(ds, np.array([4.0, 3.0, 2.0, 1.0])).group_ehr
         # group 0: both prefix exposures (incl. the negative) over 1 positive
-        assert ehr.tolist() == [2.0, 0.0]
+        assert ehr == [2.0, 0.0]
 
     def test_multi_group_rows_count_for_both_groups(self):
         schema = make_schema(1, 2, 2)
@@ -351,38 +353,41 @@ class TestGroupMetrics:
             ([0, 1, 3, 4], [1.0, 1.0, 0.5, 0.5], 1, "u0", "i0", 0),
             ([0, 2, 3], [1.0, 1.0, 1.0], 0, "u0", "i1", 1),
         ])
-        tpr = group_tpr_at_k(ds, np.array([2.0, 1.0]), k=1)
+        tpr = evaluate(ds, np.array([2.0, 1.0]), k=1).group_tpr
         # the positive row sits in the top-1 and belongs to both groups
-        assert tpr.tolist() == [1.0, 1.0]
+        assert tpr == [1.0, 1.0]
 
 
 class TestReo:
     def test_matches_std_over_mean(self, rng):
         for _ in range(20):
             ds, scores = random_instance(rng)
-            tpr = group_tpr_at_k(ds, scores, 3)
+            report = evaluate(ds, scores, 3)
+            tpr = np.asarray(report.group_tpr)
             finite = [v for v in tpr if math.isfinite(v)]
             if not finite or sum(finite) == 0:
                 with pytest.raises(MetricError):
-                    reo_at_k(ds, scores, 3)
+                    reo_at_k(tpr)
+                assert report.reo is None
                 continue
-            got = reo_at_k(ds, scores, 3)
+            got = reo_at_k(tpr)
+            assert report.reo == got
             assert got == pytest.approx(oracles.reo_brute(tpr), rel=1e-12)
 
     def test_hand_example(self):
-        got = reo_at_k(None, None, tpr=np.array([0.5, 0.5, 1.0]))
+        got = reo_at_k(np.array([0.5, 0.5, 1.0]))
         mean = 2.0 / 3.0
         std = math.sqrt((2 * (0.5 - mean) ** 2 + (1.0 - mean) ** 2) / 3)
         assert got == pytest.approx(std / mean, rel=1e-15)
 
     def test_equal_tprs_give_zero(self):
-        assert reo_at_k(None, None, tpr=np.array([0.7, 0.7, np.nan])) == 0.0
+        assert reo_at_k(np.array([0.7, 0.7, np.nan])) == 0.0
 
     def test_undefined_cases_raise(self):
         with pytest.raises(MetricError):
-            reo_at_k(None, None, tpr=np.array([np.nan, np.nan]))
+            reo_at_k(np.array([np.nan, np.nan]))
         with pytest.raises(MetricError):
-            reo_at_k(None, None, tpr=np.array([0.0, 0.0]))
+            reo_at_k(np.array([0.0, 0.0]))
 
 
 class TestPerfectRanker:
@@ -398,11 +403,11 @@ class TestPerfectRanker:
             ndcg, _ = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, 5)
             if not math.isnan(ndcg):
                 assert ndcg == 1.0
-            for v in group_exposure_hit_rate(ds, scores):
+            for v in evaluate(ds, scores).group_ehr:
                 assert math.isnan(v) or v == 1.0
-            tpr = group_tpr_at_k(ds, scores, k=None)
-            if np.isfinite(tpr).any():
-                assert reo_at_k(ds, scores, k=None) == 0.0
+            whole_list = evaluate(ds, scores, k=len(ds))
+            if np.isfinite(whole_list.group_tpr).any():
+                assert whole_list.reo == 0.0
 
 
 class TestPermutationInvariance:

@@ -40,6 +40,13 @@ class TestConfigValidation:
             SynthConfig(n_groups=4, rho=(0.2, 0.4))
         with pytest.raises(ConfigError):
             SynthConfig(n_groups=2, rho=(0.0, 0.5))
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"pref_scale": nan}, {"pref_scale": inf},
+                    {"item_offset_scale": nan}, {"item_offset_scale": inf},
+                    {"temp_low": nan}, {"temp_high": nan}, {"temp_high": inf},
+                    {"n_groups": 2, "rho": (nan, 0.5)}):
+            with pytest.raises(ConfigError):
+                SynthConfig(**bad)
 
     def test_default_rho_is_linspace(self):
         cfg = SynthConfig(n_groups=5)

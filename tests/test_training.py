@@ -329,8 +329,12 @@ class TestTrainConfigValidation:
         {"embedding_dim": 0},
         {"hidden": 0},
         {"lr": 0.0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
         {"batch_size": 0},
         {"l2": -1e-9},
+        {"l2": float("nan")},
+        {"l2": float("inf")},
         {"dropout_interaction": 1.0},
         {"dropout_hidden": -0.1},
         {"max_epochs": 0},
