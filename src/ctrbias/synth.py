@@ -34,6 +34,10 @@ BISECT_HI = 50.0
 BISECT_TOL = 1e-12
 # shares of the biased log, in stamp order, that become train, val and test
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
+# block sizes of generate's exposure draw (rows) and holdout permutation
+# (users): they bound its temporaries and change no draw
+EXPOSURE_BLOCK_ROWS = 4096
+HOLDOUT_BLOCK_USERS = 256
 
 
 @dataclass(frozen=True)
@@ -166,17 +170,15 @@ def generate(cfg: SynthConfig) -> SynthResult:
     B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
     item_offset = rng.normal(0.0, cfg.item_offset_scale, size=cfg.n_items) \
         if cfg.item_offset_scale > 0 else np.zeros(cfg.n_items)
-    pref = (A @ B.T) * (cfg.pref_scale / np.sqrt(cfg.pref_dim))
-    # label odds combine preference, popularity, and the group offset; the
-    # biased exposure policy tilts by preference only
-    dots = pref + item_offset
+    pref = A @ B.T
+    pref *= cfg.pref_scale / np.sqrt(cfg.pref_dim)
     group_of = np.arange(cfg.n_items) % cfg.n_groups
 
     tau = rng.permutation(np.linspace(cfg.temp_low, cfg.temp_high, cfg.n_groups))
     pi = cfg.group_freq_decay ** np.arange(cfg.n_groups, dtype=np.float64)
     pi = pi / pi.sum()
 
-    # biased exposure log: group by pi, item within group by softmax(tau * dot)
+    # biased exposure log: group by pi, item within group by softmax(tau * pref)
     n_b = cfg.n_users * cfg.exposures_per_user
     users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
     groups_b = np.searchsorted(np.cumsum(pi), rng.random(n_b), side="right")
@@ -191,9 +193,18 @@ def generate(cfg: SynthConfig) -> SynthResult:
         cum = np.cumsum(p, axis=1)
         mask = groups_b == j
         draws = rng.random(int(mask.sum()))
-        pos = (cum[users_b[mask]] < draws[:, None]).sum(axis=1)
+        users_j = users_b[mask]
+        pos = np.empty(len(draws), dtype=np.int64)
+        for lo in range(0, len(draws), EXPOSURE_BLOCK_ROWS):
+            hi = lo + EXPOSURE_BLOCK_ROWS
+            pos[lo:hi] = (cum[users_j[lo:hi]] < draws[lo:hi, None]).sum(axis=1)
         items_b[mask] = members[np.minimum(pos, len(members) - 1)]
     stamps_b = rng.permutation(n_b)
+    # label odds combine preference, popularity, and the group offset; the
+    # biased exposure policy above tilts by preference only
+    dots = pref
+    dots += item_offset
+    del pref
 
     # train holds the first round(n*f_train) stamps and val the stamps up to
     # round(n*(f_train + f_val)); calibrate offsets on exactly the train set
@@ -225,16 +236,15 @@ def generate(cfg: SynthConfig) -> SynthResult:
         return Dataset(schema, indices, np.ones(indices.shape), labels,
                        user_labels[users], item_labels[items], stamps, split_tag=tag)
 
-    # the stamps are distinct, so their order alone is the chronological one
-    train, val, test = (
-        split(tag, users_b[rows], items_b[rows], labels_b[rows], stamps_b[rows])
-        for tag, rows in zip(("train", "val", "test"),
-                             np.split(np.argsort(stamps_b), cuts)))
-
-    # unbiased holdouts: uniform items without replacement per user,
-    # val and test disjoint within each user
+    # unbiased holdouts: uniform items without replacement per user, val and
+    # test disjoint within each user. Each user's order is the argsort of one
+    # row of random numbers; consecutive row blocks read the same stream as
+    # one full draw, and only the first k_v + k_t positions are kept.
     k_v, k_t = cfg.unbiased_val_per_user, cfg.unbiased_test_per_user
-    perm = np.argsort(rng.random((cfg.n_users, cfg.n_items)), axis=1)
+    perm = np.empty((cfg.n_users, k_v + k_t), dtype=np.int64)
+    for lo in range(0, cfg.n_users, HOLDOUT_BLOCK_USERS):
+        hi = min(lo + HOLDOUT_BLOCK_USERS, cfg.n_users)
+        perm[lo:hi] = np.argsort(rng.random((hi - lo, cfg.n_items)), axis=1)[:, :k_v + k_t]
     unbiased = {}
     offsets = {"unbiased_val": (0, k_v), "unbiased_test": (k_v, k_v + k_t)}
     next_stamp = n_b
@@ -250,6 +260,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
     s_uniform = np.array([
         float(sigmoid(dots[:, group_of == j] + c[j]).mean()) for j in range(cfg.n_groups)
     ])
+    # the biased splits come last, once the n_users x n_items matrix is gone;
+    # they draw no random numbers. The stamps are distinct, so their order
+    # alone is the chronological one.
+    del dots, p_b
+    train, val, test = (
+        split(tag, users_b[rows], items_b[rows], labels_b[rows], stamps_b[rows])
+        for tag, rows in zip(("train", "val", "test"),
+                             np.split(np.argsort(stamps_b), cuts)))
     truth = {
         "rho_target": rho,
         "rho_train_realized": train_ratio,

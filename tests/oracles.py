@@ -1,6 +1,7 @@
 """Brute-force reference implementations of scoring, updates, metrics
-and CSV I/O, the allocate-per-step forms of Adam and the sigmoid, and the
-broadcast-and-scatter form of the model's forward and backward pass.
+and CSV I/O, the allocate-per-step forms of Adam and the sigmoid, the
+broadcast-and-scatter form of the model's forward and backward pass, and
+the one-shot form of the synthetic generator.
 
 Everything here is written in the most literal way possible (python loops,
 explicit pair enumeration, one CSV row at a time) so the vectorized package
@@ -15,11 +16,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex
-from ctrbias.errors import ConfigError, CsvParseError, LabelError
+from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex, FieldSchema
+from ctrbias.errors import CalibrationError, ConfigError, CsvParseError, LabelError
 from ctrbias.evaluation import RankedData
 from ctrbias.models import ForwardCache
 from ctrbias.numeric import bce_loss, sigmoid
+from ctrbias.synth import (SPLIT_FRACTIONS, SynthResult, _calibrate_offset,
+                           _id_strings)
 
 
 def pairwise_logit_reference(params, sample_indices, sample_values):
@@ -449,3 +452,122 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
         split_tag=split_tag,
         bias_labels=index.labels(schema.bias_field),
     )
+
+
+def generate_reference(cfg):
+    """synth.generate with every n_users x n_items temporary whole: the
+    preference and label-odds matrices side by side, the exposure draw as
+    one rows x members comparison per group, and the holdout permutation
+    as the argsort of one full n_users x n_items draw. The referee for the
+    row-blocked generator, whose splits and truth must equal it byte for
+    byte."""
+    rng = np.random.default_rng(cfg.seed)
+    rho = cfg.resolved_rho()
+
+    user_labels = _id_strings("u", cfg.n_users)
+    item_labels = _id_strings("i", cfg.n_items)
+    group_labels = _id_strings("g", cfg.n_groups)
+    schema = FieldSchema(
+        fields=(("user", cfg.n_users), ("item", cfg.n_items), ("group", cfg.n_groups)),
+        bias_field="group",
+        categories={
+            "user": tuple(user_labels),
+            "item": tuple(item_labels),
+            "group": tuple(group_labels),
+        },
+    )
+
+    A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
+    B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
+    item_offset = rng.normal(0.0, cfg.item_offset_scale, size=cfg.n_items) \
+        if cfg.item_offset_scale > 0 else np.zeros(cfg.n_items)
+    pref = (A @ B.T) * (cfg.pref_scale / np.sqrt(cfg.pref_dim))
+    dots = pref + item_offset
+    group_of = np.arange(cfg.n_items) % cfg.n_groups
+
+    tau = rng.permutation(np.linspace(cfg.temp_low, cfg.temp_high, cfg.n_groups))
+    pi = cfg.group_freq_decay ** np.arange(cfg.n_groups, dtype=np.float64)
+    pi = pi / pi.sum()
+
+    n_b = cfg.n_users * cfg.exposures_per_user
+    users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
+    groups_b = np.searchsorted(np.cumsum(pi), rng.random(n_b), side="right")
+    groups_b = np.minimum(groups_b, cfg.n_groups - 1)
+    items_b = np.empty(n_b, dtype=np.int64)
+    for j in range(cfg.n_groups):
+        members = np.nonzero(group_of == j)[0]
+        logits = tau[j] * pref[:, members]
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        cum = np.cumsum(p, axis=1)
+        mask = groups_b == j
+        draws = rng.random(int(mask.sum()))
+        pos = (cum[users_b[mask]] < draws[:, None]).sum(axis=1)
+        items_b[mask] = members[np.minimum(pos, len(members) - 1)]
+    stamps_b = rng.permutation(n_b)
+
+    f_train, f_val, _ = SPLIT_FRACTIONS
+    cuts = [int(round(n_b * f_train)), int(round(n_b * (f_train + f_val)))]
+    in_train = stamps_b < cuts[0]
+    c = np.empty(cfg.n_groups)
+    for j in range(cfg.n_groups):
+        sel = in_train & (groups_b == j)
+        if not sel.any():
+            raise CalibrationError(str(group_labels[j]), float(rho[j]))
+        c[j] = _calibrate_offset(dots[users_b[sel], items_b[sel]], float(rho[j]),
+                                 str(group_labels[j]))
+
+    p_b = sigmoid(dots[users_b, items_b] + c[groups_b])
+    labels_b = (rng.random(n_b) < p_b).astype(np.int8)
+    train_ratio = np.array([
+        float(labels_b[in_train & (groups_b == j)].mean()) for j in range(cfg.n_groups)
+    ])
+    for j in range(cfg.n_groups):
+        if abs(train_ratio[j] - rho[j]) > cfg.realized_tol:
+            raise CalibrationError(str(group_labels[j]), float(rho[j]))
+
+    def split(tag, users, items, labels, stamps):
+        indices = np.empty((len(users), 3), dtype=np.int64)
+        indices[:, 0] = users
+        indices[:, 1] = cfg.n_users + items
+        indices[:, 2] = cfg.n_users + cfg.n_items + group_of[items]
+        return Dataset(schema, indices, np.ones(indices.shape), labels,
+                       user_labels[users], item_labels[items], stamps, split_tag=tag)
+
+    train, val, test = (
+        split(tag, users_b[rows], items_b[rows], labels_b[rows], stamps_b[rows])
+        for tag, rows in zip(("train", "val", "test"),
+                             np.split(np.argsort(stamps_b), cuts)))
+
+    k_v, k_t = cfg.unbiased_val_per_user, cfg.unbiased_test_per_user
+    perm = np.argsort(rng.random((cfg.n_users, cfg.n_items)), axis=1)
+    unbiased = {}
+    offsets = {"unbiased_val": (0, k_v), "unbiased_test": (k_v, k_v + k_t)}
+    next_stamp = n_b
+    for tag, (a, b) in offsets.items():
+        items_u = perm[:, a:b].ravel()
+        users_u = np.repeat(np.arange(cfg.n_users), b - a)
+        p_u = sigmoid(dots[users_u, items_u] + c[group_of[items_u]])
+        labels_u = (rng.random(len(users_u)) < p_u).astype(np.int8)
+        stamps_u = next_stamp + np.arange(len(users_u), dtype=np.int64)
+        next_stamp += len(users_u)
+        unbiased[tag] = split(tag, users_u, items_u, labels_u, stamps_u)
+
+    s_uniform = np.array([
+        float(sigmoid(dots[:, group_of == j] + c[j]).mean()) for j in range(cfg.n_groups)
+    ])
+    truth = {
+        "rho_target": rho,
+        "rho_train_realized": train_ratio,
+        "unbiased_expected_ratio": s_uniform,
+        "c": c,
+        "tau": tau,
+        "pi": pi,
+        "group_of_item": group_of,
+        "item_offset": item_offset,
+        "user_factors": A,
+        "item_factors": B,
+    }
+    return SynthResult(schema, train, val, test,
+                       unbiased["unbiased_val"], unbiased["unbiased_test"], truth)

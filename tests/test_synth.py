@@ -1,8 +1,13 @@
-"""Synthetic generator: determinism, calibration accuracy, split structure."""
+"""Synthetic generator: determinism, calibration accuracy, split structure,
+byte identity with the one-shot referee, and peak memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
+from ctrbias import synth
 from ctrbias.analysis import group_stats
 from ctrbias.errors import CalibrationError, ConfigError
 from ctrbias.synth import SPLIT_FRACTIONS, SynthConfig, generate
@@ -10,11 +15,61 @@ from ctrbias.synth import SPLIT_FRACTIONS, SynthConfig, generate
 CFG = SynthConfig(n_users=60, n_items=40, n_groups=4, exposures_per_user=30,
                   unbiased_val_per_user=3, unbiased_test_per_user=5,
                   realized_tol=0.2, seed=5)
+SPLIT_ARRAYS = ("indices", "values", "labels", "user_ids", "item_ids", "timestamps")
+# worlds for the referee: label odds that differ from the exposure policy's
+# preference, a strongly skewed group frequency with a user count that
+# blocks of 3 do not divide, and one where both block loops of generate run
+# more than once at their default sizes
+WORLDS = {
+    "item_offsets": SynthConfig(**{**CFG.__dict__, "item_offset_scale": 0.5,
+                                   "group_freq_decay": 1.0}),
+    "skewed_groups": SynthConfig(n_users=50, n_items=40, n_groups=5,
+                                 exposures_per_user=30, unbiased_val_per_user=3,
+                                 unbiased_test_per_user=5, group_freq_decay=0.6,
+                                 realized_tol=0.2, seed=11),
+    "several_blocks": SynthConfig(n_users=600, n_items=400, n_groups=8,
+                                  exposures_per_user=60, unbiased_val_per_user=4,
+                                  unbiased_test_per_user=12, pref_scale=1.5,
+                                  item_offset_scale=0.4, temp_high=4.0, seed=3),
+}
 
 
 @pytest.fixture(scope="module")
 def result():
     return generate(CFG)
+
+
+@pytest.fixture(scope="module", params=sorted(WORLDS))
+def world(request):
+    cfg = WORLDS[request.param]
+    return cfg, oracles.generate_reference(cfg)
+
+
+def assert_bytes_equal(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+def assert_same_world(a, b):
+    """Every split array (dtype included), split tag and truth entry."""
+    assert a.schema == b.schema
+    assert a.splits.keys() == b.splits.keys()
+    for tag in a.splits:
+        x, y = a.splits[tag], b.splits[tag]
+        assert x.split_tag == y.split_tag == tag
+        assert x.bias_labels == y.bias_labels
+        for name in SPLIT_ARRAYS:
+            assert_bytes_equal(getattr(x, name), getattr(y, name))
+    assert a.truth.keys() == b.truth.keys()
+    for key in a.truth:
+        assert_bytes_equal(a.truth[key], b.truth[key])
+
+
+def returned_bytes(r):
+    return (sum(getattr(ds, name).nbytes for ds in r.splits.values()
+                for name in SPLIT_ARRAYS)
+            + sum(np.asarray(v).nbytes for v in r.truth.values()))
 
 
 class TestConfigValidation:
@@ -55,14 +110,7 @@ class TestConfigValidation:
 
 class TestDeterminism:
     def test_equal_configs_give_identical_worlds(self):
-        a = generate(CFG)
-        b = generate(CFG)
-        for tag in a.splits:
-            x, y = a.splits[tag], b.splits[tag]
-            assert np.array_equal(x.indices, y.indices)
-            assert np.array_equal(x.labels, y.labels)
-            assert np.array_equal(x.timestamps, y.timestamps)
-        assert np.array_equal(a.truth["c"], b.truth["c"])
+        assert_same_world(generate(CFG), generate(CFG))
 
     def test_different_seed_changes_labels(self):
         cfg2 = SynthConfig(**{**CFG.__dict__, "seed": 6})
@@ -171,3 +219,42 @@ class TestCalibration:
         order_rho = np.argsort(rho)
         order_s = np.argsort(s)
         assert not np.array_equal(order_rho, order_s)
+
+
+class TestReferee:
+    def test_equals_one_shot_reference(self, world):
+        cfg, reference = world
+        assert_same_world(generate(cfg), reference)
+
+    @pytest.mark.parametrize("exposure_rows, holdout_users", [(1, 1), (3, 3), (1, 3)])
+    def test_block_sizes_change_no_byte(self, world, monkeypatch, exposure_rows,
+                                        holdout_users):
+        cfg, reference = world
+        monkeypatch.setattr(synth, "EXPOSURE_BLOCK_ROWS", exposure_rows)
+        monkeypatch.setattr(synth, "HOLDOUT_BLOCK_USERS", holdout_users)
+        assert_same_world(generate(cfg), reference)
+
+    def test_several_blocks_world_runs_each_loop_more_than_once(self):
+        cfg = WORLDS["several_blocks"]
+        r = generate(cfg)
+        bias_lo = cfg.n_users + cfg.n_items
+        groups = np.concatenate([ds.indices[:, 2] for ds in (r.train, r.val, r.test)])
+        rows_per_group = np.bincount(groups - bias_lo, minlength=cfg.n_groups)
+        assert cfg.n_users > synth.HOLDOUT_BLOCK_USERS
+        assert rows_per_group.max() > synth.EXPOSURE_BLOCK_ROWS
+
+
+class TestMemory:
+    def test_peak_is_bounded_by_the_output(self):
+        # the one-shot form peaks at ~3.5x the returned bytes on this world,
+        # the row-blocked one at ~2.5x; Dataset validation of the train
+        # split sets the peak now
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            r = generate(WORLDS["several_blocks"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.75 * returned_bytes(r)
