@@ -267,6 +267,7 @@ class Dataset:
             bias_labels = schema.labels(schema.bias_field)
         self.bias_labels = tuple(bias_labels)
         self._memberships = None
+        self._blocks = None  # evaluation.blocks_of fills it
         if _validate:
             self._validate()
 

@@ -24,7 +24,8 @@ import numpy as np
 from .analysis import RegressionFit, group_stats, ols_fit
 from .data import Dataset
 from .errors import ConfigError, MetricError
-from .evaluation import DEFAULT_K, UserBlocks, ranked_auc, ranked_ndcg
+from .evaluation import (DEFAULT_K, blocks_of, ranked_auc, ranked_ndcg,
+                         users_with_both_labels)
 from .models import ModelParams, model_digest, prediction_parts
 from .numeric import to_jsonable
 
@@ -164,7 +165,12 @@ class GridPoint:
 
 @dataclass
 class GridSearchResult:
-    """Winning coefficients plus the full evaluation table."""
+    """Winning coefficients plus the full evaluation table.
+
+    `errors` lists grid points whose metrics were undefined. The search
+    rejects a split that would leave any point undefined, so it is empty;
+    grid files keep the key.
+    """
 
     variant: str
     best: GridPoint
@@ -212,15 +218,22 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     so its scores equal predict() on the reconstructed model bit for bit.
 
     Only the scores change between points, so the ranking's id part is
-    fixed once: user and item ids become integer codes (np.unique keeps
-    their order) and one UserBlocks is built from them. Each point ranks
-    its scores once, and AUC and NDCG share that RankedData, exactly as in
-    evaluate(). Only the winning model is built, at the end, by
-    reconstruct_weights.
+    the unbiased split's own UserBlocks (blocks_of), built once per
+    Dataset and shared with evaluate(). Each point ranks its scores once,
+    and AUC and NDCG share that RankedData, exactly as in evaluate(). Only
+    the winning model is built, at the end, by reconstruct_weights.
+
+    A split where no user has both labels leaves every point's AUC
+    undefined, so it raises ConfigError before any point is scored; past
+    that check every point's AUC is defined and `errors` stays empty.
     """
     cfg = cfg or DebiasConfig()
     if len(unbiased_ds) == 0:
         raise ConfigError("grid search needs a non-empty unbiased split")
+    if users_with_both_labels(unbiased_ds) == 0:
+        raise ConfigError("no user of the unbiased split has both a positive "
+                          "and a negative sample, so no grid point has a "
+                          "per-user AUC")
     ratios = estimate_unbiased_ratios(unbiased_ds)
     residual_fit = fit_weight_residuals(params, train_ds)
     bias_range = train_ds.schema.bias_range
@@ -229,30 +242,22 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     ds = unbiased_ds
     indices, values = ds.indices, ds.values
     high = prediction_parts(params, indices, values).high_order
-    _, users = np.unique(ds.user_ids, return_inverse=True)
-    _, items = np.unique(ds.item_ids, return_inverse=True)
-    blocks = UserBlocks(users, items)
+    blocks = blocks_of(ds)
     w = params.w.copy()
 
     best: GridPoint | None = None
     table: list[GridPoint] = []
-    errors: list[str] = []
     for beta, gamma in _grid_for(cfg):
         w[lo:hi] = beta * ratios.values + gamma * residual_fit.residuals
         # forward's logit order: (w0 + linear) + high_order
         scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
         ranked = blocks.rank(scores)
         uauc, _ = ranked_auc(ranked, scores, ds.labels)
-        if not np.isfinite(uauc):
-            errors.append(f"beta={beta} gamma={gamma}: per-user AUC undefined")
-            continue
         ndcg, _ = ranked_ndcg(ranked, ds.labels, cfg.k)
         point = GridPoint(beta, gamma, float(uauc), float(ndcg))
         table.append(point)
         if best is None or point.uauc > best.uauc:
             best = point
-    if best is None:
-        raise MetricError("no grid point produced a defined per-user AUC")
     best_params = reconstruct_weights(params, bias_range, ratios.values,
                                       residual_fit.residuals, best.beta,
                                       best.gamma)
@@ -263,6 +268,5 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
         table=table,
         ratio_fallback_labels=ratios.fallback_labels,
         residual_fallback_labels=residual_fit.fallback_labels,
-        errors=errors,
     )
     return best_params, result

@@ -12,9 +12,11 @@ unstable one that turns the scores into dense integer ranks, and a stable
 one of block * n + dense rank. Equal scores (0.0 and -0.0 among them) get
 equal dense ranks, so the unstable sort's tie order cannot show, and the
 stable sort keeps the base order inside a tie: the result is the three-key
-lexsort exactly. The grid search builds one UserBlocks per search and
-ranks each point once. Per-user quantities then come from block and run
-boundaries and np.bincount, with no Python loop over users:
+lexsort exactly. blocks_of() builds one UserBlocks per Dataset, on first
+use, and keeps it there, so evaluate(), the grid search and training's
+validation share one id sort per split, and a grid search ranks each
+point once. Per-user quantities then come from block and run boundaries
+and np.bincount, with no Python loop over users:
 
 * AUC gives each run of tied scores inside a user the mean of the run's
   positions, so the positives' rank sums are exact half-integers. A sum of
@@ -121,6 +123,17 @@ class UserBlocks:
         return RankedData(self.base[within], self.user_starts, self.users)
 
 
+def blocks_of(ds: Dataset) -> UserBlocks:
+    """The UserBlocks of ds's user and item ids, built on first use.
+
+    A Dataset never changes its ids and subset() returns a new Dataset, so
+    the blocks are kept on ds for every later ranking of it.
+    """
+    if ds._blocks is None:
+        ds._blocks = UserBlocks(ds.user_ids, ds.item_ids)
+    return ds._blocks
+
+
 def _positions_within_user(ranked: RankedData) -> np.ndarray:
     """0-based rank of each ordered row inside its user's block."""
     return np.arange(len(ranked.order)) - np.repeat(ranked.user_starts[:-1],
@@ -131,6 +144,16 @@ def _per_user_positive_counts(ranked: RankedData, labels) -> np.ndarray:
     sorted_labels = np.asarray(labels)[ranked.order]
     cum = np.concatenate([[0], np.cumsum(sorted_labels)])
     return cum[ranked.user_starts[1:]] - cum[ranked.user_starts[:-1]]
+
+
+def users_with_both_labels(ds: Dataset) -> int:
+    """How many users of a non-empty ds have both a positive and a negative
+    sample, i.e. a defined per-user AUC."""
+    blocks = blocks_of(ds)
+    # the base order is the ranking of all-equal scores
+    base = RankedData(blocks.base, blocks.user_starts, blocks.users)
+    n_pos = _per_user_positive_counts(base, ds.labels)
+    return int(((n_pos > 0) & (n_pos < base.sizes)).sum())
 
 
 def _prefix_mask_by_row(ranked: RankedData, cutoffs: np.ndarray) -> np.ndarray:
@@ -312,7 +335,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         raise ConfigError("cannot evaluate an empty dataset")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    ranked = UserBlocks(ds.user_ids, ds.item_ids).rank(scores)
+    ranked = blocks_of(ds).rank(scores)
     errors: list[str] = []
     uauc, uauc_skipped = ranked_auc(ranked, scores, ds.labels)
     if math.isnan(uauc):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, DivergenceError
-from .evaluation import user_auc
+from .evaluation import blocks_of, ranked_auc, users_with_both_labels
 from .models import ModelParams, init_params, loss_and_grads, predict
 from .numeric import to_jsonable
 
@@ -169,8 +169,9 @@ def _apply(params: ModelParams, deltas: dict) -> None:
 
 
 def _val_uauc(params: ModelParams, val_ds: Dataset) -> float:
+    # blocks_of breaks ties by item id; AUC does not depend on tie order
     scores = predict(params, val_ds.indices, val_ds.values)
-    value, _ = user_auc(val_ds.user_ids, scores, val_ds.labels)
+    value, _ = ranked_auc(blocks_of(val_ds).rank(scores), scores, val_ds.labels)
     return value
 
 
@@ -178,7 +179,9 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
           cfg: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Fit a model on train_ds; early-stop on val_ds per-user AUC if given.
 
-    Raises DivergenceError as soon as a batch loss stops being finite.
+    Raises DivergenceError as soon as a batch loss stops being finite, and
+    ConfigError before the first epoch when a non-empty val_ds has no user
+    with both labels.
     Returns the best-validation snapshot (or the final weights when no
     validation split is supplied).
     """
@@ -198,6 +201,10 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
     if n == 0:
         raise ConfigError("cannot train on an empty dataset")
     have_val = val_ds is not None and len(val_ds) > 0
+    if have_val and users_with_both_labels(val_ds) == 0:
+        raise ConfigError("no validation user has both a positive and a "
+                          "negative sample, so early stopping has no "
+                          "per-user AUC to watch")
 
     best: ModelParams | None = None
     best_uauc = -np.inf
@@ -249,7 +256,7 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
             uaucs.append(uauc)
             if best is None or uauc > best_uauc:
                 best = params.copy()
-                best_uauc = uauc if np.isfinite(uauc) else best_uauc
+                best_uauc = uauc
                 best_epoch = epoch
                 since_best = 0
             else:

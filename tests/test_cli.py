@@ -57,6 +57,18 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def one_class_copy(src, dst, label):
+    """Copy the CSV at src to dst keeping only the rows with this label."""
+    with open(src, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    col = header.index("label")
+    with open(dst, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(r for r in rows if r[col] == label)
+    return dst
+
+
 def assert_manifest_lists(out, inputs, outputs):
     """<out>.manifest.json digests exactly these input and output files."""
     path = Path(str(out) + ".manifest.json")
@@ -155,6 +167,22 @@ class TestTrain:
                    "--out", str(tmp_path / "m.bin")])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "m.bin").exists()
+
+
+    @pytest.mark.parametrize("label", ["0", "1"])
+    def test_one_class_validation_exits_2_with_one_line(self, corpus, tmp_path,
+                                                        capsys, label):
+        val = one_class_copy(corpus["data"] / "val.csv", tmp_path / "val.csv",
+                             label)
+        rc = main(["train", "--schema", str(corpus["schema"]),
+                   "--train", str(corpus["data"] / "train.csv"),
+                   "--val", str(val), *TRAIN_FLAGS,
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no validation user has both a positive and a negative "
+            "sample, so early stopping has no per-user AUC to watch\n")
         assert not (tmp_path / "m.bin").exists()
 
 
@@ -393,6 +421,23 @@ class TestDebias:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("label", ["0", "1"])
+    def test_one_class_unbiased_log_exits_2_with_one_line(
+            self, corpus, tmp_path, capsys, label):
+        unbiased = one_class_copy(corpus["data"] / "unbiased_val.csv",
+                                  tmp_path / "unbiased.csv", label)
+        rc = main([
+            "debias", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]), "--mode", "reconstruct",
+            "--train", str(corpus["data"] / "train.csv"),
+            "--unbiased", str(unbiased), "--out", str(tmp_path / "x.bin"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no user of the unbiased split has both a positive and a "
+            "negative sample, so no grid point has a per-user AUC\n")
+        assert list(tmp_path.iterdir()) == [unbiased]
 
     def test_bad_grid_text_exits_2(self, corpus, tmp_path, capsys):
         rc = main([

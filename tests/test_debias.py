@@ -9,12 +9,13 @@ import pytest
 from conftest import (count_calls, make_dataset, make_schema, random_dataset,
                       random_params)
 from ctrbias import evaluation, models
+from ctrbias.data import Dataset
 from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, UnbiasedRatios,
                             estimate_unbiased_ratios, fit_weight_residuals,
                             grid_search_reconstruction, reconstruct_weights,
                             reduce_weights)
 from ctrbias.errors import ConfigError, MetricError
-from ctrbias.evaluation import ndcg_at_k, user_auc
+from ctrbias.evaluation import evaluate, ndcg_at_k, user_auc
 from ctrbias.models import model_digest, predict
 
 
@@ -285,7 +286,7 @@ class TestGridSearch:
         params = random_params(rng, schema.n, 4)
         spec = [(u, i, i % 3, 1) for u in range(3) for i in range(4)]
         degenerate = build_log(schema, spec, split_tag="unbiased-val")
-        with pytest.raises(MetricError):
+        with pytest.raises(ConfigError, match="both a positive and a negative"):
             grid_search_reconstruction(params, train_ds, degenerate)
 
     def test_empty_unbiased_split_rejected(self, rng, schema, train_ds):
@@ -347,11 +348,33 @@ class TestGridScoresMatchPredict:
         ranks = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
         aucs = count_calls(monkeypatch, evaluation, "user_auc")
         ndcgs = count_calls(monkeypatch, evaluation, "ndcg_at_k")
-        _, _, _, (_, result) = self.search(rng, "fm")
+        _, _, unbiased, (best, result) = self.search(rng, "fm")
         assert len(builds) == 1
         assert len(ranks) == len(self.GRID) ** 2
         assert len(result.table) + len(result.errors) == len(ranks)
         assert aucs == ndcgs == []
+        # evaluating on the searched split reuses the search's blocks
+        evaluate(unbiased, predict(best, unbiased.indices, unbiased.values))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_string_ids_give_the_interned_ids_table(self, rng, arch):
+        # as strings u10 < u2 and i10 < i2; np.unique codes keep that order
+        kw = dict(n_users=12, n_items=15, n_groups=4)
+        train_ds = random_dataset(rng, n_rows=150, **kw)
+        unbiased = random_dataset(rng, n_rows=200, multi_group_prob=0.3,
+                                  split_tag="unbiased-val", **kw)
+        coded = Dataset(unbiased.schema, unbiased.indices, unbiased.values,
+                        unbiased.labels,
+                        np.unique(unbiased.user_ids, return_inverse=True)[1],
+                        np.unique(unbiased.item_ids, return_inverse=True)[1],
+                        unbiased.timestamps, split_tag=unbiased.split_tag)
+        params = random_params(rng, train_ds.schema.n, 3, arch=arch)
+        cfg = DebiasConfig(beta_grid=self.GRID, gamma_grid=self.GRID, k=3)
+        by_strings = grid_search_reconstruction(params, train_ds, unbiased, cfg)
+        by_codes = grid_search_reconstruction(params, train_ds, coded, cfg)
+        assert by_strings[1].to_json_dict() == by_codes[1].to_json_dict()
+        assert model_digest(by_strings[0]) == model_digest(by_codes[0])
 
     def test_nan_scores_raise_config_error(self, rng):
         kw = dict(n_users=6, n_items=9, n_groups=4)

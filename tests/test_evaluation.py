@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_calls, make_dataset, make_schema, random_dataset
-from ctrbias import numeric
+from conftest import (count_calls, float_bits, make_dataset, make_schema,
+                      random_dataset)
+from ctrbias import numeric, training
 from ctrbias.errors import ConfigError, MetricError
-from ctrbias.evaluation import (EvalReport, UserBlocks, evaluate, ndcg_at_k,
-                                reo_at_k, user_auc)
+from ctrbias.evaluation import (EvalReport, UserBlocks, blocks_of, evaluate,
+                                ndcg_at_k, reo_at_k, user_auc,
+                                users_with_both_labels)
 
 
 def random_instance(rng, coarse=True, **kwargs):
@@ -474,3 +476,59 @@ class TestEvaluate:
                     assert math.isnan(value)
                 else:
                     assert float(row[col]) == value
+
+
+class TestBlocksCache:
+    """A Dataset sorts its ids once; every later ranking of it reuses them."""
+
+    def test_evaluate_twice_builds_blocks_once(self, rng, monkeypatch):
+        ds, scores = random_instance(rng, n_users=12, n_items=15, n_rows=80)
+        builds = count_calls(monkeypatch, UserBlocks, "__init__")
+        first = evaluate(ds, scores, k=3)
+        second = evaluate(ds, scores[::-1], k=3)
+        assert len(builds) == 1
+        # a fresh Dataset over the same rows sorts its own ids
+        fresh = ds.subset(np.arange(len(ds)))
+        assert as_dict(evaluate(fresh, scores, k=3)) == as_dict(first)
+        assert as_dict(evaluate(fresh, scores[::-1], k=3)) == as_dict(second)
+        assert len(builds) == 2
+
+    def test_subset_gets_its_own_blocks(self, rng):
+        ds, scores = random_instance(rng, n_users=12, n_items=15, n_rows=80)
+        blocks = blocks_of(ds)
+        rows = rng.permutation(len(ds))[:50]
+        sub = ds.subset(rows)
+        assert blocks_of(sub) is not blocks
+        assert blocks_of(ds) is blocks
+        assert_same_ranking(
+            blocks_of(sub).rank(scores[rows]),
+            oracles.rank_users_reference(sub.user_ids, scores[rows],
+                                         sub.item_ids))
+
+    @pytest.mark.parametrize("ties", ["all-equal", "one-decimal"])
+    def test_validation_auc_ignores_the_item_tie_break(self, rng, monkeypatch,
+                                                       ties):
+        # training's validation AUC ranks on the item-broken cached blocks;
+        # user_auc keeps tied rows in input order
+        for _ in range(20):
+            ds, scores = random_instance(rng, coarse=False, n_users=25,
+                                         n_items=8, n_rows=200)
+            scores = (np.full(len(ds), 0.25) if ties == "all-equal"
+                      else np.round(scores, 1))
+            monkeypatch.setattr(training, "predict", lambda *_: scores)
+            got = training._val_uauc(None, ds)
+            assert float_bits(got) == float_bits(
+                user_auc(ds.user_ids, scores, ds.labels)[0])
+            assert float_bits(got) == float_bits(
+                oracles.uauc_brute(ds.user_ids, scores, ds.labels)[0])
+
+    def test_users_with_both_labels(self, rng):
+        for _ in range(20):
+            ds, _ = random_instance(rng, n_rows=int(rng.integers(1, 30)))
+            want = sum(len(set(ds.labels[ds.user_ids == u])) == 2
+                       for u in set(ds.user_ids))
+            assert users_with_both_labels(ds) == want
+
+
+def as_dict(report):
+    return json.dumps(report.to_json_dict(), sort_keys=True)

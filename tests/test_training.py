@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrbias import models
+from ctrbias import evaluation, models
 from ctrbias.debias import reduce_weights
 from ctrbias.errors import ConfigError, DivergenceError
 from ctrbias.models import init_params, loss_and_grads, predict, serialize
 from ctrbias.synth import SynthConfig, generate
 from ctrbias.training import Adam, TrainConfig, TrainReport, train
-from conftest import float_bits, make_dataset, make_schema
+from conftest import count_calls, float_bits, make_dataset, make_schema
 from oracles import AdamReference, sgd_step_reference, sigmoid_reference
 
 TINY = SynthConfig(n_users=30, n_items=20, n_groups=3, exposures_per_user=12,
@@ -232,6 +232,34 @@ class TestTrainLoop:
         empty = tiny.train.subset(np.array([], dtype=int))
         with pytest.raises(ConfigError):
             train(empty, None, TrainConfig())
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_validation_raises_before_training(self, tiny, label,
+                                                         monkeypatch):
+        steps = count_calls(monkeypatch, models, "loss_and_grads")
+        one_class = tiny.val.subset(np.flatnonzero(tiny.val.labels == label))
+        with pytest.raises(ConfigError, match="both a positive and a negative"):
+            train(tiny.train, one_class,
+                  TrainConfig(max_epochs=8, patience=3, seed=8))
+        assert steps == []
+
+    def test_one_user_with_both_labels_is_enough(self, tiny):
+        val = tiny.val
+        mixed = [u for u in np.unique(val.user_ids)
+                 if len(set(val.labels[val.user_ids == u])) == 2]
+        keep = (val.user_ids == mixed[0]) | (val.labels == 1)
+        _, report = train(tiny.train, val.subset(np.flatnonzero(keep)),
+                          TrainConfig(max_epochs=2, seed=8))
+        assert report.epochs_run == 2
+        assert all(math.isfinite(v) for v in report.val_uauc)
+
+    def test_validation_sorts_its_ids_once(self, tiny, monkeypatch):
+        val = tiny.val.subset(np.arange(len(tiny.val)))
+        builds = count_calls(monkeypatch, evaluation.UserBlocks, "__init__")
+        _, report = train(tiny.train, val, TrainConfig(max_epochs=3, seed=8))
+        assert report.epochs_run == 3 and len(builds) == 1
+        train(tiny.train, val, TrainConfig(max_epochs=2, seed=8))
+        assert len(builds) == 1
 
 
 def replay_train(ds, cfg):
