@@ -13,7 +13,6 @@ from .analysis import (
     CorrelationResult,
     RegressionFit,
     bias_chain_report,
-    group_stats,
     ols_fit,
     pearson,
     spearman,
@@ -28,8 +27,6 @@ from .data import (
 from .debias import (
     DebiasConfig,
     GridSearchResult,
-    UnbiasedRatios,
-    estimate_unbiased_ratios,
     fit_weight_residuals,
     grid_search_reconstruction,
     reconstruct_weights,
@@ -52,6 +49,7 @@ from .evaluation import (
     EvalReport,
     UserBlocks,
     evaluate,
+    group_stats,
     ndcg_at_k,
     reo_at_k,
     user_auc,

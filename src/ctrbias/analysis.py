@@ -3,9 +3,10 @@
 The chain under study: groups differ in their positive-sample ratio on
 the training log; the model stores that difference almost entirely in the
 linear weights of the group features; those weights then shift scores for
-every exposure of the group. This module quantifies each link with group
-counts, correlation tests, a per-label variance decomposition of the
-score's linear vs higher-order parts, and an OLS fit of weights on ratios.
+every exposure of the group. This module quantifies each link with the
+group counts of evaluation.group_stats, correlation tests, a per-label
+variance decomposition of the score's linear vs higher-order parts, and an
+OLS fit of weights on ratios.
 
 Correlation p-values use the exact two-sided Student-t tail of
 numeric.student_t_two_sided_p; no statistics package is involved.
@@ -20,46 +21,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError, UndefinedCorrelationError
-from .evaluation import evaluate
+from .evaluation import GroupStats, evaluate, group_stats, group_sums
 from .models import ModelParams, PredictionParts, predict, prediction_parts
 from .numeric import average_ranks, sigmoid, student_t_two_sided_p, to_jsonable
-
-@dataclass
-class GroupStats:
-    """Per-group sample counts and the positive ratio N_p / (N_p + N_n)."""
-
-    labels: tuple[str, ...]
-    n_pos: np.ndarray
-    n_neg: np.ndarray
-
-    @property
-    def diff(self) -> np.ndarray:
-        return self.n_pos - self.n_neg
-
-    @property
-    def ratio(self) -> np.ndarray:
-        total = self.n_pos + self.n_neg
-        with np.errstate(invalid="ignore"):
-            return np.where(total > 0, self.n_pos / total, np.nan)
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable({
-            "labels": self.labels,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-            "diff": self.diff,
-            "ratio": self.ratio,
-        })
-
-
-def group_stats(ds: Dataset) -> GroupStats:
-    """Count positives and negatives per bias group over one split."""
-    rows, groups = ds.bias_memberships()
-    g = ds.schema.num_groups
-    is_pos = ds.labels[rows] == 1
-    n_pos = np.bincount(groups[is_pos], minlength=g).astype(np.int64)
-    n_neg = np.bincount(groups[~is_pos], minlength=g).astype(np.int64)
-    return GroupStats(ds.bias_labels, n_pos, n_neg)
 
 
 @dataclass(frozen=True)
@@ -173,20 +137,18 @@ def variance_decomposition(ds: Dataset, parts: PredictionParts) -> VarianceDecom
     fewer than two non-empty groups makes the variance meaningless and
     raises MetricError.
     """
-    rows, groups = ds.bias_memberships()
-    g = ds.schema.num_groups
+    stats = group_stats(ds)
     out = {"linear": [0.0, 0.0], "high_order": [0.0, 0.0]}
     for part_name, arr in (("linear", parts.linear), ("high_order", parts.high_order)):
-        for y in (0, 1):
-            mask = ds.labels[rows] == y
-            counts = np.bincount(groups[mask], minlength=g)
+        for y, counts in ((0, stats.n_neg), (1, stats.n_pos)):
             nonempty = counts > 0
             if int(nonempty.sum()) < 2:
                 raise MetricError(
                     f"label {y}: fewer than two groups have samples, "
                     f"group-mean variance is undefined"
                 )
-            sums = np.bincount(groups[mask], weights=arr[rows[mask]], minlength=g)
+            # the other label's rows add +0.0, which leaves each sum as is
+            sums = group_sums(ds, np.where(ds.labels == y, arr, 0.0))
             means = sums[nonempty] / counts[nonempty]
             out[part_name][y] = float(np.mean((means - means.mean()) ** 2))
     return VarianceDecomposition(tuple(out["linear"]), tuple(out["high_order"]))
@@ -253,13 +215,11 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     wr_pearson = guarded(pearson, ratio, w_bias, "weight-vs-ratio pearson")
     wr_spearman = guarded(spearman, ratio, w_bias, "weight-vs-ratio spearman")
 
-    rows, groups = train_ds.bias_memberships()
     probs = sigmoid(predict(params, train_ds.indices, train_ds.values))
-    g = train_ds.schema.num_groups
-    counts = np.bincount(groups, minlength=g).astype(np.float64)
-    sums = np.bincount(groups, weights=probs[rows], minlength=g)
+    counts = stats.exposures
     with np.errstate(invalid="ignore"):
-        mean_score = np.where(counts > 0, sums / counts, np.nan)
+        mean_score = np.where(counts > 0, group_sums(train_ds, probs) / counts,
+                              np.nan)
     sr_pearson = guarded(pearson, ratio, mean_score, "score-vs-ratio pearson")
 
     fit = None

@@ -12,6 +12,10 @@ and leaving every other parameter alone:
   exposure bias; the ratio term re-anchors the group ordering to unbiased
   ground truth. beta and gamma come from a grid search that maximizes
   per-user AUC on an unbiased validation split.
+
+Both ratio vectors are evaluation.group_stats' filled ratios: a group a
+log never exposed takes that log's global positive ratio and is named in
+the grid report's ratio_ or residual_fallback_labels.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ from itertools import product
 
 import numpy as np
 
-from .analysis import RegressionFit, group_stats, ols_fit
+from .analysis import ols_fit
 from .data import Dataset
-from .errors import ConfigError, MetricError
-from .evaluation import (DEFAULT_K, blocks_of, ranked_auc, ranked_ndcg,
-                         users_with_both_labels)
+from .errors import ConfigError
+from .evaluation import (DEFAULT_K, GroupStats, blocks_of, group_stats,
+                         ranked_auc, ranked_ndcg, users_with_both_labels)
 from .models import ModelParams, model_digest, prediction_parts
 from .numeric import to_jsonable
 
@@ -71,66 +75,21 @@ def reduce_weights(params: ModelParams, bias_range: tuple[int, int],
     return out
 
 
-@dataclass
-class UnbiasedRatios:
-    """Per-group positive ratios from an unbiased exposure log.
+def fit_weight_residuals(w_bias: np.ndarray, train_stats: GroupStats) -> np.ndarray:
+    """Residuals of an OLS fit of trained bias weights on training ratios.
 
-    Groups the log never touched fall back to the global positive ratio;
-    their labels are recorded so callers can judge the estimate.
+    residuals[j] = w_j - (intercept + slope * filled_ratio[j]), the fit
+    running over the groups with training exposure; a group without takes
+    the global training ratio as its regressor value.
     """
-
-    values: np.ndarray
-    exposures: np.ndarray
-    positives: np.ndarray
-    global_ratio: float
-    fallback_labels: tuple[str, ...]
-
-
-def estimate_unbiased_ratios(ds: Dataset) -> UnbiasedRatios:
-    """Positive ratio per group on ds, which should be unbiased exposure."""
-    if len(ds) == 0:
-        raise ConfigError("cannot estimate ratios from an empty dataset")
-    stats = group_stats(ds)
-    exposures = stats.n_pos + stats.n_neg
-    global_ratio = float(ds.labels.mean())
-    with np.errstate(invalid="ignore"):
-        values = np.where(exposures > 0, stats.n_pos / np.maximum(exposures, 1),
-                          global_ratio)
-    fallback = tuple(lbl for lbl, e in zip(stats.labels, exposures) if e == 0)
-    return UnbiasedRatios(values.astype(np.float64), exposures, stats.n_pos,
-                          global_ratio, fallback)
-
-
-@dataclass
-class WeightResidualFit:
-    """OLS of trained bias weights on training positive ratios.
-
-    residuals[j] = w_j - (intercept + slope * ratio_used[j]); groups with
-    no training exposure use the global training ratio as regressor value.
-    """
-
-    ratio_used: np.ndarray
-    residuals: np.ndarray
-    fit: RegressionFit
-    fallback_labels: tuple[str, ...]
-
-
-def fit_weight_residuals(params: ModelParams, train_ds: Dataset) -> WeightResidualFit:
-    stats = group_stats(train_ds)
-    lo, hi = train_ds.schema.bias_range
-    w_bias = params.w[lo:hi]
-    ratio = stats.ratio
-    defined = np.isfinite(ratio)
+    defined = train_stats.exposures > 0
     if int(defined.sum()) < 2:
-        raise MetricError("need at least two groups with training exposure "
+        raise ConfigError("need at least two groups with training exposure "
                           "to fit weights on ratios")
-    global_ratio = float(train_ds.labels.mean())
-    ratio_used = np.where(defined, ratio, global_ratio)
-    fit = ols_fit(ratio_used[defined], w_bias[defined])
-    predicted = fit.intercept + fit.coef[0] * ratio_used
-    residuals = w_bias - predicted
-    fallback = tuple(lbl for lbl, ok in zip(stats.labels, defined) if not ok)
-    return WeightResidualFit(ratio_used, residuals, fit, fallback)
+    ratio = train_stats.filled_ratio
+    fit = ols_fit(ratio[defined], w_bias[defined])
+    # not fit.residuals: it rounds differently from this form
+    return w_bias - (fit.intercept + fit.coef[0] * ratio)
 
 
 def reconstruct_weights(params: ModelParams, bias_range: tuple[int, int],
@@ -224,8 +183,10 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     the winning model is built, at the end, by reconstruct_weights.
 
     A split where no user has both labels leaves every point's AUC
-    undefined, so it raises ConfigError before any point is scored; past
-    that check every point's AUC is defined and `errors` stays empty.
+    undefined and a training split with fewer than two exposed groups
+    leaves no residual fit, so each raises ConfigError before any point is
+    scored; past those checks every point's AUC is defined and `errors`
+    stays empty.
     """
     cfg = cfg or DebiasConfig()
     if len(unbiased_ds) == 0:
@@ -234,10 +195,12 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
         raise ConfigError("no user of the unbiased split has both a positive "
                           "and a negative sample, so no grid point has a "
                           "per-user AUC")
-    ratios = estimate_unbiased_ratios(unbiased_ds)
-    residual_fit = fit_weight_residuals(params, train_ds)
     bias_range = train_ds.schema.bias_range
     lo, hi = bias_range
+    train_stats = group_stats(train_ds)
+    residuals = fit_weight_residuals(params.w[lo:hi], train_stats)
+    unbiased_stats = group_stats(unbiased_ds)
+    ratios = unbiased_stats.filled_ratio
 
     ds = unbiased_ds
     indices, values = ds.indices, ds.values
@@ -248,7 +211,7 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     best: GridPoint | None = None
     table: list[GridPoint] = []
     for beta, gamma in _grid_for(cfg):
-        w[lo:hi] = beta * ratios.values + gamma * residual_fit.residuals
+        w[lo:hi] = beta * ratios + gamma * residuals
         # forward's logit order: (w0 + linear) + high_order
         scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
         ranked = blocks.rank(scores)
@@ -258,15 +221,14 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
         table.append(point)
         if best is None or point.uauc > best.uauc:
             best = point
-    best_params = reconstruct_weights(params, bias_range, ratios.values,
-                                      residual_fit.residuals, best.beta,
-                                      best.gamma)
+    best_params = reconstruct_weights(params, bias_range, ratios, residuals,
+                                      best.beta, best.gamma)
     best_params.provenance["variant"] = cfg.variant
     result = GridSearchResult(
         variant=cfg.variant,
         best=best,
         table=table,
-        ratio_fallback_labels=ratios.fallback_labels,
-        residual_fallback_labels=residual_fit.fallback_labels,
+        ratio_fallback_labels=unbiased_stats.fallback_labels,
+        residual_fallback_labels=train_stats.fallback_labels,
     )
     return best_params, result

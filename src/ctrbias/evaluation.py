@@ -34,6 +34,9 @@ ids, keeping tied rows in input order.
 
 Group-level metrics key off the bias field: a sample counts for group j
 when its feature vector has positive mass on that group's feature.
+group_stats() is the one per-group table of a split (counts, ratios and
+the global-ratio fallback of an unexposed group) that every group count
+in the package reads; group_sums() sums a row quantity per group.
 
 Undefined values (a user with no positives, a group with no positive
 samples) are skipped or reported as NaN rather than silently treated as
@@ -200,12 +203,12 @@ def ranked_auc(ranked: RankedData, scores, labels) -> tuple[float, int]:
 
 
 def ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
     sizes = ranked.sizes
-    width = min(k, int(sizes.max()))
+    k = min(k, int(sizes.max()))  # a deeper cutoff ranks the same rows
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
     pos = _positions_within_user(ranked)
-    top = pos < width
-    gains = np.zeros((ranked.n_users, width))
+    top = pos < k
+    gains = np.zeros((ranked.n_users, k))
     gains[ranked.row_users()[top], pos[top]] = (
         np.asarray(labels)[ranked.order][top] * discounts[pos[top]])
     n_pos = _per_user_positive_counts(ranked, labels)
@@ -224,30 +227,79 @@ def ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
     return _mean_in_user_order(dcg[has_pos] / idcg[has_pos], ranked.n_users)
 
 
-def _per_group_rate(ds: Dataset, row_weights: np.ndarray) -> np.ndarray:
-    """Per group, the sum of row_weights over its member rows divided by
-    its positive member rows; nan for a group without positives."""
+@dataclass
+class GroupStats:
+    """Per-group sample counts and the positive ratio N_p / (N_p + N_n).
+
+    global_ratio is the split's positive share over its rows (nan if it has
+    none). A group with no exposure has a nan `ratio`, takes global_ratio
+    in `filled_ratio` and is named in `fallback_labels`.
+    """
+
+    labels: tuple[str, ...]
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+    global_ratio: float
+
+    @property
+    def exposures(self) -> np.ndarray:
+        return self.n_pos + self.n_neg
+
+    @property
+    def diff(self) -> np.ndarray:
+        return self.n_pos - self.n_neg
+
+    @property
+    def ratio(self) -> np.ndarray:
+        total = self.exposures
+        with np.errstate(invalid="ignore"):
+            return np.where(total > 0, self.n_pos / total, np.nan)
+
+    @property
+    def filled_ratio(self) -> np.ndarray:
+        return np.where(self.exposures > 0, self.ratio, self.global_ratio)
+
+    @property
+    def fallback_labels(self) -> tuple[str, ...]:
+        return tuple(lbl for lbl, e in zip(self.labels, self.exposures) if e == 0)
+
+    def to_json_dict(self) -> dict:
+        return to_jsonable({
+            "labels": self.labels,
+            "n_pos": self.n_pos,
+            "n_neg": self.n_neg,
+            "diff": self.diff,
+            "ratio": self.ratio,
+        })
+
+
+def group_stats(ds: Dataset) -> GroupStats:
+    """Count positives and negatives per bias group over one split."""
     rows, groups = ds.bias_memberships()
     g = ds.schema.num_groups
-    numerator = np.bincount(groups, weights=row_weights[rows], minlength=g)
     is_pos = ds.labels[rows] == 1
-    denominator = np.bincount(groups[is_pos], minlength=g).astype(np.float64)
+    n_pos = np.bincount(groups[is_pos], minlength=g).astype(np.int64)
+    n_neg = np.bincount(groups[~is_pos], minlength=g).astype(np.int64)
+    global_ratio = float(ds.labels.mean()) if len(ds) else float("nan")
+    return GroupStats(ds.bias_labels, n_pos, n_neg, global_ratio)
+
+
+def group_sums(ds: Dataset, row_values: np.ndarray) -> np.ndarray:
+    """Per group, the sum of row_values over the rows that carry it, added
+    in row order."""
+    rows, groups = ds.bias_memberships()
+    return np.bincount(groups, weights=row_values[rows],
+                       minlength=ds.schema.num_groups)
+
+
+def _per_group_rate(ds: Dataset, row_weights: np.ndarray,
+                    positives: np.ndarray) -> np.ndarray:
+    """Per group, the sum of row_weights over its member rows divided by
+    its positive member rows; nan for a group without positives."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denominator > 0, numerator / denominator, np.nan)
-
-
-def _ranked_ehr(ds: Dataset, ranked: RankedData) -> np.ndarray:
-    """Per group, the exposures inside each user's top-|positives| prefix
-    that carry it, of any label, over its positive samples."""
-    k_plus = _per_user_positive_counts(ranked, ds.labels)
-    in_prefix = _prefix_mask_by_row(ranked, k_plus)
-    return _per_group_rate(ds, in_prefix.astype(np.float64))
-
-
-def _ranked_tpr(ds: Dataset, ranked: RankedData, k: int) -> np.ndarray:
-    in_topk = _prefix_mask_by_row(ranked, np.full(ranked.n_users, k, dtype=np.int64))
-    # sums of ones are exact in float64
-    return _per_group_rate(ds, (in_topk & (ds.labels == 1)).astype(np.float64))
+        return np.where(positives > 0,
+                        group_sums(ds, row_weights.astype(np.float64)) / positives,
+                        np.nan)
 
 
 def user_auc(user_ids, scores, labels) -> tuple[float, int]:
@@ -343,19 +395,23 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
     ndcg, ndcg_skipped = ranked_ndcg(ranked, ds.labels, k)
     if math.isnan(ndcg):
         errors.append("ndcg undefined: no user has a positive sample")
-    tpr = _ranked_tpr(ds, ranked, k)
-    ehr = _ranked_ehr(ds, ranked)
+    stats = group_stats(ds)
+    # TPR@k: the positives in each user's top k (k past the largest block
+    # selects the same rows); sums of ones are exact in float64
+    cutoffs = np.full(ranked.n_users, min(k, int(ranked.sizes.max())))
+    in_topk = _prefix_mask_by_row(ranked, cutoffs)
+    tpr = _per_group_rate(ds, in_topk & (ds.labels == 1), stats.n_pos)
+    # EHR counts the exposures of any label in each user's top-|positives|
+    in_prefix = _prefix_mask_by_row(
+        ranked, _per_user_positive_counts(ranked, ds.labels))
+    ehr = _per_group_rate(ds, in_prefix, stats.n_pos)
     try:
         reo = reo_at_k(tpr)
     except MetricError as exc:
         errors.append(f"reo undefined: {exc}")
         reo = None
-    rows, groups = ds.bias_memberships()
-    g = ds.schema.num_groups
-    exposures = np.bincount(groups, minlength=g)
-    positives = np.bincount(groups[ds.labels[rows] == 1], minlength=g)
     for i, label in enumerate(ds.bias_labels):
-        if positives[i] == 0:
+        if stats.n_pos[i] == 0:
             errors.append(f"group {label}: no positive samples, tpr/ehr undefined")
     return EvalReport(
         split_tag=ds.split_tag,
@@ -370,7 +426,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         group_labels=ds.bias_labels,
         group_tpr=[float(x) for x in tpr],
         group_ehr=[float(x) for x in ehr],
-        group_exposures=[int(x) for x in exposures],
-        group_positives=[int(x) for x in positives],
+        group_exposures=[int(x) for x in stats.exposures],
+        group_positives=[int(x) for x in stats.n_pos],
         errors=errors,
     )

@@ -38,6 +38,9 @@ SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 # (users): they bound its temporaries and change no draw
 EXPOSURE_BLOCK_ROWS = 4096
 HOLDOUT_BLOCK_USERS = 256
+# largest gap allowed between a group's realized training positive ratio
+# and its target
+REALIZED_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,6 @@ class SynthConfig:
     group_freq_decay: float = 0.9
     temp_low: float = 0.2
     temp_high: float = 3.0
-    realized_tol: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -148,7 +150,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     All randomness comes from one generator seeded with cfg.seed, so equal
     configs produce identical results. Raises CalibrationError when a group
     offset cannot reach its target ratio or the realized training ratio
-    lands more than cfg.realized_tol away from it.
+    lands more than REALIZED_TOL away from it.
     """
     rng = np.random.default_rng(cfg.seed)
     rho = cfg.resolved_rho()
@@ -225,7 +227,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
         float(labels_b[in_train & (groups_b == j)].mean()) for j in range(cfg.n_groups)
     ])
     for j in range(cfg.n_groups):
-        if abs(train_ratio[j] - rho[j]) > cfg.realized_tol:
+        if abs(train_ratio[j] - rho[j]) > REALIZED_TOL:
             raise CalibrationError(str(group_labels[j]), float(rho[j]))
 
     def split(tag, users, items, labels, stamps):

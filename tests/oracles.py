@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ctrbias import synth
 from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex, FieldSchema
 from ctrbias.errors import CalibrationError, ConfigError, CsvParseError, LabelError
 from ctrbias.evaluation import RankedData
@@ -524,7 +525,7 @@ def generate_reference(cfg):
         float(labels_b[in_train & (groups_b == j)].mean()) for j in range(cfg.n_groups)
     ])
     for j in range(cfg.n_groups):
-        if abs(train_ratio[j] - rho[j]) > cfg.realized_tol:
+        if abs(train_ratio[j] - rho[j]) > synth.REALIZED_TOL:
             raise CalibrationError(str(group_labels[j]), float(rho[j]))
 
     def split(tag, users, items, labels, stamps):

@@ -14,11 +14,11 @@ import pytest
 
 import oracles
 from conftest import make_dataset, make_schema, random_dataset, random_params
-from ctrbias.analysis import group_stats, ols_fit, pearson, spearman
+from ctrbias.analysis import ols_fit, pearson, spearman
 from ctrbias.cli import main as cli_main
 from ctrbias.debias import (VARIANTS, DebiasConfig, grid_search_reconstruction,
                             reduce_weights)
-from ctrbias.evaluation import evaluate, ndcg_at_k, reo_at_k, user_auc
+from ctrbias.evaluation import evaluate, group_stats, ndcg_at_k, reo_at_k, user_auc
 from ctrbias.models import init_params, loss_and_grads, predict, prediction_parts
 from ctrbias.numeric import sigmoid
 from ctrbias.synth import SynthConfig, generate

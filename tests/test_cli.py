@@ -3,15 +3,17 @@
 import csv
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ctrbias.analysis import ols_fit
 from ctrbias.cli import main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.debias import VARIANTS, DebiasConfig, grid_search_reconstruction
-from ctrbias.evaluation import evaluate
+from ctrbias.evaluation import evaluate, group_stats
 from ctrbias.models import load_model, predict, save_model
 from ctrbias.numeric import to_jsonable
 
@@ -57,16 +59,22 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def one_class_copy(src, dst, label):
-    """Copy the CSV at src to dst keeping only the rows with this label."""
+def filtered_copy(src, dst, column, keep):
+    """Copy the CSV at src to dst keeping only the rows whose `column` cell
+    passes keep."""
     with open(src, newline="") as fh:
         header, *rows = csv.reader(fh)
-    col = header.index("label")
+    col = header.index(column)
     with open(dst, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(r for r in rows if r[col] == label)
+        writer.writerows(r for r in rows if keep(r[col]))
     return dst
+
+
+def one_class_copy(src, dst, label):
+    """Copy the CSV at src to dst keeping only the rows with this label."""
+    return filtered_copy(src, dst, "label", lambda y: y == label)
 
 
 def assert_manifest_lists(out, inputs, outputs):
@@ -202,6 +210,22 @@ class TestAnalyze:
         assert report["weight_ratio_spearman"]["method"] == "spearman"
         assert report["variances"] is not None
 
+    def test_header_only_training_log(self, corpus, tmp_path):
+        train = filtered_copy(corpus["data"] / "train.csv",
+                              tmp_path / "train.csv", "label", lambda y: False)
+        out = tmp_path / "analysis.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([
+                "analyze", "--schema", str(corpus["schema"]),
+                "--model", str(corpus["model"]), "--train", str(train),
+                "--out", str(out),
+            ])
+        assert rc == 0
+        report = read_json(out)
+        assert report["train_stats"]["n_pos"] == [0, 0, 0]
+        assert report["errors"][0] == "3 group(s) have no training exposure"
+
     def test_schema_mismatch_exits_2(self, corpus, tmp_path, capsys):
         other = tmp_path / "other"
         assert main(["synth", "--users", "40", "--items", "20",
@@ -298,6 +322,36 @@ class TestEval:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {bad}: byte 0xff at offset ")
         assert "is not UTF-8" in err
+
+
+    def test_k_beyond_every_user_block_equals_the_largest_block(
+            self, corpus, tmp_path):
+        # any cutoff at or past the largest user block selects every row
+        data = corpus["data"] / "test.csv"
+        n_rows = len(data.read_text().splitlines()) - 1
+        reports = {}
+        for k in (n_rows, 10 ** 20):
+            out = tmp_path / f"eval_{k}.json"
+            assert main([
+                "eval", "--schema", str(corpus["schema"]),
+                "--model", str(corpus["model"]), "--data", str(data),
+                "--k", str(k), "--out", str(out),
+            ]) == 0
+            reports[k] = read_json(out)
+        assert reports[10 ** 20].pop("k") == 10 ** 20
+        assert reports[n_rows].pop("k") == n_rows
+        assert reports[10 ** 20] == reports[n_rows]
+        for k in (n_rows, 10 ** 20):
+            assert main([
+                "debias", "--schema", str(corpus["schema"]),
+                "--model", str(corpus["model"]), "--mode", "reconstruct",
+                "--train", str(corpus["data"] / "train.csv"),
+                "--unbiased", str(corpus["data"] / "unbiased_val.csv"),
+                "--k", str(k), "--out", str(tmp_path / f"recon_{k}.bin"),
+            ]) == 0
+        for suffix in ("", ".grid.json"):
+            assert ((tmp_path / f"recon_{n_rows}.bin{suffix}").read_bytes()
+                    == (tmp_path / f"recon_{10 ** 20}.bin{suffix}").read_bytes())
 
 
 class TestDebias:
@@ -438,6 +492,54 @@ class TestDebias:
             "error: no user of the unbiased split has both a positive and a "
             "negative sample, so no grid point has a per-user AUC\n")
         assert list(tmp_path.iterdir()) == [unbiased]
+
+    def test_unexposed_unbiased_group_takes_the_global_ratio(self, corpus,
+                                                             tmp_path):
+        unbiased = filtered_copy(corpus["data"] / "unbiased_val.csv",
+                                 tmp_path / "unbiased.csv", "group",
+                                 lambda g: g != "g0")
+        out = tmp_path / "recon.bin"
+        rc = main([
+            "debias", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]), "--mode", "reconstruct",
+            "--train", str(corpus["data"] / "train.csv"),
+            "--unbiased", str(unbiased), "--out", str(out),
+        ])
+        assert rc == 0
+        grid = read_json(str(out) + ".grid.json")
+        assert grid["ratio_fallback_labels"] == ["g0"]
+        assert grid["residual_fallback_labels"] == []
+        with open(unbiased, newline="") as fh:
+            labels = [int(r["label"]) for r in csv.DictReader(fh)]
+        global_ratio = sum(labels) / len(labels)
+        schema = FieldSchema.load(corpus["schema"])
+        train_ds = ingest_csv(corpus["data"] / "train.csv", schema,
+                              FeatureIndex(schema))
+        lo, hi = schema.bias_range
+        w = load_model(corpus["model"]).w[lo:hi]
+        ratio = group_stats(train_ds).ratio
+        fit = ols_fit(ratio, w)
+        residual = w[0] - (fit.intercept + fit.coef[0] * ratio[0])
+        beta, gamma = grid["best"]["beta"], grid["best"]["gamma"]
+        assert load_model(out).w[lo] == beta * global_ratio + gamma * residual
+
+    def test_training_log_with_one_group_exits_2_with_one_line(
+            self, corpus, tmp_path, capsys):
+        train = filtered_copy(corpus["data"] / "train.csv",
+                              tmp_path / "train.csv", "group",
+                              lambda g: g == "g0")
+        rc = main([
+            "debias", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]), "--mode", "reconstruct",
+            "--train", str(train),
+            "--unbiased", str(corpus["data"] / "unbiased_val.csv"),
+            "--out", str(tmp_path / "x.bin"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: need at least two groups with training exposure to fit "
+            "weights on ratios\n")
+        assert list(tmp_path.iterdir()) == [train]
 
     def test_bad_grid_text_exits_2(self, corpus, tmp_path, capsys):
         rc = main([

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ import pytest
 from conftest import (count_calls, make_dataset, make_schema, random_dataset,
                       random_params)
 from ctrbias import evaluation, models
+from ctrbias.analysis import bias_chain_report, ols_fit
 from ctrbias.data import Dataset
-from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, UnbiasedRatios,
-                            estimate_unbiased_ratios, fit_weight_residuals,
+from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, fit_weight_residuals,
                             grid_search_reconstruction, reconstruct_weights,
                             reduce_weights)
-from ctrbias.errors import ConfigError, MetricError
-from ctrbias.evaluation import evaluate, ndcg_at_k, user_auc
+from ctrbias.errors import ConfigError
+from ctrbias.evaluation import evaluate, group_stats, ndcg_at_k, user_auc
 from ctrbias.models import model_digest, predict
 
 
@@ -120,60 +121,113 @@ class TestReduceWeights:
 
 
 class TestUnbiasedRatios:
+    """The grid's unbiased ratios are group_stats' filled ratios."""
+
     def test_hand_counts(self, schema):
         spec = [(0, 0, 0, 1), (1, 1, 0, 1), (2, 2, 0, 0),
                 (0, 3, 1, 0), (1, 4, 1, 0)]
-        ratios = estimate_unbiased_ratios(build_log(schema, spec))
-        assert isinstance(ratios, UnbiasedRatios)
-        assert ratios.exposures.tolist() == [3, 2, 0]
-        assert ratios.positives.tolist() == [2, 0, 0]
-        assert ratios.global_ratio == 2.0 / 5.0
-        assert ratios.values[0] == 2.0 / 3.0
-        assert ratios.values[1] == 0.0
-        assert ratios.values[2] == ratios.global_ratio  # fallback
-        assert ratios.fallback_labels == ("g2",)
+        stats = group_stats(build_log(schema, spec))
+        assert stats.exposures.tolist() == [3, 2, 0]
+        assert stats.n_pos.tolist() == [2, 0, 0]
+        assert stats.global_ratio == 2.0 / 5.0
+        assert stats.filled_ratio[0] == 2.0 / 3.0
+        assert stats.filled_ratio[1] == 0.0
+        assert stats.filled_ratio[2] == stats.global_ratio  # fallback
+        assert stats.fallback_labels == ("g2",)
 
     def test_multi_group_rows_count_for_each(self, schema):
         spec = [(0, 0, [0, 1], 1), (1, 1, 2, 0)]
-        ratios = estimate_unbiased_ratios(build_log(schema, spec))
-        assert ratios.exposures.tolist() == [1, 1, 1]
-        assert ratios.values.tolist() == [1.0, 1.0, 0.0]
+        stats = group_stats(build_log(schema, spec))
+        assert stats.exposures.tolist() == [1, 1, 1]
+        assert stats.filled_ratio.tolist() == [1.0, 1.0, 0.0]
 
-    def test_empty_dataset_rejected(self, rng):
+    def test_empty_dataset_has_no_ratio(self, rng):
         ds = random_dataset(rng, n_rows=5)
-        with pytest.raises(ConfigError):
-            estimate_unbiased_ratios(ds.subset(np.array([], dtype=int)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = group_stats(ds.subset(np.array([], dtype=int)))
+        assert math.isnan(stats.global_ratio)
+        assert stats.fallback_labels == ds.bias_labels
+        assert np.isnan(stats.filled_ratio).all()
+
+
+def residuals_of(params, train_ds):
+    lo, hi = train_ds.schema.bias_range
+    return fit_weight_residuals(params.w[lo:hi], group_stats(train_ds))
 
 
 class TestWeightResiduals:
     def test_residual_formula(self, rng, schema, train_ds):
         params = random_params(rng, schema.n, 4)
         lo, hi = schema.bias_range
-        res = fit_weight_residuals(params, train_ds)
-        predicted = res.fit.intercept + res.fit.coef[0] * res.ratio_used
-        np.testing.assert_array_equal(res.residuals,
-                                      params.w[lo:hi] - predicted)
-        assert res.fallback_labels == ()
+        stats = group_stats(train_ds)
+        residuals = fit_weight_residuals(params.w[lo:hi], stats)
+        fit = ols_fit(stats.ratio, params.w[lo:hi])
+        predicted = fit.intercept + fit.coef[0] * stats.filled_ratio
+        np.testing.assert_array_equal(residuals, params.w[lo:hi] - predicted)
+        assert stats.fallback_labels == ()
         # with every group exposed, the regressor is the group train ratio
-        np.testing.assert_allclose(res.ratio_used, [0.5, 1 / 3, 2 / 3],
+        np.testing.assert_allclose(stats.filled_ratio, [0.5, 1 / 3, 2 / 3],
                                    atol=1e-15)
         # OLS residuals over the fitted groups sum to ~zero
-        assert abs(res.residuals.sum()) < 1e-9
+        assert abs(residuals.sum()) < 1e-9
 
     def test_fallback_regressor_is_global_ratio(self, rng, schema):
         spec = [(0, 0, 0, 1), (1, 1, 0, 0), (0, 2, 1, 1), (1, 3, 1, 1)]
         ds = build_log(schema, spec)
         params = random_params(rng, schema.n, 4)
-        res = fit_weight_residuals(params, ds)
-        assert res.fallback_labels == ("g2",)
-        assert res.ratio_used[2] == 3.0 / 4.0
+        lo, hi = schema.bias_range
+        stats = group_stats(ds)
+        residuals = fit_weight_residuals(params.w[lo:hi], stats)
+        assert stats.fallback_labels == ("g2",)
+        assert stats.filled_ratio[2] == 3.0 / 4.0
+        fit = ols_fit(stats.ratio[:2], params.w[lo:hi - 1])
+        assert residuals[2] == params.w[hi - 1] - (
+            fit.intercept + fit.coef[0] * (3.0 / 4.0))
 
     def test_single_defined_group_raises(self, rng, schema):
         spec = [(0, 0, 0, 1), (1, 1, 0, 0), (2, 2, 0, 1)]
         ds = build_log(schema, spec)
         params = random_params(rng, schema.n, 4)
-        with pytest.raises(MetricError):
-            fit_weight_residuals(params, ds)
+        lo, hi = schema.bias_range
+        with pytest.raises(ConfigError, match="at least two groups"):
+            fit_weight_residuals(params.w[lo:hi], group_stats(ds))
+
+
+class TestOneGroupTable:
+    """Every per-group count and fallback in the package is group_stats'."""
+
+    # g0 and g1 share two rows; no row carries g2
+    SPEC = [(0, 0, [0, 1], 1), (0, 1, 0, 0), (0, 2, 1, 0),
+            (1, 3, 0, 1), (1, 4, [0, 1], 0), (1, 5, 1, 1),
+            (2, 0, 1, 0), (2, 1, 0, 1), (2, 2, 0, 0)]
+
+    def test_counts_fallbacks_and_the_unexposed_weight(self, rng, schema):
+        log = build_log(schema, self.SPEC)
+        stats = group_stats(log)
+        assert stats.n_pos.tolist() == [3, 2, 0]
+        assert stats.n_neg.tolist() == [3, 3, 0]
+        assert stats.global_ratio == 4.0 / 9.0
+        assert stats.fallback_labels == ("g2",)
+        params = random_params(rng, schema.n, 4)
+
+        report = evaluate(log, predict(params, log.indices, log.values))
+        assert report.group_exposures == stats.exposures.tolist()
+        assert report.group_positives == stats.n_pos.tolist()
+        chain = bias_chain_report(params, log, eval_ds=log)
+        assert chain.train_stats.labels == stats.labels
+        np.testing.assert_array_equal(chain.train_stats.n_pos, stats.n_pos)
+        np.testing.assert_array_equal(chain.train_stats.n_neg, stats.n_neg)
+
+        best, result = grid_search_reconstruction(params, log, log)
+        assert result.ratio_fallback_labels == stats.fallback_labels
+        assert result.residual_fallback_labels == stats.fallback_labels
+        lo, hi = schema.bias_range
+        w = params.w[lo:hi]
+        fit = ols_fit(stats.ratio[:2], w[:2])
+        residual = w[2] - (fit.intercept + fit.coef[0] * stats.global_ratio)
+        assert best.w[hi - 1] == (result.best.beta * stats.global_ratio
+                                  + result.best.gamma * residual)
 
 
 class TestReconstructWeights:
@@ -266,12 +320,12 @@ class TestGridSearch:
         unbiased = unbiased_log(schema)
         digest_before = model_digest(params)
         best, result = grid_search_reconstruction(params, train_ds, unbiased)
-        ratios = estimate_unbiased_ratios(unbiased)
-        residuals = fit_weight_residuals(params, train_ds).residuals
+        ratios = group_stats(unbiased).filled_ratio
+        residuals = residuals_of(params, train_ds)
         lo, hi = schema.bias_range
         np.testing.assert_array_equal(
             best.w[lo:hi],
-            result.best.beta * ratios.values + result.best.gamma * residuals)
+            result.best.beta * ratios + result.best.gamma * residuals)
         np.testing.assert_array_equal(best.V, params.V)
         np.testing.assert_array_equal(best.w[:lo], params.w[:lo])
         assert best.provenance == {
@@ -324,8 +378,8 @@ class TestGridScoresMatchPredict:
     def test_every_row_equals_rescoring(self, rng, arch, monkeypatch):
         scored = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
         params, train_ds, unbiased, (best, result) = self.search(rng, arch)
-        ratios = estimate_unbiased_ratios(unbiased).values
-        residuals = fit_weight_residuals(params, train_ds).residuals
+        ratios = group_stats(unbiased).filled_ratio
+        residuals = residuals_of(params, train_ds)
         assert len(result.table) == len(scored) == len(self.GRID) ** 2
         for point, (args, _) in zip(result.table, scored):
             rebuilt = reconstruct_weights(params, train_ds.schema.bias_range,

@@ -8,13 +8,12 @@ import pytest
 
 import oracles
 from ctrbias import synth
-from ctrbias.analysis import group_stats
 from ctrbias.errors import CalibrationError, ConfigError
+from ctrbias.evaluation import group_stats
 from ctrbias.synth import SPLIT_FRACTIONS, SynthConfig, generate
 
 CFG = SynthConfig(n_users=60, n_items=40, n_groups=4, exposures_per_user=30,
-                  unbiased_val_per_user=3, unbiased_test_per_user=5,
-                  realized_tol=0.2, seed=5)
+                  unbiased_val_per_user=3, unbiased_test_per_user=5, seed=5)
 SPLIT_ARRAYS = ("indices", "values", "labels", "user_ids", "item_ids", "timestamps")
 # worlds for the referee: label odds that differ from the exposure policy's
 # preference, a strongly skewed group frequency with a user count that
@@ -26,7 +25,7 @@ WORLDS = {
     "skewed_groups": SynthConfig(n_users=50, n_items=40, n_groups=5,
                                  exposures_per_user=30, unbiased_val_per_user=3,
                                  unbiased_test_per_user=5, group_freq_decay=0.6,
-                                 realized_tol=0.2, seed=11),
+                                 seed=11),
     "several_blocks": SynthConfig(n_users=600, n_items=400, n_groups=8,
                                   exposures_per_user=60, unbiased_val_per_user=4,
                                   unbiased_test_per_user=12, pref_scale=1.5,
@@ -39,10 +38,16 @@ def result():
     return generate(CFG)
 
 
+# skewed_groups misses its target ratios by more than synth.REALIZED_TOL
+WORLD_TOL = 0.2
+
+
 @pytest.fixture(scope="module", params=sorted(WORLDS))
 def world(request):
     cfg = WORLDS[request.param]
-    return cfg, oracles.generate_reference(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "REALIZED_TOL", WORLD_TOL)
+        return cfg, oracles.generate_reference(cfg)
 
 
 def assert_bytes_equal(x, y):
@@ -186,7 +191,7 @@ class TestCalibration:
     def test_train_ratios_hit_targets_within_tolerance(self, result):
         rho = CFG.resolved_rho()
         realized = group_stats(result.train).ratio
-        assert np.abs(realized - rho).max() <= CFG.realized_tol
+        assert np.abs(realized - rho).max() <= synth.REALIZED_TOL
         assert np.array_equal(realized, result.truth["rho_train_realized"])
 
     def test_item_offsets_feed_click_odds(self):
@@ -203,16 +208,16 @@ class TestCalibration:
     def test_zero_offset_scale_gives_zero_offsets(self, result):
         assert np.all(result.truth["item_offset"] == 0.0)
 
-    def test_impossible_tolerance_raises(self):
-        cfg = SynthConfig(**{**CFG.__dict__, "realized_tol": 1e-9})
+    def test_impossible_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "REALIZED_TOL", 1e-9)
         with pytest.raises(CalibrationError):
-            generate(cfg)
+            generate(CFG)
 
     def test_unbiased_ratio_ordering_decorrelates_from_train(self):
         # strong preference matching makes train and unbiased orderings differ
         cfg = SynthConfig(n_users=300, n_items=120, n_groups=8,
                           exposures_per_user=60, pref_scale=1.5,
-                          temp_low=0.2, temp_high=4.0, realized_tol=0.1, seed=7)
+                          temp_low=0.2, temp_high=4.0, seed=7)
         r = generate(cfg)
         rho = r.truth["rho_train_realized"]
         s = r.truth["unbiased_expected_ratio"]
@@ -222,6 +227,10 @@ class TestCalibration:
 
 
 class TestReferee:
+    @pytest.fixture(autouse=True)
+    def world_tolerance(self, monkeypatch):
+        monkeypatch.setattr(synth, "REALIZED_TOL", WORLD_TOL)
+
     def test_equals_one_shot_reference(self, world):
         cfg, reference = world
         assert_same_world(generate(cfg), reference)
