@@ -117,7 +117,8 @@ def _load(args, *csv_flags):
     """The schema; the model when --model is given (checked against the
     schema's digest), else None; and one Dataset per named CSV flag, None
     where the flag is absent. The CSVs are ingested through one
-    FeatureIndex in the order named, each tagged with its file's stem.
+    FeatureIndex in the order named, each tagged with its file's stem,
+    and all name the bias groups by the index as the last file leaves it.
     """
     schema = FieldSchema.load(args.schema)
     model = getattr(args, "model", None)
@@ -126,6 +127,9 @@ def _load(args, *csv_flags):
     index = FeatureIndex(schema)
     datasets = [ingest_csv(p, schema, index, split_tag=Path(p).stem) if p else None
                 for p in (getattr(args, flag) for flag in csv_flags)]
+    for ds in datasets:
+        if ds is not None:
+            ds.bias_labels = index.labels(schema.bias_field)
     return schema, params, datasets
 
 
@@ -238,6 +242,10 @@ def cmd_pipeline(args):
         # a user needs both labels for a per-user AUC to select a grid point
         raise ConfigError("--unbiased-val-per-user must be >= 2, got "
                           f"{args.unbiased_val_per_user}")
+    if args.unbiased_test_per_user < 1:
+        # the corrected models are evaluated on the unbiased test split
+        raise ConfigError("--unbiased-test-per-user must be >= 1, got "
+                          f"{args.unbiased_test_per_user}")
     debias_cfgs = [DebiasConfig(variant=v, k=args.k) for v in VARIANTS]
     tcfg = _train_config(args, "adam", "none", args.seed + 1)
     outdir = Path(args.out)

@@ -76,6 +76,8 @@ class FieldSchema:
                 raise ConfigError(f"field name {name!r} is not a string")
             if not isinstance(card, int) or isinstance(card, bool) or card < 1:
                 raise ConfigError(f"field {name!r} has invalid cardinality {card!r}")
+        if self.n > _INT64.max:
+            raise ConfigError(f"schema declares {self.n} features, more than int64 holds")
         by_name = dict(self.fields)
         if len(by_name) != len(self.fields):
             raise ConfigError("duplicate field names in schema")

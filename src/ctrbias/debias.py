@@ -202,10 +202,9 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     unbiased_stats = group_stats(unbiased_ds)
     ratios = unbiased_stats.filled_ratio
 
-    ds = unbiased_ds
-    indices, values = ds.indices, ds.values
+    indices, values = unbiased_ds.indices, unbiased_ds.values
     high = prediction_parts(params, indices, values).high_order
-    blocks = blocks_of(ds)
+    blocks = blocks_of(unbiased_ds)
     w = params.w.copy()
 
     best: GridPoint | None = None
@@ -215,8 +214,8 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
         # forward's logit order: (w0 + linear) + high_order
         scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
         ranked = blocks.rank(scores)
-        uauc, _ = ranked_auc(ranked, scores, ds.labels)
-        ndcg, _ = ranked_ndcg(ranked, ds.labels, cfg.k)
+        uauc, _ = ranked_auc(ranked)
+        ndcg, _ = ranked_ndcg(ranked, cfg.k)
         point = GridPoint(beta, gamma, float(uauc), float(ndcg))
         table.append(point)
         if best is None or point.uauc > best.uauc:

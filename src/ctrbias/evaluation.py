@@ -4,19 +4,19 @@ Every metric starts from one ranking, in (user asc, score desc, item_id
 asc) order, so each user's samples form a contiguous block in ranking
 order. evaluate() is the one entry that turns a split's scores into group
 metrics: it shares one RankedData across AUC, NDCG, TPR@k, EHR and REO.
-The ranking splits into the part the ids fix and the part the scores
-change. A UserBlocks, built once from the ids, holds the rows sorted by
-(user, item, input position), the user blocks and each row's block number.
-UserBlocks.rank() then sorts one score vector with two argsorts: an
-unstable one that turns the scores into dense integer ranks, and a stable
-one of block * n + dense rank. Equal scores (0.0 and -0.0 among them) get
-equal dense ranks, so the unstable sort's tie order cannot show, and the
-stable sort keeps the base order inside a tie: the result is the three-key
-lexsort exactly. blocks_of() builds one UserBlocks per Dataset, on first
-use, and keeps it there, so evaluate(), the grid search and training's
-validation share one id sort per split, and a grid search ranks each
-point once. Per-user quantities then come from block and run boundaries
-and np.bincount, with no Python loop over users:
+A UserBlocks is a split's ranking frame, built once from its ids and
+labels: the rows sorted by (user, item, input position), the user blocks
+with their sizes and positive counts, and the labels. Its rank() sorts one
+score vector with two argsorts: an unstable one that turns the scores into
+dense integer ranks, and a stable one of block * n + dense rank. Equal
+scores (0.0 and -0.0 among them) get equal dense ranks, so the unstable
+sort's tie order cannot show, and the stable sort keeps the base order
+inside a tie: the result is the three-key lexsort exactly. The RankedData
+it returns holds the scores and labels in that order, so a metric reads
+the ranking alone. blocks_of() keeps one UserBlocks per Dataset, so
+evaluate(), the grid search and training's validation share one id sort
+and positive count per split. Per-user quantities then come from block
+and run boundaries and np.bincount, with no Python loop over users:
 
 * AUC gives each run of tied scores inside a user the mean of the run's
   positions, so the positives' rank sums are exact half-integers. A sum of
@@ -29,8 +29,10 @@ and np.bincount, with no Python loop over users:
 
 So every result equals, bit for bit, that of a per-user loop; the loops in
 tests/oracles.py are the reference. The item-id tie-break makes the top-k
-metrics deterministic for any input order; user_auc() ranks without item
-ids, keeping tied rows in input order.
+metrics independent of row order only while no (user, item) pair repeats:
+a repeated pair's copies tie and keep their input order, so NDCG, TPR@k
+and REO can move when the rows are permuted. user_auc() ranks on one
+constant tie key; AUC reads no tie order.
 
 Group-level metrics key off the bias field: a sample counts for group j
 when its feature vector has positive mass on that group's feature.
@@ -59,61 +61,47 @@ from .numeric import to_jsonable
 DEFAULT_K = 5
 
 
-@dataclass
-class RankedData:
-    """Per-user contiguous blocks of sample rows in ranking order."""
+class UserBlocks:
+    """One split's ranking frame, built once for many score vectors.
 
-    order: np.ndarray
-    user_starts: np.ndarray
-    users: np.ndarray
+    `base` sorts the rows by (user, item, input position). `user_starts`
+    and `users` are the user blocks along it, `sizes` their row counts,
+    `n_pos` their positive counts and `both_labels` marks the users with a
+    defined AUC. `offsets` is block number * n for each base position.
+    """
 
-    @property
-    def n_users(self) -> int:
-        return len(self.users)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.user_starts)
+    def __init__(self, user_ids, labels, item_ids):
+        user_ids = np.asarray(user_ids)
+        self.labels = labels = np.asarray(labels)
+        n = len(user_ids)
+        if len(labels) != n or len(item_ids) != n:
+            raise ConfigError("user_ids, labels, item_ids must have equal length")
+        if n == 0:
+            raise ConfigError("cannot rank an empty sample list")
+        self.base = np.lexsort((np.asarray(item_ids), user_ids))
+        sorted_users = user_ids[self.base]
+        new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
+        self.user_starts = np.concatenate([[0], new_user, [n]])
+        self.users = sorted_users[self.user_starts[:-1]]
+        self.n_users = len(self.users)
+        self.sizes = np.diff(self.user_starts)
+        cum = np.concatenate([[0], np.cumsum(labels[self.base])])
+        self.n_pos = cum[self.user_starts[1:]] - cum[self.user_starts[:-1]]
+        self.both_labels = (self.n_pos > 0) & (self.n_pos < self.sizes)
+        # block * n + dense rank stays below n**2, which fits int64 for
+        # n < 3e9
+        self.offsets = np.repeat(np.arange(self.n_users, dtype=np.int64) * n,
+                                 self.sizes)
 
     def row_users(self) -> np.ndarray:
         """Block number of each ordered row."""
         return np.repeat(np.arange(self.n_users), self.sizes)
 
-
-class UserBlocks:
-    """The part of a ranking the ids fix, built once for many score vectors.
-
-    `base` sorts the rows by (user, item, input position); without item
-    ids, by (user, input position). `user_starts` and `users` are the user
-    blocks along it, and `offsets` is block number * n for each base
-    position.
-    """
-
-    def __init__(self, user_ids, item_ids=None):
-        user_ids = np.asarray(user_ids)
-        n = len(user_ids)
-        if item_ids is not None and len(item_ids) != n:
-            raise ConfigError("user_ids, scores, item_ids must have equal length")
-        if n == 0:
-            raise ConfigError("cannot rank an empty sample list")
-        if item_ids is None:
-            self.base = np.argsort(user_ids, kind="stable")
-        else:
-            self.base = np.lexsort((np.asarray(item_ids), user_ids))
-        sorted_users = user_ids[self.base]
-        new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
-        self.user_starts = np.concatenate([[0], new_user, [n]])
-        self.users = sorted_users[self.user_starts[:-1]]
-        # block * n + dense rank stays below n**2, which fits int64 for
-        # n < 3e9
-        self.offsets = np.repeat(np.arange(len(self.users), dtype=np.int64) * n,
-                                 np.diff(self.user_starts))
-
     def rank(self, scores) -> RankedData:
         """Rows by (user asc, score desc), tied scores in base order."""
         scores = np.asarray(scores, dtype=np.float64)
         if len(scores) != len(self.base):
-            raise ConfigError("user_ids, scores, item_ids must have equal length")
+            raise ConfigError("scores length does not match the dataset")
         if np.isnan(scores).any():
             raise ConfigError("scores contain NaN, which has no rank")
         neg = -scores[self.base]
@@ -122,46 +110,44 @@ class UserBlocks:
         dense = np.empty(len(neg), dtype=np.int64)
         dense[by_score[0]] = 0
         dense[by_score[1:]] = np.cumsum(ascending[1:] != ascending[:-1])
-        within = np.argsort(self.offsets + dense, kind="stable")
-        return RankedData(self.base[within], self.user_starts, self.users)
+        order = self.base[np.argsort(self.offsets + dense, kind="stable")]
+        return RankedData(self, order, scores[order], self.labels[order])
+
+
+@dataclass
+class RankedData:
+    """One score vector's ranking of a UserBlocks, with its scores and labels."""
+
+    blocks: UserBlocks
+    order: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
 
 
 def blocks_of(ds: Dataset) -> UserBlocks:
-    """The UserBlocks of ds's user and item ids, built on first use.
-
-    A Dataset never changes its ids and subset() returns a new Dataset, so
-    the blocks are kept on ds for every later ranking of it.
-    """
+    """The UserBlocks of ds, built on first use and kept on ds: a Dataset
+    never changes its rows, and subset() returns a new Dataset."""
     if ds._blocks is None:
-        ds._blocks = UserBlocks(ds.user_ids, ds.item_ids)
+        ds._blocks = UserBlocks(ds.user_ids, ds.labels, ds.item_ids)
     return ds._blocks
 
 
-def _positions_within_user(ranked: RankedData) -> np.ndarray:
+def _positions_within_user(blocks: UserBlocks) -> np.ndarray:
     """0-based rank of each ordered row inside its user's block."""
-    return np.arange(len(ranked.order)) - np.repeat(ranked.user_starts[:-1],
-                                                    ranked.sizes)
-
-
-def _per_user_positive_counts(ranked: RankedData, labels) -> np.ndarray:
-    sorted_labels = np.asarray(labels)[ranked.order]
-    cum = np.concatenate([[0], np.cumsum(sorted_labels)])
-    return cum[ranked.user_starts[1:]] - cum[ranked.user_starts[:-1]]
+    return np.arange(len(blocks.base)) - np.repeat(blocks.user_starts[:-1],
+                                                   blocks.sizes)
 
 
 def users_with_both_labels(ds: Dataset) -> int:
     """How many users of a non-empty ds have both a positive and a negative
     sample, i.e. a defined per-user AUC."""
-    blocks = blocks_of(ds)
-    # the base order is the ranking of all-equal scores
-    base = RankedData(blocks.base, blocks.user_starts, blocks.users)
-    n_pos = _per_user_positive_counts(base, ds.labels)
-    return int(((n_pos > 0) & (n_pos < base.sizes)).sum())
+    return int(blocks_of(ds).both_labels.sum())
 
 
 def _prefix_mask_by_row(ranked: RankedData, cutoffs: np.ndarray) -> np.ndarray:
     """Boolean per original row: row sits inside its user's top-`cutoff`."""
-    within = _positions_within_user(ranked) < np.repeat(cutoffs, ranked.sizes)
+    within = _positions_within_user(ranked.blocks) < np.repeat(
+        cutoffs, ranked.blocks.sizes)
     by_row = np.empty(len(ranked.order), dtype=bool)
     by_row[ranked.order] = within
     return by_row
@@ -178,45 +164,45 @@ def _mean_in_user_order(values: np.ndarray, n_users: int) -> tuple[float, int]:
     return float(np.cumsum(values)[-1] / len(values)), n_users - len(values)
 
 
-def ranked_auc(ranked: RankedData, scores, labels) -> tuple[float, int]:
-    s = np.asarray(scores, dtype=np.float64)[ranked.order]
+def ranked_auc(ranked: RankedData) -> tuple[float, int]:
+    blocks, s = ranked.blocks, ranked.scores
     n = len(s)
     # a run of tied scores inside one user shares the mean of its positions
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = s[1:] != s[:-1]
-    new_run[ranked.user_starts[:-1]] = True
+    new_run[blocks.user_starts[:-1]] = True
     edges = np.append(np.flatnonzero(new_run), n)
     run = np.cumsum(new_run) - 1
     # blocks run by descending score: in a block ending at e, position p
     # has ascending 1-based rank e - p, averaged here over p's run
-    block_end = np.repeat(ranked.user_starts[1:], ranked.sizes)
+    block_end = np.repeat(blocks.user_starts[1:], blocks.sizes)
     ranks = block_end - 0.5 * (edges[run] + edges[run + 1] - 1)
-    positive = np.asarray(labels)[ranked.order] == 1
-    rank_sums = np.bincount(ranked.row_users()[positive],
-                            weights=ranks[positive], minlength=ranked.n_users)
-    n_pos = _per_user_positive_counts(ranked, labels)
-    n_neg = ranked.sizes - n_pos
-    both = (n_pos > 0) & (n_neg > 0)
-    p, q = n_pos[both], n_neg[both]
+    positive = ranked.labels == 1
+    rank_sums = np.bincount(blocks.row_users()[positive],
+                            weights=ranks[positive], minlength=blocks.n_users)
+    both = blocks.both_labels
+    p = blocks.n_pos[both]
+    q = blocks.sizes[both] - p
     return _mean_in_user_order((rank_sums[both] - p * (p + 1) / 2.0) / (p * q),
-                               ranked.n_users)
+                               blocks.n_users)
 
 
-def ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
-    sizes = ranked.sizes
-    k = min(k, int(sizes.max()))  # a deeper cutoff ranks the same rows
+def ranked_ndcg(ranked: RankedData, k: int) -> tuple[float, int]:
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    blocks = ranked.blocks
+    k = min(k, int(blocks.sizes.max()))  # a deeper cutoff ranks the same rows
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    pos = _positions_within_user(ranked)
+    pos = _positions_within_user(blocks)
     top = pos < k
-    gains = np.zeros((ranked.n_users, k))
-    gains[ranked.row_users()[top], pos[top]] = (
-        np.asarray(labels)[ranked.order][top] * discounts[pos[top]])
-    n_pos = _per_user_positive_counts(ranked, labels)
-    has_pos = n_pos > 0
-    depth = np.minimum(sizes, k)
-    ideal_depth = np.minimum(n_pos, k)
-    dcg = np.empty(ranked.n_users)
-    idcg = np.empty(ranked.n_users)
+    gains = np.zeros((blocks.n_users, k))
+    gains[blocks.row_users()[top], pos[top]] = (
+        ranked.labels[top] * discounts[pos[top]])
+    has_pos = blocks.n_pos > 0
+    depth = np.minimum(blocks.sizes, k)
+    ideal_depth = np.minimum(blocks.n_pos, k)
+    dcg = np.empty(blocks.n_users)
+    idcg = np.empty(blocks.n_users)
     # summing d columns row-wise rounds like the 1-D sum of d values, so
     # users are grouped by depth rather than summed over zero padding
     for d in np.unique(depth):
@@ -224,7 +210,7 @@ def ranked_ndcg(ranked: RankedData, labels, k: int) -> tuple[float, int]:
         dcg[rows] = gains[rows, :d].sum(axis=1)
     for d in np.unique(ideal_depth[has_pos]):
         idcg[ideal_depth == d] = discounts[:d].sum()
-    return _mean_in_user_order(dcg[has_pos] / idcg[has_pos], ranked.n_users)
+    return _mean_in_user_order(dcg[has_pos] / idcg[has_pos], blocks.n_users)
 
 
 @dataclass
@@ -306,10 +292,11 @@ def user_auc(user_ids, scores, labels) -> tuple[float, int]:
     """Mean per-user AUC; ties count half. Users without both classes are
     skipped; returns (nan, n_users) when every user is skipped.
 
-    Ranks without item ids, so tied scores keep their input order, which
-    only a tie-invariant metric such as AUC can accept.
+    Ranks on one constant tie key, so tied scores keep their input order,
+    which only a tie-invariant metric such as AUC can accept.
     """
-    return ranked_auc(UserBlocks(user_ids).rank(scores), scores, labels)
+    no_items = np.zeros(len(user_ids), dtype=np.int8)
+    return ranked_auc(UserBlocks(user_ids, labels, no_items).rank(scores))
 
 
 def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[float, int]:
@@ -317,9 +304,7 @@ def ndcg_at_k(user_ids, scores, labels, item_ids, k: int = DEFAULT_K) -> tuple[f
 
     Users with no positive samples are skipped.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return ranked_ndcg(UserBlocks(user_ids, item_ids).rank(scores), labels, k)
+    return ranked_ndcg(UserBlocks(user_ids, labels, item_ids).rank(scores), k)
 
 
 def reo_at_k(tpr) -> float:
@@ -365,45 +350,35 @@ class EvalReport:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["group", "exposures", "positives",
                              f"tpr_at_{self.k}", "ehr"])
-            for i, label in enumerate(self.group_labels):
-                tpr = self.group_tpr[i]
-                ehr = self.group_ehr[i]
-                writer.writerow([
-                    label,
-                    self.group_exposures[i],
-                    self.group_positives[i],
-                    "" if math.isnan(tpr) else repr(tpr),
-                    "" if math.isnan(ehr) else repr(ehr),
-                ])
+            for label, exposures, positives, tpr, ehr in zip(
+                    self.group_labels, self.group_exposures,
+                    self.group_positives, self.group_tpr, self.group_ehr):
+                writer.writerow([label, exposures, positives, *(
+                    "" if math.isnan(x) else repr(x) for x in (tpr, ehr))])
 
 
 def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
     """Compute every supported metric for one split with one score vector,
     from a single ranking of its rows."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) != len(ds):
-        raise ConfigError("scores length does not match dataset")
     if len(ds) == 0:
         raise ConfigError("cannot evaluate an empty dataset")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    ranked = blocks_of(ds).rank(scores)
+    blocks = blocks_of(ds)
+    ranked = blocks.rank(scores)
     errors: list[str] = []
-    uauc, uauc_skipped = ranked_auc(ranked, scores, ds.labels)
+    uauc, uauc_skipped = ranked_auc(ranked)
     if math.isnan(uauc):
         errors.append("uauc undefined: no user has both a positive and a negative")
-    ndcg, ndcg_skipped = ranked_ndcg(ranked, ds.labels, k)
+    ndcg, ndcg_skipped = ranked_ndcg(ranked, k)
     if math.isnan(ndcg):
         errors.append("ndcg undefined: no user has a positive sample")
     stats = group_stats(ds)
     # TPR@k: the positives in each user's top k (k past the largest block
     # selects the same rows); sums of ones are exact in float64
-    cutoffs = np.full(ranked.n_users, min(k, int(ranked.sizes.max())))
+    cutoffs = np.full(blocks.n_users, min(k, int(blocks.sizes.max())))
     in_topk = _prefix_mask_by_row(ranked, cutoffs)
     tpr = _per_group_rate(ds, in_topk & (ds.labels == 1), stats.n_pos)
     # EHR counts the exposures of any label in each user's top-|positives|
-    in_prefix = _prefix_mask_by_row(
-        ranked, _per_user_positive_counts(ranked, ds.labels))
+    in_prefix = _prefix_mask_by_row(ranked, blocks.n_pos)
     ehr = _per_group_rate(ds, in_prefix, stats.n_pos)
     try:
         reo = reo_at_k(tpr)
@@ -417,7 +392,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         split_tag=ds.split_tag,
         k=k,
         n_samples=len(ds),
-        n_users=ranked.n_users,
+        n_users=blocks.n_users,
         uauc=uauc,
         uauc_skipped_users=uauc_skipped,
         ndcg=ndcg,

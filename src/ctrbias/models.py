@@ -119,7 +119,11 @@ def init_params(n: int, d: int, arch: str, seed: int, hidden: int = DEFAULT_HIDD
     if n < 1 or d < 1:
         raise ConfigError(f"need n >= 1 and d >= 1, got n={n} d={d}")
     rng = np.random.default_rng(seed)
-    V = rng.normal(0.0, 0.01, size=(n, d))
+    try:  # numpy refuses a table it cannot hold before allocating it
+        V, w = rng.normal(0.0, 0.01, size=(n, d)), np.zeros(n)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate the weight tables for n={n} "
+                          f"features of dimension d={d}: {exc}") from None
     mlp = None
     if arch == "nfm":
         mlp = MlpParams(
@@ -128,7 +132,7 @@ def init_params(n: int, d: int, arch: str, seed: int, hidden: int = DEFAULT_HIDD
             w_out=rng.normal(0.0, np.sqrt(2.0 / hidden), size=hidden),
             b_out=0.0,
         )
-    return ModelParams(arch, 0.0, np.zeros(n), V, mlp, schema_digest,
+    return ModelParams(arch, 0.0, w, V, mlp, schema_digest,
                        provenance={"created_by": "init", "seed": seed})
 
 

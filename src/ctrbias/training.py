@@ -171,7 +171,7 @@ def _apply(params: ModelParams, deltas: dict) -> None:
 def _val_uauc(params: ModelParams, val_ds: Dataset) -> float:
     # blocks_of breaks ties by item id; AUC does not depend on tie order
     scores = predict(params, val_ds.indices, val_ds.values)
-    value, _ = ranked_auc(blocks_of(val_ds).rank(scores), scores, val_ds.labels)
+    value, _ = ranked_auc(blocks_of(val_ds).rank(scores))
     return value
 
 

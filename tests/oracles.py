@@ -19,7 +19,6 @@ import numpy as np
 from ctrbias import synth
 from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex, FieldSchema
 from ctrbias.errors import CalibrationError, ConfigError, CsvParseError, LabelError
-from ctrbias.evaluation import RankedData
 from ctrbias.models import ForwardCache
 from ctrbias.numeric import bce_loss, sigmoid
 from ctrbias.synth import (SPLIT_FRACTIONS, SynthResult, _calibrate_offset,
@@ -184,18 +183,28 @@ def bias_entries(ds, i):
     return out
 
 
-def rank_users_reference(user_ids, scores, item_ids=None):
-    """The (user asc, score desc[, item asc]) ranking as one np.lexsort. The
-    referee for UserBlocks.rank, whose order must equal it exactly."""
+def rank_users_reference(user_ids, scores, labels, item_ids=None):
+    """The (user asc, score desc[, item asc]) ranking as one np.lexsort,
+    with the user blocks, their sizes and positive counts counted one user
+    at a time. The referee for UserBlocks and its rank(), whose fields
+    must equal these exactly."""
     user_ids = np.asarray(user_ids)
-    keys = (-np.asarray(scores, dtype=np.float64), user_ids)
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    keys = (-scores, user_ids)
     if item_ids is not None:
         keys = (np.asarray(item_ids),) + keys
     order = np.lexsort(keys)
     sorted_users = user_ids[order]
     new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
     user_starts = np.concatenate([[0], new_user, [len(order)]])
-    return RankedData(order, user_starts, sorted_users[user_starts[:-1]])
+    users = sorted_users[user_starts[:-1]]
+    sizes = np.array([np.sum(user_ids == u) for u in users], dtype=np.int64)
+    n_pos = np.array([np.sum(labels[user_ids == u]) for u in users],
+                     dtype=np.int64)
+    return SimpleNamespace(order=order, scores=scores[order],
+                           labels=labels[order], user_starts=user_starts,
+                           users=users, sizes=sizes, n_pos=n_pos)
 
 
 def ordered_rows_by_user(user_ids, scores, item_ids):

@@ -177,6 +177,29 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("cardinality", [10**14, 10**20])
+    def test_oversized_schema_exits_2_with_one_line(self, corpus, tmp_path,
+                                                    capsys, cardinality):
+        # 10**14 users need 11.4 PiB of embeddings; 10**20 passes int64.
+        # numpy refuses either size without allocating.
+        schema = read_json(corpus["schema"])
+        schema["fields"][0]["cardinality"] = cardinality
+        big = tmp_path / "schema.json"
+        big.write_text(json.dumps(schema))
+        rc = main(["train", "--schema", str(big),
+                   "--train", str(corpus["data"] / "train.csv"),
+                   "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if cardinality == 10**14:
+            assert err.startswith("error: cannot allocate the weight tables "
+                                  f"for n={cardinality + 30 + 3} features of "
+                                  "dimension d=16: ")
+        else:
+            assert err.startswith(f"error: {big}: schema declares ")
+        assert not (tmp_path / "m.bin").exists()
+
 
     @pytest.mark.parametrize("label", ["0", "1"])
     def test_one_class_validation_exits_2_with_one_line(self, corpus, tmp_path,
@@ -541,6 +564,35 @@ class TestDebias:
             "weights on ratios\n")
         assert list(tmp_path.iterdir()) == [train]
 
+    def test_groups_a_later_file_adds_are_named_in_every_file(self, tmp_path):
+        # no vocabulary: the index names C only when the second file is read
+        schema = FieldSchema((("user", 4), ("group", 3)), "group")
+        schema.save(tmp_path / "schema.json")
+        head = "user_id,item_id,label,timestamp,user,group\n"
+        (tmp_path / "tr.csv").write_text(head + "".join(
+            f"{u},i{j},{y},{t},{u},{g}\n" for t, (u, j, y, g) in enumerate([
+                ("u1", 1, 1, "A"), ("u1", 2, 0, "B"), ("u2", 1, 0, "A"),
+                ("u2", 2, 1, "B"), ("u1", 3, 1, "B"), ("u2", 3, 0, "A")])))
+        (tmp_path / "ub.csv").write_text(head + "".join(
+            f"{u},i{j},{y},{t},{u},{g}\n" for t, (u, j, y, g) in enumerate([
+                ("u1", 1, 1, "A"), ("u1", 4, 0, "C"), ("u2", 2, 1, "B"),
+                ("u2", 4, 0, "C")])))
+        s = ["--schema", str(tmp_path / "schema.json")]
+        train, unbiased = str(tmp_path / "tr.csv"), str(tmp_path / "ub.csv")
+        model = str(tmp_path / "m.bin")
+        assert main(["train", *s, "--train", train, "--max-epochs", "1",
+                     "--out", model]) == 0
+        assert main(["debias", *s, "--model", model, "--mode", "reconstruct",
+                     "--train", train, "--unbiased", unbiased,
+                     "--out", str(tmp_path / "r.bin")]) == 0
+        grid = read_json(tmp_path / "r.bin.grid.json")
+        assert grid["residual_fallback_labels"] == ["C"]
+        assert main(["analyze", *s, "--model", model, "--train", train,
+                     "--eval", unbiased,
+                     "--out", str(tmp_path / "analysis.json")]) == 0
+        assert read_json(tmp_path / "analysis.json")["group_labels"] == [
+            "A", "B", "C"]
+
     def test_bad_grid_text_exits_2(self, corpus, tmp_path, capsys):
         rc = main([
             "debias", "--schema", str(corpus["schema"]),
@@ -714,6 +766,7 @@ class TestPipeline:
         ["--alpha", "1.5"], ["--alpha", "nan"], ["--alpha", "0.5,-0.1"],
         ["--alpha", "0.5,x"], ["--k", "0"],
         ["--unbiased-val-per-user", "1"], ["--unbiased-val-per-user", "0"],
+        ["--unbiased-test-per-user", "0"],
         ["--item-offset-scale", "nan"], ["--temp-high", "inf"],
         ["--lr", "nan"], ["--l2", "inf"], ["--rho-min", "nan"],
         ["--pref-scale", "nan"],

@@ -168,10 +168,17 @@ class TestRankingStructure:
 
 
 def assert_same_ranking(got, want):
-    for name in ("order", "user_starts", "users"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype
+    fields = [(got, "order"), (got, "scores"), (got, "labels")] + [
+        (got.blocks, name) for name in ("user_starts", "users", "sizes", "n_pos")]
+    for frame, name in fields:
+        a, b = getattr(frame, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b)
+
+
+def constant_key(n):
+    """A tie key that leaves tied rows in input order."""
+    return np.zeros(n, dtype=np.int8)
 
 
 class TestRankUsers:
@@ -185,33 +192,45 @@ class TestRankUsers:
             users = np.unique(users, return_inverse=True)[1]
             items = np.unique(items, return_inverse=True)[1]
         items = items if with_items else None
-        assert_same_ranking(UserBlocks(users, items).rank(scores),
-                            oracles.rank_users_reference(users, scores, items))
+        key = constant_key(len(users)) if items is None else items
+        assert_same_ranking(
+            UserBlocks(users, ds.labels, key).rank(scores),
+            oracles.rank_users_reference(users, scores, ds.labels, items))
 
     @pytest.mark.parametrize("score", [0.0, -0.0, math.inf, -math.inf])
     @pytest.mark.parametrize("users, items", [
         (["u"], None), (["u"], ["i"]), ([3], None), ([3], [7])])
     def test_one_row(self, score, users, items):
+        labels = np.array([1], dtype=np.int8)
+        key = constant_key(1) if items is None else items
         assert_same_ranking(
-            UserBlocks(users, items).rank([score]),
-            oracles.rank_users_reference(users, [score], items))
+            UserBlocks(users, labels, key).rank([score]),
+            oracles.rank_users_reference(users, [score], labels, items))
 
     def test_frozen_example(self):
         users = ["b", "a", "a", "b", "a"]
         scores = [1.0, 2.0, 5.0, 3.0, 2.0]
         items = ["i9", "i5", "i1", "i2", "i3"]
-        ranked = UserBlocks(users, items).rank(scores)
-        assert list(ranked.users) == ["a", "b"]
+        labels = [0, 1, 1, 0, 0]
+        blocks = UserBlocks(users, labels, items)
+        assert list(blocks.users) == ["a", "b"]
+        assert blocks.user_starts.tolist() == [0, 3, 5]
+        assert blocks.sizes.tolist() == [3, 2]
+        assert blocks.n_pos.tolist() == [2, 0]
+        assert blocks.both_labels.tolist() == [True, False]
+        assert blocks.n_users == 2
+        ranked = blocks.rank(scores)
+        assert ranked.blocks is blocks
         # user a: i1(5.0), then the 2.0 tie broken i3 < i5; user b: 3.0, 1.0
         assert ranked.order.tolist() == [2, 4, 1, 3, 0]
-        assert ranked.user_starts.tolist() == [0, 3, 5]
-        assert ranked.n_users == 2
+        assert ranked.scores.tolist() == [5.0, 2.0, 2.0, 3.0, 1.0]
+        assert ranked.labels.tolist() == [1, 0, 1, 0, 0]
 
     def test_order_is_permutation_with_sorted_blocks(self, rng):
         ds, scores = random_instance(rng, n_rows=50)
-        ranked = UserBlocks(ds.user_ids, ds.item_ids).rank(scores)
+        ranked = UserBlocks(ds.user_ids, ds.labels, ds.item_ids).rank(scores)
         assert sorted(ranked.order.tolist()) == list(range(50))
-        for rows in np.split(ranked.order, ranked.user_starts[1:-1]):
+        for rows in np.split(ranked.order, ranked.blocks.user_starts[1:-1]):
             assert len(set(ds.user_ids[rows])) == 1
             for a, b in zip(rows, rows[1:]):
                 assert scores[a] > scores[b] or (
@@ -220,11 +239,16 @@ class TestRankUsers:
 
     def test_empty_and_mismatched_inputs(self):
         with pytest.raises(ConfigError):
-            UserBlocks([], [])
+            UserBlocks([], [], [])
         with pytest.raises(ConfigError):
-            UserBlocks(["a"], ["i", "j"])
+            UserBlocks(["a"], [1], ["i", "j"])
         with pytest.raises(ConfigError):
-            UserBlocks(["a"], ["i"]).rank([1.0, 2.0])
+            UserBlocks(["a"], [1], ["i"]).rank([1.0, 2.0])
+
+    @pytest.mark.parametrize("labels", [[], [1], [0, 1, 1]])
+    def test_labels_of_another_length(self, labels):
+        with pytest.raises(ConfigError):
+            UserBlocks(["a", "b"], labels, ["i", "j"])
 
 
 class TestUserAuc:
@@ -503,7 +527,7 @@ class TestBlocksCache:
         assert_same_ranking(
             blocks_of(sub).rank(scores[rows]),
             oracles.rank_users_reference(sub.user_ids, scores[rows],
-                                         sub.item_ids))
+                                         sub.labels, sub.item_ids))
 
     @pytest.mark.parametrize("ties", ["all-equal", "one-decimal"])
     def test_validation_auc_ignores_the_item_tie_break(self, rng, monkeypatch,
