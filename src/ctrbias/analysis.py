@@ -193,8 +193,11 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
 
     Weight and score correlations run against per-group training positive
     ratios; the variance decomposition and the exposure-hit-rate link use
-    eval_ds when given. Undefined correlations are recorded, not raised.
+    eval_ds when given. Undefined correlations are recorded, not raised;
+    an empty eval_ds raises ConfigError.
     """
+    if eval_ds is not None and not len(eval_ds):
+        raise ConfigError("cannot evaluate an empty dataset")
     stats = group_stats(train_ds)
     lo, hi = train_ds.schema.bias_range
     w_bias = params.w[lo:hi].copy()
@@ -228,7 +231,7 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
 
     variances = None
     ehr_spearman = None
-    if eval_ds is not None and len(eval_ds):
+    if eval_ds is not None:
         parts = prediction_parts(params, eval_ds.indices, eval_ds.values)
         try:
             variances = variance_decomposition(eval_ds, parts)

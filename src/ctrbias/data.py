@@ -7,19 +7,25 @@ groups; all bias diagnostics key off it. Within every field the feature
 values of a sample sum to one: a single-valued field contributes one entry
 of value 1, a cell with m categories contributes m entries of value 1/m.
 
+A Dataset stores no per-row strings. Its user and item ids are int32 codes
+into sorted vocabularies of the distinct ids, so sorting codes sorts the
+ids, and every ranking and tie break reads codes only.
+
 CSV I/O works column by column, never row by row. `Dataset.to_csv` quotes
-the label table over the global feature index once and each block's user
-and item ids once per distinct value, with csv.writer, and writes a block
-of CSV_BLOCK_ROWS rows as one ','- and '\\n'-joined string. `ingest_csv`
-reads blocks of CSV_BLOCK_ROWS lines; a block without '"', '\\r' or NUL
-whose every line holds exactly one comma fewer than the header's columns,
-none longer than csv.field_size_limit(), is cut into columns by one
-str.split, which is exactly where the csv module would cut it. Any other
-block, and the rest of the file after it, goes through csv.reader. Every
-field's column then maps through its vocabulary at once; only a column
-that holds a '|' is split cell by cell. A malformed file raises the error
-a row loop would meet first: the earliest bad record, and within it the
-column count, the timestamp, the label, then the cells in field order.
+the label table over the global feature index and each id vocabulary once,
+with csv.writer, and writes a block of CSV_BLOCK_ROWS rows as one ','- and
+'\\n'-joined string. `ingest_csv` reads blocks of CSV_BLOCK_ROWS lines; a
+block without '"', '\\r' or NUL whose every line holds exactly one comma
+fewer than the header's columns, none longer than csv.field_size_limit(),
+is cut into columns by one str.split, which is exactly where the csv
+module would cut it. Any other block, and the rest of the file after it,
+goes through csv.reader. Every field's column then maps through its
+vocabulary at once; only a column that holds a '|' is split cell by cell.
+Each id column maps through one dict to codes in order of first
+appearance, renumbered in id order once the file is read. A malformed file
+raises the error a row loop would meet first: the earliest bad record, and
+within it the column count, the timestamp, the label, then the cells in
+field order.
 """
 
 from __future__ import annotations
@@ -251,18 +257,25 @@ class Dataset:
 
     ``indices``/``values`` are (N, E) arrays padded with index 0 / value 0.0;
     padding entries are inert because every model term multiplies by the
-    value. Construction validates schema conformance once; subsets inherit
-    it without re-checking.
+    value. ``user_ids``/``item_ids`` are int32 codes into ``user_vocab``/
+    ``item_vocab``, sorted arrays of distinct id strings, so codes sort
+    like the ids they stand for. Subsets share their parent's
+    vocabularies; codes of unrelated Datasets do not compare. Construction
+    validates schema conformance once; subsets inherit it without
+    re-checking.
     """
 
     def __init__(self, schema, indices, values, labels, user_ids, item_ids,
-                 timestamps, split_tag="train", bias_labels=None, _validate=True):
+                 timestamps, split_tag="train", bias_labels=None, *, user_vocab,
+                 item_vocab, _validate=True):
         self.schema = schema
         self.indices = np.asarray(indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.int8)
-        self.user_ids = np.asarray(user_ids)
-        self.item_ids = np.asarray(item_ids)
+        self.user_ids = np.asarray(user_ids, dtype=np.int32)
+        self.item_ids = np.asarray(item_ids, dtype=np.int32)
+        self.user_vocab = np.asarray(user_vocab, dtype=str)
+        self.item_vocab = np.asarray(item_vocab, dtype=str)
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.split_tag = split_tag
         if bias_labels is None:
@@ -284,6 +297,12 @@ class Dataset:
                           ("timestamps", self.timestamps)):
             if arr.shape != (n,):
                 raise ConfigError(f"{name} must have shape (N,)")
+        for name, codes, vocab in (("user", self.user_ids, self.user_vocab),
+                                   ("item", self.item_ids, self.item_vocab)):
+            if vocab.ndim != 1 or (vocab[1:] <= vocab[:-1]).any():
+                raise ConfigError(f"{name}_vocab must be sorted distinct ids")
+            if codes.size and (codes.min() < 0 or codes.max() >= len(vocab)):
+                raise ConfigError(f"{name}_ids must be codes into {name}_vocab")
         if not np.isin(self.labels, (0, 1)).all():
             raise ConfigError("labels must be 0/1")
         # padding too: the models gather and scatter at every index
@@ -294,15 +313,19 @@ class Dataset:
         if not (self.values >= 0).all():  # NaN fails this too
             raise ConfigError("feature values must be >= 0 (padding is 0)")
         # per-field value sums must be 1 for every sample; one flat bincount
-        # over the (row, field) cells, padding entries adding 0
+        # over the (row, field) cells, padding entries adding 0. Each step
+        # works in place, so at most two (N, E)-sized arrays are alive.
         if n:
             n_fields = len(self.schema.fields)
-            cells = np.searchsorted(self.schema.boundaries, self.indices, side="right") - 1
-            cells += (np.arange(n) * n_fields)[:, None]
-            sums = np.bincount(cells.ravel(), self.values.ravel(),
-                               minlength=n * n_fields).reshape(n, n_fields)
-            if np.abs(sums - 1.0).max() > FIELD_SUM_TOL:
-                bad = int(np.argmax(np.abs(sums - 1.0).max(axis=1)))
+            cells = np.searchsorted(self.schema.boundaries, self.indices, side="right")
+            cells += (np.arange(n) * n_fields - 1)[:, None]
+            gap = np.bincount(cells.ravel(), self.values.ravel(),
+                              minlength=n * n_fields).reshape(n, n_fields)
+            del cells
+            gap -= 1.0
+            np.abs(gap, out=gap)
+            if gap.max() > FIELD_SUM_TOL:
+                bad = int(np.argmax(gap.max(axis=1)))
                 raise ConfigError(
                     f"sample {bad}: per-field feature values do not sum to 1"
                 )
@@ -322,6 +345,8 @@ class Dataset:
             self.timestamps[rows],
             split_tag=split_tag or self.split_tag,
             bias_labels=self.bias_labels,
+            user_vocab=self.user_vocab,
+            item_vocab=self.item_vocab,
             _validate=False,
         )
 
@@ -346,8 +371,8 @@ class Dataset:
         written as one string. A field's cells are a direct take from the
         quoted table where every row of the block has exactly one live
         entry in the field; otherwise each row's labels are '|'-joined in
-        column order and the joined cell is quoted. User and item ids are
-        quoted once per distinct value in the block. All quoting is
+        column order and the joined cell is quoted. Each vocabulary entry
+        is quoted once, and the id cells are a take by code. All quoting is
         csv.writer's, so the bytes are those of writing row by row, except
         that a cell or header name holding a lone '\\r' is quoted on every
         Python, so that ingest_csv reads it back.
@@ -356,6 +381,8 @@ class Dataset:
         table = [label for name, _ in schema.fields for label in schema.labels(name)]
         quoted = np.array(_quoted(table), dtype=object)
         table = np.array(table, dtype=object)
+        users, items = (np.array(_quoted(vocab.tolist()), dtype=object)
+                        for vocab in (self.user_vocab, self.item_vocab))
         bounds = schema.boundaries
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(_quoted(list(RESERVED_COLUMNS)
@@ -365,8 +392,8 @@ class Dataset:
                 idx = self.indices[block]
                 field_of = np.searchsorted(bounds, idx, side="right") - 1
                 field_of[~(self.values[block] > 0)] = -1
-                cols = [_quoted(self.user_ids[block].tolist()),
-                        _quoted(self.item_ids[block].tolist()),
+                cols = [users[self.user_ids[block]].tolist(),
+                        items[self.item_ids[block]].tolist(),
                         list(map(str, self.labels[block].tolist())),
                         list(map(str, self.timestamps[block].tolist()))]
                 cols += [_cell_column(table, quoted, idx, field_of == f)
@@ -374,8 +401,8 @@ class Dataset:
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def _quoted(values: list) -> list[str]:
-    """Each value as csv.writer writes it inside a row of several fields.
+def _quoted(values: list[str]) -> list[str]:
+    """Each string as csv.writer writes it inside a row of several fields.
 
     Quoting only lengthens a field, so when the writer's row of the
     distinct values is their plain ','-join, no value needs quotes;
@@ -388,7 +415,7 @@ def _quoted(values: list) -> list[str]:
     writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
     writer.writerow(distinct)
     row = records.pop()
-    if all(map(isinstance, distinct, repeat(str))) and row == ",".join(distinct) + "\r\n":
+    if row == ",".join(distinct) + "\r\n":
         return values
     writer.writerows(zip(distinct, repeat("")))  # one "<cell>,\r\n" record each
     form = dict(zip(distinct, [record[:-3] for record in records]))
@@ -480,9 +507,25 @@ def _convert_column(convert, column):
         raise
 
 
-def _parse_block(cols, first_line, schema, index, path, failure=None):
+class _Codes(dict):
+    """Id -> int code, numbered in order of first lookup."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+    def sorted_codes(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """codes renumbered in the sort order of their ids, and the sorted
+        vocabulary. Works on the distinct ids; ids that one '<U' array
+        cannot tell apart (trailing NULs) share a code."""
+        vocab, rank = np.unique(np.array(list(self), dtype=str), return_inverse=True)
+        return rank.astype(np.int32)[codes], vocab
+
+
+def _parse_block(cols, first_line, schema, index, ids, path, failure=None):
     """Arrays of one block of data records given as columns, or raise its
-    first error.
+    first error. `ids` is the pair of _Codes the user and item ids map
+    through.
 
     Every check records the first row it fails on with a rank that orders
     the checks within a row (column count, timestamp, label, then per field
@@ -491,7 +534,7 @@ def _parse_block(cols, first_line, schema, index, path, failure=None):
     loop would. `failure` is the column-count failure of the record just
     after the given rows, if there is one.
 
-    Returns (indices, values, timestamps, labels, user_ids, item_ids).
+    Returns (indices, values, timestamps, labels, user codes, item codes).
     """
     failures: list[tuple[int, int, Exception]] = [] if failure is None else [failure]
     n = len(cols[0])
@@ -579,13 +622,9 @@ def _parse_block(cols, first_line, schema, index, path, failure=None):
         indices[row_of, pos] = offset + local
         values[row_of, pos] = np.repeat(1.0 / counts, counts)
         start += counts
-    return (indices, values, stamps, np.asarray(labels, dtype=np.int8),
-            np.asarray(cols[0]), np.asarray(cols[1]))
-
-
-def _concat(parts):
-    """Concatenate the non-empty parts; none gives np.asarray([]), like an empty list."""
-    return np.concatenate([p for p in parts if len(p)] or [np.asarray([])])
+    users, items = (np.fromiter(map(codes.__getitem__, col), dtype=np.int32, count=n)
+                    for codes, col in zip(ids, cols[:2]))
+    return indices, values, stamps, np.asarray(labels, dtype=np.int8), users, items
 
 
 def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
@@ -611,6 +650,9 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     some category is unseen are local indices assigned, in order of first
     appearance. Only a field whose column holds a '|' is split cell by
     cell. Fields occupy increasing index ranges, so rows come out sorted.
+    The user and item ids map through one dict each to codes in order of
+    first appearance; once the file is read, the distinct ids are sorted
+    and the codes renumbered in that order.
 
     Errors: the first bad record in file order raises; within a record
     the column count is checked first, then the timestamp, the label, and
@@ -631,6 +673,7 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
     width = len(expected_header)
     blocks = []
+    ids = (_Codes(), _Codes())
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header, failure = _take_rows(reader, 1, path)
@@ -662,7 +705,8 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
             if records is not None:
                 rows, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
                 cols, count_failure = _columns(rows, width, line_no, path)
-            blocks.append(_parse_block(cols, line_no, schema, index, path, count_failure))
+            blocks.append(_parse_block(cols, line_no, schema, index, ids, path,
+                                       count_failure))
             if failure is not None:
                 raise failure
             if len(cols[0]) < CSV_BLOCK_ROWS:
@@ -670,12 +714,16 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
             line_no += CSV_BLOCK_ROWS
     indices, values, stamps, labels, users, items = zip(*blocks)
     width = max(block.shape[1] for block in indices)
+    user_ids, user_vocab = ids[0].sorted_codes(np.concatenate(users))
+    item_ids, item_vocab = ids[1].sorted_codes(np.concatenate(items))
     return Dataset(
         schema,
         np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in indices]),
         np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in values]),
-        _concat(labels), _concat(users), _concat(items),
+        np.concatenate(labels), user_ids, item_ids,
         list(chain.from_iterable(stamps)),
         split_tag=split_tag,
         bias_labels=index.labels(schema.bias_field),
+        user_vocab=user_vocab,
+        item_vocab=item_vocab,
     )

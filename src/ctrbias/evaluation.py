@@ -126,7 +126,8 @@ class RankedData:
 
 def blocks_of(ds: Dataset) -> UserBlocks:
     """The UserBlocks of ds, built on first use and kept on ds: a Dataset
-    never changes its rows, and subset() returns a new Dataset."""
+    never changes its rows, and subset() returns a new Dataset. It sorts
+    the id codes, which sort like the ids."""
     if ds._blocks is None:
         ds._blocks = UserBlocks(ds.user_ids, ds.labels, ds.item_ids)
     return ds._blocks

@@ -126,6 +126,7 @@ class SynthResult:
 
 
 def _id_strings(prefix: str, count: int) -> np.ndarray:
+    """prefix + zero-padded 0..count-1: index order is string order."""
     width = len(str(max(count - 1, 1)))
     return np.array([f"{prefix}{i:0{width}d}" for i in range(count)])
 
@@ -235,8 +236,11 @@ def generate(cfg: SynthConfig) -> SynthResult:
         indices[:, 0] = users
         indices[:, 1] = cfg.n_users + items
         indices[:, 2] = cfg.n_users + cfg.n_items + group_of[items]
-        return Dataset(schema, indices, np.ones(indices.shape), labels,
-                       user_labels[users], item_labels[items], stamps, split_tag=tag)
+        # zero-padded labels sort like their indices, so the indices are
+        # the id codes
+        return Dataset(schema, indices, np.ones(indices.shape), labels, users, items,
+                       stamps, split_tag=tag, user_vocab=user_labels,
+                       item_vocab=item_labels)
 
     # unbiased holdouts: uniform items without replacement per user, val and
     # test disjoint within each user. Each user's order is the argsort of one

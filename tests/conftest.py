@@ -7,6 +7,7 @@ import pytest
 
 from ctrbias.data import Dataset, FieldSchema
 from ctrbias.models import init_params
+from oracles import coded
 
 
 def float_bits(x):
@@ -27,6 +28,24 @@ def make_schema(n_users=4, n_items=6, n_groups=3):
     )
 
 
+def dataset(schema, indices, values, labels, users, items, stamps, **kw):
+    """Dataset from user and item id columns given as strings (or values
+    that print as the ids), coded through their sorted distinct strings."""
+    (user_ids, user_vocab), (item_ids, item_vocab) = coded(users), coded(items)
+    return Dataset(schema, indices, values, labels, user_ids, item_ids, stamps,
+                   user_vocab=user_vocab, item_vocab=item_vocab, **kw)
+
+
+def per_row_strings(ds):
+    """Names of the per-row arrays of strings or objects that ds, or its
+    ranking frame once built, holds; its id vocabularies are per distinct
+    id."""
+    frames = [vars(ds)] + ([vars(ds._blocks)] if ds._blocks is not None else [])
+    return [name for frame in frames for name, value in frame.items()
+            if isinstance(value, np.ndarray) and value.dtype.kind in "UO"
+            and name not in ("user_vocab", "item_vocab")]
+
+
 def make_dataset(schema, rows, split_tag="train"):
     """Dataset from (indices, values, label, user_id, item_id, timestamp)
     rows, each padded with index 0 / value 0.0 to the widest; Dataset
@@ -38,7 +57,7 @@ def make_dataset(schema, rows, split_tag="train"):
         indices[i, :len(idx)] = idx
         values[i, :len(val)] = val
     labels, users, items, stamps = ([r[k] for r in rows] for k in range(2, 6))
-    return Dataset(schema, indices, values, labels, users, items, stamps,
+    return dataset(schema, indices, values, labels, users, items, stamps,
                    split_tag=split_tag)
 
 

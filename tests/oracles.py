@@ -183,6 +183,23 @@ def bias_entries(ds, i):
     return out
 
 
+def coded(ids):
+    """(codes, sorted vocabulary) of an id column, as a Dataset holds it:
+    the ids as one '<U' column, coded through its sorted distinct values."""
+    vocab, codes = np.unique(np.asarray(ids, dtype=str), return_inverse=True)
+    return codes, vocab
+
+
+def users_of(ds):
+    """Each row's user id string: ds holds codes into its vocabulary."""
+    return ds.user_vocab[ds.user_ids]
+
+
+def items_of(ds):
+    """Each row's item id string."""
+    return ds.item_vocab[ds.item_ids]
+
+
 def rank_users_reference(user_ids, scores, labels, item_ids=None):
     """The (user asc, score desc[, item asc]) ranking as one np.lexsort,
     with the user blocks, their sizes and positive counts counted one user
@@ -270,7 +287,7 @@ def ndcg_brute(user_ids, scores, labels, item_ids, k):
 
 def prefix_rows_brute(ds, scores, cutoff_of_user):
     """Set of rows inside each user's top-`cutoff` by the ranking order."""
-    users, blocks = ordered_rows_by_user(ds.user_ids, scores, ds.item_ids)
+    users, blocks = ordered_rows_by_user(users_of(ds), scores, items_of(ds))
     chosen = set()
     for u in users:
         rows = blocks[u]
@@ -352,7 +369,8 @@ def to_csv_reference(ds, path):
                 local = idx[field_of == f] - start_of[name]
                 cells.append("|".join(labels_of[name][j] for j in local))
             writer.writerow(
-                [ds.user_ids[i], ds.item_ids[i], int(ds.labels[i]),
+                [ds.user_vocab[ds.user_ids[i]], ds.item_vocab[ds.item_ids[i]],
+                 int(ds.labels[i]),
                  int(ds.timestamps[i])] + cells
             )
 
@@ -454,13 +472,15 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
     for i, (ia, va) in enumerate(zip(samples_idx, samples_val)):
         indices[i, : len(ia)] = ia
         values[i, : len(va)] = va
+    (user_ids, user_vocab), (item_ids, item_vocab) = coded(users), coded(items)
     return Dataset(
         schema, indices, values,
         np.asarray(labels, dtype=np.int8),
-        np.asarray(users), np.asarray(items),
+        user_ids, item_ids,
         np.asarray(stamps, dtype=np.int64),
         split_tag=split_tag,
         bias_labels=index.labels(schema.bias_field),
+        user_vocab=user_vocab, item_vocab=item_vocab,
     )
 
 
@@ -542,8 +562,9 @@ def generate_reference(cfg):
         indices[:, 0] = users
         indices[:, 1] = cfg.n_users + items
         indices[:, 2] = cfg.n_users + cfg.n_items + group_of[items]
-        return Dataset(schema, indices, np.ones(indices.shape), labels,
-                       user_labels[users], item_labels[items], stamps, split_tag=tag)
+        return Dataset(schema, indices, np.ones(indices.shape), labels, users, items,
+                       stamps, split_tag=tag, user_vocab=user_labels,
+                       item_vocab=item_labels)
 
     train, val, test = (
         split(tag, users_b[rows], items_b[rows], labels_b[rows], stamps_b[rows])

@@ -307,14 +307,14 @@ def test_criterion_08_metric_oracles():
                 multi_group_prob=0.25)
             scores = rng.integers(0, 5, size=len(ds)).astype(np.float64) / 2.0
             got_u, _ = user_auc(ds.user_ids, scores, ds.labels)
-            want_u, _ = oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+            want_u, _ = oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)
             if not (got_u == want_u
                     or (math.isnan(got_u) and math.isnan(want_u))):
                 bad.append(f"trial {trial}: uauc {got_u} != {want_u}")
             got_n, _ = ndcg_at_k(ds.user_ids, scores, ds.labels,
                                  ds.item_ids, 5)
-            want_n, _ = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
-                                           ds.item_ids, 5)
+            want_n, _ = oracles.ndcg_brute(oracles.users_of(ds), scores, ds.labels,
+                                           oracles.items_of(ds), 5)
             if not (got_n == want_n
                     or (math.isnan(got_n) and math.isnan(want_n))):
                 bad.append(f"trial {trial}: ndcg {got_n} != {want_n}")

@@ -361,6 +361,12 @@ class TestBiasChainReport:
         assert report.variances is None
         assert report.ehr_ratio_spearman is None
 
+    def test_empty_eval_split_raises(self, rng):
+        ds = random_dataset(rng, n_rows=60, split_tag="train")
+        params = random_params(rng, ds.schema.n, 4)
+        with pytest.raises(ConfigError, match="cannot evaluate an empty dataset"):
+            bias_chain_report(params, ds, eval_ds=ds.subset(np.arange(0)))
+
     def test_unexposed_group_is_reported(self, rng):
         ds = dataset_without_group(rng)
         params = random_params(rng, ds.schema.n, 4)

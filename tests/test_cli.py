@@ -249,6 +249,21 @@ class TestAnalyze:
         assert report["train_stats"]["n_pos"] == [0, 0, 0]
         assert report["errors"][0] == "3 group(s) have no training exposure"
 
+    def test_header_only_eval_log_exits_2(self, corpus, tmp_path, capsys):
+        empty = filtered_copy(corpus["data"] / "test.csv", tmp_path / "empty.csv",
+                              "label", lambda y: False)
+        out = tmp_path / "analysis.json"
+        rc = main([
+            "analyze", "--schema", str(corpus["schema"]),
+            "--model", str(corpus["model"]),
+            "--train", str(corpus["data"] / "train.csv"),
+            "--eval", str(empty), "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot evaluate an empty dataset" in err
+        assert not out.exists()
+
     def test_schema_mismatch_exits_2(self, corpus, tmp_path, capsys):
         other = tmp_path / "other"
         assert main(["synth", "--users", "40", "--items", "20",

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_schema, random_dataset
+from conftest import dataset, make_schema, per_row_strings, random_dataset
 from ctrbias import data
-from ctrbias.data import Dataset, FeatureIndex, FieldSchema, ingest_csv
+from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
                             SchemaError)
-from oracles import ingest_csv_reference, to_csv_reference
+from ctrbias.evaluation import blocks_of
+from oracles import ingest_csv_reference, to_csv_reference, users_of
 
 
 class TestFieldSchema:
@@ -137,14 +138,14 @@ class TestDataset:
     def test_validation_rejects_bad_field_sums(self):
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="sum to 1"):
-            Dataset(schema, np.array([[0, 2, 4], [0, 2, 4]]),
+            dataset(schema, np.array([[0, 2, 4], [0, 2, 4]]),
                     np.array([[1.0, 1.0, 1.0], [1.0, 0.7, 1.0]]),
                     [0, 1], ["u0", "u0"], ["i0", "i0"], [0, 1])
 
     def test_validation_rejects_out_of_range_indices(self):
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="out of schema range"):
-            Dataset(schema, np.array([[0, 2, 99]]), np.array([[1.0, 1.0, 1.0]]),
+            dataset(schema, np.array([[0, 2, 99]]), np.array([[1.0, 1.0, 1.0]]),
                     [0], ["u0"], ["i0"], [0])
 
     @pytest.mark.parametrize("pad_index", [99, 6, -1, -7], ids=["far", "n", "-1", "-n"])
@@ -153,7 +154,7 @@ class TestDataset:
         # padded entries too, so any other out-of-range index must not pass
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="out of schema range"):
-            Dataset(schema, np.array([[0, 2, 4, pad_index]]),
+            dataset(schema, np.array([[0, 2, 4, pad_index]]),
                     np.array([[1.0, 1.0, 1.0, 0.0]]), [0], ["u0"], ["i0"], [0])
 
     @pytest.mark.parametrize("pad_value", [-0.5, float("nan")], ids=["negative", "nan"])
@@ -161,19 +162,19 @@ class TestDataset:
         # a padded entry with a nonzero value would still move every score
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match=">= 0"):
-            Dataset(schema, np.array([[0, 2, 4, 5]]),
+            dataset(schema, np.array([[0, 2, 4, 5]]),
                     np.array([[1.0, 1.0, 1.0, pad_value]]), [0], ["u0"], ["i0"], [0])
 
     def test_validation_rejects_mismatched_values_shape(self):
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="same"):
-            Dataset(schema, np.array([[0, 2, 4]]), np.array([[1.0, 1.0, 1.0, 0.0]]),
+            dataset(schema, np.array([[0, 2, 4]]), np.array([[1.0, 1.0, 1.0, 0.0]]),
                     [0], ["u0"], ["i0"], [0])
 
     def test_validation_rejects_non_binary_labels(self):
         schema = make_schema(2, 2, 2)
         with pytest.raises(ConfigError, match="labels"):
-            Dataset(schema, np.array([[0, 2, 4]]), np.array([[1.0, 1.0, 1.0]]),
+            dataset(schema, np.array([[0, 2, 4]]), np.array([[1.0, 1.0, 1.0]]),
                     [3], ["u0"], ["i0"], [0])
 
     def test_bias_memberships_coo(self, rng):
@@ -194,11 +195,12 @@ class TestDataset:
         assert sub.split_tag == "other"
         assert sub.bias_labels == ds.bias_labels
         assert list(sub.user_ids) == [ds.user_ids[3], ds.user_ids[1]]
+        assert sub.user_vocab is ds.user_vocab and sub.item_vocab is ds.item_vocab
 
     def test_default_bias_labels_use_vocabulary_then_placeholders(self):
         schema = FieldSchema(fields=(("g", 3),), bias_field="g",
                              categories={"g": ("alpha",)})
-        ds = Dataset(schema, np.array([[0]]), np.array([[1.0]]), [1], ["u"], ["i"], [0])
+        ds = dataset(schema, np.array([[0]]), np.array([[1.0]]), [1], ["u"], ["i"], [0])
         assert ds.bias_labels == ("alpha", "g:1", "g:2")
 
 
@@ -217,10 +219,21 @@ class TestCsvRoundTrip:
             assert np.array_equal(ia, ib)
             assert np.allclose(va, vb, atol=0, rtol=1e-15)
 
+    def test_ingested_ids_are_codes(self, rng, tmp_path):
+        ds = random_dataset(rng, n_users=12, n_rows=60)
+        ds.to_csv(tmp_path / "log.csv")
+        back = ingest_csv(tmp_path / "log.csv", ds.schema)
+        blocks_of(back)
+        assert per_row_strings(back) == []
+        assert back.user_ids.dtype == back.item_ids.dtype == np.int32
+        # "u10" < "u2": codes follow the sorted strings
+        assert back.user_vocab.tolist() == sorted(set(users_of(ds).tolist()))
+        np.testing.assert_array_equal(users_of(back), users_of(ds))
+
     def test_lone_cr_in_ids_labels_and_header_round_trips(self, tmp_path):
         schema = FieldSchema(fields=(("f\r", 3), ("g", 2)), bias_field="g",
                              categories={"f\r": ("x\ry", "z"), "g": ("a\r",)})
-        ds = Dataset(schema, [[0, 3], [1, 4]], [[1.0, 1.0], [1.0, 1.0]], [1, 0],
+        ds = dataset(schema, [[0, 3], [1, 4]], [[1.0, 1.0], [1.0, 1.0]], [1, 0],
                      np.array(["a\rb", "u"]), np.array(["i\r", "\r"]), [0, 1])
         ds.to_csv(tmp_path / "log.csv")
         assert_same_outcome(ingest_csv(tmp_path / "log.csv", schema, split_tag="x"),
@@ -414,7 +427,7 @@ def datasets(draw):
         for j, (index, value) in enumerate(row):
             indices[i, j], values[i, j] = index, value
     ids = st.lists(st.text(LETTERS, max_size=3), min_size=n, max_size=n)
-    return Dataset(schema, indices, values,
+    return dataset(schema, indices, values,
                    draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
                    draw(ids), draw(ids),
                    draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n,
@@ -465,7 +478,8 @@ def assert_same_outcome(got, want):
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
         return
-    for name in ("indices", "values", "labels", "user_ids", "item_ids", "timestamps"):
+    for name in ("indices", "values", "labels", "user_ids", "item_ids", "timestamps",
+                 "user_vocab", "item_vocab"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
@@ -531,7 +545,7 @@ class TestColumnarCsvAgainstRowLoops:
             ingest_csv_reference(tmp_path / "new.csv", ds.schema, split_tag="x"))
 
     def test_to_csv_non_string_ids_equal_oracle(self, tmp_path):
-        ds = Dataset(make_schema(), [[0, 4, 10]] * 3, [[1.0, 1.0, 1.0]] * 3, [1, 0, 1],
+        ds = dataset(make_schema(), [[0, 4, 10]] * 3, [[1.0, 1.0, 1.0]] * 3, [1, 0, 1],
                      np.array([7, 8, 7]), np.array([0.5, "a,b", 0.5], dtype=object),
                      [0, 1, 2])
         ds.to_csv(tmp_path / "new.csv")

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (count_calls, make_dataset, make_schema, random_dataset,
                       random_params)
 from ctrbias import evaluation, models
@@ -413,16 +414,25 @@ class TestGridScoresMatchPredict:
 
     @pytest.mark.parametrize("arch", ["fm", "nfm"])
     def test_string_ids_give_the_interned_ids_table(self, rng, arch):
-        # as strings u10 < u2 and i10 < i2; np.unique codes keep that order
+        # as strings u10 < u2 and i10 < i2, so codes follow that order;
+        # recoding into a wider vocabulary moves every code but no order
         kw = dict(n_users=12, n_items=15, n_groups=4)
         train_ds = random_dataset(rng, n_rows=150, **kw)
         unbiased = random_dataset(rng, n_rows=200, multi_group_prob=0.3,
                                   split_tag="unbiased-val", **kw)
+
+        def widened(vocab):
+            return np.sort(np.concatenate([vocab, np.char.add(vocab, "~")]))
+
+        user_vocab = widened(unbiased.user_vocab)
+        item_vocab = widened(unbiased.item_vocab)
         coded = Dataset(unbiased.schema, unbiased.indices, unbiased.values,
                         unbiased.labels,
-                        np.unique(unbiased.user_ids, return_inverse=True)[1],
-                        np.unique(unbiased.item_ids, return_inverse=True)[1],
-                        unbiased.timestamps, split_tag=unbiased.split_tag)
+                        np.searchsorted(user_vocab, oracles.users_of(unbiased)),
+                        np.searchsorted(item_vocab, oracles.items_of(unbiased)),
+                        unbiased.timestamps, split_tag=unbiased.split_tag,
+                        user_vocab=user_vocab, item_vocab=item_vocab)
+        assert not np.array_equal(coded.user_ids, unbiased.user_ids)
         params = random_params(rng, train_ds.schema.n, 3, arch=arch)
         cfg = DebiasConfig(beta_grid=self.GRID, gamma_grid=self.GRID, k=3)
         by_strings = grid_search_reconstruction(params, train_ds, unbiased, cfg)

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ import oracles
 from conftest import (count_calls, float_bits, make_dataset, make_schema,
                       random_dataset)
 from ctrbias import numeric, training
+from ctrbias.data import ingest_csv
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import (EvalReport, UserBlocks, blocks_of, evaluate,
                                 ndcg_at_k, reo_at_k, user_auc,
@@ -73,7 +76,7 @@ class TestOracleProperties:
     def test_user_auc(self, log):
         ds, scores = log
         got = user_auc(ds.user_ids, scores, ds.labels)
-        want = oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+        want = oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)
         assert got[1] == want[1]
         assert same_or_both_nan(got[0], want[0])
 
@@ -82,8 +85,8 @@ class TestOracleProperties:
     def test_ndcg(self, log, k):
         ds, scores = log
         got = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k)
-        want = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
-                                  ds.item_ids, k)
+        want = oracles.ndcg_brute(oracles.users_of(ds), scores, ds.labels,
+                                  oracles.items_of(ds), k)
         assert got[1] == want[1]
         assert same_or_both_nan(got[0], want[0])
 
@@ -93,8 +96,8 @@ class TestOracleProperties:
         # long user lists: each DCG sums 8+ gains, pairwise in np.sum
         ds, scores = log
         got = ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k)
-        want = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
-                                  ds.item_ids, k)
+        want = oracles.ndcg_brute(oracles.users_of(ds), scores, ds.labels,
+                                  oracles.items_of(ds), k)
         assert got[1] == want[1]
         assert same_or_both_nan(got[0], want[0])
 
@@ -103,9 +106,9 @@ class TestOracleProperties:
     def test_evaluate(self, log, k):
         ds, scores = log
         report = evaluate(ds, scores, k)
-        uauc, uauc_skipped = oracles.uauc_brute(ds.user_ids, scores, ds.labels)
-        ndcg, ndcg_skipped = oracles.ndcg_brute(ds.user_ids, scores, ds.labels,
-                                                ds.item_ids, k)
+        uauc, uauc_skipped = oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)
+        ndcg, ndcg_skipped = oracles.ndcg_brute(oracles.users_of(ds), scores, ds.labels,
+                                                oracles.items_of(ds), k)
         assert same_or_both_nan(report.uauc, uauc)
         assert report.uauc_skipped_users == uauc_skipped
         assert same_or_both_nan(report.ndcg, ndcg)
@@ -128,13 +131,14 @@ class TestManyUsers:
     def test_user_auc(self, rng, coarse):
         ds, scores = self.instance(rng, coarse)
         assert user_auc(ds.user_ids, scores, ds.labels) == \
-            oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+            oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)
 
     @pytest.mark.parametrize("k", [3, 7, 12])
     def test_ndcg(self, rng, k):
         ds, scores = self.instance(rng, coarse=False)
         assert ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids, k) == \
-            oracles.ndcg_brute(ds.user_ids, scores, ds.labels, ds.item_ids, k)
+            oracles.ndcg_brute(oracles.users_of(ds), scores, ds.labels,
+                               oracles.items_of(ds), k)
 
     def test_ndcg_mixed_depths(self, rng):
         # few users, so one DCG's last bit survives the mean: a short list
@@ -145,7 +149,7 @@ class TestManyUsers:
             k = int(rng.integers(8, 41))
             assert ndcg_at_k(ds.user_ids, scores, ds.labels, ds.item_ids,
                              k) == oracles.ndcg_brute(
-                ds.user_ids, scores, ds.labels, ds.item_ids, k)
+                oracles.users_of(ds), scores, ds.labels, oracles.items_of(ds), k)
 
 
 class TestRankingStructure:
@@ -187,7 +191,7 @@ class TestRankUsers:
            st.booleans())
     def test_equals_lexsort_referee(self, log, codes, with_items):
         ds, scores = log
-        users, items = ds.user_ids, ds.item_ids
+        users, items = oracles.users_of(ds), oracles.items_of(ds)
         if codes:
             users = np.unique(users, return_inverse=True)[1]
             items = np.unique(items, return_inverse=True)[1]
@@ -235,7 +239,7 @@ class TestRankUsers:
             for a, b in zip(rows, rows[1:]):
                 assert scores[a] > scores[b] or (
                     scores[a] == scores[b]
-                    and ds.item_ids[a] <= ds.item_ids[b])
+                    and oracles.items_of(ds)[a] <= oracles.items_of(ds)[b])
 
     def test_empty_and_mismatched_inputs(self):
         with pytest.raises(ConfigError):
@@ -266,7 +270,7 @@ class TestUserAuc:
         for _ in range(60):
             ds, scores = random_instance(rng)
             got, got_skip = user_auc(ds.user_ids, scores, ds.labels)
-            want, want_skip = oracles.uauc_brute(ds.user_ids, scores, ds.labels)
+            want, want_skip = oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)
             assert got_skip == want_skip
             if math.isnan(want):
                 assert math.isnan(got)
@@ -308,8 +312,8 @@ class TestNdcg:
             k = int(rng.integers(1, 8))
             got, got_skip = ndcg_at_k(ds.user_ids, scores, ds.labels,
                                       ds.item_ids, k)
-            want, want_skip = oracles.ndcg_brute(ds.user_ids, scores,
-                                                 ds.labels, ds.item_ids, k)
+            want, want_skip = oracles.ndcg_brute(oracles.users_of(ds), scores,
+                                                 ds.labels, oracles.items_of(ds), k)
             assert got_skip == want_skip
             if math.isnan(want):
                 assert math.isnan(got)
@@ -454,6 +458,68 @@ class TestPermutationInvariance:
         assert a.group_positives == b.group_positives
 
 
+# ids whose code order must follow string order: "u10" < "u9", non-ASCII
+# letters, and ids that CSV has to quote
+ID_POOL = ("u9", "u10", "u1", "U2", "é", "ü10", "日本", "a,b", '"q"', "x\ny", "")
+
+
+@st.composite
+def id_logs(draw):
+    """(dataset, scores, k) with user and item ids drawn from ID_POOL and
+    from short random text; scores tie often."""
+    ids = st.lists(st.sampled_from(ID_POOL) | st.text("aé,\"\r9", max_size=3),
+                   min_size=1, max_size=7, unique=True)
+    users, items = draw(ids), draw(ids)
+    n_groups = draw(st.integers(2, 4))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, len(users) - 1), st.integers(0, len(items) - 1),
+                  st.integers(0, n_groups - 1), st.integers(0, 1),
+                  st.integers(0, 3)),
+        min_size=1, max_size=40))
+    n_u, n_i = len(users), len(items)
+    ds = make_dataset(make_schema(n_u, n_i, n_groups), [
+        ([u, n_u + i, n_u + n_i + g], np.ones(3), y, users[u], items[i], t)
+        for t, (u, i, g, y, _) in enumerate(rows)])
+    scores = np.array([r[4] for r in rows], dtype=np.float64) / 2.0
+    return ds, scores, draw(st.integers(1, 5))
+
+
+class TestIdCodes:
+    """Codes stand in for the id strings: every order, byte and metric is
+    that of the strings."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(id_logs(), st.data())
+    def test_codes_act_as_strings(self, log, draw):
+        ds, scores, k = log
+        users, items = oracles.users_of(ds), oracles.items_of(ds)
+        np.testing.assert_array_equal(blocks_of(ds).base, np.lexsort((items, users)))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+            ds.to_csv(first)
+            back = ingest_csv(first, ds.schema)
+            back.to_csv(second)
+            assert first.read_bytes() == second.read_bytes()
+        np.testing.assert_array_equal(oracles.users_of(back), users)
+        np.testing.assert_array_equal(oracles.items_of(back), items)
+
+        rows = np.array(draw.draw(st.lists(st.integers(0, len(ds) - 1),
+                                           min_size=1, max_size=len(ds))))
+        sub, sub_scores = ds.subset(rows), scores[rows]
+        report = evaluate(sub, sub_scores, k)
+        uauc = oracles.uauc_brute(users[rows], sub_scores, sub.labels)
+        ndcg = oracles.ndcg_brute(users[rows], sub_scores, sub.labels, items[rows], k)
+        assert float_bits(report.uauc) == float_bits(uauc[0])
+        assert report.uauc_skipped_users == uauc[1]
+        assert float_bits(report.ndcg) == float_bits(ndcg[0])
+        assert report.ndcg_skipped_users == ndcg[1]
+        np.testing.assert_array_equal(report.group_tpr,
+                                      oracles.tpr_brute(sub, sub_scores, k))
+        np.testing.assert_array_equal(report.group_ehr,
+                                      oracles.ehr_brute(sub, sub_scores))
+
+
 class TestEvaluate:
     def test_report_fields_and_errors(self, rng):
         ds, scores = random_instance(rng, n_rows=40)
@@ -544,7 +610,7 @@ class TestBlocksCache:
             assert float_bits(got) == float_bits(
                 user_auc(ds.user_ids, scores, ds.labels)[0])
             assert float_bits(got) == float_bits(
-                oracles.uauc_brute(ds.user_ids, scores, ds.labels)[0])
+                oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)[0])
 
     def test_users_with_both_labels(self, rng):
         for _ in range(20):

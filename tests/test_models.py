@@ -7,6 +7,7 @@ byte offset.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,8 +138,9 @@ class TestPredict:
 
     def test_chunked_equals_single_shot(self, rng, monkeypatch):
         # The NFM head runs through BLAS, whose kernels for 1-3 rows may
-        # round differently from larger blocks, so only FM and the linear
-        # part are bit-exact across chunk sizes.
+        # round differently from larger blocks, and whose split of a block
+        # across threads can move a row's last bit, so only FM and the
+        # linear part are bit-exact across chunk sizes.
         for arch in ("fm", "nfm"):
             params = random_params(rng, 15, 3, arch=arch)
             idx, val = random_batch(rng, 15, 4, 23)
@@ -155,6 +157,29 @@ class TestPredict:
                     else:
                         np.testing.assert_allclose(got, want, rtol=1e-12,
                                                    atol=1e-15)
+
+    def test_peak_is_one_chunk_of_temporaries(self, rng):
+        # Bound: forward's traced peak on a 2048-row block, twice over (a
+        # chunk's forward runs while the previous chunk's cache is still
+        # held). A PREDICT_CHUNK past ~2048 rows exceeds it.
+        n, width = 20_000, 3
+        params = random_params(rng, 50, 16, arch="nfm", hidden=64)
+        idx = rng.integers(0, 50, size=(n, width))
+        val = np.ones((n, width))
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one_block = traced_peak(lambda: forward(params, idx[:2048], val[:2048]))
+        scoring = traced_peak(lambda: prediction_parts(params, idx, val))
+        assert scoring - 3 * n * 8 <= 2 * one_block  # minus the three outputs
 
     def test_prediction_parts_decomposition(self, rng):
         for arch in ("fm", "nfm"):

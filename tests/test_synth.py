@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import per_row_strings
 from ctrbias import synth
 from ctrbias.errors import CalibrationError, ConfigError
-from ctrbias.evaluation import group_stats
+from ctrbias.evaluation import blocks_of, group_stats
 from ctrbias.synth import SPLIT_FRACTIONS, SynthConfig, generate
 
 CFG = SynthConfig(n_users=60, n_items=40, n_groups=4, exposures_per_user=30,
                   unbiased_val_per_user=3, unbiased_test_per_user=5, seed=5)
-SPLIT_ARRAYS = ("indices", "values", "labels", "user_ids", "item_ids", "timestamps")
+SPLIT_ARRAYS = ("indices", "values", "labels", "user_ids", "item_ids", "timestamps",
+                "user_vocab", "item_vocab")
 # worlds for the referee: label odds that differ from the exposure policy's
 # preference, a strongly skewed group frequency with a user count that
 # blocks of 3 do not divide, and one where both block loops of generate run
@@ -159,11 +161,12 @@ class TestStructure:
         assert result.val.timestamps.max() < result.test.timestamps.min()
 
     def test_unbiased_items_unique_and_disjoint_per_user(self, result):
-        for uid in np.unique(result.unbiased_val.user_ids):
-            val_items = set(result.unbiased_val.item_ids[
-                result.unbiased_val.user_ids == uid].tolist())
-            test_items = set(result.unbiased_test.item_ids[
-                result.unbiased_test.user_ids == uid].tolist())
+        # codes compare within one Dataset only: match users by their ids
+        val, test = result.unbiased_val, result.unbiased_test
+        val_users, test_users = oracles.users_of(val), oracles.users_of(test)
+        for uid in np.unique(val_users):
+            val_items = set(oracles.items_of(val)[val_users == uid].tolist())
+            test_items = set(oracles.items_of(test)[test_users == uid].tolist())
             assert len(val_items) == CFG.unbiased_val_per_user
             assert len(test_items) == CFG.unbiased_test_per_user
             assert not val_items & test_items
@@ -254,6 +257,16 @@ class TestReferee:
 
 
 class TestMemory:
+    def test_splits_hold_ids_as_codes(self, result):
+        for ds in result.splits.values():
+            blocks_of(ds)
+            assert per_row_strings(ds) == []
+            assert ds.user_ids.dtype == ds.item_ids.dtype == np.int32
+            assert ds.user_vocab is result.train.user_vocab
+            assert ds.item_vocab is result.train.item_vocab
+        assert len(result.train.user_vocab) == CFG.n_users
+        assert len(result.train.item_vocab) == CFG.n_items
+
     def test_peak_is_bounded_by_the_output(self):
         # the one-shot form peaks at ~3.5x the returned bytes on this world,
         # the row-blocked one at ~2.5x; Dataset validation of the train
