@@ -283,6 +283,7 @@ class Dataset:
         self.bias_labels = tuple(bias_labels)
         self._memberships = None
         self._blocks = None  # evaluation.blocks_of fills it
+        self._group_counts = None  # evaluation.group_stats fills it
         if _validate:
             self._validate()
 

@@ -176,11 +176,13 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     adds the pieces in forward's logit order, (w0 + linear) + high_order,
     so its scores equal predict() on the reconstructed model bit for bit.
 
-    Only the scores change between points, so the ranking's id part is
-    the unbiased split's own UserBlocks (blocks_of), built once per
-    Dataset and shared with evaluate(). Each point ranks its scores once,
-    and AUC and NDCG share that RankedData, exactly as in evaluate(). Only
-    the winning model is built, at the end, by reconstruct_weights.
+    Only the scores change between points, so everything the metrics read
+    of ids and labels is the unbiased split's own UserBlocks (blocks_of),
+    with its NDCG plan, and both splits' group counts (group_stats): each
+    is built once per Dataset and shared with evaluate(). Each point ranks
+    its scores once, and AUC and NDCG share that RankedData, exactly as in
+    evaluate(). Only the winning model is built, at the end, by
+    reconstruct_weights.
 
     A split where no user has both labels leaves every point's AUC
     undefined and a training split with fewer than two exposed groups

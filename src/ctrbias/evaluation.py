@@ -5,25 +5,34 @@ asc) order, so each user's samples form a contiguous block in ranking
 order. evaluate() is the one entry that turns a split's scores into group
 metrics: it shares one RankedData across AUC, NDCG, TPR@k, EHR and REO.
 A UserBlocks is a split's ranking frame, built once from its ids and
-labels: the rows sorted by (user, item, input position), the user blocks
-with their sizes and positive counts, and the labels. Its rank() sorts one
-score vector with two argsorts: an unstable one that turns the scores into
-dense integer ranks, and a stable one of block * n + dense rank. Equal
-scores (0.0 and -0.0 among them) get equal dense ranks, so the unstable
-sort's tie order cannot show, and the stable sort keeps the base order
-inside a tie: the result is the three-key lexsort exactly. The RankedData
-it returns holds the scores and labels in that order, so a metric reads
-the ranking alone. blocks_of() keeps one UserBlocks per Dataset, so
-evaluate(), the grid search and training's validation share one id sort
-and positive count per split. Per-user quantities then come from block
-and run boundaries and np.bincount, with no Python loop over users:
+labels (which must be 0/1): the rows sorted by (user, item, input
+position), the user blocks with their sizes and positive counts, and the
+labels. A ranking moves rows only inside their user's block, so the
+frame also computes up front what its metrics read from ids and labels
+alone, per user rather than per row: AUC's per-user offset and pair
+count and, on first use per clamped k, an NdcgPlan (the ranked positions
+of each top k and their discounts, the ideal DCG of each user with a
+positive, and those users grouped by depth). A score vector then costs
+only its own work. rank() sorts it with two argsorts: an unstable one
+that turns the scores into dense integer ranks, and a stable one of
+block * n + dense rank. Equal scores (0.0 and -0.0 among them) get equal
+dense ranks, so the unstable sort's tie order cannot show, and the stable
+sort keeps the base order inside a tie: the result is the three-key
+lexsort exactly. The RankedData it returns holds the scores and labels in
+that order, so a metric reads the ranking alone. blocks_of() keeps one
+UserBlocks per Dataset, so evaluate(), the grid search and training's
+validation share one frame per split. Per-user quantities then come from
+block and run boundaries and np.add.reduceat, with no Python loop over
+users:
 
 * AUC gives each run of tied scores inside a user the mean of the run's
-  positions, so the positives' rank sums are exact half-integers. A sum of
+  positions, so a user's positive rank sum, n_pos * block end less the
+  positives' mean positions, is a sum of exact half-integers. A sum of
   such values below 2**53 is exact in any order, so AUC is the same on the
   item-tie-broken order as on any other order of the ties.
-* NDCG lays each user's top-k gains out as one row of a (users x k) table;
-  a row sum reduces exactly like the 1-D sum over that user's gains.
+* NDCG lays the top-d gains of the users at one depth d out as the rows
+  of a (users x d) table; a row sum reduces exactly like the 1-D sum over
+  that user's gains.
 * The per-user values enter each mean in user order through sequential
   adds (a cumulative sum), the order a loop over users adds them in.
 
@@ -38,7 +47,8 @@ Group-level metrics key off the bias field: a sample counts for group j
 when its feature vector has positive mass on that group's feature.
 group_stats() is the one per-group table of a split (counts, ratios and
 the global-ratio fallback of an unexposed group) that every group count
-in the package reads; group_sums() sums a row quantity per group.
+in the package reads, counted once per Dataset like its frame;
+group_sums() sums a row quantity per group.
 
 Undefined values (a user with no positives, a group with no positive
 samples) are skipped or reported as NaN rather than silently treated as
@@ -67,7 +77,11 @@ class UserBlocks:
     `base` sorts the rows by (user, item, input position). `user_starts`
     and `users` are the user blocks along it, `sizes` their row counts,
     `n_pos` their positive counts and `both_labels` marks the users with a
-    defined AUC. `offsets` is block number * n for each base position.
+    defined AUC. `offsets` is block number * n for each base position. A
+    ranking moves rows only inside their block, so the blocks hold for
+    every ranked order too. `auc_offset` and `auc_pairs` are, per user with
+    both labels, n_pos * block end - n_pos (n_pos + 1) / 2 and
+    n_pos * n_neg.
     """
 
     def __init__(self, user_ids, labels, item_ids):
@@ -78,6 +92,9 @@ class UserBlocks:
             raise ConfigError("user_ids, labels, item_ids must have equal length")
         if n == 0:
             raise ConfigError("cannot rank an empty sample list")
+        is_pos = labels == 1
+        if not (is_pos | (labels == 0)).all():
+            raise ConfigError("labels must be 0/1")
         self.base = np.lexsort((np.asarray(item_ids), user_ids))
         sorted_users = user_ids[self.base]
         new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
@@ -85,17 +102,28 @@ class UserBlocks:
         self.users = sorted_users[self.user_starts[:-1]]
         self.n_users = len(self.users)
         self.sizes = np.diff(self.user_starts)
-        cum = np.concatenate([[0], np.cumsum(labels[self.base])])
+        cum = np.concatenate([[0], np.cumsum(is_pos[self.base])])
         self.n_pos = cum[self.user_starts[1:]] - cum[self.user_starts[:-1]]
         self.both_labels = (self.n_pos > 0) & (self.n_pos < self.sizes)
+        p = self.n_pos[self.both_labels].astype(np.float64)
+        self.auc_offset = (p * self.user_starts[1:][self.both_labels]
+                           - p * (p + 1) / 2.0)
+        self.auc_pairs = p * (self.sizes[self.both_labels] - p)
         # block * n + dense rank stays below n**2, which fits int64 for
         # n < 3e9
         self.offsets = np.repeat(np.arange(self.n_users, dtype=np.int64) * n,
                                  self.sizes)
+        self._ndcg_plans: dict[int, NdcgPlan] = {}
 
-    def row_users(self) -> np.ndarray:
-        """Block number of each ordered row."""
-        return np.repeat(np.arange(self.n_users), self.sizes)
+    def ndcg_plan(self, k: int) -> NdcgPlan:
+        """The NdcgPlan at cutoff k, built on first use per clamped k."""
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+        # a deeper cutoff ranks the same rows
+        k = min(k, int(self.sizes.max()))
+        if k not in self._ndcg_plans:
+            self._ndcg_plans[k] = NdcgPlan(self, k)
+        return self._ndcg_plans[k]
 
     def rank(self, scores) -> RankedData:
         """Rows by (user asc, score desc), tied scores in base order."""
@@ -112,6 +140,32 @@ class UserBlocks:
         dense[by_score[1:]] = np.cumsum(ascending[1:] != ascending[:-1])
         order = self.base[np.argsort(self.offsets + dense, kind="stable")]
         return RankedData(self, order, scores[order], self.labels[order])
+
+
+class NdcgPlan:
+    """What NDCG@k reads of a UserBlocks at one clamped cutoff k.
+
+    The users with a positive are grouped by depth d = min(block size, k):
+    per depth, `depth_groups` holds d, the group's places among those
+    users and the (group users x d) int32 ranked positions of their top d
+    rows. `discounts` are 1/log2(place + 2) and `idcg` each such user's
+    ideal DCG.
+    """
+
+    def __init__(self, blocks: UserBlocks, k: int):
+        self.discounts = 1.0 / np.log2(np.arange(2, k + 2))
+        has_pos = blocks.n_pos > 0
+        starts = blocks.user_starts[:-1][has_pos]
+        ideal_depth = np.minimum(blocks.n_pos[has_pos], k)
+        self.idcg = np.empty(len(starts))
+        for d in np.unique(ideal_depth):
+            self.idcg[ideal_depth == d] = self.discounts[:d].sum()
+        depth = np.minimum(blocks.sizes[has_pos], k)
+        self.depth_groups = []
+        for d in np.unique(depth):
+            places = np.flatnonzero(depth == d)
+            top = (starts[places, None] + np.arange(d)).astype(np.int32)
+            self.depth_groups.append((d, places, top))
 
 
 @dataclass
@@ -133,24 +187,18 @@ def blocks_of(ds: Dataset) -> UserBlocks:
     return ds._blocks
 
 
-def _positions_within_user(blocks: UserBlocks) -> np.ndarray:
-    """0-based rank of each ordered row inside its user's block."""
-    return np.arange(len(blocks.base)) - np.repeat(blocks.user_starts[:-1],
-                                                   blocks.sizes)
-
-
 def users_with_both_labels(ds: Dataset) -> int:
     """How many users of a non-empty ds have both a positive and a negative
     sample, i.e. a defined per-user AUC."""
     return int(blocks_of(ds).both_labels.sum())
 
 
-def _prefix_mask_by_row(ranked: RankedData, cutoffs: np.ndarray) -> np.ndarray:
-    """Boolean per original row: row sits inside its user's top-`cutoff`."""
-    within = _positions_within_user(ranked.blocks) < np.repeat(
-        cutoffs, ranked.blocks.sizes)
-    by_row = np.empty(len(ranked.order), dtype=bool)
-    by_row[ranked.order] = within
+def _by_row(ranked: RankedData, position_sets) -> np.ndarray:
+    """Boolean per original row: the row sits at a ranked position of one
+    of the position arrays."""
+    by_row = np.zeros(len(ranked.order), dtype=bool)
+    for positions in position_sets:
+        by_row[ranked.order[positions]] = True
     return by_row
 
 
@@ -167,51 +215,33 @@ def _mean_in_user_order(values: np.ndarray, n_users: int) -> tuple[float, int]:
 
 def ranked_auc(ranked: RankedData) -> tuple[float, int]:
     blocks, s = ranked.blocks, ranked.scores
-    n = len(s)
+    starts = blocks.user_starts[:-1]
     # a run of tied scores inside one user shares the mean of its positions
-    new_run = np.ones(n, dtype=bool)
+    new_run = np.ones(len(s), dtype=bool)
     new_run[1:] = s[1:] != s[:-1]
-    new_run[blocks.user_starts[:-1]] = True
-    edges = np.append(np.flatnonzero(new_run), n)
-    run = np.cumsum(new_run) - 1
-    # blocks run by descending score: in a block ending at e, position p
-    # has ascending 1-based rank e - p, averaged here over p's run
-    block_end = np.repeat(blocks.user_starts[1:], blocks.sizes)
-    ranks = block_end - 0.5 * (edges[run] + edges[run + 1] - 1)
-    positive = ranked.labels == 1
-    rank_sums = np.bincount(blocks.row_users()[positive],
-                            weights=ranks[positive], minlength=blocks.n_users)
-    both = blocks.both_labels
-    p = blocks.n_pos[both]
-    q = blocks.sizes[both] - p
-    return _mean_in_user_order((rank_sums[both] - p * (p + 1) / 2.0) / (p * q),
-                               blocks.n_users)
+    new_run[starts] = True
+    edges = np.append(np.flatnonzero(new_run), len(s))
+    cum_pos = np.concatenate([[0], np.cumsum(ranked.labels)])
+    run_pos = cum_pos[edges[1:]] - cum_pos[edges[:-1]]
+    # blocks run by descending score: in a block ending at e, a run over
+    # positions [a, b) gives each of its positives the ascending 1-based rank
+    # e - (a + b - 1) / 2, so a user's positive rank sum is n_pos * e less
+    # half the integer sum of run_pos * (a + b - 1) over its runs
+    twice_mid = np.add.reduceat(run_pos * (edges[:-1] + edges[1:] - 1),
+                                np.searchsorted(edges, starts))
+    return _mean_in_user_order(
+        (blocks.auc_offset - 0.5 * twice_mid[blocks.both_labels])
+        / blocks.auc_pairs, blocks.n_users)
 
 
 def ranked_ndcg(ranked: RankedData, k: int) -> tuple[float, int]:
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    blocks = ranked.blocks
-    k = min(k, int(blocks.sizes.max()))  # a deeper cutoff ranks the same rows
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    pos = _positions_within_user(blocks)
-    top = pos < k
-    gains = np.zeros((blocks.n_users, k))
-    gains[blocks.row_users()[top], pos[top]] = (
-        ranked.labels[top] * discounts[pos[top]])
-    has_pos = blocks.n_pos > 0
-    depth = np.minimum(blocks.sizes, k)
-    ideal_depth = np.minimum(blocks.n_pos, k)
-    dcg = np.empty(blocks.n_users)
-    idcg = np.empty(blocks.n_users)
-    # summing d columns row-wise rounds like the 1-D sum of d values, so
-    # users are grouped by depth rather than summed over zero padding
-    for d in np.unique(depth):
-        rows = depth == d
-        dcg[rows] = gains[rows, :d].sum(axis=1)
-    for d in np.unique(ideal_depth[has_pos]):
-        idcg[ideal_depth == d] = discounts[:d].sum()
-    return _mean_in_user_order(dcg[has_pos] / idcg[has_pos], blocks.n_users)
+    plan = ranked.blocks.ndcg_plan(k)
+    dcg = np.empty(len(plan.idcg))
+    # a row of a (users x d) gain table sums like the 1-D sum of that
+    # user's d gains, so users are grouped by depth, with no zero padding
+    for d, places, top in plan.depth_groups:
+        dcg[places] = (ranked.labels[top] * plan.discounts[:d]).sum(axis=1)
+    return _mean_in_user_order(dcg / plan.idcg, ranked.blocks.n_users)
 
 
 @dataclass
@@ -261,14 +291,22 @@ class GroupStats:
 
 
 def group_stats(ds: Dataset) -> GroupStats:
-    """Count positives and negatives per bias group over one split."""
-    rows, groups = ds.bias_memberships()
-    g = ds.schema.num_groups
-    is_pos = ds.labels[rows] == 1
-    n_pos = np.bincount(groups[is_pos], minlength=g).astype(np.int64)
-    n_neg = np.bincount(groups[~is_pos], minlength=g).astype(np.int64)
-    global_ratio = float(ds.labels.mean()) if len(ds) else float("nan")
-    return GroupStats(ds.bias_labels, n_pos, n_neg, global_ratio)
+    """Count positives and negatives per bias group over one split.
+
+    The counts are made on first use and kept on ds, as blocks_of keeps its
+    frame. Each call returns a new GroupStats over copies of them, named
+    by ds.bias_labels as they are at the call.
+    """
+    if ds._group_counts is None:
+        rows, groups = ds.bias_memberships()
+        g = ds.schema.num_groups
+        is_pos = ds.labels[rows] == 1
+        ds._group_counts = (
+            np.bincount(groups[is_pos], minlength=g).astype(np.int64),
+            np.bincount(groups[~is_pos], minlength=g).astype(np.int64),
+            float(ds.labels.mean()) if len(ds) else float("nan"))
+    n_pos, n_neg, global_ratio = ds._group_counts
+    return GroupStats(ds.bias_labels, n_pos.copy(), n_neg.copy(), global_ratio)
 
 
 def group_sums(ds: Dataset, row_values: np.ndarray) -> np.ndarray:
@@ -373,13 +411,18 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
     if math.isnan(ndcg):
         errors.append("ndcg undefined: no user has a positive sample")
     stats = group_stats(ds)
-    # TPR@k: the positives in each user's top k (k past the largest block
-    # selects the same rows); sums of ones are exact in float64
-    cutoffs = np.full(blocks.n_users, min(k, int(blocks.sizes.max())))
-    in_topk = _prefix_mask_by_row(ranked, cutoffs)
+    # TPR@k: the positives in each user's top k, which the NDCG plan lists
+    # for every user with a positive; sums of ones are exact in float64
+    in_topk = _by_row(ranked, (top for _, _, top in
+                               blocks.ndcg_plan(k).depth_groups))
     tpr = _per_group_rate(ds, in_topk & (ds.labels == 1), stats.n_pos)
-    # EHR counts the exposures of any label in each user's top-|positives|
-    in_prefix = _prefix_mask_by_row(ranked, blocks.n_pos)
+    # EHR counts the exposures of any label in each user's top-|positives|;
+    # the i-th such row is at i + its block's start - the earlier blocks'
+    # positives
+    before = np.cumsum(blocks.n_pos) - blocks.n_pos
+    prefix = np.arange(blocks.n_pos.sum()) + np.repeat(
+        blocks.user_starts[:-1] - before, blocks.n_pos)
+    in_prefix = _by_row(ranked, [prefix])
     ehr = _per_group_rate(ds, in_prefix, stats.n_pos)
     try:
         reo = reo_at_k(tpr)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (count_calls, make_dataset, make_schema, random_dataset,
-                      random_params)
+from conftest import (count_calls, float_bits, make_dataset, make_schema,
+                      random_dataset, random_params)
 from ctrbias import evaluation, models
 from ctrbias.analysis import bias_chain_report, ols_fit
 from ctrbias.data import Dataset
@@ -396,6 +396,41 @@ class TestGridScoresMatchPredict:
         scores = predict(best, unbiased.indices, unbiased.values)
         assert result.best.uauc == user_auc(unbiased.user_ids, scores,
                                             unbiased.labels)[0]
+
+    def test_wide_rows_best_equals_evaluate(self, rng, monkeypatch):
+        # 8 bias cells a row make 10 entries, which numpy's row sum adds
+        # pairwise: adding the columns one at a time would round otherwise.
+        # Each (user, item) pair repeats with both labels and its cells in
+        # another column order, so any such rounding moves a tie.
+        n_users, n_items, n_groups = 5, 8, 10
+        schema = make_schema(n_users, n_items, n_groups)
+
+        def log(n_pairs, split_tag):
+            rows = []
+            for _ in range(n_pairs):
+                u, i = int(rng.integers(n_users)), int(rng.integers(n_items))
+                groups = rng.choice(n_groups, size=8, replace=False)
+                for y in (0, 1):
+                    cells = [n_users + n_items + g
+                             for g in rng.permutation(groups)]
+                    rows.append(([u, n_users + i] + cells,
+                                 [1.0, 1.0] + [0.125] * 8, y, f"u{u}",
+                                 f"i{i}", len(rows)))
+            return make_dataset(schema, rows, split_tag=split_tag)
+
+        train_ds, unbiased = log(60, "train"), log(80, "unbiased-val")
+        assert unbiased.indices.shape[1] == 10
+        params = random_params(rng, schema.n, 3)
+        scored = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
+        cfg = DebiasConfig(beta_grid=self.GRID, gamma_grid=self.GRID, k=3)
+        best, result = grid_search_reconstruction(params, train_ds, unbiased,
+                                                  cfg)
+        scores = predict(best, unbiased.indices, unbiased.values)
+        at_best = next(args[1] for point, (args, _)
+                       in zip(result.table, scored) if point is result.best)
+        assert float_bits(at_best) == float_bits(scores)
+        assert float_bits(result.best.uauc) == float_bits(
+            evaluate(unbiased, scores, 3).uauc)
 
     def test_search_builds_blocks_once_and_ranks_once_per_point(
             self, rng, monkeypatch):

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (count_calls, float_bits, make_dataset, make_schema,
                       random_dataset)
-from ctrbias import numeric, training
+from ctrbias import evaluation, numeric, training
 from ctrbias.data import ingest_csv
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import (EvalReport, UserBlocks, blocks_of, evaluate,
-                                ndcg_at_k, reo_at_k, user_auc,
+                                group_stats, ndcg_at_k, reo_at_k, user_auc,
                                 users_with_both_labels)
 
 
@@ -223,6 +223,10 @@ class TestRankUsers:
         assert blocks.n_pos.tolist() == [2, 0]
         assert blocks.both_labels.tolist() == [True, False]
         assert blocks.n_users == 2
+        assert blocks.offsets.tolist() == [0, 0, 0, 5, 5]
+        # user a: 2 positives in a block ending at 3, 1 negative
+        assert blocks.auc_offset.tolist() == [2 * 3 - 3]
+        assert blocks.auc_pairs.tolist() == [2]
         ranked = blocks.rank(scores)
         assert ranked.blocks is blocks
         # user a: i1(5.0), then the 2.0 tie broken i3 < i5; user b: 3.0, 1.0
@@ -253,6 +257,30 @@ class TestRankUsers:
     def test_labels_of_another_length(self, labels):
         with pytest.raises(ConfigError):
             UserBlocks(["a", "b"], labels, ["i", "j"])
+
+    @pytest.mark.parametrize("labels", [[0.5, 1], [-1, 1], [1, -1], [0, 2],
+                                        [math.nan, 1]])
+    def test_labels_other_than_0_1_are_rejected(self, labels):
+        # once read as an AUC of 0.1667 ([0.5, 1]) and as (nan, 1), the
+        # user skipped, for +-1 labels
+        with pytest.raises(ConfigError, match="0/1"):
+            UserBlocks([0, 0], labels, [0, 1])
+        with pytest.raises(ConfigError, match="0/1"):
+            user_auc([0, 0], [0.1, 0.2], labels)
+        with pytest.raises(ConfigError, match="0/1"):
+            ndcg_at_k([0, 0], [0.1, 0.2], labels, [0, 1])
+
+    def test_float_and_bool_labels_count_like_ints(self):
+        users, items = [0, 0, 1, 1, 1], [0, 1, 2, 3, 4]
+        scores = [0.3, 0.1, 0.2, 0.2, 0.5]
+        ints = [1, 0, 0, 1, 1]
+        want = (user_auc(users, scores, ints),
+                ndcg_at_k(users, scores, ints, items, 2))
+        for labels in (np.array(ints, dtype=float),
+                       np.array(ints, dtype=bool)):
+            assert UserBlocks(users, labels, items).n_pos.tolist() == [1, 2]
+            assert (user_auc(users, scores, labels),
+                    ndcg_at_k(users, scores, labels, items, 2)) == want
 
 
 class TestUserAuc:
@@ -612,12 +640,82 @@ class TestBlocksCache:
             assert float_bits(got) == float_bits(
                 oracles.uauc_brute(oracles.users_of(ds), scores, ds.labels)[0])
 
+    def test_mixed_cutoffs_build_one_ndcg_plan_each(self, rng, monkeypatch):
+        ds, _ = random_instance(rng, n_users=5, n_items=12, n_rows=70)
+        largest = int(blocks_of(ds).sizes.max())
+        assert 5 < largest < 50
+        plans = count_calls(monkeypatch, evaluation.NdcgPlan, "__init__")
+        rounded = np.round(rng.normal(size=len(ds)), 1)
+        signed_zeros = np.where(rng.random(len(ds)) < 0.5, 0.0, -0.0)
+        vectors = [rounded, signed_zeros,
+                   np.where(rng.random(len(ds)) < 0.4, signed_zeros, rounded),
+                   rng.integers(0, 3, size=len(ds)) / 2.0]
+        users, items = oracles.users_of(ds), oracles.items_of(ds)
+        for k in (5, 1, 50, 3, 1, 50, 5, 3):
+            for scores in vectors:
+                got = evaluate(ds, scores, k)
+                fresh = evaluate(ds.subset(np.arange(len(ds))), scores, k)
+                assert as_dict(got) == as_dict(fresh)
+                uauc = oracles.uauc_brute(users, scores, ds.labels)
+                ndcg = oracles.ndcg_brute(users, scores, ds.labels, items,
+                                          min(k, largest))
+                assert float_bits(got.uauc) == float_bits(uauc[0])
+                assert float_bits(got.ndcg) == float_bits(ndcg[0])
+                assert float_bits(got.group_tpr) == float_bits(
+                    oracles.tpr_brute(ds, scores, k))
+                assert float_bits(got.group_ehr) == float_bits(
+                    oracles.ehr_brute(ds, scores))
+        frame = blocks_of(ds)
+        built = [args[2] for args, _ in plans if args[1] is frame]
+        assert sorted(built) == [1, 3, 5, largest]
+
     def test_users_with_both_labels(self, rng):
         for _ in range(20):
             ds, _ = random_instance(rng, n_rows=int(rng.integers(1, 30)))
             want = sum(len(set(ds.labels[ds.user_ids == u])) == 2
                        for u in set(ds.user_ids))
             assert users_with_both_labels(ds) == want
+
+
+class TestGroupStatsCache:
+    """A Dataset counts its groups once; each call gets its own table."""
+
+    def test_counts_once_and_names_groups_by_current_labels(self, rng,
+                                                             monkeypatch):
+        ds, _ = random_instance(rng, n_groups=3, n_rows=40)
+        first = group_stats(ds)
+        memberships = count_calls(monkeypatch, type(ds), "bias_memberships")
+        # as cli._load renames the groups after ingest
+        ds.bias_labels = ("x", "y", "z")
+        second = group_stats(ds)
+        assert memberships == []
+        assert second.labels == ("x", "y", "z")
+        assert first.labels != second.labels
+        np.testing.assert_array_equal(second.n_pos, first.n_pos)
+        np.testing.assert_array_equal(second.n_neg, first.n_neg)
+        assert evaluate(ds, np.zeros(len(ds))).group_labels == ("x", "y", "z")
+
+    def test_returned_arrays_do_not_alias_the_counts(self, rng):
+        ds, _ = random_instance(rng, n_groups=3, n_rows=40)
+        first = group_stats(ds)
+        want = (first.n_pos.copy(), first.n_neg.copy(), first.global_ratio)
+        first.n_pos += 7
+        first.n_neg[:] = -1
+        first.global_ratio = 2.0
+        again = group_stats(ds)
+        np.testing.assert_array_equal(again.n_pos, want[0])
+        np.testing.assert_array_equal(again.n_neg, want[1])
+        assert again.global_ratio == want[2]
+
+    def test_subset_gets_its_own_counts(self, rng):
+        ds, _ = random_instance(rng, n_groups=3, n_rows=60)
+        whole = group_stats(ds)
+        rows = np.flatnonzero(ds.labels == 1)
+        sub = group_stats(ds.subset(rows))
+        assert sub.n_neg.sum() == 0
+        np.testing.assert_array_equal(sub.n_pos, whole.n_pos)
+        assert sub.global_ratio == 1.0
+        assert group_stats(ds).global_ratio == whole.global_ratio
 
 
 def as_dict(report):
