@@ -33,9 +33,6 @@ class CorrelationResult:
     n: int
     method: str
 
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
-
 
 def pearson(x, y) -> CorrelationResult:
     """Pearson r with the exact two-sided t-test p-value.
@@ -90,9 +87,6 @@ class RegressionFit:
     coef: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
 
 
 def ols_fit(x, y) -> RegressionFit:
@@ -170,21 +164,7 @@ class BiasChainReport:
     errors: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        def maybe(v):
-            return v.to_json_dict() if v is not None else None
-
-        return {
-            "group_labels": list(self.group_labels),
-            "train_stats": self.train_stats.to_json_dict(),
-            "bias_weights": to_jsonable(self.bias_weights),
-            "weight_ratio_pearson": maybe(self.weight_ratio_pearson),
-            "weight_ratio_spearman": maybe(self.weight_ratio_spearman),
-            "score_ratio_pearson": maybe(self.score_ratio_pearson),
-            "ehr_ratio_spearman": maybe(self.ehr_ratio_spearman),
-            "variances": maybe(self.variances),
-            "weight_on_ratio_fit": maybe(self.weight_on_ratio_fit),
-            "errors": list(self.errors),
-        }
+        return to_jsonable(self.__dict__)
 
 
 def bias_chain_report(params: ModelParams, train_ds: Dataset,

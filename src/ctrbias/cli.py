@@ -28,11 +28,11 @@ from .analysis import bias_chain_report
 from .data import FeatureIndex, FieldSchema, ingest_csv
 from .debias import VARIANTS, DebiasConfig, grid_search_reconstruction, reduce_weights
 from .errors import ConfigError, CtrBiasError, NumericalError
-from .evaluation import evaluate
-from .models import load_model, predict, save_model
+from .evaluation import DEFAULT_K, evaluate
+from .models import ARCH_TAGS, load_model, predict, save_model
 from .numeric import to_jsonable
 from .synth import SynthConfig, generate
-from .training import TrainConfig, train
+from .training import ABLATIONS, OPTIMIZERS, TrainConfig, train
 
 
 def _file_digest(path) -> str:
@@ -117,8 +117,9 @@ def _load(args, *csv_flags):
     """The schema; the model when --model is given (checked against the
     schema's digest), else None; and one Dataset per named CSV flag, None
     where the flag is absent. The CSVs are ingested through one
-    FeatureIndex in the order named, each tagged with its file's stem,
-    and all name the bias groups by the index as the last file leaves it.
+    FeatureIndex in the order named, each tagged with its file's stem;
+    every Dataset keeps that index, so all name their categories as the
+    last file leaves it.
     """
     schema = FieldSchema.load(args.schema)
     model = getattr(args, "model", None)
@@ -127,9 +128,6 @@ def _load(args, *csv_flags):
     index = FeatureIndex(schema)
     datasets = [ingest_csv(p, schema, index, split_tag=Path(p).stem) if p else None
                 for p in (getattr(args, flag) for flag in csv_flags)]
-    for ds in datasets:
-        if ds is not None:
-            ds.bias_labels = index.labels(schema.bias_field)
     return schema, params, datasets
 
 
@@ -303,7 +301,7 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--arch", choices=("fm", "nfm"), default="fm")
+    p.add_argument("--arch", choices=tuple(ARCH_TAGS), default="fm")
     p.add_argument("--embedding-dim", type=int, default=16)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -334,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--val")
     _add_train_flags(p)
-    p.add_argument("--optimizer", choices=("adam", "plain_sgd"), default="adam")
-    p.add_argument("--ablation", choices=("none", "unaware"), default="none")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
+    p.add_argument("--ablation", choices=ABLATIONS, default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--report", help="training report path (default <out>.report.json)")
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--beta-grid", help="comma-separated ratio coefficients")
     p.add_argument("--gamma-grid", help="comma-separated residual coefficients")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--out", required=True)
     p.add_argument("--grid-report", help="grid table path (default <out>.grid.json)")
     p.set_defaults(func=cmd_debias)
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--out", required=True)
     p.add_argument("--group-csv", help="also write per-group metrics as CSV")
     p.set_defaults(func=cmd_eval)
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--alpha", default="1.0,0.8,0.6,0.4,0.2,0.0",
                    help="comma-separated reduction strengths in [0, 1]")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)

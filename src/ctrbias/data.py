@@ -133,12 +133,6 @@ class FieldSchema:
             off += card
         raise ConfigError(f"unknown field {name!r}")
 
-    def labels(self, name: str) -> tuple[str, ...]:
-        """Label per local index: the declared vocabulary, then `name:j`."""
-        cats = self.categories.get(name, ())
-        return tuple(cats[j] if j < len(cats) else f"{name}:{j}"
-                     for j in range(self.cardinality(name)))
-
     def cardinality(self, name: str) -> int:
         for fname, card in self.fields:
             if fname == name:
@@ -245,8 +239,9 @@ class FeatureIndex:
         return self.schema.offset(field_name) + local
 
     def labels(self, field_name: str) -> tuple[str, ...]:
-        """Category label per local index; unassigned slots get placeholders."""
-        out = list(self.schema.labels(field_name))
+        """Category label per local index: the declared or first-seen
+        category, or the placeholder `field_name:j` while slot j is free."""
+        out = [f"{field_name}:{j}" for j in range(self.schema.cardinality(field_name))]
         for cat, local in self._maps[field_name].items():
             out[local] = cat
         return tuple(out)
@@ -259,14 +254,16 @@ class Dataset:
     padding entries are inert because every model term multiplies by the
     value. ``user_ids``/``item_ids`` are int32 codes into ``user_vocab``/
     ``item_vocab``, sorted arrays of distinct id strings, so codes sort
-    like the ids they stand for. Subsets share their parent's
-    vocabularies; codes of unrelated Datasets do not compare. Construction
-    validates schema conformance once; subsets inherit it without
-    re-checking.
+    like the ids they stand for. ``index`` is the FeatureIndex the
+    features were assigned through (None: a fresh one over the schema),
+    which names every category as it stands at the time of use. Subsets
+    share their parent's index and vocabularies; codes of unrelated
+    Datasets do not compare. Construction validates schema conformance
+    once; subsets inherit it without re-checking.
     """
 
     def __init__(self, schema, indices, values, labels, user_ids, item_ids,
-                 timestamps, split_tag="train", bias_labels=None, *, user_vocab,
+                 timestamps, split_tag="train", index=None, *, user_vocab,
                  item_vocab, _validate=True):
         self.schema = schema
         self.indices = np.asarray(indices, dtype=np.int64)
@@ -278,9 +275,7 @@ class Dataset:
         self.item_vocab = np.asarray(item_vocab, dtype=str)
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.split_tag = split_tag
-        if bias_labels is None:
-            bias_labels = schema.labels(schema.bias_field)
-        self.bias_labels = tuple(bias_labels)
+        self.index = FeatureIndex(schema) if index is None else index
         self._memberships = None
         self._blocks = None  # evaluation.blocks_of fills it
         self._group_counts = None  # evaluation.group_stats fills it
@@ -288,6 +283,8 @@ class Dataset:
             self._validate()
 
     def _validate(self):
+        if self.index.schema != self.schema:
+            raise ConfigError("the feature index was built over another schema")
         n = len(self.labels)
         for name, arr in (("indices", self.indices), ("values", self.values)):
             if arr.ndim != 2 or arr.shape[0] != n:
@@ -334,6 +331,11 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
+    @property
+    def bias_labels(self) -> tuple[str, ...]:
+        """Category name per bias group, as the index names them now."""
+        return self.index.labels(self.schema.bias_field)
+
     def subset(self, rows, split_tag=None) -> "Dataset":
         rows = np.asarray(rows)
         return Dataset(
@@ -345,7 +347,7 @@ class Dataset:
             self.item_ids[rows],
             self.timestamps[rows],
             split_tag=split_tag or self.split_tag,
-            bias_labels=self.bias_labels,
+            index=self.index,
             user_vocab=self.user_vocab,
             item_vocab=self.item_vocab,
             _validate=False,
@@ -366,10 +368,11 @@ class Dataset:
     def to_csv(self, path) -> None:
         """Write the canonical CSV form (header, '|'-joined multi-values).
 
-        Columnar: the label table over the global feature index is quoted
-        once, and a block of CSV_BLOCK_ROWS rows is built as columns of
-        finished cells, joined with ',' per row and '\\n' per line, and
-        written as one string. A field's cells are a direct take from the
+        Each category is written under its name in the index. Columnar:
+        the label table over the global feature index is quoted once, and
+        a block of CSV_BLOCK_ROWS rows is built as columns of finished
+        cells, joined with ',' per row and '\\n' per line, and written as
+        one string. A field's cells are a direct take from the
         quoted table where every row of the block has exactly one live
         entry in the field; otherwise each row's labels are '|'-joined in
         column order and the joined cell is quoted. Each vocabulary entry
@@ -379,7 +382,8 @@ class Dataset:
         Python, so that ingest_csv reads it back.
         """
         schema = self.schema
-        table = [label for name, _ in schema.fields for label in schema.labels(name)]
+        table = [label for name in schema.field_names
+                 for label in self.index.labels(name)]
         quoted = np.array(_quoted(table), dtype=object)
         table = np.array(table, dtype=object)
         users, items = (np.array(_quoted(vocab.tolist()), dtype=object)
@@ -635,7 +639,8 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     Expected header: user_id,item_id,label,timestamp,<field...> with fields in
     schema declaration order. Multi-valued cells use '|' separators and are
     normalized to value 1/m per category. Pass a shared FeatureIndex when
-    ingesting several files so category assignment stays consistent.
+    ingesting several files so category assignment stays consistent; the
+    Dataset keeps the index.
 
     The file is read as UTF-8 in blocks of CSV_BLOCK_ROWS lines, never
     whole. A block with no '"', '\\r' or NUL, whose every line holds one
@@ -724,7 +729,7 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
         np.concatenate(labels), user_ids, item_ids,
         list(chain.from_iterable(stamps)),
         split_tag=split_tag,
-        bias_labels=index.labels(schema.bias_field),
+        index=index,
         user_vocab=user_vocab,
         item_vocab=item_vocab,
     )

@@ -139,14 +139,7 @@ class GridSearchResult:
     errors: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return to_jsonable({
-            "variant": self.variant,
-            "best": self.best.__dict__,
-            "table": [p.__dict__ for p in self.table],
-            "ratio_fallback_labels": self.ratio_fallback_labels,
-            "residual_fallback_labels": self.residual_fallback_labels,
-            "errors": self.errors,
-        })
+        return to_jsonable(self.__dict__)
 
 
 def _grid_for(cfg: DebiasConfig):

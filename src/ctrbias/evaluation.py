@@ -295,7 +295,7 @@ def group_stats(ds: Dataset) -> GroupStats:
 
     The counts are made on first use and kept on ds, as blocks_of keeps its
     frame. Each call returns a new GroupStats over copies of them, named
-    by ds.bias_labels as they are at the call.
+    by ds.index as it is at the call (ds.bias_labels).
     """
     if ds._group_counts is None:
         rows, groups = ds.bias_memberships()
@@ -429,7 +429,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
     except MetricError as exc:
         errors.append(f"reo undefined: {exc}")
         reo = None
-    for i, label in enumerate(ds.bias_labels):
+    for i, label in enumerate(stats.labels):
         if stats.n_pos[i] == 0:
             errors.append(f"group {label}: no positive samples, tpr/ehr undefined")
     return EvalReport(
@@ -442,7 +442,7 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
         ndcg=ndcg,
         ndcg_skipped_users=ndcg_skipped,
         reo=reo,
-        group_labels=ds.bias_labels,
+        group_labels=stats.labels,
         group_tpr=[float(x) for x in tpr],
         group_ehr=[float(x) for x in ehr],
         group_exposures=[int(x) for x in stats.exposures],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -67,8 +68,10 @@ def average_ranks(a):
 def to_jsonable(obj):
     """Recursively convert numpy containers/scalars for json.dump.
 
-    NaN and +-inf become None, so the output is standard JSON (json.dumps
-    would otherwise write the non-standard NaN and Infinity tokens).
+    An object with a to_json_dict method becomes what that returns, any
+    other dataclass instance its fields. NaN and +-inf become None, so the
+    output is standard JSON (json.dumps would otherwise write the
+    non-standard NaN and Infinity tokens).
     """
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
@@ -83,6 +86,10 @@ def to_jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    if dataclasses.is_dataclass(obj):
+        return to_jsonable(obj.__dict__)
     return obj
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FieldSchema
+from .data import Dataset, FeatureIndex, FieldSchema
 from .errors import CalibrationError, ConfigError
 from .numeric import sigmoid
 
@@ -168,6 +168,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
             "group": tuple(group_labels),
         },
     )
+    index = FeatureIndex(schema)  # the five splits share one
 
     A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
     B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
@@ -239,8 +240,8 @@ def generate(cfg: SynthConfig) -> SynthResult:
         # zero-padded labels sort like their indices, so the indices are
         # the id codes
         return Dataset(schema, indices, np.ones(indices.shape), labels, users, items,
-                       stamps, split_tag=tag, user_vocab=user_labels,
-                       item_vocab=item_labels)
+                       stamps, split_tag=tag, index=index,
+                       user_vocab=user_labels, item_vocab=item_labels)
 
     # unbiased holdouts: uniform items without replacement per user, val and
     # test disjoint within each user. Each user's order is the argsort of one

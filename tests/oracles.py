@@ -348,12 +348,7 @@ def to_csv_reference(ds, path):
     quote a field holding a lone CR on every Python, and each record's
     "\\r\\n" is then cut to "\\n"."""
     start_of = {name: ds.schema.offset(name) for name, _ in ds.schema.fields}
-    labels_of = {}
-    for name, card in ds.schema.fields:
-        cats = ds.schema.categories.get(name, ())
-        labels_of[name] = [
-            cats[j] if j < len(cats) else f"{name}:{j}" for j in range(card)
-        ]
+    labels_of = {name: ds.index.labels(name) for name in ds.schema.field_names}
     bounds = ds.schema.boundaries
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(
@@ -479,7 +474,7 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
         user_ids, item_ids,
         np.asarray(stamps, dtype=np.int64),
         split_tag=split_tag,
-        bias_labels=index.labels(schema.bias_field),
+        index=index,
         user_vocab=user_vocab, item_vocab=item_vocab,
     )
 

@@ -4,18 +4,21 @@ import csv
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctrbias.analysis import ols_fit
-from ctrbias.cli import main
+from ctrbias.cli import _synth_config, _train_config, build_parser, main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.debias import VARIANTS, DebiasConfig, grid_search_reconstruction
-from ctrbias.evaluation import evaluate, group_stats
+from ctrbias.evaluation import DEFAULT_K, evaluate, group_stats
 from ctrbias.models import load_model, predict, save_model
 from ctrbias.numeric import to_jsonable
+from ctrbias.synth import SynthConfig
+from ctrbias.training import TrainConfig
 
 SYNTH_FLAGS = [
     "--users", "60", "--items", "30", "--groups", "3",
@@ -791,6 +794,24 @@ class TestPipeline:
         assert run_pipeline(out, *bad) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
+
+
+def test_config_flags_default_to_the_config_defaults():
+    """A flag left out gives the library's default for the field it feeds."""
+    parse = build_parser().parse_args
+    rho = SynthConfig().resolved_rho()
+    for command in ("synth", "pipeline"):
+        args = parse([command, "--out", "x"])
+        assert (args.rho_min, args.rho_max) == (rho[0], rho[-1])
+        assert replace(_synth_config(args), rho=()) == SynthConfig()
+    args = parse(["train", "--schema", "s", "--train", "t", "--out", "m"])
+    assert _train_config(args, args.optimizer, args.ablation, args.seed) == TrainConfig()
+    args = parse(["pipeline", "--out", "x"])
+    assert _train_config(args, "adam", "none", args.seed) == TrainConfig()
+    for argv in (["debias", "--schema", "s", "--model", "m", "--mode", "reduce"],
+                 ["eval", "--schema", "s", "--model", "m", "--data", "d"],
+                 ["pipeline"]):
+        assert parse(argv + ["--out", "x"]).k == DebiasConfig().k == DEFAULT_K
 
 
 def test_version_flag():

@@ -58,8 +58,8 @@ class TestFieldSchema:
     def test_labels_are_vocabulary_then_placeholders(self):
         s = FieldSchema(fields=(("a", 3), ("g", 2)), bias_field="g",
                         categories={"a": ("x, y", "\"q\"")})
-        assert s.labels("a") == ("x, y", "\"q\"", "a:2")
-        assert s.labels("g") == ("g:0", "g:1")
+        assert FeatureIndex(s).labels("a") == ("x, y", "\"q\"", "a:2")
+        assert FeatureIndex(s).labels("g") == ("g:0", "g:1")
 
     def test_digest_frozen_value(self):
         s = FieldSchema(
@@ -203,6 +203,11 @@ class TestDataset:
         ds = dataset(schema, np.array([[0]]), np.array([[1.0]]), [1], ["u"], ["i"], [0])
         assert ds.bias_labels == ("alpha", "g:1", "g:2")
 
+    def test_rejects_an_index_over_another_schema(self):
+        with pytest.raises(ConfigError, match="another schema"):
+            dataset(make_schema(2, 2, 2), [[0, 2, 4]], [[1.0, 1.0, 1.0]], [0],
+                    ["u0"], ["i0"], [0], index=FeatureIndex(make_schema(2, 2, 3)))
+
 
 class TestCsvRoundTrip:
     def test_to_csv_then_ingest_is_identity(self, rng, tmp_path):
@@ -262,6 +267,27 @@ class TestCsvRoundTrip:
         assert b.indices[0, 0] == 1       # y -> 1
         assert b.indices[1, 0] == 0       # x stays 0
         assert b.bias_labels == ("x", "y", "g:2")
+
+    @pytest.mark.parametrize("categories", [{}, {"user": ("bob",), "group": ("B",)}],
+                             ids=["no-vocabulary", "partial-vocabulary"])
+    def test_ingest_write_ingest_keeps_undeclared_names(self, tmp_path, categories):
+        schema = FieldSchema(fields=(("user", 3), ("group", 2)), bias_field="group",
+                             categories=categories)
+        log = ("user_id,item_id,label,timestamp,user,group\n"
+               "u1,i1,1,1,alice,A\nu2,i2,0,2,bob,B\nu3,i1,1,3,carol,A|B\n")
+        (tmp_path / "log.csv").write_text(log)
+        first = ingest_csv(tmp_path / "log.csv", schema)
+        first.to_csv(tmp_path / "new.csv")
+        to_csv_reference(first, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        back = ingest_csv(tmp_path / "new.csv", schema)
+        assert_same_outcome(back, first)
+        for name in schema.field_names:
+            assert back.index.labels(name) == first.index.labels(name)
+        assert sorted(back.index.labels("user")) == ["alice", "bob", "carol"]
+        assert sorted(back.bias_labels) == ["A", "B"]
+        if not categories:  # categories were met in index order
+            assert (tmp_path / "new.csv").read_text() == log
 
     def test_label_threshold_binarizes(self, tmp_path):
         schema = FieldSchema(fields=(("g", 2),), bias_field="g",

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import oracles
 from conftest import (count_calls, float_bits, make_dataset, make_schema,
                       random_dataset)
 from ctrbias import evaluation, numeric, training
-from ctrbias.data import ingest_csv
+from ctrbias.data import Dataset, ingest_csv
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import (EvalReport, UserBlocks, blocks_of, evaluate,
                                 group_stats, ndcg_at_k, reo_at_k, user_auc,
@@ -683,17 +684,21 @@ class TestGroupStatsCache:
     def test_counts_once_and_names_groups_by_current_labels(self, rng,
                                                              monkeypatch):
         ds, _ = random_instance(rng, n_groups=3, n_rows=40)
+        # the same rows under a schema without vocabularies
+        ds = Dataset(replace(ds.schema, categories={}), ds.indices, ds.values,
+                     ds.labels, ds.user_ids, ds.item_ids, ds.timestamps,
+                     user_vocab=ds.user_vocab, item_vocab=ds.item_vocab)
         first = group_stats(ds)
         memberships = count_calls(monkeypatch, type(ds), "bias_memberships")
-        # as cli._load renames the groups after ingest
-        ds.bias_labels = ("x", "y", "z")
+        # as a later file ingested through the same index names a group
+        ds.index.index_of("group", "x", create=True)
         second = group_stats(ds)
         assert memberships == []
-        assert second.labels == ("x", "y", "z")
-        assert first.labels != second.labels
+        assert first.labels == ("group:0", "group:1", "group:2")
+        assert second.labels == ("x", "group:1", "group:2")
         np.testing.assert_array_equal(second.n_pos, first.n_pos)
         np.testing.assert_array_equal(second.n_neg, first.n_neg)
-        assert evaluate(ds, np.zeros(len(ds))).group_labels == ("x", "y", "z")
+        assert evaluate(ds, np.zeros(len(ds))).group_labels == second.labels
 
     def test_returned_arrays_do_not_alias_the_counts(self, rng):
         ds, _ = random_instance(rng, n_groups=3, n_rows=40)

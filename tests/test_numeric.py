@@ -178,7 +178,7 @@ class TestToJsonable:
     def test_report_with_infinity_is_standard_json(self):
         report = CorrelationResult(r=1.0, p_value=float("inf"), n=3,
                                    method="pearson")
-        text = json.dumps(report.to_json_dict(), allow_nan=False)
+        text = json.dumps(to_jsonable(report), allow_nan=False)
         assert json.loads(text)["p_value"] is None
 
     def test_plain_values_pass_through(self):
