@@ -14,18 +14,21 @@ ids, and every ranking and tie break reads codes only.
 CSV I/O works column by column, never row by row. `Dataset.to_csv` quotes
 the label table over the global feature index and each id vocabulary once,
 with csv.writer, and writes a block of CSV_BLOCK_ROWS rows as one ','- and
-'\\n'-joined string. `ingest_csv` reads blocks of CSV_BLOCK_ROWS lines; a
-block without '"', '\\r' or NUL whose every line holds exactly one comma
-fewer than the header's columns, none longer than csv.field_size_limit(),
-is cut into columns by one str.split, which is exactly where the csv
-module would cut it. Any other block, and the rest of the file after it,
-goes through csv.reader. Every field's column then maps through its
-vocabulary at once; only a column that holds a '|' is split cell by cell.
-Each id column maps through one dict to codes in order of first
-appearance, renumbered in id order once the file is read. A malformed file
-raises the error a row loop would meet first: the earliest bad record, and
-within it the column count, the timestamp, the label, then the cells in
-field order.
+'\\n'-joined string. `ingest_csv` reads blocks of CSV_BLOCK_ROWS lines and
+converts each from one layout: the block's UTF-8 bytes in a numpy array and
+the start and end offset of every cell. A block without '"', '\\r' or NUL
+whose every line holds exactly one comma fewer than the header's columns,
+no field longer than csv.field_size_limit(), is cut at the ',' and '\\n'
+bytes one scan finds, which is exactly where the csv module would cut it.
+Any other block, and the rest of the file after it, goes through
+csv.reader, and its cells are laid out the same way. Id and category cells
+are byte keys, matched a column at a time against sorted tables built once
+per file; only an unseen key goes through Python, once. Ids are coded in
+id order once the file is read. Timestamps of digits and 0/1 labels parse
+from their bytes; other timestamps, labels under a threshold and cells
+holding a '|' go cell by cell. A malformed file raises the error a row
+loop would meet first: the earliest bad record, and within it the column
+count, the timestamp, the label, then the cells in field order.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CsvParseError, LabelError, SchemaError
 
@@ -47,7 +51,6 @@ FIELD_SUM_TOL = 1e-12
 RESERVED_COLUMNS = ("user_id", "item_id", "label", "timestamp")
 CSV_BLOCK_ROWS = 16384  # rows per block when reading or writing CSV
 _INT64 = np.iinfo(np.int64)
-_BINARY_LABELS = {"0": 0, "1": 1}
 
 
 @dataclass(frozen=True)
@@ -467,70 +470,177 @@ def _raising(exc):
     yield  # pragma: no cover - makes this a generator
 
 
-def _split_columns(lines, width):
-    """The columns of a block of physical lines by one str.split, or None
-    when the csv module must read the block.
+# A block's token layout is (buf, starts, ends): its cells' UTF-8 bytes in one
+# uint8 array followed by _PAD zero bytes, and per (row, column) the offset of
+# the cell's first byte and of the byte after its last.
+_PAD = 24  # so every 8-byte key word and 19-byte digit window stays in buf
+_DIGITS = 19  # up to this many digits fit uint64
+_POW10 = 10 ** np.arange(_DIGITS, dtype=np.uint64)
+
+
+def _padded(raw: bytes) -> np.ndarray:
+    return np.frombuffer(raw + bytes(_PAD), dtype=np.uint8)
+
+
+def _line_tokens(lines, width):
+    """The token layout of a block of physical lines cut at every ',' and
+    '\\n', or None when the csv module must read the block.
 
     Exact where no line holds '"', '\\r' or NUL, every line holds width - 1
-    commas and none is longer than csv.field_size_limit(): the csv module
-    then cuts each line at its commas, drops its final '\\n', and rejects
-    no field. An empty block goes to the csv module too.
+    commas and no field is longer than csv.field_size_limit(): the csv
+    module then cuts each line at its commas, drops its final '\\n', and
+    rejects no field. An empty block goes to the csv module too.
     """
     text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
-            or set(map(str.count, lines, repeat(","))) != {width - 1}
-            or max(map(len, lines)) > csv.field_size_limit()):
+    if not text or '"' in text or "\r" in text or "\0" in text:
         return None
-    flat = text.replace("\n", ",").split(",")
-    if text.endswith("\n"):
-        del flat[-1]
-    return [flat[k::width] for k in range(width)]
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = _padded(text.encode())
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if len(seps) != len(lines) * width:
+        return None
+    ends = seps.reshape(len(lines), width)
+    if (buf[ends[:, -1]] != ord("\n")).any():  # else every other one is a ','
+        return None
+    starts = np.concatenate(([0], seps[:-1] + 1)).reshape(ends.shape)
+    if (ends - starts).max() > csv.field_size_limit():  # bytes >= characters
+        return None
+    return buf, starts, ends
 
 
-def _columns(rows, width, first_line, path):
-    """Columns of the records before the first whose column count is not
-    width, and that record's failure (or None)."""
+def _record_tokens(rows, width, first_line, path):
+    """The token layout of the csv.reader records before the first whose
+    column count is not width, and that record's failure (or None)."""
     failure = None
     if set(map(len, rows)) - {width}:
         bad = next(i for i, row in enumerate(rows) if len(row) != width)
         failure = (bad, 0, CsvParseError(
             path, first_line + bad, f"expected {width} columns, got {len(rows[bad])}"))
         rows = rows[:bad]
-    return list(zip(*rows)) or [()] * width, failure
+    cells = [cell.encode() for cell in chain.from_iterable(rows)]
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    ends = np.cumsum(sizes).reshape(len(rows), width)
+    return (_padded(b"".join(cells)), ends - sizes.reshape(ends.shape), ends), failure
 
 
-def _convert_column(convert, column):
-    """(converted cells, None), or (None, position of the first rejected cell)."""
-    try:
-        return list(map(convert, column)), None
-    except (ValueError, KeyError):
-        for pos, cell in enumerate(column):
+def _by_width(lengths):
+    """(width, positions) per distinct value of lengths."""
+    if len(lengths) and lengths.min() == lengths.max():  # ids of one width, say
+        yield int(lengths[0]), np.arange(len(lengths))
+        return
+    for width in np.unique(lengths).tolist():
+        yield width, np.flatnonzero(lengths == width)
+
+
+def _fixed(buf, starts, width):
+    """The width-byte keys at starts as sortable fixed-width values: a
+    uint64 up to 8 bytes, else an 'S' string. Keys are only compared with
+    keys of the same width, so both forms are exact, NUL bytes included."""
+    if width <= 8:
+        words = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
+        return words[starts] & np.uint64(2 ** (8 * width) - 1)
+    return sliding_window_view(buf, width)[starts].view(f"S{width}").ravel()
+
+
+class _Keys:
+    """Byte string -> int code, looked up a column of tokens at a time.
+
+    Keys are kept sorted per byte length as _fixed values, so a column
+    maps with one argsort and one searchsorted per key length. An unseen
+    key gets the code `assign(key)` returns, once, in order of first
+    appearance.
+    """
+
+    def __init__(self, assign, keys=(), codes=()):
+        self.assign = assign
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        sizes = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        self._add(_padded(b"".join(keys)), np.cumsum(sizes) - sizes, sizes,
+                  np.asarray(codes, dtype=np.int64))
+
+    def _add(self, buf, starts, lengths, codes):
+        for width, at in _by_width(lengths):
+            keys = _fixed(buf, starts[at], width)
+            old, old_codes = self._tables.get(width, (keys[:0], codes[:0]))
+            keys = np.concatenate([old, keys])
+            order = np.argsort(keys)
+            self._tables[width] = keys[order], np.concatenate([old_codes, codes[at]])[order]
+
+    def codes(self, buf, starts, lengths):
+        """Each token's code, and (position, error) of the first unseen key
+        that assign refused with SchemaError, or None. After a refusal the
+        codes of unseen keys are -1."""
+        out = np.empty(len(starts), dtype=np.int64)
+        firsts = []  # the first position of each unseen key
+        for width, at in _by_width(lengths):
+            keys = _fixed(buf, starts[at], width)
+            order = np.argsort(keys)
+            keys, at = keys[order], at[order]
+            head = np.concatenate(([True], keys[1:] != keys[:-1]))  # starts a run
+            distinct = keys[head]
+            code = np.full(len(distinct), -1, dtype=np.int64)
+            if width in self._tables:
+                table, codes = self._tables[width]
+                pos = np.searchsorted(table, distinct).clip(max=len(table) - 1)
+                known = table[pos] == distinct
+                code[known] = codes[pos[known]]
+            out[at] = code[np.cumsum(head) - 1]
+            if (code < 0).any():
+                firsts.append(np.minimum.reduceat(at, np.flatnonzero(head))[code < 0])
+        if not firsts:
+            return out, None
+        new = np.sort(np.concatenate(firsts))
+        raw, codes = buf.tobytes(), []
+        for pos, start, size in zip(new.tolist(), starts[new].tolist(), lengths[new].tolist()):
             try:
-                convert(cell)
-            except (ValueError, KeyError):
-                return None, pos
-        raise
+                codes.append(self.assign(raw[start:start + size]))
+            except SchemaError as exc:
+                return out, (pos, exc)
+        self._add(buf, starts[new], lengths[new], np.array(codes, dtype=np.int64))
+        miss = np.flatnonzero(out < 0)
+        out[miss] = self.codes(buf, starts[miss], lengths[miss])[0]
+        return out, None
 
 
-class _Codes(dict):
-    """Id -> int code, numbered in order of first lookup."""
+def _field_keys(index, name):
+    """The _Keys of a field's categories in `index`; unseen ones are added
+    to the index. A category that is no valid UTF-8 (a lone surrogate)
+    keeps bytes that no cell can match."""
+    seen = index._maps[name]
+    offset = index.schema.offset(name)
+    return _Keys(lambda key: index.index_of(name, key.decode(), create=True) - offset,
+                 [category.encode("utf-8", "surrogatepass") for category in seen],
+                 list(seen.values()))
 
-    def __missing__(self, key):
-        self[key] = code = len(self)
-        return code
+
+class _Ids(list):
+    """Distinct ids as UTF-8 bytes in order of first appearance; an id's
+    position is its code until the file is read."""
+
+    def add(self, key: bytes) -> int:
+        self.append(key)
+        return len(self) - 1
 
     def sorted_codes(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """codes renumbered in the sort order of their ids, and the sorted
-        vocabulary. Works on the distinct ids; ids that one '<U' array
-        cannot tell apart (trailing NULs) share a code."""
-        vocab, rank = np.unique(np.array(list(self), dtype=str), return_inverse=True)
+        vocabulary. Ids that one '<U' array cannot tell apart (trailing
+        NULs) share a code."""
+        vocab, rank = np.unique(np.array([key.decode() for key in self], dtype=str),
+                                return_inverse=True)
         return rank.astype(np.int32)[codes], vocab
 
 
-def _parse_block(cols, first_line, schema, index, ids, path, failure=None):
-    """Arrays of one block of data records given as columns, or raise its
-    first error. `ids` is the pair of _Codes the user and item ids map
-    through.
+def _texts(buf, starts, ends) -> list[str]:
+    """The cells at starts/ends as the csv module reads them."""
+    raw = buf.tobytes()
+    return [raw[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _parse_block(tokens, first_line, schema, keys, path, failure=None):
+    """Arrays of one block of data records given as a token layout, or
+    raise its first error. `keys` holds the _Keys of the user ids, the
+    item ids and each field, in that order.
 
     Every check records the first row it fails on with a rank that orders
     the checks within a row (column count, timestamp, label, then per field
@@ -541,94 +651,113 @@ def _parse_block(cols, first_line, schema, index, ids, path, failure=None):
 
     Returns (indices, values, timestamps, labels, user codes, item codes).
     """
+    buf, starts, ends = tokens
+    n, width = starts.shape
     failures: list[tuple[int, int, Exception]] = [] if failure is None else [failure]
-    n = len(cols[0])
 
-    stamps, bad = _convert_column(int, cols[3])
-    parsed = stamps if bad is None else list(map(int, cols[3][:bad]))
-    if parsed and not (_INT64.min <= min(parsed) and max(parsed) <= _INT64.max):
-        bad = next(pos for pos, ts in enumerate(parsed)
-                   if not _INT64.min <= ts <= _INT64.max)
-        failures.append((bad, 1, CsvParseError(
-            path, first_line + bad, f"timestamp {cols[3][bad]!r} is outside the int64 range")))
-    elif bad is not None:
-        failures.append((bad, 1, CsvParseError(
-            path, first_line + bad, f"non-integer timestamp {cols[3][bad]!r}")))
+    # an int64 written as an optional '-' and 1 to _DIGITS digits parses
+    # from its bytes, left-aligned in a window as wide as the longest
+    at, size = starts[:, 3], ends[:, 3] - starts[:, 3]
+    minus = buf[at] == ord("-")
+    at, size = at + minus, size - minus
+    wide = int(size.clip(1, _DIGITS).max(initial=1))
+    digits = sliding_window_view(buf, wide)[at] - np.uint8(ord("0"))  # 0-9 if a digit
+    digits *= np.arange(wide) < size[:, None]
+    value = digits @ _POW10[wide - 1::-1] // _POW10[wide - size.clip(1, wide)]
+    plain = (size >= 1) & (size <= _DIGITS) & (value <= np.uint64(_INT64.max) + minus)
+    if (digits > 9).any():
+        plain &= (digits <= 9).all(axis=1)
+    stamps = value.astype(np.int64)
+    stamps[minus] *= -1  # wraps 2**63 to -2**63 as it should
+    odd = np.flatnonzero(~plain)  # any other form goes through int()
+    for row, cell in zip(odd.tolist(), _texts(buf, starts[odd, 3], ends[odd, 3])):
+        try:
+            ts = int(cell)
+        except ValueError:
+            failures.append((row, 1, CsvParseError(
+                path, first_line + row, f"non-integer timestamp {cell!r}")))
+            break
+        if not _INT64.min <= ts <= _INT64.max:
+            failures.append((row, 1, CsvParseError(
+                path, first_line + row, f"timestamp {cell!r} is outside the int64 range")))
+            break
+        stamps[row] = ts
+
     threshold = schema.label_threshold
     if threshold is None:
-        labels, bad = _convert_column(_BINARY_LABELS.__getitem__, cols[2])
-        if bad is not None:
-            failures.append((bad, 2, LabelError(
-                f"{path}:{first_line + bad}: label {cols[2][bad]!r} is not binary "
+        labels = buf[starts[:, 2]] - np.uint8(ord("0"))
+        bad = np.flatnonzero((ends[:, 2] - starts[:, 2] != 1) | (labels > 1))
+        if bad.size:
+            row = int(bad[0])
+            cell = buf[starts[row, 2]:ends[row, 2]].tobytes().decode()
+            failures.append((row, 2, LabelError(
+                f"{path}:{first_line + row}: label {cell!r} is not binary "
                 "and no threshold is configured")))
     else:
-        def above(cell):
-            value = float(cell)
+        labels = []
+        for row, cell in enumerate(_texts(buf, starts[:, 2], ends[:, 2])):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
             if math.isnan(value):
-                raise ValueError(cell)
-            return int(value > threshold)
+                failures.append((row, 2, CsvParseError(
+                    path, first_line + row, f"non-numeric label {cell!r}")))
+                break
+            labels.append(value > threshold)
 
-        labels, bad = _convert_column(above, cols[2])
-        if bad is not None:
-            failures.append((bad, 2, CsvParseError(
-                path, first_line + bad, f"non-numeric label {cols[2][bad]!r}")))
-
+    pipes = np.flatnonzero(buf == ord("|"))
+    owner = np.searchsorted(starts.ravel(), pipes, side="right") - 1  # each lies in one cell
     fields = []  # (offset, counts, local indices) per field
     for f, (name, _) in enumerate(schema.fields):
-        col, rank = cols[4 + f], 3 + 2 * f
-        if "|" in "".join(col):
-            cells = [cell.split("|") if cell else [] for cell in col]
-            for pos, parts in enumerate(cells):
-                if not parts or len(set(parts)) != len(parts):
-                    what = "duplicate category in" if parts else "empty cell for"
-                    failures.append((pos, rank, CsvParseError(
-                        path, first_line + pos, f"{what} field {name!r}")))
+        col, rank = 4 + f, 3 + 2 * f
+        at, end = starts[:, col], ends[:, col]
+        if (end == at).any():
+            row = int(np.argmax(end == at))
+            failures.append((row, rank, CsvParseError(
+                path, first_line + row, f"empty cell for field {name!r}")))
+        counts = np.ones(n, dtype=np.int64)
+        inner = owner % width == col
+        if inner.any():  # cut the '|' cells into parts, which must differ
+            rows = owner[inner] // width
+            counts += np.bincount(rows, minlength=n)
+            for row in np.unique(rows).tolist():
+                parts = buf[at[row]:end[row]].tobytes().split(b"|")
+                if len(set(parts)) < len(parts):
+                    failures.append((row, rank, CsvParseError(
+                        path, first_line + row, f"duplicate category in field {name!r}")))
                     break
-            counts = np.fromiter(map(len, cells), dtype=np.int64, count=n)
-            keys = list(chain.from_iterable(cells))
-        else:
-            if "" in col:
-                pos = col.index("")
-                failures.append((pos, rank, CsvParseError(
-                    path, first_line + pos, f"empty cell for field {name!r}")))
-            counts = np.ones(n, dtype=np.int64)
-            keys = col
-        seen = index._maps[name]
-        local = np.fromiter(map(seen.get, keys, repeat(-1)), dtype=np.int64,
-                            count=len(keys))
-        if local.min(initial=0) < 0:  # unseen categories, in first-appearance order
-            for key in dict.fromkeys(keys):
-                if key not in seen:
-                    try:
-                        index.index_of(name, key, create=True)
-                    except SchemaError as exc:
-                        row = int(np.searchsorted(np.cumsum(counts), keys.index(key),
-                                                  side="right"))
-                        failures.append((row, rank + 1, exc))
-                        break
-            else:
-                local = np.fromiter(map(seen.__getitem__, keys), dtype=np.int64,
-                                    count=len(keys))
+            at, end = (np.sort(np.concatenate(pair))
+                       for pair in ((at, pipes[inner] + 1), (pipes[inner], end)))
+        local, refused = keys[2 + f].codes(buf, at, end - at)
+        if refused is not None:
+            pos, exc = refused
+            row = int(np.searchsorted(np.cumsum(counts), pos, side="right"))
+            failures.append((row, rank + 1, exc))
         if not failures:
             fields.append((schema.offset(name), counts, local))
     if failures:
         raise min(failures, key=lambda fail: fail[:2])[2]
 
-    total = sum(counts for _, counts, _ in fields)
-    indices = np.zeros((n, int(total.max(initial=0))), dtype=np.int64)
-    values = np.zeros(indices.shape, dtype=np.float64)
-    start = np.zeros(n, dtype=np.int64)  # first column of the field in each row
-    for offset, counts, local in fields:
-        row_of = np.repeat(np.arange(n), counts)
-        first = np.cumsum(counts) - counts  # first entry of each row in `local`
-        if len(local) > n:  # some multi-valued cell: sort each row's entries
-            local = local[np.lexsort((local, row_of))]
-        pos = np.arange(len(local)) + np.repeat(start - first, counts)
-        indices[row_of, pos] = offset + local
-        values[row_of, pos] = np.repeat(1.0 / counts, counts)
-        start += counts
-    users, items = (np.fromiter(map(codes.__getitem__, col), dtype=np.int32, count=n)
-                    for codes, col in zip(ids, cols[:2]))
+    if n and all(len(local) == n for _, _, local in fields):  # one category per cell
+        indices = np.stack([offset + local for offset, _, local in fields], axis=1)
+        values = np.ones(indices.shape)
+    else:
+        total = sum(counts for _, counts, _ in fields)
+        indices = np.zeros((n, int(total.max(initial=0))), dtype=np.int64)
+        values = np.zeros(indices.shape, dtype=np.float64)
+        start = np.zeros(n, dtype=np.int64)  # first column of the field in each row
+        for offset, counts, local in fields:
+            row_of = np.repeat(np.arange(n), counts)
+            first = np.cumsum(counts) - counts  # first entry of each row in `local`
+            if len(local) > n:  # some multi-valued cell: sort each row's entries
+                local = local[np.lexsort((local, row_of))]
+            pos = np.arange(len(local)) + np.repeat(start - first, counts)
+            indices[row_of, pos] = offset + local
+            values[row_of, pos] = np.repeat(1.0 / counts, counts)
+            start += counts
+    users, items = (table.codes(buf, starts[:, k], ends[:, k] - starts[:, k])[0]
+                    for k, table in enumerate(keys[:2]))
     return indices, values, stamps, np.asarray(labels, dtype=np.int8), users, items
 
 
@@ -640,25 +769,31 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     schema declaration order. Multi-valued cells use '|' separators and are
     normalized to value 1/m per category. Pass a shared FeatureIndex when
     ingesting several files so category assignment stays consistent; the
-    Dataset keeps the index.
+    Dataset keeps the index, which must be built over `schema`.
 
-    The file is read as UTF-8 in blocks of CSV_BLOCK_ROWS lines, never
-    whole. A block with no '"', '\\r' or NUL, whose every line holds one
-    comma fewer than the header has columns and is no longer than
-    csv.field_size_limit(), is one record per line, and its columns are
-    the strided slices of one str.split: the csv dialect quotes with '"'
-    and ends records at '\\r' or '\\n' only, so it cuts such lines at
-    the same places. The first block that fails this test, and the rest
-    of the file, are read by csv.reader in blocks of CSV_BLOCK_ROWS
-    records; a csv.Error still reports its line in the file. In each
-    block, timestamps parse with int(), and each field's column maps
-    through the field's vocabulary with one lookup per cell; only when
-    some category is unseen are local indices assigned, in order of first
-    appearance. Only a field whose column holds a '|' is split cell by
-    cell. Fields occupy increasing index ranges, so rows come out sorted.
-    The user and item ids map through one dict each to codes in order of
-    first appearance; once the file is read, the distinct ids are sorted
-    and the codes renumbered in that order.
+    The file is read as UTF-8, after an optional byte-order mark, in blocks
+    of CSV_BLOCK_ROWS lines, never whole. A block with no '"', '\\r' or NUL,
+    whose every line holds one comma fewer than the header has columns and
+    whose every field is at most csv.field_size_limit() bytes, is one
+    record per line, cut at the ',' and '\\n' bytes that one numpy scan
+    finds: the csv dialect quotes with '"' and ends records at '\\r' or
+    '\\n' only, so it cuts such lines at the same places. The first block
+    that fails this test, and the rest of the file, are read by csv.reader
+    in blocks of CSV_BLOCK_ROWS records, whose cells are laid out in the
+    same form; a csv.Error still reports its line in the file.
+
+    Each block is then converted column by column from its bytes. Id and
+    category cells are byte keys, matched with one argsort and
+    searchsorted per key length against tables built once per call from
+    the index and the ids met so far; only an unseen key goes through
+    Python, once, and categories are assigned in order of first
+    appearance. Timestamps written as an optional '-' and digits, and
+    0/1 labels, parse from their bytes. Cell by cell go only: other
+    timestamps, through int(); labels under a threshold, through float();
+    '|' cells, whose parts are checked for duplicates; and the cells an
+    error message quotes. Fields occupy increasing index ranges, so rows
+    come out sorted. Once the file is read, the distinct user and item
+    ids are sorted and coded in that order.
 
     Errors: the first bad record in file order raises; within a record
     the column count is checked first, then the timestamp, the label, and
@@ -669,18 +804,23 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     line number, a non-binary label LabelError, and an overflowing
     vocabulary SchemaError. A byte that is not UTF-8 raises as soon as
     the text layer decodes it, which may be before the records just ahead
-    of it are checked. The state of a shared FeatureIndex after an
+    of it are checked. An index over another schema raises ConfigError
+    before the file is read. The state of a shared FeatureIndex after an
     error is unspecified: it may hold categories of any record in the
     failing block.
     """
     path = Path(path)
     if index is None:
         index = FeatureIndex(schema)
+    elif index.schema != schema:
+        raise ConfigError("the feature index was built over another schema")
     expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
     width = len(expected_header)
     blocks = []
-    ids = (_Codes(), _Codes())
-    with open(path, newline="", encoding="utf-8") as fh:
+    ids = (_Ids(), _Ids())
+    keys = [_Keys(ids[0].add), _Keys(ids[1].add)]
+    keys += [_field_keys(index, name) for name in schema.field_names]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header, failure = _take_rows(reader, 1, path)
         if failure is not None:
@@ -703,19 +843,18 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
                     lines.extend(islice(fh, CSV_BLOCK_ROWS))
                 except UnicodeDecodeError as exc:
                     rest = _raising(exc)  # raised again after the lines before it
-                cols = _split_columns(lines, width) if rest is fh else None
-                if cols is None:
+                tokens = _line_tokens(lines, width) if rest is fh else None
+                if tokens is None:
                     records = csv.reader(chain(lines, rest))
                 else:
                     lines_read += len(lines)
             if records is not None:
                 rows, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
-                cols, count_failure = _columns(rows, width, line_no, path)
-            blocks.append(_parse_block(cols, line_no, schema, index, ids, path,
-                                       count_failure))
+                tokens, count_failure = _record_tokens(rows, width, line_no, path)
+            blocks.append(_parse_block(tokens, line_no, schema, keys, path, count_failure))
             if failure is not None:
                 raise failure
-            if len(cols[0]) < CSV_BLOCK_ROWS:
+            if len(tokens[1]) < CSV_BLOCK_ROWS:
                 break
             line_no += CSV_BLOCK_ROWS
     indices, values, stamps, labels, users, items = zip(*blocks)
@@ -726,8 +865,7 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
         schema,
         np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in indices]),
         np.concatenate([np.pad(a, ((0, 0), (0, width - a.shape[1]))) for a in values]),
-        np.concatenate(labels), user_ids, item_ids,
-        list(chain.from_iterable(stamps)),
+        np.concatenate(labels), user_ids, item_ids, np.concatenate(stamps),
         split_tag=split_tag,
         index=index,
         user_vocab=user_vocab,

@@ -417,7 +417,7 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
     expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
     samples_idx, samples_val = [], []
     labels, users, items, stamps = [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _records_reference(csv.reader(fh), path)
         try:
             header = next(reader)

@@ -398,6 +398,24 @@ class TestIngestErrors:
             ingest_csv(path, make_schema())
         assert e.value.line_no == 3
 
+    def test_index_over_a_schema_without_the_field(self, tmp_path):
+        path = self._write(tmp_path, "user_id,item_id,label,timestamp,user,item,group\n"
+                                     "u0,i0,1,0,u0,i0,g0\n")
+        index = FeatureIndex(FieldSchema(fields=(("g", 2),), bias_field="g"))
+        with pytest.raises(ConfigError, match="another schema"):
+            ingest_csv(path, make_schema(), index)
+
+    def test_index_over_other_vocabularies_is_refused_before_reading(self, tmp_path):
+        path = self._write(tmp_path, "user_id,item_id,label,timestamp,user,item,group\n"
+                                     "u0,i0,1,0,new,i0,g0\n")
+        schema = make_schema()
+        other = FieldSchema(schema.fields, schema.bias_field,
+                            {**schema.categories, "user": ("someone",)})
+        index = FeatureIndex(other)
+        with pytest.raises(ConfigError, match="another schema"):
+            ingest_csv(path, schema, index)
+        assert index.labels("user") == ("someone", "user:1", "user:2", "user:3")
+
     def test_csv_module_error_reports_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("user_id,item_id,label,timestamp,user,item,group\n"
@@ -580,13 +598,73 @@ class TestColumnarCsvAgainstRowLoops:
 
     def test_int64_boundary_timestamps_ingest(self, tmp_path):
         schema = make_schema()
-        rows = [["u", "i", "1", str(ts), "u0", "i0", "g0"]
-                for ts in (-2 ** 63, 2 ** 63 - 1, 0)]
+        # digits with an optional '-' parse from their bytes, any other
+        # form that int() accepts goes through int()
+        stamps = {str(-2 ** 63): -2 ** 63, str(2 ** 63 - 1): 2 ** 63 - 1, "0": 0,
+                  "+5": 5, " 5": 5, "5 ": 5, "007": 7, "1_000": 1000, "-0": 0,
+                  "9" * 18: 10 ** 18 - 1, "-" + "9" * 18: 1 - 10 ** 18,
+                  "1" + "0" * 18: 10 ** 18, "-1" + "0" * 18: -10 ** 18, "\u0663": 3}
+        rows = [["u", "i", "1", cell, "u0", "i0", "g0"] for cell in stamps]
         write_rows(tmp_path / "t.csv", schema, rows)
         got = ingest_csv(tmp_path / "t.csv", schema, split_tag="x")
-        assert got.timestamps.tolist() == [-2 ** 63, 2 ** 63 - 1, 0]
+        assert got.timestamps.tolist() == list(stamps.values())
         assert_same_outcome(
             got, ingest_csv_reference(tmp_path / "t.csv", schema, split_tag="x"))
+
+    @pytest.mark.parametrize("block", [1, 3, data.CSV_BLOCK_ROWS])
+    def test_keys_wider_than_eight_bytes_equal_oracle(self, tmp_path, monkeypatch, block):
+        # ids and categories of 1 to 30 bytes, multi-byte UTF-8 among them,
+        # and pairs that differ only after their eighth byte
+        rng = np.random.default_rng(5)
+        ids = [f"{k:020x}" for k in rng.integers(2 ** 62, size=6)]
+        ids += ["é" * 9, "abcdefgh-1", "abcdefgh-2", "abcdefgh", "u"]
+        tags = ["catégorie-longue", "catégorie-longuf", "tag-0123456789-abcdef",
+                "x", "ab", "12345678", "123456789", "ü" * 15]
+        schema = FieldSchema(fields=(("tag", 9), ("g", 3)), bias_field="g",
+                             categories={"tag": ("123456789",),
+                                         "g": ("group-é-one", "g2")})
+        rows = []
+        for k in range(40):
+            picked = rng.choice(len(tags), size=rng.integers(1, 4), replace=False)
+            rows.append([ids[rng.integers(len(ids))], ids[rng.integers(len(ids))],
+                         str(k % 2), str(k), "|".join(tags[j] for j in picked),
+                         ["group-é-one", "g2", "group-é-two"][k % 3]])
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+        for name, quoting in (("plain.csv", csv.QUOTE_MINIMAL), ("quoted.csv", csv.QUOTE_ALL)):
+            path = tmp_path / name
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
+                writer.writerow(list(data.RESERVED_COLUMNS) + list(schema.field_names))
+                writer.writerows(rows)
+            new, old = FeatureIndex(schema), FeatureIndex(schema)
+            assert_same_outcome(ingest_csv(path, schema, new, split_tag="x"),
+                                ingest_csv_reference(path, schema, old, split_tag="x"))
+            assert [list(m) for m in new._maps.values()] == \
+                [list(m) for m in old._maps.values()]
+
+    def test_nul_bytes_keep_keys_apart(self, tmp_path):
+        # the csv module reads NUL bytes; a key with a trailing NUL is
+        # another category than the key without it, at any width
+        tags = ["ab", "ab\0", "a\0b", "abcdefghijk", "abcdefghijk\0", "abcdefghij\0k",
+                "abcdefghij\0\0"]
+        schema = FieldSchema(fields=(("tag", len(tags)), ("g", 2)), bias_field="g")
+        write_rows(tmp_path / "nul.csv", schema,
+                   [["u", "i", "1", str(k), tag, "g"] for k, tag in enumerate(tags * 2)])
+        new, old = FeatureIndex(schema), FeatureIndex(schema)
+        got = ingest_csv(tmp_path / "nul.csv", schema, new, split_tag="x")
+        assert_same_outcome(got, ingest_csv_reference(tmp_path / "nul.csv", schema, old,
+                                                      split_tag="x"))
+        assert new.labels("tag") == tuple(tags)
+        assert got.indices[:, 0].tolist() == list(range(len(tags))) * 2
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, rng):
+        ds = random_dataset(rng, n_rows=30, multi_group_prob=0.3)
+        ds.to_csv(tmp_path / "log.csv")
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "log.csv").read_bytes())
+        got = ingest_csv(tmp_path / "bom.csv", ds.schema, split_tag="x")
+        assert_same_outcome(got, ingest_csv(tmp_path / "log.csv", ds.schema, split_tag="x"))
+        assert_same_outcome(got, ingest_csv_reference(tmp_path / "bom.csv", ds.schema,
+                                                      split_tag="x"))
 
     def test_empty_log_keeps_row_loop_dtypes(self, tmp_path):
         schema = make_schema()
