@@ -526,10 +526,7 @@ def _record_tokens(rows, width, first_line, path):
 
 def _by_width(lengths):
     """(width, positions) per distinct value of lengths."""
-    if len(lengths) and lengths.min() == lengths.max():  # ids of one width, say
-        yield int(lengths[0]), np.arange(len(lengths))
-        return
-    for width in np.unique(lengths).tolist():
+    for width in np.flatnonzero(np.bincount(lengths)).tolist():
         yield width, np.flatnonzero(lengths == width)
 
 
@@ -547,59 +544,67 @@ class _Keys:
     """Byte string -> int code, looked up a column of tokens at a time.
 
     Keys are kept sorted per byte length as _fixed values, so a column
-    maps with one argsort and one searchsorted per key length. An unseen
-    key gets the code `assign(key)` returns, once, in order of first
-    appearance.
+    maps with one argsort and one searchsorted per key length. The unseen
+    keys of a column go to `assign` once, as one list in order of first
+    appearance; it returns their codes and None, or the codes of the keys
+    before the first it refused and that SchemaError. Assigned keys are
+    merged into their tables.
     """
 
     def __init__(self, assign, keys=(), codes=()):
         self.assign = assign
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         sizes = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
-        self._add(_padded(b"".join(keys)), np.cumsum(sizes) - sizes, sizes,
-                  np.asarray(codes, dtype=np.int64))
-
-    def _add(self, buf, starts, lengths, codes):
-        for width, at in _by_width(lengths):
-            keys = _fixed(buf, starts[at], width)
-            old, old_codes = self._tables.get(width, (keys[:0], codes[:0]))
-            keys = np.concatenate([old, keys])
-            order = np.argsort(keys)
-            self._tables[width] = keys[order], np.concatenate([old_codes, codes[at]])[order]
+        buf, codes = _padded(b"".join(keys)), np.asarray(codes, dtype=np.int64)
+        for width, at in _by_width(sizes):
+            fixed = _fixed(buf, np.cumsum(sizes)[at] - width, width)
+            order = np.argsort(fixed)
+            self._tables[width] = fixed[order], codes[at][order]
 
     def codes(self, buf, starts, lengths):
         """Each token's code, and (position, error) of the first unseen key
         that assign refused with SchemaError, or None. After a refusal the
         codes of unseen keys are -1."""
         out = np.empty(len(starts), dtype=np.int64)
-        firsts = []  # the first position of each unseen key
+        unseen = []  # per width: its sorted keys and runs, and where the new ones go
         for width, at in _by_width(lengths):
             keys = _fixed(buf, starts[at], width)
             order = np.argsort(keys)
             keys, at = keys[order], at[order]
             head = np.concatenate(([True], keys[1:] != keys[:-1]))  # starts a run
-            distinct = keys[head]
+            distinct, run = keys[head], np.cumsum(head) - 1
             code = np.full(len(distinct), -1, dtype=np.int64)
+            slot = np.zeros(len(distinct), dtype=np.int64)  # where each is or would go
             if width in self._tables:
                 table, codes = self._tables[width]
-                pos = np.searchsorted(table, distinct).clip(max=len(table) - 1)
+                slot = np.searchsorted(table, distinct)
+                pos = slot.clip(max=len(table) - 1)
                 known = table[pos] == distinct
                 code[known] = codes[pos[known]]
-            out[at] = code[np.cumsum(head) - 1]
-            if (code < 0).any():
-                firsts.append(np.minimum.reduceat(at, np.flatnonzero(head))[code < 0])
-        if not firsts:
+            out[at] = code[run]
+            new = np.flatnonzero(code < 0)
+            if new.size:
+                unseen.append((width, distinct, code, slot, run, at, new,
+                               np.minimum.reduceat(at, np.flatnonzero(head))[new]))
+        if not unseen:
             return out, None
-        new = np.sort(np.concatenate(firsts))
-        raw, codes = buf.tobytes(), []
-        for pos, start, size in zip(new.tolist(), starts[new].tolist(), lengths[new].tolist()):
-            try:
-                codes.append(self.assign(raw[start:start + size]))
-            except SchemaError as exc:
-                return out, (pos, exc)
-        self._add(buf, starts[new], lengths[new], np.array(codes, dtype=np.int64))
-        miss = np.flatnonzero(out < 0)
-        out[miss] = self.codes(buf, starts[miss], lengths[miss])[0]
+        firsts = np.concatenate([group[-1] for group in unseen])
+        order = np.argsort(firsts)
+        raw, firsts = buf.tobytes(), firsts[order]
+        got, refused = self.assign([raw[start:start + size] for start, size in
+                                    zip(starts[firsts].tolist(), lengths[firsts].tolist())])
+        if refused is not None:
+            return out, (int(firsts[len(got)]), refused)
+        assigned = np.empty(len(firsts), dtype=np.int64)
+        assigned[order] = got
+        done = 0
+        for width, distinct, code, slot, run, at, new, _ in unseen:
+            code[new] = assigned[done:done + len(new)]
+            done += len(new)
+            out[at] = code[run]
+            table, codes = self._tables.get(width, (distinct[:0], code[:0]))
+            self._tables[width] = (np.insert(table, slot[new], distinct[new]),
+                                   np.insert(codes, slot[new], code[new]))
         return out, None
 
 
@@ -609,25 +614,34 @@ def _field_keys(index, name):
     keeps bytes that no cell can match."""
     seen = index._maps[name]
     offset = index.schema.offset(name)
-    return _Keys(lambda key: index.index_of(name, key.decode(), create=True) - offset,
-                 [category.encode("utf-8", "surrogatepass") for category in seen],
+
+    def assign(keys):
+        codes = []
+        try:
+            for key in keys:
+                codes.append(index.index_of(name, key.decode(), create=True) - offset)
+        except SchemaError as exc:
+            return codes, exc
+        return codes, None
+
+    return _Keys(assign, [category.encode("utf-8", "surrogatepass") for category in seen],
                  list(seen.values()))
 
 
 class _Ids(list):
-    """Distinct ids as UTF-8 bytes in order of first appearance; an id's
-    position is its code until the file is read."""
+    """Distinct ids in order of first appearance; an id's position is its
+    code until the file is read."""
 
-    def add(self, key: bytes) -> int:
-        self.append(key)
-        return len(self) - 1
+    def add(self, keys: list[bytes]):
+        """Append ids given as UTF-8 bytes; their codes, and no refusal."""
+        self.extend(map(bytes.decode, keys))
+        return range(len(self) - len(keys), len(self)), None
 
     def sorted_codes(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """codes renumbered in the sort order of their ids, and the sorted
         vocabulary. Ids that one '<U' array cannot tell apart (trailing
         NULs) share a code."""
-        vocab, rank = np.unique(np.array([key.decode() for key in self], dtype=str),
-                                return_inverse=True)
+        vocab, rank = np.unique(np.array(self, dtype=str), return_inverse=True)
         return rank.astype(np.int32)[codes], vocab
 
 
@@ -664,9 +678,8 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
     digits = sliding_window_view(buf, wide)[at] - np.uint8(ord("0"))  # 0-9 if a digit
     digits *= np.arange(wide) < size[:, None]
     value = digits @ _POW10[wide - 1::-1] // _POW10[wide - size.clip(1, wide)]
-    plain = (size >= 1) & (size <= _DIGITS) & (value <= np.uint64(_INT64.max) + minus)
-    if (digits > 9).any():
-        plain &= (digits <= 9).all(axis=1)
+    plain = ((size >= 1) & (size <= _DIGITS) & (value <= np.uint64(_INT64.max) + minus)
+             & (digits <= 9).all(axis=1))
     stamps = value.astype(np.int64)
     stamps[minus] *= -1  # wraps 2**63 to -2**63 as it should
     odd = np.flatnonzero(~plain)  # any other form goes through int()
@@ -739,23 +752,19 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
     if failures:
         raise min(failures, key=lambda fail: fail[:2])[2]
 
-    if n and all(len(local) == n for _, _, local in fields):  # one category per cell
-        indices = np.stack([offset + local for offset, _, local in fields], axis=1)
-        values = np.ones(indices.shape)
-    else:
-        total = sum(counts for _, counts, _ in fields)
-        indices = np.zeros((n, int(total.max(initial=0))), dtype=np.int64)
-        values = np.zeros(indices.shape, dtype=np.float64)
-        start = np.zeros(n, dtype=np.int64)  # first column of the field in each row
-        for offset, counts, local in fields:
-            row_of = np.repeat(np.arange(n), counts)
-            first = np.cumsum(counts) - counts  # first entry of each row in `local`
-            if len(local) > n:  # some multi-valued cell: sort each row's entries
-                local = local[np.lexsort((local, row_of))]
-            pos = np.arange(len(local)) + np.repeat(start - first, counts)
-            indices[row_of, pos] = offset + local
-            values[row_of, pos] = np.repeat(1.0 / counts, counts)
-            start += counts
+    total = sum(counts for _, counts, _ in fields)
+    indices = np.zeros((n, int(total.max(initial=0))), dtype=np.int64)
+    values = np.zeros(indices.shape, dtype=np.float64)
+    start = np.zeros(n, dtype=np.int64)  # first column of the field in each row
+    for offset, counts, local in fields:
+        row_of = np.repeat(np.arange(n), counts)
+        first = np.cumsum(counts) - counts  # first entry of each row in `local`
+        if len(local) > n:  # some multi-valued cell: sort each row's entries
+            local = local[np.lexsort((local, row_of))]
+        pos = np.arange(len(local)) + np.repeat(start - first, counts)
+        indices[row_of, pos] = offset + local
+        values[row_of, pos] = np.repeat(1.0 / counts, counts)
+        start += counts
     users, items = (table.codes(buf, starts[:, k], ends[:, k] - starts[:, k])[0]
                     for k, table in enumerate(keys[:2]))
     return indices, values, stamps, np.asarray(labels, dtype=np.int8), users, items

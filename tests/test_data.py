@@ -643,19 +643,22 @@ class TestColumnarCsvAgainstRowLoops:
                 [list(m) for m in old._maps.values()]
 
     def test_nul_bytes_keep_keys_apart(self, tmp_path):
-        # the csv module reads NUL bytes; a key with a trailing NUL is
-        # another category than the key without it, at any width
+        # from Python 3.11 the csv module reads NUL bytes, and a key with a
+        # trailing NUL is another category than the key without it, at any
+        # width; before 3.11 both readers refuse the line alike
         tags = ["ab", "ab\0", "a\0b", "abcdefghijk", "abcdefghijk\0", "abcdefghij\0k",
                 "abcdefghij\0\0"]
         schema = FieldSchema(fields=(("tag", len(tags)), ("g", 2)), bias_field="g")
-        write_rows(tmp_path / "nul.csv", schema,
-                   [["u", "i", "1", str(k), tag, "g"] for k, tag in enumerate(tags * 2)])
+        path = tmp_path / "nul.csv"
+        path.write_text("".join(["user_id,item_id,label,timestamp,tag,g\n"]
+                                + [f"u,i,1,{k},{tag},g\n" for k, tag in enumerate(tags * 2)]),
+                        encoding="utf-8")
         new, old = FeatureIndex(schema), FeatureIndex(schema)
-        got = ingest_csv(tmp_path / "nul.csv", schema, new, split_tag="x")
-        assert_same_outcome(got, ingest_csv_reference(tmp_path / "nul.csv", schema, old,
-                                                      split_tag="x"))
-        assert new.labels("tag") == tuple(tags)
-        assert got.indices[:, 0].tolist() == list(range(len(tags))) * 2
+        got = outcome(ingest_csv, path, schema, new)
+        assert_same_outcome(got, outcome(ingest_csv_reference, path, schema, old))
+        if not isinstance(got, tuple):
+            assert new.labels("tag") == tuple(tags)
+            assert got.indices[:, 0].tolist() == list(range(len(tags))) * 2
 
     def test_byte_order_mark_is_skipped(self, tmp_path, rng):
         ds = random_dataset(rng, n_rows=30, multi_group_prob=0.3)
@@ -737,7 +740,7 @@ def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, bloc
     assert outcome(ingest_csv, path, schema, FeatureIndex(schema)) == want
 
 
-# --- quote-free blocks are split by str.split, the rest by the csv module --
+# --- quote-free blocks are cut at their separators, the rest by the csv module
 
 HAND_OVER_SCHEMA = FieldSchema(fields=(("a", 8), ("g", 3)), bias_field="g",
                                categories={"g": ("p",)})
