@@ -3,11 +3,19 @@
 Subcommands mirror the library stages: synth (generate data), train,
 analyze (bias chain report), debias (reduce or reconstruct weights), eval
 (metrics for one model on one split), and pipeline (all stages in memory
-on synthetic data). Each command returns where its manifest goes and the
-files it wrote; main times the command and writes that manifest, recording
-the arguments, the digest of every file named by a path flag, the output
-digests, and the wall time. Wall time lives only in the manifest so all
-other artifacts are byte-stable across reruns with the same seed.
+on synthetic data).
+
+The settings flags of synth, train and pipeline are the fields of
+SynthConfig and TrainConfig with dashes for underscores
+(--exposures-per-user sets exposures_per_user), each with its field's
+type and default. --users, --items and --groups set n_users, n_items and
+n_groups, and --rho-min and --rho-max span rho evenly over the groups.
+
+Each command returns where its manifest goes and the files it wrote; main
+times the command and writes that manifest, recording the arguments, the
+digest of every file named by a path flag, the output digests, and the
+wall time. Wall time lives only in the manifest so all other artifacts
+are byte-stable across reruns with the same seed.
 
 Exit codes: 0 success, 2 configuration/input errors, 3 numerical failures.
 """
@@ -19,7 +27,9 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -82,23 +92,36 @@ def _parse_grid(text: str | None, flag: str):
     return values
 
 
-def _synth_config(args) -> SynthConfig:
-    return SynthConfig(
-        n_users=args.users,
-        n_items=args.items,
-        n_groups=args.groups,
-        rho=tuple(np.linspace(args.rho_min, args.rho_max, args.groups)),
-        exposures_per_user=args.exposures_per_user,
-        unbiased_val_per_user=args.unbiased_val_per_user,
-        unbiased_test_per_user=args.unbiased_test_per_user,
-        pref_dim=args.pref_dim,
-        pref_scale=args.pref_scale,
-        item_offset_scale=args.item_offset_scale,
-        group_freq_decay=args.group_freq_decay,
-        temp_low=args.temp_low,
-        temp_high=args.temp_high,
-        seed=args.seed,
-    )
+# Config fields whose flags go by a shorter name, and those that take choices.
+SHORT_FLAGS = {"n_users": "users", "n_items": "items", "n_groups": "groups"}
+CHOICES = {"arch": tuple(ARCH_TAGS), "optimizer": OPTIMIZERS, "ablation": ABLATIONS}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls, skip=()) -> None:
+    """One flag per field of the config class cls, bar those in skip, with
+    the field's type and default. SynthConfig.rho is spanned by --rho-min
+    and --rho-max, whose defaults are the ends of the default rho."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name == "rho":
+            lo, *_, hi = SynthConfig().resolved_rho()
+            p.add_argument("--rho-min", type=float, default=float(lo))
+            p.add_argument("--rho-max", type=float, default=float(hi))
+        elif f.name not in skip:
+            flag = SHORT_FLAGS.get(f.name, f.name).replace("_", "-")
+            p.add_argument(f"--{flag}", type=hints[f.name], default=f.default,
+                           choices=CHOICES.get(f.name))
+
+
+def _config(cls, args, **given):
+    """A cls whose fields, bar those given, come from their flags in args;
+    rho spans --rho-min..--rho-max evenly over the groups."""
+    for f in fields(cls):
+        if f.name == "rho":
+            given["rho"] = tuple(np.linspace(args.rho_min, args.rho_max, args.groups))
+        elif f.name not in given:
+            given[f.name] = getattr(args, SHORT_FLAGS.get(f.name, f.name))
+    return cls(**given)
 
 
 def _write_synth(result, outdir: Path) -> list:
@@ -136,32 +159,14 @@ def _evaluated(params, ds, k: int):
 
 
 def cmd_synth(args):
-    result = generate(_synth_config(args))
+    result = generate(_config(SynthConfig, args))
     outdir = Path(args.out)
     return outdir / "manifest.json", _write_synth(result, outdir)
 
 
-def _train_config(args, optimizer: str, ablation: str, seed: int) -> TrainConfig:
-    return TrainConfig(
-        arch=args.arch,
-        embedding_dim=args.embedding_dim,
-        hidden=args.hidden,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        l2=args.l2,
-        dropout_interaction=args.dropout_interaction,
-        dropout_hidden=args.dropout_hidden,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        optimizer=optimizer,
-        ablation=ablation,
-        seed=seed,
-    )
-
-
 def cmd_train(args):
     _, _, (train_ds, val_ds) = _load(args, "train", "val")
-    cfg = _train_config(args, args.optimizer, args.ablation, args.seed)
+    cfg = _config(TrainConfig, args)
     params, report = train(train_ds, val_ds, cfg)
     save_model(params, args.out)
     report_path = Path(args.report) if args.report else Path(str(args.out) + ".report.json")
@@ -245,9 +250,10 @@ def cmd_pipeline(args):
         raise ConfigError("--unbiased-test-per-user must be >= 1, got "
                           f"{args.unbiased_test_per_user}")
     debias_cfgs = [DebiasConfig(variant=v, k=args.k) for v in VARIANTS]
-    tcfg = _train_config(args, "adam", "none", args.seed + 1)
+    tcfg = _config(TrainConfig, args, optimizer="adam", ablation="none",
+                   seed=args.seed + 1)
     outdir = Path(args.out)
-    result = generate(_synth_config(args))
+    result = generate(_config(SynthConfig, args))
     outputs = _write_synth(result, outdir)
 
     def artifact(name: str) -> Path:
@@ -283,36 +289,6 @@ def cmd_pipeline(args):
     return outdir / "manifest.json", outputs
 
 
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--users", type=int, default=400)
-    p.add_argument("--items", type=int, default=240)
-    p.add_argument("--groups", type=int, default=8)
-    p.add_argument("--rho-min", type=float, default=0.1)
-    p.add_argument("--rho-max", type=float, default=0.9)
-    p.add_argument("--exposures-per-user", type=int, default=50)
-    p.add_argument("--unbiased-val-per-user", type=int, default=2)
-    p.add_argument("--unbiased-test-per-user", type=int, default=6)
-    p.add_argument("--pref-dim", type=int, default=8)
-    p.add_argument("--pref-scale", type=float, default=1.0)
-    p.add_argument("--item-offset-scale", type=float, default=0.0)
-    p.add_argument("--group-freq-decay", type=float, default=0.9)
-    p.add_argument("--temp-low", type=float, default=0.2)
-    p.add_argument("--temp-high", type=float, default=3.0)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--arch", choices=tuple(ARCH_TAGS), default="fm")
-    p.add_argument("--embedding-dim", type=int, default=16)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--l2", type=float, default=1e-6)
-    p.add_argument("--dropout-interaction", type=float, default=0.0)
-    p.add_argument("--dropout-hidden", type=float, default=0.0)
-    p.add_argument("--max-epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=3)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctrbias",
@@ -322,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic biased/unbiased splits")
-    _add_synth_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, SynthConfig)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -331,10 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--val")
-    _add_train_flags(p)
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
-    p.add_argument("--ablation", choices=ABLATIONS, default="none")
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, TrainConfig)
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--report", help="training report path (default <out>.report.json)")
     p.set_defaults(func=cmd_train)
@@ -372,12 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("pipeline", help="run every stage on synthetic data")
-    _add_synth_flags(p)
-    _add_train_flags(p)
+    _add_config_flags(p, SynthConfig)
+    _add_config_flags(p, TrainConfig, skip=("optimizer", "ablation", "seed"))
     p.add_argument("--alpha", default="1.0,0.8,0.6,0.4,0.2,0.0",
                    help="comma-separated reduction strengths in [0, 1]")
     p.add_argument("--k", type=int, default=DEFAULT_K)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 

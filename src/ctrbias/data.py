@@ -195,11 +195,13 @@ class FieldSchema:
 
     @classmethod
     def load(cls, path) -> "FieldSchema":
+        data = Path(path).read_bytes()
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(data.decode("utf-8-sig"))
         except UnicodeDecodeError as exc:
+            at = exc.start + len(data) - len(exc.object)  # the codec drops a BOM
             raise ConfigError(
-                f"{path}: byte {exc.object[exc.start]:#04x} at offset {exc.start} "
+                f"{path}: byte {exc.object[exc.start]:#04x} at offset {at} "
                 f"is not UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc

@@ -31,7 +31,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DivergenceError
 from .evaluation import blocks_of, ranked_auc, users_with_both_labels
-from .models import ModelParams, init_params, loss_and_grads, predict
+from .models import (ARCH_TAGS, DEFAULT_HIDDEN, ModelParams, init_params,
+                     loss_and_grads, predict)
 from .numeric import to_jsonable
 
 ABLATIONS = ("none", "unaware")
@@ -42,7 +43,7 @@ OPTIMIZERS = ("adam", "plain_sgd")
 class TrainConfig:
     arch: str = "fm"
     embedding_dim: int = 16
-    hidden: int = 64
+    hidden: int = DEFAULT_HIDDEN
     lr: float = 1e-3
     batch_size: int = 256
     l2: float = 1e-6
@@ -55,7 +56,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arch not in ("fm", "nfm"):
+        if self.arch not in ARCH_TAGS:
             raise ConfigError(f"unknown architecture {self.arch!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")

@@ -4,14 +4,14 @@ import csv
 import hashlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ctrbias.analysis import ols_fit
-from ctrbias.cli import _synth_config, _train_config, build_parser, main
+from ctrbias.cli import _config, build_parser, main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.debias import VARIANTS, DebiasConfig, grid_search_reconstruction
 from ctrbias.evaluation import DEFAULT_K, evaluate, group_stats
@@ -203,6 +203,28 @@ class TestTrain:
             assert err.startswith(f"error: {big}: schema declares ")
         assert not (tmp_path / "m.bin").exists()
 
+
+    def test_schema_with_a_bom_trains_the_same_model(self, corpus, tmp_path,
+                                                    capsys):
+        raw = corpus["schema"].read_bytes()
+        bom = tmp_path / "schema.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + raw)
+        assert FieldSchema.load(bom) == FieldSchema.load(corpus["schema"])
+        rc = main(["train", "--schema", str(bom),
+                   "--train", str(corpus["data"] / "train.csv"),
+                   "--val", str(corpus["data"] / "val.csv"),
+                   *TRAIN_FLAGS, "--seed", "1", "--out", str(tmp_path / "m.bin")])
+        assert rc == 0
+        assert (tmp_path / "m.bin").read_bytes() == corpus["model"].read_bytes()
+        # a byte that is not UTF-8 is named at its offset in the file
+        at = raw.index(b'"') + 1
+        bom.write_bytes(b"\xef\xbb\xbf" + raw[:at] + b"\xff" + raw[at:])
+        rc = main(["train", "--schema", str(bom),
+                   "--train", str(corpus["data"] / "train.csv"),
+                   "--out", str(tmp_path / "m2.bin")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bom}: byte 0xff at offset {at + 3} is not UTF-8")
 
     @pytest.mark.parametrize("label", ["0", "1"])
     def test_one_class_validation_exits_2_with_one_line(self, corpus, tmp_path,
@@ -796,22 +818,116 @@ class TestPipeline:
         assert not out.exists()
 
 
+# What each command parses when given only its required flags: dest -> value,
+# whose type is pinned too (1 and 1.0 differ). Manifests record these
+# arguments, and scripts and the benchmark pass these flags, so renaming a
+# config field must not rename its flag, and a moved default must show here.
+SYNTH_NAMESPACE = {
+    "users": 400, "items": 240, "groups": 8, "rho_min": 0.1, "rho_max": 0.9,
+    "exposures_per_user": 50, "unbiased_val_per_user": 2,
+    "unbiased_test_per_user": 6, "pref_dim": 8, "pref_scale": 1.0,
+    "item_offset_scale": 0.0, "group_freq_decay": 0.9, "temp_low": 0.2,
+    "temp_high": 3.0, "seed": 0,
+}
+TRAIN_NAMESPACE = {
+    "arch": "fm", "embedding_dim": 16, "hidden": 64, "lr": 0.001,
+    "batch_size": 256, "l2": 1e-06, "dropout_interaction": 0.0,
+    "dropout_hidden": 0.0, "max_epochs": 20, "patience": 3,
+}
+REQUIRED_FLAGS_NAMESPACES = [
+    (["synth", "--out", "x"],
+     {"command": "synth", "out": "x", **SYNTH_NAMESPACE}),
+    (["train", "--schema", "s", "--train", "t", "--out", "m"],
+     {"command": "train", "schema": "s", "train": "t", "val": None,
+      **TRAIN_NAMESPACE, "optimizer": "adam", "ablation": "none", "seed": 0,
+      "out": "m", "report": None}),
+    (["pipeline", "--out", "x"],
+     {"command": "pipeline", **SYNTH_NAMESPACE, **TRAIN_NAMESPACE,
+      "alpha": "1.0,0.8,0.6,0.4,0.2,0.0", "k": 5, "out": "x"}),
+    (["analyze", "--schema", "s", "--model", "m", "--train", "t", "--out", "o"],
+     {"command": "analyze", "schema": "s", "model": "m", "train": "t",
+      "eval": None, "out": "o"}),
+    (["debias", "--schema", "s", "--model", "m", "--mode", "reduce", "--out", "o"],
+     {"command": "debias", "schema": "s", "model": "m", "mode": "reduce",
+      "alpha": None, "train": None, "unbiased": None, "variant": None,
+      "beta_grid": None, "gamma_grid": None, "k": 5, "out": "o",
+      "grid_report": None}),
+    (["eval", "--schema", "s", "--model", "m", "--data", "d", "--out", "o"],
+     {"command": "eval", "schema": "s", "model": "m", "data": "d", "k": 5,
+      "out": "o", "group_csv": None}),
+]
+
+
+def typed(namespace: dict) -> dict:
+    return {k: (type(v), v) for k, v in namespace.items()}
+
+
+@pytest.mark.parametrize("argv, expected", REQUIRED_FLAGS_NAMESPACES,
+                         ids=[argv[0] for argv, _ in REQUIRED_FLAGS_NAMESPACES])
+def test_each_command_parses_to_its_pinned_namespace(argv, expected):
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["func"]
+    assert typed(parsed) == typed(expected)
+
+
+# A value other than its default for every config field that has a flag, and
+# the flags not named after their field.
+NON_DEFAULTS = {
+    "n_users": 7, "n_items": 9, "n_groups": 3, "exposures_per_user": 5,
+    "unbiased_val_per_user": 3, "unbiased_test_per_user": 4, "pref_dim": 2,
+    "pref_scale": 0.5, "item_offset_scale": 0.25, "group_freq_decay": 0.5,
+    "temp_low": 0.5, "temp_high": 2.0, "seed": 11, "arch": "nfm",
+    "embedding_dim": 4, "hidden": 5, "lr": 0.01, "batch_size": 32, "l2": 0.001,
+    "dropout_interaction": 0.1, "dropout_hidden": 0.2, "max_epochs": 2,
+    "patience": 1, "optimizer": "plain_sgd", "ablation": "unaware",
+}
+SHORT_FLAGS = {"n_users": "--users", "n_items": "--items", "n_groups": "--groups"}
+
+
 def test_config_flags_default_to_the_config_defaults():
-    """A flag left out gives the library's default for the field it feeds."""
+    """A flag left out gives the library's default for the field it feeds,
+    and a value given reaches that field, in every command with the flag."""
     parse = build_parser().parse_args
     rho = SynthConfig().resolved_rho()
     for command in ("synth", "pipeline"):
         args = parse([command, "--out", "x"])
         assert (args.rho_min, args.rho_max) == (rho[0], rho[-1])
-        assert replace(_synth_config(args), rho=()) == SynthConfig()
+        assert replace(_config(SynthConfig, args), rho=()) == SynthConfig()
     args = parse(["train", "--schema", "s", "--train", "t", "--out", "m"])
-    assert _train_config(args, args.optimizer, args.ablation, args.seed) == TrainConfig()
+    assert _config(TrainConfig, args) == TrainConfig()
     args = parse(["pipeline", "--out", "x"])
-    assert _train_config(args, "adam", "none", args.seed) == TrainConfig()
+    assert _config(TrainConfig, args, optimizer="adam", ablation="none",
+                   seed=args.seed) == TrainConfig()
     for argv in (["debias", "--schema", "s", "--model", "m", "--mode", "reduce"],
                  ["eval", "--schema", "s", "--model", "m", "--data", "d"],
                  ["pipeline"]):
         assert parse(argv + ["--out", "x"]).k == DebiasConfig().k == DEFAULT_K
+
+    def given(cls, skip=()):
+        return [arg for f in fields(cls) if f.name != "rho" and f.name not in skip
+                for arg in (SHORT_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
+                            str(NON_DEFAULTS[f.name]))]
+
+    def held(cfg, **fixed):
+        expected = {f.name: fixed.get(f.name, NON_DEFAULTS.get(f.name))
+                    for f in fields(cfg) if f.name != "rho"}
+        assert typed({k: getattr(cfg, k) for k in expected}) == typed(expected)
+
+    span = ["--rho-min", "0.2", "--rho-max", "0.6"]
+    for argv in (["synth", *given(SynthConfig), *span],
+                 ["pipeline", *given(SynthConfig),
+                  *given(TrainConfig, skip=("optimizer", "ablation", "seed")), *span]):
+        args = parse(argv + ["--out", "x"])
+        cfg = _config(SynthConfig, args)
+        held(cfg)
+        assert cfg.rho == tuple(np.linspace(0.2, 0.6, 3))
+    # args is the pipeline's, whose training seed follows the synth seed
+    held(_config(TrainConfig, args, optimizer="adam", ablation="none",
+                 seed=args.seed + 1),
+         optimizer="adam", ablation="none", seed=12)
+    args = parse(["train", "--schema", "s", "--train", "t", "--out", "m",
+                  *given(TrainConfig)])
+    held(_config(TrainConfig, args))
 
 
 def test_version_flag():
