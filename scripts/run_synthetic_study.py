@@ -44,7 +44,7 @@ def delta(a, b):
 
 def print_tables(run: Path, n_unbiased_val: int) -> None:
     def load(name):
-        return json.loads((run / name).read_text())
+        return json.loads((run / name).read_text(encoding="utf-8"))
 
     report, chain, summary = (load("train_report.json"), load("analysis.json"),
                               load("eval_summary.json"))

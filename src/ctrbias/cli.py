@@ -51,7 +51,8 @@ def _file_digest(path) -> str:
 
 def _write_json(path, obj) -> None:
     Path(path).write_text(
-        json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n")
+        json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
 
 
 # Path flags whose files a manifest digests as inputs, when given.

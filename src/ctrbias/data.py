@@ -191,7 +191,8 @@ class FieldSchema:
         return cls(fields, bias_field, categories, d.get("label_threshold"))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "FieldSchema":

@@ -158,8 +158,8 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
                                ) -> tuple[ModelParams, GridSearchResult]:
     """Pick (beta, gamma) maximizing per-user AUC on the unbiased split.
 
-    The grid is scanned in ascending (beta, gamma) order and only strict
-    improvements replace the incumbent, so ties resolve to the smallest
+    The grid is scanned in ascending (beta, gamma) order and the winner is
+    the first maximum of the table, so ties resolve to the smallest
     coefficients. NDCG@k is recorded for every point but does not drive
     the choice.
 
@@ -202,7 +202,6 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     blocks = blocks_of(unbiased_ds)
     w = params.w.copy()
 
-    best: GridPoint | None = None
     table: list[GridPoint] = []
     for beta, gamma in _grid_for(cfg):
         w[lo:hi] = beta * ratios + gamma * residuals
@@ -211,10 +210,8 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
         ranked = blocks.rank(scores)
         uauc, _ = ranked_auc(ranked)
         ndcg, _ = ranked_ndcg(ranked, cfg.k)
-        point = GridPoint(beta, gamma, float(uauc), float(ndcg))
-        table.append(point)
-        if best is None or point.uauc > best.uauc:
-            best = point
+        table.append(GridPoint(beta, gamma, float(uauc), float(ndcg)))
+    best = max(table, key=lambda point: point.uauc)
     best_params = reconstruct_weights(params, bias_range, ratios, residuals,
                                       best.beta, best.gamma)
     best_params.provenance["variant"] = cfg.variant

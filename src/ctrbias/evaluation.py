@@ -385,7 +385,7 @@ class EvalReport:
         return to_jsonable(self.__dict__)
 
     def write_group_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["group", "exposures", "positives",
                              f"tpr_at_{self.k}", "ehr"])

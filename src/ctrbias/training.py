@@ -16,10 +16,13 @@ is exactly
 (for l2 = 0), which keeps the update law directly checkable.
 
 Early stopping watches per-user AUC on the validation split and restores
-the best snapshot. The optional "unaware" ablation pins the bias field to
-zero influence: its linear weights and embedding rows start at zero and
-their gradients are dropped every step, so those features never touch the
-model's output.
+the best snapshot; only a strict improvement counts, and training stops
+once an epoch without one is `patience` epochs past the best. train()
+fills the TrainReport it returns epoch by epoch, and the model's
+provenance is read from it. The optional "unaware" ablation pins the bias
+field to zero influence: its linear weights and embedding rows start at
+zero and their gradients are dropped every step, so those features never
+touch the model's output.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ class TrainReport:
     seed: int
     n_train: int
     n_val: int
-    epochs_run: int
-    best_epoch: int
+    epochs_run: int = 0
+    best_epoch: int = 0
     train_loss: list[float] = field(default_factory=list)
     val_uauc: list[float] = field(default_factory=list)
     best_val_uauc: float = float("nan")
@@ -184,7 +187,7 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
     ConfigError before the first epoch when a non-empty val_ds has no user
     with both labels.
     Returns the best-validation snapshot (or the final weights when no
-    validation split is supplied).
+    validation split is supplied) and the TrainReport the epochs filled.
     """
     schema = train_ds.schema
     params = init_params(schema.n, cfg.embedding_dim, cfg.arch, cfg.seed,
@@ -207,14 +210,9 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
                           "negative sample, so early stopping has no "
                           "per-user AUC to watch")
 
+    report = TrainReport(cfg.arch, cfg.optimizer, cfg.ablation, cfg.seed, n_train=n,
+                         n_val=len(val_ds) if val_ds is not None else 0)
     best: ModelParams | None = None
-    best_uauc = -np.inf
-    best_epoch = 0
-    since_best = 0
-    losses_by_epoch: list[float] = []
-    uaucs: list[float] = []
-    stopped_early = False
-    epochs_run = 0
 
     # One epoch's rows in shuffled order, refilled in place each epoch so a
     # batch is a slice view. Every order is a permutation of range(n), so
@@ -249,49 +247,27 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
                                                      for k, g in grads.items()}
                 _apply(params, deltas)
                 batch_losses.append(loss)
-        losses_by_epoch.append(float(np.mean(batch_losses)))
-        epochs_run = epoch + 1
+        report.train_loss.append(float(np.mean(batch_losses)))
+        report.epochs_run = epoch + 1
 
         if have_val:
             uauc = _val_uauc(params, val_ds)
-            uaucs.append(uauc)
-            if best is None or uauc > best_uauc:
+            report.val_uauc.append(uauc)
+            # best_val_uauc starts as NaN, which no uauc exceeds
+            if best is None or uauc > report.best_val_uauc:
                 best = params.copy()
-                best_uauc = uauc
-                best_epoch = epoch
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= cfg.patience:
-                    stopped_early = True
-                    break
+                report.best_val_uauc = float(uauc)
+                report.best_epoch = epoch
+            elif epoch - report.best_epoch >= cfg.patience:
+                report.stopped_early = True
+                break
 
-    if have_val and best is not None:
+    if best is not None:
         params = best
     else:
-        best_epoch = epochs_run - 1
+        report.best_epoch = report.epochs_run - 1
 
-    params.provenance = {
-        "created_by": "train",
-        "arch": cfg.arch,
-        "optimizer": cfg.optimizer,
-        "ablation": cfg.ablation,
-        "seed": cfg.seed,
-        "epochs_run": epochs_run,
-        "best_epoch": best_epoch,
-    }
-    report = TrainReport(
-        arch=cfg.arch,
-        optimizer=cfg.optimizer,
-        ablation=cfg.ablation,
-        seed=cfg.seed,
-        n_train=n,
-        n_val=len(val_ds) if val_ds is not None else 0,
-        epochs_run=epochs_run,
-        best_epoch=best_epoch,
-        train_loss=losses_by_epoch,
-        val_uauc=uaucs,
-        best_val_uauc=float(best_uauc) if have_val else float("nan"),
-        stopped_early=stopped_early,
-    )
+    params.provenance = {"created_by": "train", **{
+        key: getattr(report, key) for key in (
+            "arch", "optimizer", "ablation", "seed", "epochs_run", "best_epoch")}}
     return params, report

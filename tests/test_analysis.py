@@ -160,6 +160,12 @@ class TestSpearman:
         with pytest.raises(UndefinedCorrelationError):
             spearman([1.0, float("inf")], [1.0, 2.0])
 
+    def test_unequal_or_non_1d_inputs_rejected(self):
+        with pytest.raises(ConfigError):
+            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ConfigError):
+            spearman(np.zeros((2, 2)), np.zeros((2, 2)))
+
 
 class TestOls:
     def test_residual_orthogonality(self, rng):
@@ -353,6 +359,21 @@ class TestBiasChainReport:
         both = np.isfinite(ratio) & np.isfinite(ehr)
         assert both.sum() >= 2
         assert report.ehr_ratio_spearman == spearman(ratio[both], ehr[both])
+
+    @pytest.mark.parametrize("labels, error", [
+        ((1, 1, 1), "ehr-vs-ratio spearman: correlation undefined for constant input"),
+        ((1, 0, 0), "ehr-vs-ratio spearman: fewer than two measurable groups"),
+    ], ids=["every EHR is 1", "one group with positives"])
+    def test_ehr_link_recorded_not_raised(self, rng, labels, error):
+        train = random_dataset(rng, n_rows=80, split_tag="train")
+        # each user sees every group once, with that group's label
+        rows = [([u, 4 + g, 10 + g], [1.0, 1.0, 1.0], labels[g], f"u{u}",
+                 f"i{g}", 3 * u + g) for u in range(2) for g in range(3)]
+        params = random_params(rng, train.schema.n, 4)
+        report = bias_chain_report(params, train,
+                                   eval_ds=make_dataset(train.schema, rows))
+        assert report.ehr_ratio_spearman is None
+        assert error in report.errors
 
     def test_without_eval_split(self, rng):
         ds = random_dataset(rng, n_rows=60, split_tag="train")

@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ctrbias
 from ctrbias.analysis import ols_fit
 from ctrbias.cli import _config, build_parser, main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
@@ -325,6 +329,34 @@ class TestEval:
         assert rows[0][3] == "tpr_at_3"
         assert len(rows) == 4
 
+    def test_group_csv_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # the C locale with UTF-8 mode and locale coercion off makes ASCII
+        # the default text encoding
+        schema = FieldSchema((("user", 2), ("group", 2)), "group")
+        schema.save(tmp_path / "schema.json")
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,item_id,label,timestamp,user,group\n" + "".join(
+            f"{u},i{j},{y},{t},{u},{g}\n" for t, (u, j, y, g) in enumerate([
+                ("u1", 1, 1, "blau"), ("u1", 2, 0, "grün"),
+                ("u2", 1, 0, "blau"), ("u2", 2, 1, "grün")])),
+            encoding="utf-8")
+        s = ["--schema", str(tmp_path / "schema.json")]
+        model = tmp_path / "m.bin"
+        assert main(["train", *s, "--train", str(log), "--max-epochs", "1",
+                     "--out", str(model)]) == 0
+        src = str(Path(ctrbias.__file__).parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([
+            sys.executable, "-m", "ctrbias", "eval", *s, "--model", str(model),
+            "--data", str(log), "--out", str(tmp_path / "e.json"),
+            "--group-csv", str(tmp_path / "g.csv"),
+        ], env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        rows = (tmp_path / "g.csv").read_bytes().decode("utf-8").splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["blau", "grün"]
+
     def test_report_is_tagged_with_the_file_stem(self, corpus, tmp_path):
         out = tmp_path / "eval.json"
         rc = main([
@@ -634,15 +666,17 @@ class TestDebias:
             "A", "B", "C"]
 
     def test_bad_grid_text_exits_2(self, corpus, tmp_path, capsys):
-        rc = main([
-            "debias", "--schema", str(corpus["schema"]),
-            "--model", str(corpus["model"]), "--mode", "reconstruct",
-            "--train", str(corpus["data"] / "train.csv"),
-            "--unbiased", str(corpus["data"] / "unbiased_val.csv"),
-            "--beta-grid", "1,x", "--out", str(tmp_path / "x.bin"),
-        ])
-        assert rc == 2
-        assert "comma-separated" in capsys.readouterr().err
+        for grid, message in (("1,x", "comma-separated"),
+                              (",", "at least one value")):
+            rc = main([
+                "debias", "--schema", str(corpus["schema"]),
+                "--model", str(corpus["model"]), "--mode", "reconstruct",
+                "--train", str(corpus["data"] / "train.csv"),
+                "--unbiased", str(corpus["data"] / "unbiased_val.csv"),
+                "--beta-grid", grid, "--out", str(tmp_path / "x.bin"),
+            ])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
 
 class TestManifests:
@@ -809,7 +843,7 @@ class TestPipeline:
         ["--unbiased-test-per-user", "0"],
         ["--item-offset-scale", "nan"], ["--temp-high", "inf"],
         ["--lr", "nan"], ["--l2", "inf"], ["--rho-min", "nan"],
-        ["--pref-scale", "nan"],
+        ["--pref-scale", "nan"], ["--pref-dim", "0"],
     ])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
         out = tmp_path / "run"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import dataset, make_schema, per_row_strings, random_dataset
 from ctrbias import data
-from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
+from ctrbias.data import Dataset, FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
                             SchemaError)
 from ctrbias.evaluation import blocks_of
@@ -27,6 +27,9 @@ class TestFieldSchema:
         assert s.cardinality("group") == 3
         assert s.bias_range == (10, 13)
         assert s.num_groups == 3
+        for lookup in (s.offset, s.cardinality):
+            with pytest.raises(ConfigError, match="unknown field 'nope'"):
+                lookup("nope")
 
     def test_validation_rejects_bad_declarations(self):
         with pytest.raises(ConfigError):
@@ -170,6 +173,27 @@ class TestDataset:
         with pytest.raises(ConfigError, match="same"):
             dataset(schema, np.array([[0, 2, 4]]), np.array([[1.0, 1.0, 1.0, 0.0]]),
                     [0], ["u0"], ["i0"], [0])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"indices": [0, 2, 4]}, "indices must be"),
+        ({"values": [[1.0, 1.0, 1.0]] * 2}, "values must be"),
+        ({"user_ids": [0, 0]}, "user_ids must have shape"),
+        ({"timestamps": [[0]]}, "timestamps must have shape"),
+        ({"user_vocab": ["u1", "u0"]}, "user_vocab must be sorted distinct"),
+        ({"item_vocab": ["i0", "i0"]}, "item_vocab must be sorted distinct"),
+        ({"user_ids": [1]}, "user_ids must be codes"),
+        ({"item_ids": [-1]}, "item_ids must be codes"),
+    ], ids=["indices 1-d", "values rows", "user_ids shape", "timestamps shape",
+            "unsorted vocabulary", "repeated id", "code past vocabulary",
+            "negative code"])
+    def test_validation_rejects_malformed_columns(self, change, message):
+        columns = {"indices": [[0, 2, 4]], "values": [[1.0, 1.0, 1.0]],
+                   "labels": [0], "user_ids": [0], "item_ids": [0],
+                   "timestamps": [0], "user_vocab": ["u0"], "item_vocab": ["i0"]}
+        schema = make_schema(2, 2, 2)
+        Dataset(schema, **columns)
+        with pytest.raises(ConfigError, match=message):
+            Dataset(schema, **{**columns, **change})
 
     def test_validation_rejects_non_binary_labels(self):
         schema = make_schema(2, 2, 2)
@@ -717,6 +741,11 @@ ERROR_CASES = {
     "non-integer before huge timestamp": HEADER
         + "u,i,1,t,x,p\nu,i,1,99999999999999999999,x,p\n",
     "huge timestamp and label": HEADER + "u,i,x,99999999999999999999,x,p\n",
+    # short and long lines whose commas add up to the header's count per line
+    "short line then long line": HEADER + "u,i,1,0,x\nu,i,1,1,x,p,q\n",
+    "long line then short line": HEADER + "u,i,1,0,x,p,q\nu,i,1,1,x\n",
+    "short line between good and long lines": HEADER
+        + "u,i,1,0,x,p\nu,i,1,1\nu,i,1,2,x,p,q,r\n",
     # records the csv module reads after quote-free ones; lines count records
     "error after a multi-line quoted record": HEADER
         + 'u,i,1,0,x,p\n"u\nv",i,1,1,x,p\nu,i,1,t,x,p\n',

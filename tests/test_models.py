@@ -341,10 +341,11 @@ class TestDropout:
         assert np.array_equal(a, b)
 
     def test_train_mode_requires_rng(self, rng):
-        params = random_params(rng, 10, 3)
         idx, val = random_batch(rng, 10, 4, 6)
-        with pytest.raises(ConfigError):
-            forward(params, idx, val, train=True, dropout=(0.5, 0.0))
+        for arch, dropout in (("fm", (0.5, 0.0)), ("nfm", (0.0, 0.5))):
+            params = random_params(rng, 10, 3, arch=arch)
+            with pytest.raises(ConfigError, match="random generator"):
+                forward(params, idx, val, train=True, dropout=dropout)
 
     def test_inverted_masks_take_expected_values(self, rng):
         params = random_params(rng, 10, 3, arch="nfm")

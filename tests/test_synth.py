@@ -106,7 +106,9 @@ class TestConfigValidation:
         for bad in ({"pref_scale": nan}, {"pref_scale": inf},
                     {"item_offset_scale": nan}, {"item_offset_scale": inf},
                     {"temp_low": nan}, {"temp_high": nan}, {"temp_high": inf},
-                    {"n_groups": 2, "rho": (nan, 0.5)}):
+                    {"n_groups": 2, "rho": (nan, 0.5)},
+                    {"unbiased_val_per_user": -1}, {"unbiased_test_per_user": -1},
+                    {"pref_dim": 0}):
             with pytest.raises(ConfigError):
                 SynthConfig(**bad)
 

@@ -204,11 +204,26 @@ class TestTrainLoop:
     def test_early_stopping_respects_patience(self, tiny):
         cfg = TrainConfig(max_epochs=40, patience=1, seed=8)
         _, report = train(tiny.train, tiny.val, cfg)
-        if report.stopped_early:
-            assert report.epochs_run < 40
-            assert report.epochs_run == len(report.val_uauc)
-            tail = report.val_uauc[report.best_epoch + 1:]
-            assert len(tail) == 1  # stopped after one non-improving epoch
+        assert report.stopped_early
+        assert report.epochs_run < 40
+        assert report.epochs_run == len(report.val_uauc)
+        tail = report.val_uauc[report.best_epoch + 1:]
+        assert len(tail) == 1  # stopped after one non-improving epoch
+
+    def test_a_tie_is_no_improvement_and_stops_on_the_last_epoch(self, tiny):
+        params, report = train(tiny.train, tiny.val,
+                               TrainConfig(max_epochs=2, patience=1, seed=8))
+        assert report.val_uauc[0] == report.val_uauc[1]
+        # the stop falls on the last epoch, so epochs_run cannot tell it
+        assert report.stopped_early
+        assert (report.epochs_run, report.best_epoch) == (2, 0)
+        assert report.best_val_uauc == report.val_uauc[0]
+        assert params.provenance == {
+            "created_by": "train", "arch": "fm", "optimizer": "adam",
+            "ablation": "none", "seed": 8, "epochs_run": 2, "best_epoch": 0}
+        for key in ("arch", "optimizer", "ablation", "seed", "epochs_run",
+                    "best_epoch"):
+            assert params.provenance[key] == getattr(report, key)
 
     def test_no_validation_returns_final_weights(self, tiny):
         params, report = train(tiny.train, None, TrainConfig(max_epochs=2, seed=8))
