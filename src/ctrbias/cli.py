@@ -119,7 +119,8 @@ def _config(cls, args, **given):
     rho spans --rho-min..--rho-max evenly over the groups."""
     for f in fields(cls):
         if f.name == "rho":
-            given["rho"] = tuple(np.linspace(args.rho_min, args.rho_max, args.groups))
+            # SynthConfig rejects a count under 2; linspace would raise first
+            given["rho"] = tuple(np.linspace(args.rho_min, args.rho_max, max(args.groups, 0)))
         elif f.name not in given:
             given[f.name] = getattr(args, SHORT_FLAGS.get(f.name, f.name))
     return cls(**given)

@@ -445,26 +445,31 @@ def _cell_column(table, quoted, idx, member) -> list[str]:
 
 
 def _take_rows(reader, n, path, lines_before=0):
-    """Up to n records, and the CsvParseError that stopped reading early (or None).
-
-    `lines_before` is the number of physical lines of the file read before
-    the reader's first line, so a csv.Error reports its line in the file.
+    """Up to n records, the line of the file each starts on, and the
+    CsvParseError that stopped reading early (or None); a csv.Error names
+    the line its record starts on. `lines_before` is the number of physical
+    lines of the file read before the reader's first line.
     """
     rows: list[list[str]] = []
+    lines: list[int] = []
+    start = lines_before + reader.line_num + 1
     try:
-        rows.extend(islice(reader, n))
+        for row in islice(reader, n):
+            rows.append(row)
+            lines.append(start)
+            start = lines_before + reader.line_num + 1
     except UnicodeDecodeError as exc:
         raw = Path(path).read_bytes()
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as whole:  # offsets into the file, not a read chunk
             exc = whole
-        return rows, CsvParseError(
+        return rows, lines, CsvParseError(
             path, raw.count(b"\n", 0, exc.start) + 1,
             f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})")
     except csv.Error as exc:
-        return rows, CsvParseError(path, lines_before + reader.line_num, str(exc))
-    return rows, None
+        return rows, lines, CsvParseError(path, start, str(exc))
+    return rows, lines, None
 
 
 def _raising(exc):
@@ -512,14 +517,14 @@ def _line_tokens(lines, width):
     return buf, starts, ends
 
 
-def _record_tokens(rows, width, first_line, path):
+def _record_tokens(rows, width, lines, path):
     """The token layout of the csv.reader records before the first whose
     column count is not width, and that record's failure (or None)."""
     failure = None
     if set(map(len, rows)) - {width}:
         bad = next(i for i, row in enumerate(rows) if len(row) != width)
         failure = (bad, 0, CsvParseError(
-            path, first_line + bad, f"expected {width} columns, got {len(rows[bad])}"))
+            path, lines[bad], f"expected {width} columns, got {len(rows[bad])}"))
         rows = rows[:bad]
     cells = [cell.encode() for cell in chain.from_iterable(rows)]
     sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
@@ -654,10 +659,10 @@ def _texts(buf, starts, ends) -> list[str]:
     return [raw[a:b].decode() for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def _parse_block(tokens, first_line, schema, keys, path, failure=None):
+def _parse_block(tokens, lines, schema, keys, path, failure=None):
     """Arrays of one block of data records given as a token layout, or
-    raise its first error. `keys` holds the _Keys of the user ids, the
-    item ids and each field, in that order.
+    raise its first error. `lines` holds each record's first line in the
+    file and `keys` the _Keys of the user ids, the item ids and each field.
 
     Every check records the first row it fails on with a rank that orders
     the checks within a row (column count, timestamp, label, then per field
@@ -691,11 +696,11 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
             ts = int(cell)
         except ValueError:
             failures.append((row, 1, CsvParseError(
-                path, first_line + row, f"non-integer timestamp {cell!r}")))
+                path, lines[row], f"non-integer timestamp {cell!r}")))
             break
         if not _INT64.min <= ts <= _INT64.max:
             failures.append((row, 1, CsvParseError(
-                path, first_line + row, f"timestamp {cell!r} is outside the int64 range")))
+                path, lines[row], f"timestamp {cell!r} is outside the int64 range")))
             break
         stamps[row] = ts
 
@@ -707,7 +712,7 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
             row = int(bad[0])
             cell = buf[starts[row, 2]:ends[row, 2]].tobytes().decode()
             failures.append((row, 2, LabelError(
-                f"{path}:{first_line + row}: label {cell!r} is not binary "
+                f"{path}:{lines[row]}: label {cell!r} is not binary "
                 "and no threshold is configured")))
     else:
         labels = []
@@ -718,7 +723,7 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
                 value = math.nan
             if math.isnan(value):
                 failures.append((row, 2, CsvParseError(
-                    path, first_line + row, f"non-numeric label {cell!r}")))
+                    path, lines[row], f"non-numeric label {cell!r}")))
                 break
             labels.append(value > threshold)
 
@@ -731,7 +736,7 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
         if (end == at).any():
             row = int(np.argmax(end == at))
             failures.append((row, rank, CsvParseError(
-                path, first_line + row, f"empty cell for field {name!r}")))
+                path, lines[row], f"empty cell for field {name!r}")))
         counts = np.ones(n, dtype=np.int64)
         inner = owner % width == col
         if inner.any():  # cut the '|' cells into parts, which must differ
@@ -741,7 +746,7 @@ def _parse_block(tokens, first_line, schema, keys, path, failure=None):
                 parts = buf[at[row]:end[row]].tobytes().split(b"|")
                 if len(set(parts)) < len(parts):
                     failures.append((row, rank, CsvParseError(
-                        path, first_line + row, f"duplicate category in field {name!r}")))
+                        path, lines[row], f"duplicate category in field {name!r}")))
                     break
             at, end = (np.sort(np.concatenate(pair))
                        for pair in ((at, pipes[inner] + 1), (pipes[inner], end)))
@@ -792,7 +797,7 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     '\\n' only, so it cuts such lines at the same places. The first block
     that fails this test, and the rest of the file, are read by csv.reader
     in blocks of CSV_BLOCK_ROWS records, whose cells are laid out in the
-    same form; a csv.Error still reports its line in the file.
+    same form.
 
     Each block is then converted column by column from its bytes. Id and
     category cells are byte keys, matched with one argsort and
@@ -807,9 +812,11 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     come out sorted. Once the file is read, the distinct user and item
     ids are sorted and coded in that order.
 
-    Errors: the first bad record in file order raises; within a record
-    the column count is checked first, then the timestamp, the label, and
-    the cells in field order (empty, then duplicate, then overflow).
+    Errors: the first bad record in file order raises, named by the
+    physical line of the file it starts on (a csv.Error too); within a
+    record the column count is checked first, then the timestamp, the
+    label, and the cells in field order (empty, then duplicate, then
+    overflow).
     Malformed records (a timestamp that is not an integer or lies outside
     int64, and under a label threshold a label that is not a number or is
     NaN, among them) and undecodable bytes raise CsvParseError with the
@@ -834,7 +841,7 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     keys += [_field_keys(index, name) for name in schema.field_names]
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header, failure = _take_rows(reader, 1, path)
+        header, _, failure = _take_rows(reader, 1, path)
         if failure is not None:
             raise failure
         if not header:
@@ -845,7 +852,6 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
             )
         lines_read = reader.line_num  # physical lines before the next block
         records = None  # the csv module reads the rest once a block needs it
-        line_no = 2
         while True:
             failure = count_failure = None
             if records is None:
@@ -858,17 +864,17 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
                 tokens = _line_tokens(lines, width) if rest is fh else None
                 if tokens is None:
                     records = csv.reader(chain(lines, rest))
-                else:
+                else:  # one record per line
+                    starts = range(lines_read + 1, lines_read + 1 + len(lines))
                     lines_read += len(lines)
             if records is not None:
-                rows, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
-                tokens, count_failure = _record_tokens(rows, width, line_no, path)
-            blocks.append(_parse_block(tokens, line_no, schema, keys, path, count_failure))
+                rows, starts, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
+                tokens, count_failure = _record_tokens(rows, width, starts, path)
+            blocks.append(_parse_block(tokens, starts, schema, keys, path, count_failure))
             if failure is not None:
                 raise failure
             if len(tokens[1]) < CSV_BLOCK_ROWS:
                 break
-            line_no += CSV_BLOCK_ROWS
     indices, values, stamps, labels, users, items = zip(*blocks)
     width = max(block.shape[1] for block in indices)
     user_ids, user_vocab = ids[0].sorted_codes(np.concatenate(users))

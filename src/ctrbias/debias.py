@@ -57,22 +57,27 @@ class DebiasConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
+def _corrected(params: ModelParams, bias_range: tuple[int, int],
+               weights: np.ndarray, record: dict) -> ModelParams:
+    """A copy of params with `weights` as its bias-field linear weights,
+    whose provenance is the correction's record plus the source's digest."""
+    lo, hi = bias_range
+    if not (0 <= lo < hi <= params.n):
+        raise ConfigError(f"bias range {bias_range} outside parameter space")
+    out = params.copy()
+    out.w[lo:hi] = weights
+    out.provenance = {**record, "source_digest": model_digest(params)}
+    return out
+
+
 def reduce_weights(params: ModelParams, bias_range: tuple[int, int],
                    alpha: float) -> ModelParams:
     """Scale the bias-field linear weights by alpha in [0, 1]."""
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     lo, hi = bias_range
-    if not (0 <= lo < hi <= params.n):
-        raise ConfigError(f"bias range {bias_range} outside parameter space")
-    out = params.copy()
-    out.w[lo:hi] *= alpha
-    out.provenance = {
-        "created_by": "reduce",
-        "alpha": alpha,
-        "source_digest": model_digest(params),
-    }
-    return out
+    return _corrected(params, bias_range, params.w[lo:hi] * alpha,
+                      {"created_by": "reduce", "alpha": alpha})
 
 
 def fit_weight_residuals(w_bias: np.ndarray, train_stats: GroupStats) -> np.ndarray:
@@ -97,21 +102,12 @@ def reconstruct_weights(params: ModelParams, bias_range: tuple[int, int],
                         beta: float, gamma: float) -> ModelParams:
     """Replace bias-field weights with beta * ratio + gamma * residual."""
     lo, hi = bias_range
-    if not (0 <= lo < hi <= params.n):
-        raise ConfigError(f"bias range {bias_range} outside parameter space")
     ratios = np.asarray(ratios, dtype=np.float64)
     residuals = np.asarray(residuals, dtype=np.float64)
     if ratios.shape != (hi - lo,) or residuals.shape != (hi - lo,):
         raise ConfigError("ratios and residuals must cover the bias range exactly")
-    out = params.copy()
-    out.w[lo:hi] = beta * ratios + gamma * residuals
-    out.provenance = {
-        "created_by": "reconstruct",
-        "beta": beta,
-        "gamma": gamma,
-        "source_digest": model_digest(params),
-    }
-    return out
+    return _corrected(params, bias_range, beta * ratios + gamma * residuals,
+                      {"created_by": "reconstruct", "beta": beta, "gamma": gamma})
 
 
 @dataclass

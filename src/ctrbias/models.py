@@ -37,6 +37,7 @@ do not match the feature space they expect.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import struct
@@ -72,10 +73,6 @@ class MlpParams:
     b1: np.ndarray
     w_out: np.ndarray
     b_out: float
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.W1.copy(), self.b1.copy(), self.w_out.copy(),
-                         float(self.b_out))
 
     def l2_norm_sq(self) -> float:
         return float((self.W1 ** 2).sum() + (self.b1 ** 2).sum()
@@ -116,9 +113,8 @@ class ModelParams:
         return self.V.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, float(self.w0), self.w.copy(), self.V.copy(),
-                           self.mlp.copy() if self.mlp else None,
-                           self.schema_digest, dict(self.provenance))
+        """A copy that shares no array, dict or MlpParams with this one."""
+        return copy.deepcopy(self)
 
     def l2_norm_sq(self) -> float:
         """Squared norm of all regularized weights; the global bias is exempt."""

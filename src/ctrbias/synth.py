@@ -27,6 +27,7 @@ import numpy as np
 
 from .data import Dataset, FeatureIndex, FieldSchema
 from .errors import CalibrationError, ConfigError
+from .evaluation import group_stats
 from .numeric import sigmoid
 
 BISECT_LO = -50.0
@@ -225,12 +226,6 @@ def generate(cfg: SynthConfig) -> SynthResult:
 
     p_b = sigmoid(dots[users_b, items_b] + c[groups_b])
     labels_b = (rng.random(n_b) < p_b).astype(np.int8)
-    train_ratio = np.array([
-        float(labels_b[in_train & (groups_b == j)].mean()) for j in range(cfg.n_groups)
-    ])
-    for j in range(cfg.n_groups):
-        if abs(train_ratio[j] - rho[j]) > REALIZED_TOL:
-            raise CalibrationError(str(group_labels[j]), float(rho[j]))
 
     def split(tag, users, items, labels, stamps):
         indices = np.empty((len(users), 3), dtype=np.int64)
@@ -275,6 +270,10 @@ def generate(cfg: SynthConfig) -> SynthResult:
         split(tag, users_b[rows], items_b[rows], labels_b[rows], stamps_b[rows])
         for tag, rows in zip(("train", "val", "test"),
                              np.split(np.argsort(stamps_b), cuts)))
+    train_ratio = group_stats(train).ratio  # every group has training rows
+    for j in range(cfg.n_groups):
+        if abs(train_ratio[j] - rho[j]) > REALIZED_TOL:
+            raise CalibrationError(str(group_labels[j]), float(rho[j]))
     truth = {
         "rho_target": rho,
         "rho_train_realized": train_ratio,

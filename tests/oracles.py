@@ -387,16 +387,17 @@ def _parse_label_reference(cell, threshold, path, line_no):
 
 
 def _records_reference(reader, path):
-    """The reader's records one at a time; a csv.Error raises CsvParseError
-    at the reader's line, and an undecodable byte at the line of the
-    file's first one."""
+    """The reader's records one at a time, each with the line it starts on;
+    a csv.Error raises CsvParseError at the line its record starts on, and
+    an undecodable byte at the line of the file's first one."""
     while True:
+        line_no = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            raise CsvParseError(path, reader.line_num, str(exc))
+            raise CsvParseError(path, line_no, str(exc))
         except UnicodeDecodeError:
             raw = Path(path).read_bytes()
             try:
@@ -406,7 +407,7 @@ def _records_reference(reader, path):
                     path, raw[:exc.start].count(b"\n") + 1,
                     f"byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})")
             raise
-        yield row
+        yield line_no, row
 
 
 def ingest_csv_reference(path, schema, index=None, split_tag="train"):
@@ -420,14 +421,14 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = _records_reference(csv.reader(fh), path)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise CsvParseError(path, 1, "empty file")
         if header != expected_header:
             raise CsvParseError(
                 path, 1, f"header {header!r} does not match declared fields {expected_header!r}"
             )
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in reader:
             if len(row) != len(expected_header):
                 raise CsvParseError(
                     path, line_no,

@@ -116,6 +116,22 @@ class TestSynth:
         raw = hashlib.sha256((data / "train.csv").read_bytes()).hexdigest()
         assert digest == raw
 
+    @pytest.mark.parametrize("flags, group, ratio", [
+        # preferences so strong that no offset in the bisection bounds
+        # brings g0's clicks down to its ratio
+        (["--pref-scale", "1000", "--users", "20", "--items", "10"], "g0", 0.1),
+        # one exposure in all: g1 has no training row to calibrate on
+        (["--users", "1", "--items", "2", "--exposures-per-user", "1",
+          "--unbiased-val-per-user", "0", "--unbiased-test-per-user", "0"], "g1", 0.9),
+    ])
+    def test_calibration_failure_exits_3_before_any_output(self, tmp_path, capsys,
+                                                            flags, group, ratio):
+        out = tmp_path / "data"
+        assert main(["synth", *flags, "--groups", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical error: cannot calibrate group {group!r} to positive ratio {ratio}\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_and_report(self, corpus):
@@ -843,7 +859,7 @@ class TestPipeline:
         ["--unbiased-test-per-user", "0"],
         ["--item-offset-scale", "nan"], ["--temp-high", "inf"],
         ["--lr", "nan"], ["--l2", "inf"], ["--rho-min", "nan"],
-        ["--pref-scale", "nan"], ["--pref-dim", "0"],
+        ["--pref-scale", "nan"], ["--pref-dim", "0"], ["--groups", "-1"],
     ])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
         out = tmp_path / "run"

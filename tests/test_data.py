@@ -746,12 +746,29 @@ ERROR_CASES = {
     "long line then short line": HEADER + "u,i,1,0,x,p,q\nu,i,1,1,x\n",
     "short line between good and long lines": HEADER
         + "u,i,1,0,x,p\nu,i,1,1\nu,i,1,2,x,p,q,r\n",
-    # records the csv module reads after quote-free ones; lines count records
+    # records the csv module reads after quote-free ones; a record counts
+    # from the physical line it starts on
     "error after a multi-line quoted record": HEADER
         + 'u,i,1,0,x,p\n"u\nv",i,1,1,x,p\nu,i,1,t,x,p\n',
+    "label after a record over two lines": HEADER + '"u\nv",i,1,0,x,p\nu,i,x,1,x,p\n',
+    "field over the size limit after a record over two lines": HEADER
+        + '"u\nv",i,1,0,x,p\nu,i,1,1,' + "x" * (csv.field_size_limit() + 1) + ",p\n",
+    "field over the size limit in a record over two lines": HEADER
+        + '"u\nv",i,1,0,' + "x" * (csv.field_size_limit() + 1) + ",p\n",
+    # the data start after the header's last line
+    "label after a header over two lines": 'user_id,item_id,label,timestamp,"a\nb",g\n'
+        + "u,i,x,0,x,p\n",
     "blank line": HEADER + "u,i,1,0,x,p\n\nu,i,1,1,x,p\n",
     "error after CRLF lines": HEADER + "u,i,1,0,x,p\nu,i,1,1,x,p\r\nu,i,1,t,x,p\r\n",
     "error after a lone CR": HEADER + "u,i,1,0,x,p\nu,i,1,1,x,p\ru,i,1,t,x,p\n",
+}
+# the line of the file each error over a multi-line record or header names
+ERROR_LINES = {
+    "error after a multi-line quoted record": 5,
+    "label after a record over two lines": 4,
+    "field over the size limit after a record over two lines": 4,
+    "field over the size limit in a record over two lines": 2,
+    "label after a header over two lines": 3,
 }
 
 
@@ -759,12 +776,15 @@ ERROR_CASES = {
 @pytest.mark.parametrize("threshold", [None, 0.5])
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, block):
-    schema = FieldSchema(fields=(("a", 3), ("g", 2)), bias_field="g",
+    first = "a\nb" if "header over two lines" in case else "a"
+    schema = FieldSchema(fields=((first, 3), ("g", 2)), bias_field="g",
                          label_threshold=threshold)
     path = tmp_path / "bad.csv"
     path.write_text(ERROR_CASES[case])
     want = outcome(ingest_csv_reference, path, schema, FeatureIndex(schema))
     assert isinstance(want, tuple), "every case is malformed"
+    if case in ERROR_LINES:
+        assert f"{path}:{ERROR_LINES[case]}: " in want[1]
     monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
     assert outcome(ingest_csv, path, schema, FeatureIndex(schema)) == want
 

@@ -410,13 +410,28 @@ class TestParamsBasics:
         with pytest.raises(ConfigError):
             ModelParams("fm", 0.0, np.zeros((3, 1)), np.zeros((3, 2)))
 
-    def test_copy_is_deep_for_arrays(self, rng):
-        params = random_params(rng, 6, 2, arch="nfm")
+    @pytest.mark.parametrize("arch, part", [
+        *(("fm", part) for part in ("w", "V", "w0", "provenance")),
+        *(("nfm", part) for part in ("w", "V", "w0", "provenance", "mlp.W1",
+                                     "mlp.b1", "mlp.w_out", "mlp.b_out")),
+    ])
+    def test_copy_is_deep_for_arrays(self, rng, arch, part):
+        params = random_params(rng, 6, 2, arch=arch)
+        params.provenance = {"created_by": "train", "history": [1, 2]}
+        source = serialize(params)
         dup = params.copy()
-        dup.w[0] += 1.0
-        dup.mlp.W1[0, 0] += 1.0
-        assert params.w[0] != dup.w[0]
-        assert params.mlp.W1[0, 0] != dup.mlp.W1[0, 0]
+        assert serialize(dup) == source
+        owner, _, name = part.rpartition(".")
+        owner = dup.mlp if owner else dup
+        value = getattr(owner, name)
+        if isinstance(value, np.ndarray):
+            value += 1.0
+        elif isinstance(value, dict):
+            value["history"].append(3)
+        else:
+            setattr(owner, name, value + 1.0)
+        assert serialize(dup) != source
+        assert serialize(params) == source
 
 
 class TestSerialization:
