@@ -16,19 +16,20 @@ the label table over the global feature index and each id vocabulary once,
 with csv.writer, and writes a block of CSV_BLOCK_ROWS rows as one ','- and
 '\\n'-joined string. `ingest_csv` reads blocks of CSV_BLOCK_ROWS lines and
 converts each from one layout: the block's UTF-8 bytes in a numpy array and
-the start and end offset of every cell. A block without '"', '\\r' or NUL
-whose every line holds exactly one comma fewer than the header's columns,
-no field longer than csv.field_size_limit(), is cut at the ',' and '\\n'
-bytes one scan finds, which is exactly where the csv module would cut it.
-Any other block, and the rest of the file after it, goes through
-csv.reader, and its cells are laid out the same way. Id and category cells
+the start and end offset of every cell. A UTF-8 block without '"', '\\r'
+or NUL whose every line holds exactly one comma fewer than the header's
+columns, no field longer than csv.field_size_limit(), is cut at the ','
+and '\\n' bytes one scan finds, which is exactly where the csv module
+would cut it. Any other block, and the rest of the file after it, goes
+through csv.reader a line at a time, and its cells are laid out the same
+way. Id and category cells
 are byte keys, matched a column at a time against sorted tables built once
 per file; only an unseen key goes through Python, once. Ids are coded in
 id order once the file is read. Timestamps of digits and 0/1 labels parse
 from their bytes; other timestamps, labels under a threshold and cells
 holding a '|' go cell by cell. A malformed file raises the error a row
-loop would meet first: the earliest bad record, and within it the column
-count, the timestamp, the label, then the cells in field order.
+loop would meet first: the earliest bad record, and within it its bytes
+and column count, the timestamp, the label, then the cells in field order.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -51,6 +53,7 @@ FIELD_SUM_TOL = 1e-12
 RESERVED_COLUMNS = ("user_id", "item_id", "label", "timestamp")
 CSV_BLOCK_ROWS = 16384  # rows per block when reading or writing CSV
 _INT64 = np.iinfo(np.int64)
+_SURROGATE = re.compile("[\ud800-\udfff]").search  # a str holding one has no UTF-8 form
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,8 @@ class FieldSchema:
         for name, card in self.fields:
             if not isinstance(name, str):
                 raise ConfigError(f"field name {name!r} is not a string")
+            if _SURROGATE(name):
+                raise ConfigError(f"field name {name!r} cannot be written as UTF-8")
             if not isinstance(card, int) or isinstance(card, bool) or card < 1:
                 raise ConfigError(f"field {name!r} has invalid cardinality {card!r}")
         if self.n > _INT64.max:
@@ -102,10 +107,10 @@ class FieldSchema:
                     f"field {name!r}: {len(cats)} categories exceed cardinality {by_name[name]}"
                 )
             for cat in cats:
-                if not isinstance(cat, str) or not cat or "|" in cat:
+                if not isinstance(cat, str) or not cat or "|" in cat or _SURROGATE(cat):
                     raise ConfigError(
                         f"field {name!r}: category {cat!r} cannot round-trip through "
-                        "CSV; categories must be non-empty strings without '|'"
+                        "CSV; categories must be non-empty UTF-8 strings without '|'"
                     )
             if len(set(cats)) != len(cats):
                 raise ConfigError(f"duplicate categories for field {name!r}")
@@ -444,12 +449,21 @@ def _cell_column(table, quoted, idx, member) -> list[str]:
     return _quoted(["|".join(labels[s:e]) for s, e in zip([0] + ends[:-1], ends)])
 
 
+def _utf8_lines(lines):
+    """The lines, read with errors="surrogateescape"; at the first that
+    holds a byte that is not UTF-8, the decoder's UnicodeDecodeError."""
+    for line in lines:
+        if not line.isascii():
+            line.encode(errors="surrogateescape").decode()
+        yield line
+
+
 def _take_rows(reader, n, path, lines_before=0):
-    """Up to n records, the line of the file each starts on, and the
-    CsvParseError that stopped reading early (or None); a csv.Error names
-    the line its record starts on. `lines_before` is the number of physical
-    lines of the file read before the reader's first line.
-    """
+    """Up to n records of a csv.reader over _utf8_lines, the line each
+    starts on, and the CsvParseError that stopped reading early (or None):
+    a csv.Error names the line its record starts on, a byte that is not
+    UTF-8 its own. `lines_before` counts the file's lines before the
+    reader's first."""
     rows: list[list[str]] = []
     lines: list[int] = []
     start = lines_before + reader.line_num + 1
@@ -458,24 +472,13 @@ def _take_rows(reader, n, path, lines_before=0):
             rows.append(row)
             lines.append(start)
             start = lines_before + reader.line_num + 1
-    except UnicodeDecodeError as exc:
-        raw = Path(path).read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as whole:  # offsets into the file, not a read chunk
-            exc = whole
+    except UnicodeDecodeError as exc:  # line_num counts the lines before it
         return rows, lines, CsvParseError(
-            path, raw.count(b"\n", 0, exc.start) + 1,
+            path, lines_before + reader.line_num + 1,
             f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})")
     except csv.Error as exc:
         return rows, lines, CsvParseError(path, start, str(exc))
     return rows, lines, None
-
-
-def _raising(exc):
-    """An iterator that raises exc at its first item."""
-    raise exc
-    yield  # pragma: no cover - makes this a generator
 
 
 # A block's token layout is (buf, starts, ends): its cells' UTF-8 bytes in one
@@ -497,14 +500,18 @@ def _line_tokens(lines, width):
     Exact where no line holds '"', '\\r' or NUL, every line holds width - 1
     commas and no field is longer than csv.field_size_limit(): the csv
     module then cuts each line at its commas, drops its final '\\n', and
-    rejects no field. An empty block goes to the csv module too.
+    rejects no field. An empty block, or one with a byte that is not UTF-8
+    (the strict encode fails), goes to the csv module too.
     """
     text = "".join(lines)
     if not text or '"' in text or "\r" in text or "\0" in text:
         return None
     if not text.endswith("\n"):
         text += "\n"
-    buf = _padded(text.encode())
+    try:
+        buf = _padded(text.encode())
+    except UnicodeEncodeError:
+        return None
     seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     if len(seps) != len(lines) * width:
         return None
@@ -517,10 +524,11 @@ def _line_tokens(lines, width):
     return buf, starts, ends
 
 
-def _record_tokens(rows, width, lines, path):
+def _record_tokens(rows, width, lines, path, failure):
     """The token layout of the csv.reader records before the first whose
-    column count is not width, and that record's failure (or None)."""
-    failure = None
+    column count is not width, and the failure of the record after them:
+    that count, the reader's `failure` that ended the rows, or None."""
+    failure = None if failure is None else (len(rows), 0, failure)
     if set(map(len, rows)) - {width}:
         bad = next(i for i, row in enumerate(rows) if len(row) != width)
         failure = (bad, 0, CsvParseError(
@@ -618,8 +626,7 @@ class _Keys:
 
 def _field_keys(index, name):
     """The _Keys of a field's categories in `index`; unseen ones are added
-    to the index. A category that is no valid UTF-8 (a lone surrogate)
-    keeps bytes that no cell can match."""
+    to the index."""
     seen = index._maps[name]
     offset = index.schema.offset(name)
 
@@ -632,8 +639,7 @@ def _field_keys(index, name):
             return codes, exc
         return codes, None
 
-    return _Keys(assign, [category.encode("utf-8", "surrogatepass") for category in seen],
-                 list(seen.values()))
+    return _Keys(assign, [category.encode() for category in seen], list(seen.values()))
 
 
 class _Ids(list):
@@ -668,8 +674,8 @@ def _parse_block(tokens, lines, schema, keys, path, failure=None):
     the checks within a row (column count, timestamp, label, then per field
     in declaration order: an empty cell or a duplicate category, then
     overflow), and the (row, rank)-smallest failure is raised, as a row
-    loop would. `failure` is the column-count failure of the record just
-    after the given rows, if there is one.
+    loop would. `failure` is the failure of the record just after the
+    given rows (its column count, or the reader's error), if there is one.
 
     Returns (indices, values, timestamps, labels, user codes, item codes).
     """
@@ -788,16 +794,17 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     ingesting several files so category assignment stays consistent; the
     Dataset keeps the index, which must be built over `schema`.
 
-    The file is read as UTF-8, after an optional byte-order mark, in blocks
-    of CSV_BLOCK_ROWS lines, never whole. A block with no '"', '\\r' or NUL,
-    whose every line holds one comma fewer than the header has columns and
-    whose every field is at most csv.field_size_limit() bytes, is one
-    record per line, cut at the ',' and '\\n' bytes that one numpy scan
-    finds: the csv dialect quotes with '"' and ends records at '\\r' or
-    '\\n' only, so it cuts such lines at the same places. The first block
-    that fails this test, and the rest of the file, are read by csv.reader
-    in blocks of CSV_BLOCK_ROWS records, whose cells are laid out in the
-    same form.
+    The file is read once as UTF-8, after an optional byte-order mark, in
+    blocks of CSV_BLOCK_ROWS lines, never whole; bad bytes are escaped, so
+    the text layer's lines are the one line count. A UTF-8 block with no
+    '"', '\\r' or NUL, whose every line holds one comma fewer than the
+    header has columns and whose every field is at most
+    csv.field_size_limit() bytes, is one record per line, cut at the ','
+    and '\\n' bytes that one numpy scan finds: the csv dialect quotes with
+    '"' and ends records at '\\r' or '\\n' only, so it cuts such lines at
+    the same places. The first block that fails this test, and the rest
+    of the file, are read by csv.reader, which meets a bad byte at its
+    line, in blocks of CSV_BLOCK_ROWS records laid out in the same form.
 
     Each block is then converted column by column from its bytes. Id and
     category cells are byte keys, matched with one argsort and
@@ -813,17 +820,15 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     ids are sorted and coded in that order.
 
     Errors: the first bad record in file order raises, named by the
-    physical line of the file it starts on (a csv.Error too); within a
-    record the column count is checked first, then the timestamp, the
-    label, and the cells in field order (empty, then duplicate, then
-    overflow).
+    physical line of the file it starts on (a csv.Error too; a byte that
+    is not UTF-8 by its own line); within a record its bytes and column
+    count are checked first, then the timestamp, the label, and the cells
+    in field order (empty, then duplicate, then overflow).
     Malformed records (a timestamp that is not an integer or lies outside
     int64, and under a label threshold a label that is not a number or is
     NaN, among them) and undecodable bytes raise CsvParseError with the
     line number, a non-binary label LabelError, and an overflowing
-    vocabulary SchemaError. A byte that is not UTF-8 raises as soon as
-    the text layer decodes it, which may be before the records just ahead
-    of it are checked. An index over another schema raises ConfigError
+    vocabulary SchemaError. An index over another schema raises ConfigError
     before the file is read. The state of a shared FeatureIndex after an
     error is unspecified: it may hold categories of any record in the
     failing block.
@@ -839,8 +844,8 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     ids = (_Ids(), _Ids())
     keys = [_Keys(ids[0].add), _Keys(ids[1].add)]
     keys += [_field_keys(index, name) for name in schema.field_names]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        reader = csv.reader(_utf8_lines(fh))
         header, _, failure = _take_rows(reader, 1, path)
         if failure is not None:
             raise failure
@@ -853,26 +858,19 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
         lines_read = reader.line_num  # physical lines before the next block
         records = None  # the csv module reads the rest once a block needs it
         while True:
-            failure = count_failure = None
+            failure = None
             if records is None:
-                lines: list[str] = []
-                rest = fh
-                try:
-                    lines.extend(islice(fh, CSV_BLOCK_ROWS))
-                except UnicodeDecodeError as exc:
-                    rest = _raising(exc)  # raised again after the lines before it
-                tokens = _line_tokens(lines, width) if rest is fh else None
+                lines = list(islice(fh, CSV_BLOCK_ROWS))
+                tokens = _line_tokens(lines, width)
                 if tokens is None:
-                    records = csv.reader(chain(lines, rest))
+                    records = csv.reader(_utf8_lines(chain(lines, fh)))
                 else:  # one record per line
                     starts = range(lines_read + 1, lines_read + 1 + len(lines))
                     lines_read += len(lines)
             if records is not None:
                 rows, starts, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
-                tokens, count_failure = _record_tokens(rows, width, starts, path)
-            blocks.append(_parse_block(tokens, starts, schema, keys, path, count_failure))
-            if failure is not None:
-                raise failure
+                tokens, failure = _record_tokens(rows, width, starts, path, failure)
+            blocks.append(_parse_block(tokens, starts, schema, keys, path, failure))
             if len(tokens[1]) < CSV_BLOCK_ROWS:
                 break
     indices, values, stamps, labels, users, items = zip(*blocks)

@@ -9,6 +9,7 @@ code can be checked against an independently derived answer. Arithmetic mirrors 
 accumulation order so exact comparisons are meaningful.
 """
 
+import codecs
 import csv
 import math
 from pathlib import Path
@@ -386,10 +387,24 @@ def _parse_label_reference(cell, threshold, path, line_no):
     )
 
 
-def _records_reference(reader, path):
-    """The reader's records one at a time, each with the line it starts on;
-    a csv.Error raises CsvParseError at the line its record starts on, and
-    an undecodable byte at the line of the file's first one."""
+def _lines_reference(path):
+    """The file's physical lines, split on the bytes at '\\n', '\\r\\n' and a
+    lone '\\r' after a leading byte-order mark, each decoded on its own when
+    it is reached; a byte that is not UTF-8 raises CsvParseError at its line."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    for line_no, line in enumerate(raw.splitlines(keepends=True), 1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(
+                path, line_no, f"byte {line[exc.start]:#04x} is not UTF-8 ({exc.reason})")
+        yield text
+
+
+def _records_reference(path):
+    """The file's records one at a time, each with the line it starts on;
+    a csv.Error raises CsvParseError at the line its record starts on."""
+    reader = csv.reader(_lines_reference(path))
     while True:
         line_no = reader.line_num + 1
         try:
@@ -398,15 +413,6 @@ def _records_reference(reader, path):
             return
         except csv.Error as exc:
             raise CsvParseError(path, line_no, str(exc))
-        except UnicodeDecodeError:
-            raw = Path(path).read_bytes()
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CsvParseError(
-                    path, raw[:exc.start].count(b"\n") + 1,
-                    f"byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})")
-            raise
         yield line_no, row
 
 
@@ -418,49 +424,48 @@ def ingest_csv_reference(path, schema, index=None, split_tag="train"):
     expected_header = list(RESERVED_COLUMNS) + list(schema.field_names)
     samples_idx, samples_val = [], []
     labels, users, items, stamps = [], [], [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = _records_reference(csv.reader(fh), path)
-        try:
-            _, header = next(reader)
-        except StopIteration:
-            raise CsvParseError(path, 1, "empty file")
-        if header != expected_header:
+    reader = _records_reference(path)
+    try:
+        _, header = next(reader)
+    except StopIteration:
+        raise CsvParseError(path, 1, "empty file")
+    if header != expected_header:
+        raise CsvParseError(
+            path, 1, f"header {header!r} does not match declared fields {expected_header!r}"
+        )
+    for line_no, row in reader:
+        if len(row) != len(expected_header):
             raise CsvParseError(
-                path, 1, f"header {header!r} does not match declared fields {expected_header!r}"
+                path, line_no,
+                f"expected {len(expected_header)} columns, got {len(row)}",
             )
-        for line_no, row in reader:
-            if len(row) != len(expected_header):
-                raise CsvParseError(
-                    path, line_no,
-                    f"expected {len(expected_header)} columns, got {len(row)}",
-                )
-            user, item, label_cell, ts_cell = row[:4]
-            try:
-                ts = int(ts_cell)
-            except ValueError:
-                raise CsvParseError(path, line_no, f"non-integer timestamp {ts_cell!r}")
-            if not -2 ** 63 <= ts < 2 ** 63:
-                raise CsvParseError(
-                    path, line_no, f"timestamp {ts_cell!r} is outside the int64 range")
-            label = _parse_label_reference(label_cell, schema.label_threshold, path, line_no)
-            idx_list, val_list = [], []
-            for cell, (fname, _) in zip(row[4:], schema.fields):
-                parts = cell.split("|") if cell else []
-                if not parts:
-                    raise CsvParseError(path, line_no, f"empty cell for field {fname!r}")
-                if len(set(parts)) != len(parts):
-                    raise CsvParseError(path, line_no, f"duplicate category in field {fname!r}")
-                v = 1.0 / len(parts)
-                for cat in parts:
-                    idx_list.append(index.index_of(fname, cat, create=True))
-                    val_list.append(v)
-            order = np.argsort(idx_list)
-            samples_idx.append(np.asarray(idx_list, dtype=np.int64)[order])
-            samples_val.append(np.asarray(val_list, dtype=np.float64)[order])
-            labels.append(label)
-            users.append(user)
-            items.append(item)
-            stamps.append(ts)
+        user, item, label_cell, ts_cell = row[:4]
+        try:
+            ts = int(ts_cell)
+        except ValueError:
+            raise CsvParseError(path, line_no, f"non-integer timestamp {ts_cell!r}")
+        if not -2 ** 63 <= ts < 2 ** 63:
+            raise CsvParseError(
+                path, line_no, f"timestamp {ts_cell!r} is outside the int64 range")
+        label = _parse_label_reference(label_cell, schema.label_threshold, path, line_no)
+        idx_list, val_list = [], []
+        for cell, (fname, _) in zip(row[4:], schema.fields):
+            parts = cell.split("|") if cell else []
+            if not parts:
+                raise CsvParseError(path, line_no, f"empty cell for field {fname!r}")
+            if len(set(parts)) != len(parts):
+                raise CsvParseError(path, line_no, f"duplicate category in field {fname!r}")
+            v = 1.0 / len(parts)
+            for cat in parts:
+                idx_list.append(index.index_of(fname, cat, create=True))
+                val_list.append(v)
+        order = np.argsort(idx_list)
+        samples_idx.append(np.asarray(idx_list, dtype=np.int64)[order])
+        samples_val.append(np.asarray(val_list, dtype=np.float64)[order])
+        labels.append(label)
+        users.append(user)
+        items.append(item)
+        stamps.append(ts)
     n = len(labels)
     width = max((len(a) for a in samples_idx), default=0)
     indices = np.zeros((n, width), dtype=np.int64)

@@ -173,17 +173,22 @@ class TestTrain:
         ("field.cardinality", 60.7, "field 'user' has invalid cardinality 60.7"),
         ("field.cardinality", True, "field 'user' has invalid cardinality True"),
         ("field.name", ["user"], "field name ['user'] is not a string"),
+        ("field.name", "\udcff", "field name '\\udcff' cannot be written as UTF-8"),
         ("bias_field", ["group"], "bias field ['group'] is not a declared field"),
         ("categories", ["x"], "schema categories must be an object of string arrays"),
         ("categories", {"user": 5},
          "schema categories must be an object of string arrays"),
         ("categories", {"group": "g0"},
          "schema categories must be an object of string arrays"),
+        ("categories", {"group": ["\udcff", "b"]},
+         "field 'group': category '\\udcff' cannot round-trip through CSV; "
+         "categories must be non-empty UTF-8 strings without '|'"),
         ("categoires", {}, "unknown schema key 'categoires'"),
         ("field.cardinalty", 60, "unknown schema key 'cardinalty'"),
     ], ids=["threshold-text", "threshold-nan", "cardinality-text",
-            "cardinality-float", "cardinality-bool", "name-list", "bias-field-list",
-            "categories-list", "categories-number", "categories-string",
+            "cardinality-float", "cardinality-bool", "name-list", "name-surrogate",
+            "bias-field-list", "categories-list", "categories-number",
+            "categories-string", "categories-surrogate",
             "unknown-key", "unknown-field-key"])
     def test_malformed_schema_exits_2_with_one_line(self, corpus, tmp_path, capsys,
                                                     key, value, message):

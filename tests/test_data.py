@@ -52,7 +52,7 @@ class TestFieldSchema:
             FieldSchema(fields=(("a", 2),), bias_field="a",
                         categories={"a": ("x", "x")})
 
-    @pytest.mark.parametrize("bad", ["a|b", "|", "", 1, None])
+    @pytest.mark.parametrize("bad", ["a|b", "|", "", 1, None, "\udcff"])
     def test_rejects_categories_that_cannot_round_trip_csv(self, bad):
         with pytest.raises(ConfigError, match="round-trip"):
             FieldSchema(fields=(("a", 3),), bias_field="a",
@@ -701,6 +701,7 @@ class TestColumnarCsvAgainstRowLoops:
 
 
 HEADER = "user_id,item_id,label,timestamp,a,g\n"
+BAD = "\udcff"  # the byte 0xff, which is not UTF-8, as errors="surrogateescape" reads it
 ERROR_CASES = {
     "empty file": "",
     "wrong header": "user_id,item_id,label,timestamp,g,a\n",
@@ -761,6 +762,14 @@ ERROR_CASES = {
     "blank line": HEADER + "u,i,1,0,x,p\n\nu,i,1,1,x,p\n",
     "error after CRLF lines": HEADER + "u,i,1,0,x,p\nu,i,1,1,x,p\r\nu,i,1,t,x,p\r\n",
     "error after a lone CR": HEADER + "u,i,1,0,x,p\nu,i,1,1,x,p\ru,i,1,t,x,p\n",
+    # a byte that is not UTF-8 is named at its own line, ranked in file order
+    "label after two lone-CR records": HEADER + "u,i,1,0,x,p\ru,i,1,1,x,p\ru,i,x,2,x,p\n",
+    "0xff after two lone-CR records": HEADER
+        + "u,i,1,0,x,p\ru,i,1,1,x,p\ru,i,1,2,x" + BAD + ",p\n",
+    "label before 0xff": HEADER + "u,i,x,0,x,p\nu,i,1,1,x" + BAD + ",p\n",
+    "0xff on the second line of a record": HEADER + 'u,i,1,0,x,p\n"u\nv' + BAD
+        + '",i,1,1,x,p\n',
+    "0xff in the header": "user_id,item_id,label,timestamp,a" + BAD + ",g\nu,i,1,0,x,p\n",
 }
 # the line of the file each error over a multi-line record or header names
 ERROR_LINES = {
@@ -769,7 +778,15 @@ ERROR_LINES = {
     "field over the size limit after a record over two lines": 4,
     "field over the size limit in a record over two lines": 2,
     "label after a header over two lines": 3,
+    "label after two lone-CR records": 4,
+    "0xff after two lone-CR records": 4,
+    "label before 0xff": 2,
+    "0xff on the second line of a record": 4,
+    "0xff in the header": 1,
 }
+for _case in list(ERROR_LINES):  # each again with every line ended by a lone CR
+    ERROR_CASES[f"{_case}, lone CR"] = ERROR_CASES[_case].replace("\n", "\r")
+    ERROR_LINES[f"{_case}, lone CR"] = ERROR_LINES[_case]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])
@@ -777,10 +794,12 @@ ERROR_LINES = {
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, block):
     first = "a\nb" if "header over two lines" in case else "a"
+    if "lone CR" in case:
+        first = first.replace("\n", "\r")
     schema = FieldSchema(fields=((first, 3), ("g", 2)), bias_field="g",
                          label_threshold=threshold)
     path = tmp_path / "bad.csv"
-    path.write_text(ERROR_CASES[case])
+    path.write_bytes(ERROR_CASES[case].encode("utf-8", "surrogateescape"))
     want = outcome(ingest_csv_reference, path, schema, FeatureIndex(schema))
     assert isinstance(want, tuple), "every case is malformed"
     if case in ERROR_LINES:
@@ -863,3 +882,41 @@ def test_hand_over_at_the_field_size_limit(tmp_path, monkeypatch, field_limit_25
     else:
         assert want == (CsvParseError, f"{path}:6: {error}")
 
+
+
+# --- seeded random logs of mixed line ends and bad bytes against the row loop
+
+LINE_ENDS = [b"\n", b"\r", b"\r\n"]
+NOT_UTF8 = [b"\xff", b"\xe2\x82", b"\xed\xb2\x80"]  # bad start, truncated, a surrogate
+
+
+def random_log(rng):
+    """A header and up to 11 records, each line ended by LF, CR or CRLF:
+    most valid, some with a quoted id over two lines, a byte that is not
+    UTF-8 in any cell, or a bad label; the last line end may be missing."""
+    out = [b"user_id,item_id,label,timestamp,a,g" + LINE_ENDS[rng.integers(3)]]
+    for k in range(rng.integers(12)):
+        cells = [b"u%d" % rng.integers(3), b"i%d\xc3\xa9" % k, b"%d" % rng.integers(2),
+                 b"%d" % k, b"x%d" % rng.integers(4), b"p"]
+        roll, col = rng.random(), rng.integers(6)
+        if roll < 0.15:
+            cells[col % 2] = b'"%s%sv"' % (cells[col % 2], LINE_ENDS[rng.integers(3)])
+        elif roll < 0.22:
+            cells[col] += NOT_UTF8[rng.integers(3)]
+        elif roll < 0.26:
+            cells[2] = b"x"
+        out.append(b",".join(cells) + LINE_ENDS[rng.integers(3)])
+    if rng.random() < 0.2:
+        out[-1] = out[-1].rstrip(b"\r\n")
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_byte_logs_equal_row_loop(tmp_path, monkeypatch, seed):
+    path = tmp_path / "log.csv"
+    path.write_bytes(random_log(np.random.default_rng(seed)))
+    schema = HAND_OVER_SCHEMA
+    want = outcome(ingest_csv_reference, path, schema, FeatureIndex(schema))
+    for block in (1, 3, data.CSV_BLOCK_ROWS):
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
+        assert_same_outcome(outcome(ingest_csv, path, schema, FeatureIndex(schema)), want)
