@@ -22,14 +22,14 @@ columns, no field longer than csv.field_size_limit(), is cut at the ','
 and '\\n' bytes one scan finds, which is exactly where the csv module
 would cut it. Any other block, and the rest of the file after it, goes
 through csv.reader a line at a time, and its cells are laid out the same
-way. Id and category cells
-are byte keys, matched a column at a time against sorted tables built once
-per file; only an unseen key goes through Python, once. Ids are coded in
-id order once the file is read. Timestamps of digits and 0/1 labels parse
-from their bytes; other timestamps, labels under a threshold and cells
-holding a '|' go cell by cell. A malformed file raises the error a row
-loop would meet first: the earliest bad record, and within it its bytes
-and column count, the timestamp, the label, then the cells in field order.
+way. Id and category cells are byte keys, matched a column at a time
+against sorted tables built once per file; only an unseen key goes through
+Python, once. Ids are coded in id order once the file is read. Timestamps
+of digits and 0/1 labels parse from their bytes; other timestamps, labels
+under a threshold and cells holding a '|' go cell by cell. A malformed
+file raises the error a row loop would meet first: the earliest bad
+record, and within it its bytes and column count, the timestamp, the
+label, then the cells in field order.
 """
 
 from __future__ import annotations
