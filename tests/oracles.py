@@ -388,9 +388,9 @@ def _parse_label_reference(cell, threshold, path, line_no):
 
 
 def _lines_reference(path):
-    """The file's physical lines, split on the bytes at '\\n', '\\r\\n' and a
-    lone '\\r' after a leading byte-order mark, each decoded on its own when
-    it is reached; a byte that is not UTF-8 raises CsvParseError at its line."""
+    """The file's physical lines after a leading byte-order mark, split at
+    '\\n', '\\r\\n' and a lone '\\r', each decoded on its own when it is
+    reached; a byte that is not UTF-8 raises CsvParseError at its line."""
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     for line_no, line in enumerate(raw.splitlines(keepends=True), 1):
         try:

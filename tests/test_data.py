@@ -771,7 +771,8 @@ ERROR_CASES = {
         + '",i,1,1,x,p\n',
     "0xff in the header": "user_id,item_id,label,timestamp,a" + BAD + ",g\nu,i,1,0,x,p\n",
 }
-# the line of the file each error over a multi-line record or header names
+# the line of the file each error over a multi-line record or header, or at
+# a byte that is not UTF-8, names
 ERROR_LINES = {
     "error after a multi-line quoted record": 5,
     "label after a record over two lines": 4,
