@@ -11,25 +11,25 @@ A Dataset stores no per-row strings. Its user and item ids are int32 codes
 into sorted vocabularies of the distinct ids, so sorting codes sorts the
 ids, and every ranking and tie break reads codes only.
 
-CSV I/O works column by column, never row by row. `Dataset.to_csv` quotes
-the label table over the global feature index and each id vocabulary once,
-with csv.writer, and writes a block of CSV_BLOCK_ROWS rows as one ','- and
-'\\n'-joined string. `ingest_csv` reads blocks of CSV_BLOCK_ROWS lines and
-converts each from one layout: the block's UTF-8 bytes in a numpy array and
-the start and end offset of every cell. A UTF-8 block without '"', '\\r'
-or NUL whose every line holds exactly one comma fewer than the header's
-columns, no field longer than csv.field_size_limit(), is cut at the ','
-and '\\n' bytes one scan finds, which is exactly where the csv module
-would cut it. Any other block, and the rest of the file after it, goes
-through csv.reader a line at a time, and its cells are laid out the same
-way. Id and category cells are byte keys, matched a column at a time
-against sorted tables built once per file; only an unseen key goes through
-Python, once. Ids are coded in id order once the file is read. Timestamps
-of digits and 0/1 labels parse from their bytes; other timestamps, labels
-under a threshold and cells holding a '|' go cell by cell. A malformed
-file raises the error a row loop would meet first: the earliest bad
-record, and within it its bytes and column count, the timestamp, the
-label, then the cells in field order.
+CSV I/O works column by column, never row by row, in one dialect: every CSV
+written is cells quoted by `quote_cells`, joined with ',' and '\\n'.
+`Dataset.to_csv` quotes the label table over the global feature index and
+each id vocabulary once, and writes CSV_BLOCK_ROWS rows as one string.
+`ingest_csv` reads blocks of CSV_BLOCK_ROWS lines and converts each from one
+layout: the block's UTF-8 bytes in a numpy array and the start and end
+offset of every cell. A UTF-8 block without '"' or NUL whose every line
+holds one comma fewer than the header's columns, no field longer than
+csv.field_size_limit(), is cut at the commas and line ends ('\\n', '\\r\\n'
+or a lone '\\r') one scan finds, where the csv module would cut it. Any
+other block, and the rest of the file, goes through csv.reader a line at a
+time, its cells laid out the same way. Id and category cells are byte keys,
+matched a column at a time against sorted tables built once per file; only
+an unseen key goes through Python, once. Ids are coded in id order once the
+file is read. Timestamps of digits and 0/1 labels parse from their bytes;
+other timestamps, labels under a threshold and cells holding a '|' go cell
+by cell. A malformed file raises the error a row loop would meet first: the
+earliest bad record, and within it its bytes and column count, the
+timestamp, the label, then the cells in field order.
 """
 
 from __future__ import annotations
@@ -388,21 +388,21 @@ class Dataset:
         entry in the field; otherwise each row's labels are '|'-joined in
         column order and the joined cell is quoted. Each vocabulary entry
         is quoted once, and the id cells are a take by code. All quoting is
-        csv.writer's, so the bytes are those of writing row by row, except
-        that a cell or header name holding a lone '\\r' is quoted on every
-        Python, so that ingest_csv reads it back.
+        quote_cells', so the bytes are those of csv.writer writing row by
+        row, except that a cell or header name holding a lone '\\r' is
+        quoted on every Python, so that ingest_csv reads it back.
         """
         schema = self.schema
         table = [label for name in schema.field_names
                  for label in self.index.labels(name)]
-        quoted = np.array(_quoted(table), dtype=object)
+        quoted = np.array(quote_cells(table), dtype=object)
         table = np.array(table, dtype=object)
-        users, items = (np.array(_quoted(vocab.tolist()), dtype=object)
+        users, items = (np.array(quote_cells(vocab.tolist()), dtype=object)
                         for vocab in (self.user_vocab, self.item_vocab))
         bounds = schema.boundaries
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(_quoted(list(RESERVED_COLUMNS)
-                                      + list(schema.field_names))) + "\n")
+            fh.write(",".join(quote_cells(list(RESERVED_COLUMNS)
+                                          + list(schema.field_names))) + "\n")
             for lo in range(0, len(self), CSV_BLOCK_ROWS):
                 block = slice(lo, lo + CSV_BLOCK_ROWS)
                 idx = self.indices[block]
@@ -417,7 +417,7 @@ class Dataset:
                 fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
-def _quoted(values: list[str]) -> list[str]:
+def quote_cells(values: list[str]) -> list[str]:
     """Each string as csv.writer writes it inside a row of several fields.
 
     Quoting only lengthens a field, so when the writer's row of the
@@ -446,7 +446,7 @@ def _cell_column(table, quoted, idx, member) -> list[str]:
         return quoted[idx[member]].tolist()
     labels = table[idx[member]].tolist()  # row-major: rows in order
     ends = np.cumsum(counts).tolist()
-    return _quoted(["|".join(labels[s:e]) for s, e in zip([0] + ends[:-1], ends)])
+    return quote_cells(["|".join(labels[s:e]) for s, e in zip([0] + ends[:-1], ends)])
 
 
 def _utf8_lines(lines):
@@ -495,17 +495,21 @@ def _padded(raw: bytes) -> np.ndarray:
 
 def _line_tokens(lines, width):
     """The token layout of a block of physical lines cut at every ',' and
-    '\\n', or None when the csv module must read the block.
+    line end, or None when the csv module must read the block.
 
-    Exact where no line holds '"', '\\r' or NUL, every line holds width - 1
-    commas and no field is longer than csv.field_size_limit(): the csv
-    module then cuts each line at its commas, drops its final '\\n', and
-    rejects no field. An empty block, or one with a byte that is not UTF-8
-    (the strict encode fails), goes to the csv module too.
+    Exact where no line holds '"' or NUL, every line holds width - 1 commas
+    and no field is longer than csv.field_size_limit(): the csv module then
+    cuts each line at its commas, drops its line end ('\\n', '\\r\\n' or a
+    lone '\\r', the only places a '\\r' can be) and rejects no field. A
+    block that is not UTF-8 (the strict encode fails) goes to it too.
     """
     text = "".join(lines)
-    if not text or '"' in text or "\r" in text or "\0" in text:
+    if not text:  # the end of a file whose last block was full
+        return _padded(b""), *np.zeros((2, 0, width), dtype=np.int64)
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):
         text += "\n"
     try:
@@ -796,15 +800,15 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
 
     The file is read once as UTF-8, after an optional byte-order mark, in
     blocks of CSV_BLOCK_ROWS lines, never whole; bad bytes are escaped, so
-    the text layer's lines are the one line count. A UTF-8 block with no
-    '"', '\\r' or NUL, whose every line holds one comma fewer than the
-    header has columns and whose every field is at most
-    csv.field_size_limit() bytes, is one record per line, cut at the ','
-    and '\\n' bytes that one numpy scan finds: the csv dialect quotes with
-    '"' and ends records at '\\r' or '\\n' only, so it cuts such lines at
-    the same places. The first block that fails this test, and the rest
-    of the file, are read by csv.reader, which meets a bad byte at its
-    line, in blocks of CSV_BLOCK_ROWS records laid out in the same form.
+    the text layer's lines are the one line count. A UTF-8 block with no '"'
+    or NUL, whose every line holds one comma fewer than the header has
+    columns and whose every field is at most csv.field_size_limit() bytes,
+    is one record per line, cut at the commas and line ends one numpy scan
+    finds: the dialect `quote_cells` writes quotes with '"' and ends records
+    where the text layer ends lines ('\\n', '\\r\\n', a lone '\\r'), so it
+    cuts such lines at the same places. The first block that fails this
+    test, and the rest of the file, are read by csv.reader, which meets a
+    bad byte at its line, in blocks laid out alike.
 
     Each block is then converted column by column from its bytes. Id and
     category cells are byte keys, matched with one argsort and

@@ -58,13 +58,12 @@ have no rank and are rejected.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, quote_cells
 from .errors import ConfigError, MetricError
 from .numeric import to_jsonable
 
@@ -385,15 +384,13 @@ class EvalReport:
         return to_jsonable(self.__dict__)
 
     def write_group_csv(self, path) -> None:
+        rates = [["" if math.isnan(x) else repr(x) for x in column]
+                 for column in (self.group_tpr, self.group_ehr)]
+        rows = zip(quote_cells(list(self.group_labels)), map(str, self.group_exposures),
+                   map(str, self.group_positives), *rates)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["group", "exposures", "positives",
-                             f"tpr_at_{self.k}", "ehr"])
-            for label, exposures, positives, tpr, ehr in zip(
-                    self.group_labels, self.group_exposures,
-                    self.group_positives, self.group_tpr, self.group_ehr):
-                writer.writerow([label, exposures, positives, *(
-                    "" if math.isnan(x) else repr(x) for x in (tpr, ehr))])
+            fh.write(f"group,exposures,positives,tpr_at_{self.k},ehr\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:

@@ -132,17 +132,16 @@ def init_params(n: int, d: int, arch: str, seed: int, hidden: int = DEFAULT_HIDD
     rng = np.random.default_rng(seed)
     try:  # numpy refuses a table it cannot hold before allocating it
         V, w = rng.normal(0.0, 0.01, size=(n, d)), np.zeros(n)
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"cannot allocate the weight tables for n={n} "
-                          f"features of dimension d={d}: {exc}") from None
-    mlp = None
-    if arch == "nfm":
-        mlp = MlpParams(
+        mlp = None if arch != "nfm" else MlpParams(
             W1=rng.normal(0.0, np.sqrt(2.0 / d), size=(d, hidden)),
             b1=np.zeros(hidden),
             w_out=rng.normal(0.0, np.sqrt(2.0 / hidden), size=hidden),
             b_out=0.0,
         )
+    except (MemoryError, ValueError) as exc:
+        head = f" and {hidden} hidden units" if arch == "nfm" else ""
+        raise ConfigError(f"cannot allocate the weight tables for n={n} "
+                          f"features of dimension d={d}{head}: {exc}") from None
     return ModelParams(arch, 0.0, w, V, mlp, schema_digest,
                        provenance={"created_by": "init", "seed": seed})
 

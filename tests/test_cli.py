@@ -228,6 +228,20 @@ class TestTrain:
             assert err.startswith(f"error: {big}: schema declares ")
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("hidden", [2**62, 10**14])
+    def test_oversized_nfm_head_exits_2_with_one_line(self, corpus, tmp_path, capsys,
+                                                      hidden):
+        # numpy refuses a (16, hidden) table of either size without allocating
+        rc = main(["train", "--schema", str(corpus["schema"]),
+                   "--train", str(corpus["data"] / "train.csv"), "--arch", "nfm",
+                   "--hidden", str(hidden), "--out", str(tmp_path / "m.bin")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot allocate the weight tables for n=")
+        assert f"features of dimension d=16 and {hidden} hidden units: " in err
+        assert not (tmp_path / "m.bin").exists()
+
 
     def test_schema_with_a_bom_trains_the_same_model(self, corpus, tmp_path,
                                                     capsys):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import dataset, make_schema, per_row_strings, random_dataset
+from conftest import (count_calls, dataset, make_schema, per_row_strings,
+                      random_dataset)
 from ctrbias import data
 from ctrbias.data import Dataset, FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.errors import (ConfigError, CsvParseError, LabelError,
@@ -785,9 +786,11 @@ ERROR_LINES = {
     "0xff on the second line of a record": 4,
     "0xff in the header": 1,
 }
-for _case in list(ERROR_LINES):  # each again with every line ended by a lone CR
-    ERROR_CASES[f"{_case}, lone CR"] = ERROR_CASES[_case].replace("\n", "\r")
-    ERROR_LINES[f"{_case}, lone CR"] = ERROR_LINES[_case]
+LINE_END_VARIANTS = {"lone CR": "\r", "CRLF": "\r\n"}
+for _case in list(ERROR_LINES):  # each again with every line ended by a lone CR or CRLF
+    for _variant, _end in LINE_END_VARIANTS.items():
+        ERROR_CASES[f"{_case}, {_variant}"] = ERROR_CASES[_case].replace("\n", _end)
+        ERROR_LINES[f"{_case}, {_variant}"] = ERROR_LINES[_case]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])
@@ -795,8 +798,8 @@ for _case in list(ERROR_LINES):  # each again with every line ended by a lone CR
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, block):
     first = "a\nb" if "header over two lines" in case else "a"
-    if "lone CR" in case:
-        first = first.replace("\n", "\r")
+    variant = case.rpartition(", ")[2]
+    first = first.replace("\n", LINE_END_VARIANTS.get(variant, "\n"))
     schema = FieldSchema(fields=((first, 3), ("g", 2)), bias_field="g",
                          label_threshold=threshold)
     path = tmp_path / "bad.csv"
@@ -813,7 +816,8 @@ def test_error_parity_with_row_loop(tmp_path, monkeypatch, case, threshold, bloc
 
 HAND_OVER_SCHEMA = FieldSchema(fields=(("a", 8), ("g", 3)), bias_field="g",
                                categories={"g": ("p",)})
-# what follows block + 1 quote-free records, so it starts a later block
+# what follows block + 1 quote-free records, so it starts a later block; the
+# CRLF and lone-CR cases stay on the numpy path, the rest go to the csv module
 HAND_OVER = {
     "quoted comma": b'u,i,1,7,"x,y",p\nu,i,0,8,x1,p\n',
     "quoted quote": b'u,i,1,7,"x""y",p\nu,i,0,8,x1,p\n',
@@ -847,6 +851,22 @@ def assert_hand_over_equals_row_loop(path, monkeypatch, block):
     monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block)
     assert_same_outcome(outcome(ingest_csv, path, schema, FeatureIndex(schema)), want)
     return want
+
+
+@pytest.mark.parametrize("block", [2, data.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_only_quoted_logs_reach_the_csv_module(tmp_path, monkeypatch, end, quoted, block):
+    # every line end the text layer knows is cut on the numpy path; a quote
+    # is the csv module's to read
+    log = HEADER.encode() + quote_free_records(5) + b'"u",i,0,9,"x1",p'
+    if not quoted:
+        log = log.replace(b'"', b"")
+    path = tmp_path / "log.csv"
+    path.write_bytes(log.replace(b"\n", end))
+    calls = count_calls(monkeypatch, data, "_record_tokens")
+    assert not isinstance(assert_hand_over_equals_row_loop(path, monkeypatch, block), tuple)
+    assert bool(calls) == quoted
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])

@@ -6,6 +6,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -595,6 +596,25 @@ class TestEvaluate:
                     assert math.isnan(value)
                 else:
                     assert float(row[col]) == value
+
+    def test_group_csv_quotes_labels_like_to_csv(self, rng, tmp_path):
+        # csv.writer with a "\n" terminator leaves a lone CR unquoted before
+        # Python 3.13; with "\r\n" it quotes one on every Python
+        ds, scores = random_instance(rng, n_rows=40, n_groups=4)
+        labels = ("a\rb", "c\nd", "e,f", 'g"h')
+        report = replace(evaluate(ds, scores, k=3), group_labels=labels)
+        path = tmp_path / "groups.csv"
+        report.write_group_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == list(labels)
+        records = []
+        writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+        writer.writerow(["group", "exposures", "positives", "tpr_at_3", "ehr"])
+        writer.writerows(zip(labels, report.group_exposures, report.group_positives, *(
+            ["" if math.isnan(x) else repr(x) for x in rates]
+            for rates in (report.group_tpr, report.group_ehr))))
+        assert path.read_bytes().decode() == "".join(r[:-2] + "\n" for r in records)
 
 
 class TestBlocksCache:
