@@ -21,15 +21,15 @@ offset of every cell. A UTF-8 block without '"' or NUL whose every line
 holds one comma fewer than the header's columns, no field longer than
 csv.field_size_limit(), is cut at the commas and line ends ('\\n', '\\r\\n'
 or a lone '\\r') one scan finds, where the csv module would cut it. Any
-other block, and the rest of the file, goes through csv.reader a line at a
-time, its cells laid out the same way. Id and category cells are byte keys,
-matched a column at a time against sorted tables built once per file; only
-an unseen key goes through Python, once. Ids are coded in id order once the
-file is read. Timestamps of digits and 0/1 labels parse from their bytes;
-other timestamps, labels under a threshold and cells holding a '|' go cell
-by cell. A malformed file raises the error a row loop would meet first: the
-earliest bad record, and within it its bytes and column count, the
-timestamp, the label, then the cells in field order.
+other block goes through csv.reader a line at a time up to the end of its
+last record, its cells laid out the same way. Id and category cells are
+byte keys, matched a column at a time against sorted tables built once per
+file; only an unseen key goes through Python, once. Ids are coded in id
+order once the file is read. Timestamps of digits and 0/1 labels parse
+from their bytes; other timestamps, labels under a threshold and cells
+holding a '|' go cell by cell. A malformed file raises the error a row
+loop would meet first: the earliest bad record, and within it its bytes
+and column count, the timestamp, the label, then the cells in field order.
 """
 
 from __future__ import annotations
@@ -458,20 +458,22 @@ def _utf8_lines(lines):
         yield line
 
 
-def _take_rows(reader, n, path, lines_before=0):
-    """Up to n records of a csv.reader over _utf8_lines, the line each
-    starts on, and the CsvParseError that stopped reading early (or None):
-    a csv.Error names the line its record starts on, a byte that is not
-    UTF-8 its own. `lines_before` counts the file's lines before the
-    reader's first."""
+def _take_rows(reader, stop, path, lines_before=0):
+    """The records of a csv.reader over _utf8_lines until it has read `stop`
+    lines (the last record may run on past them), the line each starts on,
+    and the CsvParseError that stopped reading early (or None): a csv.Error
+    names the line its record starts on, a byte that is not UTF-8 its own.
+    `lines_before` counts the file's lines before the reader's first."""
     rows: list[list[str]] = []
     lines: list[int] = []
     start = lines_before + reader.line_num + 1
     try:
-        for row in islice(reader, n):
+        for row in reader:
             rows.append(row)
             lines.append(start)
             start = lines_before + reader.line_num + 1
+            if reader.line_num >= stop:
+                break
     except UnicodeDecodeError as exc:  # line_num counts the lines before it
         return rows, lines, CsvParseError(
             path, lines_before + reader.line_num + 1,
@@ -806,9 +808,9 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
     is one record per line, cut at the commas and line ends one numpy scan
     finds: the dialect `quote_cells` writes quotes with '"' and ends records
     where the text layer ends lines ('\\n', '\\r\\n', a lone '\\r'), so it
-    cuts such lines at the same places. The first block that fails this
-    test, and the rest of the file, are read by csv.reader, which meets a
-    bad byte at its line, in blocks laid out alike.
+    cuts such lines at the same places. A block that fails this test is
+    read by csv.reader, which meets a bad byte at its line, up to the end
+    of its last record and laid out alike; the next block is tested anew.
 
     Each block is then converted column by column from its bytes. Id and
     category cells are byte keys, matched with one argsort and
@@ -860,22 +862,19 @@ def ingest_csv(path, schema: FieldSchema, index: FeatureIndex | None = None,
                 path, 1, f"header {header[0]!r} does not match declared fields {expected_header!r}"
             )
         lines_read = reader.line_num  # physical lines before the next block
-        records = None  # the csv module reads the rest once a block needs it
-        while True:
-            failure = None
-            if records is None:
-                lines = list(islice(fh, CSV_BLOCK_ROWS))
-                tokens = _line_tokens(lines, width)
-                if tokens is None:
-                    records = csv.reader(_utf8_lines(chain(lines, fh)))
-                else:  # one record per line
-                    starts = range(lines_read + 1, lines_read + 1 + len(lines))
-                    lines_read += len(lines)
-            if records is not None:
-                rows, starts, failure = _take_rows(records, CSV_BLOCK_ROWS, path, lines_read)
+        while True:  # failure stays None: _parse_block raises any it is given
+            lines = list(islice(fh, CSV_BLOCK_ROWS))
+            tokens = _line_tokens(lines, width)
+            if tokens is None:  # its records; the last may run on past the block
+                reader = csv.reader(_utf8_lines(chain(lines, fh)))
+                rows, starts, failure = _take_rows(reader, len(lines), path, lines_read)
                 tokens, failure = _record_tokens(rows, width, starts, path, failure)
+                lines_read += reader.line_num
+            else:  # one record per line
+                starts = range(lines_read + 1, lines_read + 1 + len(lines))
+                lines_read += len(lines)
             blocks.append(_parse_block(tokens, starts, schema, keys, path, failure))
-            if len(tokens[1]) < CSV_BLOCK_ROWS:
+            if len(lines) < CSV_BLOCK_ROWS:
                 break
     indices, values, stamps, labels, users, items = zip(*blocks)
     width = max(block.shape[1] for block in indices)

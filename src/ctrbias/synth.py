@@ -171,8 +171,12 @@ def generate(cfg: SynthConfig) -> SynthResult:
     )
     index = FeatureIndex(schema)  # the five splits share one
 
-    A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
-    B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
+    try:  # numpy refuses an array it cannot hold before allocating it
+        users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
+        A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
+        B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate the synthetic world: {exc}") from None
     item_offset = rng.normal(0.0, cfg.item_offset_scale, size=cfg.n_items) \
         if cfg.item_offset_scale > 0 else np.zeros(cfg.n_items)
     pref = A @ B.T
@@ -184,8 +188,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     pi = pi / pi.sum()
 
     # biased exposure log: group by pi, item within group by softmax(tau * pref)
-    n_b = cfg.n_users * cfg.exposures_per_user
-    users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
+    n_b = len(users_b)
     groups_b = np.searchsorted(np.cumsum(pi), rng.random(n_b), side="right")
     groups_b = np.minimum(groups_b, cfg.n_groups - 1)
     items_b = np.empty(n_b, dtype=np.int64)

@@ -132,6 +132,25 @@ class TestSynth:
             f"numerical error: cannot calibrate group {group!r} to positive ratio {ratio}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("synth", "--pref-dim", "1000000000000", "cannot allocate the synthetic world: "),
+        ("synth", "--exposures-per-user", "1000000000000",
+         "cannot allocate the synthetic world: "),
+        ("synth", "--pref-dim", str(10**17), "cannot allocate the synthetic world: "),
+        # refused before the rho span over that many groups is built
+        ("synth", "--groups", "100000000000000", "need at least one item per group"),
+        ("pipeline", "--pref-dim", "1000000000000", "cannot allocate the synthetic world: "),
+    ])
+    def test_world_too_large_exits_2_with_one_line(self, tmp_path, capsys, command, flag,
+                                                   value, message):
+        # numpy refuses each array of these sizes without allocating it
+        out = tmp_path / "data"
+        assert main([command, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_model_and_report(self, corpus):

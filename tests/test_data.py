@@ -869,6 +869,25 @@ def test_only_quoted_logs_reach_the_csv_module(tmp_path, monkeypatch, end, quote
     assert bool(calls) == quoted
 
 
+QUOTED_ONCE = {  # logs whose one quoted record lies in one block at block sizes 2 and 3
+    "quoted first record": HEADER.encode() + b'"u",i,0,9,x1,p\n' + quote_free_records(9),
+    # lines 7-8: it starts on the last line of a block at either size
+    "quoted record over a block end": HEADER.encode() + quote_free_records(5)
+    + b'"u\nv",i,1,7,x1,p\n' + quote_free_records(3),
+}
+
+
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("case", sorted(QUOTED_ONCE))
+def test_only_the_quoted_block_reaches_the_csv_module(tmp_path, monkeypatch, case, block):
+    # the blocks after a quoted one go back to the numpy path
+    path = tmp_path / "log.csv"
+    path.write_bytes(QUOTED_ONCE[case])
+    calls = count_calls(monkeypatch, data, "_record_tokens")
+    assert not isinstance(assert_hand_over_equals_row_loop(path, monkeypatch, block), tuple)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, data.CSV_BLOCK_ROWS])
 @pytest.mark.parametrize("case", sorted(HAND_OVER))
 def test_hand_over_to_csv_module_equals_row_loop(tmp_path, monkeypatch, case, block):
