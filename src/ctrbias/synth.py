@@ -175,11 +175,11 @@ def generate(cfg: SynthConfig) -> SynthResult:
         users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
         A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
         B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
-    except (MemoryError, ValueError) as exc:
+        pref = A @ B.T
+    except (MemoryError, OverflowError, ValueError) as exc:
         raise ConfigError(f"cannot allocate the synthetic world: {exc}") from None
     item_offset = rng.normal(0.0, cfg.item_offset_scale, size=cfg.n_items) \
         if cfg.item_offset_scale > 0 else np.zeros(cfg.n_items)
-    pref = A @ B.T
     pref *= cfg.pref_scale / np.sqrt(cfg.pref_dim)
     group_of = np.arange(cfg.n_items) % cfg.n_groups
 

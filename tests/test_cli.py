@@ -137,6 +137,7 @@ class TestSynth:
         ("synth", "--exposures-per-user", "1000000000000",
          "cannot allocate the synthetic world: "),
         ("synth", "--pref-dim", str(10**17), "cannot allocate the synthetic world: "),
+        ("synth", "--exposures-per-user", str(10**19), "cannot allocate the synthetic world: "),
         # refused before the rho span over that many groups is built
         ("synth", "--groups", "100000000000000", "need at least one item per group"),
         ("pipeline", "--pref-dim", "1000000000000", "cannot allocate the synthetic world: "),

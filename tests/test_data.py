@@ -866,7 +866,7 @@ def test_only_quoted_logs_reach_the_csv_module(tmp_path, monkeypatch, end, quote
     path.write_bytes(log.replace(b"\n", end))
     calls = count_calls(monkeypatch, data, "_record_tokens")
     assert not isinstance(assert_hand_over_equals_row_loop(path, monkeypatch, block), tuple)
-    assert bool(calls) == quoted
+    assert len(calls) == quoted  # the quoted record's block alone
 
 
 QUOTED_ONCE = {  # logs whose one quoted record lies in one block at block sizes 2 and 3
