@@ -119,7 +119,7 @@ def _config(cls, args, **given):
     rho spans --rho-min..--rho-max evenly over the groups."""
     for f in fields(cls):
         if f.name == "rho":
-            # SynthConfig rejects a count under 2 or over --items before rho
+            # SynthConfig rejects a count under 2 or over --items before it reads rho
             count = max(min(args.groups, args.items), 0)
             given["rho"] = tuple(np.linspace(args.rho_min, args.rho_max, count))
         elif f.name not in given:
