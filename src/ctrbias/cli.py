@@ -234,8 +234,9 @@ def cmd_pipeline(args):
     One trained model is reduced at each --alpha strength and
     reconstructed with each of the debias.VARIANTS. Stage seeds derive
     from --seed (synth uses it directly, training uses seed + 1) so one
-    flag pins the whole run. Every setting is checked before synthesis,
-    so a bad one leaves no run directory behind. Reduced models of
+    flag pins the whole run. Every setting is checked before synthesis
+    and nothing is written until training returns, so a bad setting or a
+    failed training leaves no run directory behind. Reduced models of
     strengths this run does not write are deleted, so the directory holds
     exactly the models its manifest lists.
     """
@@ -257,13 +258,13 @@ def cmd_pipeline(args):
                    seed=args.seed + 1)
     outdir = Path(args.out)
     result = generate(_config(SynthConfig, args))
+    params, report = train(result.train, result.val, tcfg)
     outputs = _write_synth(result, outdir)
 
     def artifact(name: str) -> Path:
         outputs.append(outdir / name)
         return outputs[-1]
 
-    params, report = train(result.train, result.val, tcfg)
     save_model(params, artifact("model_base.bin"))
     _write_json(artifact("train_report.json"), report.to_json_dict())
     chain = bias_chain_report(params, result.train, eval_ds=result.test)

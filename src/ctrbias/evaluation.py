@@ -65,7 +65,7 @@ import numpy as np
 
 from .data import Dataset, quote_cells
 from .errors import ConfigError, MetricError
-from .numeric import to_jsonable
+from .numeric import run_edges, to_jsonable
 
 DEFAULT_K = 5
 
@@ -96,13 +96,12 @@ class UserBlocks:
             raise ConfigError("labels must be 0/1")
         self.base = np.lexsort((np.asarray(item_ids), user_ids))
         sorted_users = user_ids[self.base]
-        new_user = np.flatnonzero(sorted_users[1:] != sorted_users[:-1]) + 1
-        self.user_starts = np.concatenate([[0], new_user, [n]])
+        self.user_starts = run_edges(sorted_users)
         self.users = sorted_users[self.user_starts[:-1]]
         self.n_users = len(self.users)
         self.sizes = np.diff(self.user_starts)
-        cum = np.concatenate([[0], np.cumsum(is_pos[self.base])])
-        self.n_pos = cum[self.user_starts[1:]] - cum[self.user_starts[:-1]]
+        self.n_pos = np.add.reduceat(is_pos[self.base], self.user_starts[:-1],
+                                     dtype=np.int64)
         self.both_labels = (self.n_pos > 0) & (self.n_pos < self.sizes)
         p = self.n_pos[self.both_labels].astype(np.float64)
         self.auc_offset = (p * self.user_starts[1:][self.both_labels]
@@ -213,15 +212,11 @@ def _mean_in_user_order(values: np.ndarray, n_users: int) -> tuple[float, int]:
 
 
 def ranked_auc(ranked: RankedData) -> tuple[float, int]:
-    blocks, s = ranked.blocks, ranked.scores
+    blocks = ranked.blocks
     starts = blocks.user_starts[:-1]
     # a run of tied scores inside one user shares the mean of its positions
-    new_run = np.ones(len(s), dtype=bool)
-    new_run[1:] = s[1:] != s[:-1]
-    new_run[starts] = True
-    edges = np.append(np.flatnonzero(new_run), len(s))
-    cum_pos = np.concatenate([[0], np.cumsum(ranked.labels)])
-    run_pos = cum_pos[edges[1:]] - cum_pos[edges[:-1]]
+    edges = run_edges(ranked.scores, starts)
+    run_pos = np.diff(np.cumsum(ranked.labels)[edges[1:] - 1], prepend=0)
     # blocks run by descending score: in a block ending at e, a run over
     # positions [a, b) gives each of its positives the ascending 1-based rank
     # e - (a + b - 1) / 2, so a user's positive rank sum is n_pos * e less

@@ -45,23 +45,23 @@ def bce_loss(logits, labels):
     return log1pexp(logits) - labels * logits
 
 
+def run_edges(x, starts=()):
+    """The one scan for runs of equal values: where each run of equal
+    neighbours of the 1-D array x starts, and each index in starts, then
+    len(x). NaN equals nothing; 0.0 equals -0.0."""
+    new_run = np.ones(len(x), dtype=bool)
+    new_run[1:] = x[1:] != x[:-1]
+    new_run[np.asarray(starts, dtype=np.intp)] = True
+    return np.append(np.flatnonzero(new_run), len(x))
+
+
 def average_ranks(a):
     """1-based ranks of `a`, ties assigned the mean of their positions."""
     a = np.asarray(a)
     order = np.argsort(a, kind="stable")
-    sorted_a = a[order]
-    # run boundaries of equal values in the sorted array
-    boundary = np.empty(len(a) + 1, dtype=bool)
-    boundary[0] = True
-    boundary[-1] = True
-    boundary[1:-1] = sorted_a[1:] != sorted_a[:-1]
-    edges = np.flatnonzero(boundary)
-    run_id = np.cumsum(boundary[:-1]) - 1
-    lo = edges[:-1][run_id]
-    hi = edges[1:][run_id]
-    ranks_sorted = 0.5 * (lo + hi + 1)  # mean of 1-based positions lo+1..hi
+    edges = run_edges(a[order])
     ranks = np.empty(len(a), dtype=np.float64)
-    ranks[order] = ranks_sorted
+    ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), np.diff(edges))
     return ranks
 
 

@@ -157,6 +157,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
     rng = np.random.default_rng(cfg.seed)
     rho = cfg.resolved_rho()
 
+    try:  # numpy refuses an array it cannot hold before allocating it
+        users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
+        A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
+        B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
+        pref = A @ B.T
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate the synthetic world: {exc}") from None
+    # the ids draw nothing, so they wait until the world is known to fit
     user_labels = _id_strings("u", cfg.n_users)
     item_labels = _id_strings("i", cfg.n_items)
     group_labels = _id_strings("g", cfg.n_groups)
@@ -171,13 +179,6 @@ def generate(cfg: SynthConfig) -> SynthResult:
     )
     index = FeatureIndex(schema)  # the five splits share one
 
-    try:  # numpy refuses an array it cannot hold before allocating it
-        users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
-        A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
-        B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
-        pref = A @ B.T
-    except (MemoryError, OverflowError, ValueError) as exc:
-        raise ConfigError(f"cannot allocate the synthetic world: {exc}") from None
     item_offset = rng.normal(0.0, cfg.item_offset_scale, size=cfg.n_items) \
         if cfg.item_offset_scale > 0 else np.zeros(cfg.n_items)
     pref *= cfg.pref_scale / np.sqrt(cfg.pref_dim)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NumericalError
 from .evaluation import blocks_of, ranked_auc, users_with_both_labels
 from .models import (ARCH_TAGS, DEFAULT_HIDDEN, ModelParams, init_params,
                      loss_and_grads, predict)
@@ -175,17 +175,18 @@ def _apply(params: ModelParams, deltas: dict) -> None:
 def _val_uauc(params: ModelParams, val_ds: Dataset) -> float:
     # blocks_of breaks ties by item id; AUC does not depend on tie order
     scores = predict(params, val_ds.indices, val_ds.values)
-    value, _ = ranked_auc(blocks_of(val_ds).rank(scores))
-    return value
+    if not np.isfinite(scores).all():
+        return float("nan")
+    return ranked_auc(blocks_of(val_ds).rank(scores))[0]
 
 
 def train(train_ds: Dataset, val_ds: Dataset | None,
           cfg: TrainConfig) -> tuple[ModelParams, TrainReport]:
     """Fit a model on train_ds; early-stop on val_ds per-user AUC if given.
 
-    Raises DivergenceError as soon as a batch loss stops being finite, and
-    ConfigError before the first epoch when a non-empty val_ds has no user
-    with both labels.
+    Raises DivergenceError as soon as a batch loss stops being finite,
+    NumericalError when a validation score does, and ConfigError before
+    the first epoch when a non-empty val_ds has no user with both labels.
     Returns the best-validation snapshot (or the final weights when no
     validation split is supplied) and the TrainReport the epochs filled.
     """
@@ -223,13 +224,13 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
     epoch_val = np.empty_like(train_ds.values)
     epoch_lab = np.empty_like(labels)
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n) if shuffle else np.arange(n)
-        np.take(train_ds.indices, order, axis=0, out=epoch_idx, mode="clip")
-        np.take(train_ds.values, order, axis=0, out=epoch_val, mode="clip")
-        np.take(labels, order, out=epoch_lab, mode="clip")
-        batch_losses = []
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(n) if shuffle else np.arange(n)
+            np.take(train_ds.indices, order, axis=0, out=epoch_idx, mode="clip")
+            np.take(train_ds.values, order, axis=0, out=epoch_val, mode="clip")
+            np.take(labels, order, out=epoch_lab, mode="clip")
+            batch_losses = []
             for b, lo in enumerate(range(0, n, cfg.batch_size)):
                 hi = lo + cfg.batch_size
                 loss, grads, cache = loss_and_grads(
@@ -247,20 +248,22 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
                                                      for k, g in grads.items()}
                 _apply(params, deltas)
                 batch_losses.append(loss)
-        report.train_loss.append(float(np.mean(batch_losses)))
-        report.epochs_run = epoch + 1
+            report.train_loss.append(float(np.mean(batch_losses)))
+            report.epochs_run = epoch + 1
 
-        if have_val:
-            uauc = _val_uauc(params, val_ds)
-            report.val_uauc.append(uauc)
-            # best_val_uauc starts as NaN, which no uauc exceeds
-            if best is None or uauc > report.best_val_uauc:
-                best = params.copy()
-                report.best_val_uauc = float(uauc)
-                report.best_epoch = epoch
-            elif epoch - report.best_epoch >= cfg.patience:
-                report.stopped_early = True
-                break
+            if have_val:
+                uauc = _val_uauc(params, val_ds)
+                if np.isnan(uauc):
+                    raise NumericalError(f"non-finite validation scores at epoch {epoch}")
+                report.val_uauc.append(uauc)
+                # best_val_uauc starts as NaN, which no uauc exceeds
+                if best is None or uauc > report.best_val_uauc:
+                    best = params.copy()
+                    report.best_val_uauc = float(uauc)
+                    report.best_epoch = epoch
+                elif epoch - report.best_epoch >= cfg.patience:
+                    report.stopped_early = True
+                    break
 
     if best is not None:
         params = best

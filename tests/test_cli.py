@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ctrbias
+from ctrbias import synth
 from ctrbias.analysis import ols_fit
 from ctrbias.cli import _config, build_parser, main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
@@ -141,10 +142,20 @@ class TestSynth:
         # refused before the rho span over that many groups is built
         ("synth", "--groups", "100000000000000", "need at least one item per group"),
         ("pipeline", "--pref-dim", "1000000000000", "cannot allocate the synthetic world: "),
+        ("synth", "--items", "2000000000000", "cannot allocate the synthetic world: "),
+        ("synth", "--users", "2000000000000", "cannot allocate the synthetic world: "),
     ])
-    def test_world_too_large_exits_2_with_one_line(self, tmp_path, capsys, command, flag,
-                                                   value, message):
-        # numpy refuses each array of these sizes without allocating it
+    def test_world_too_large_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                   command, flag, value, message):
+        # numpy refuses each array of these sizes without allocating it, and
+        # no id string is built for a world that cannot be held
+        build = synth._id_strings
+
+        def bounded(prefix, count):
+            assert count < 10**6, f"{count} ids built before the allocation guard"
+            return build(prefix, count)
+
+        monkeypatch.setattr(synth, "_id_strings", bounded)
         out = tmp_path / "data"
         assert main([command, flag, value, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -899,10 +910,19 @@ class TestPipeline:
         ["--item-offset-scale", "nan"], ["--temp-high", "inf"],
         ["--lr", "nan"], ["--l2", "inf"], ["--rho-min", "nan"],
         ["--pref-scale", "nan"], ["--pref-dim", "0"], ["--groups", "-1"],
+        # weight tables numpy refuses to allocate
+        ["--embedding-dim", "1000000000000"],
+        ["--arch", "nfm", "--hidden", "100000000000000"],
     ])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
         out = tmp_path / "run"
         assert run_pipeline(out, *bad) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_diverged_training_exits_3_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_pipeline(out, "--lr", "1e200") == 3
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 

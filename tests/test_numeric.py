@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ctrbias.analysis import CorrelationResult
-from ctrbias.numeric import average_ranks, bce_loss, log1pexp, sigmoid, to_jsonable
+from ctrbias.numeric import (average_ranks, bce_loss, log1pexp, run_edges, sigmoid,
+                             to_jsonable)
 from conftest import float_bits
 from oracles import sigmoid_reference
 
@@ -109,6 +110,42 @@ class TestBceLoss:
     def test_confident_correct_is_small_confident_wrong_is_large(self):
         assert bce_loss(np.array([20.0]), np.array([1]))[0] < 1e-8
         assert bce_loss(np.array([20.0]), np.array([0]))[0] > 19
+
+
+# small pools, so draws hold long runs; the floats hold NaN and both zeros
+RUN_VALUES = st.one_of(
+    st.lists(st.integers(-2, 2), max_size=30).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5, math.nan, math.inf]),
+             max_size=30).map(lambda v: np.array(v, dtype=np.float64)),
+)
+
+
+def run_edges_loop(x, starts):
+    """A run starts at 0, at each of starts and where a value differs from
+    its left neighbour (Python floats: NaN differs from itself, 0.0 and
+    -0.0 do not); then len(x)."""
+    values = x.tolist()
+    return [i for i in range(len(values))
+            if i == 0 or i in starts or values[i] != values[i - 1]] + [len(values)]
+
+
+class TestRunEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(RUN_VALUES, st.data())
+    def test_matches_a_loop_over_neighbours(self, x, data):
+        starts = data.draw(st.lists(st.integers(0, len(x) - 1), max_size=8)
+                           if len(x) else st.just([]))
+        expected = run_edges_loop(x, starts)
+        for given_starts in (starts, tuple(starts), np.asarray(starts, dtype=np.int64)):
+            assert run_edges(x, given_starts).tolist() == expected
+        if not starts:
+            assert run_edges(x).tolist() == expected
+
+    def test_nan_ends_every_run_and_signed_zeros_share_one(self):
+        assert run_edges(np.array([np.nan, np.nan, 0.0, -0.0, 1.0])).tolist() == [0, 1, 2, 4, 5]
+        assert run_edges(np.array([])).tolist() == [0]
+        assert run_edges(np.array([3, 3, 3]), ()).tolist() == [0, 3]
 
 
 class TestAverageRanks:

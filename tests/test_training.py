@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctrbias import evaluation, models, synth
 from ctrbias.debias import reduce_weights
-from ctrbias.errors import ConfigError, DivergenceError
+from ctrbias.errors import ConfigError, DivergenceError, NumericalError
 from ctrbias.models import init_params, loss_and_grads, predict, serialize
 from ctrbias.synth import SynthConfig, generate
 from ctrbias.training import Adam, TrainConfig, TrainReport, train
@@ -364,6 +364,14 @@ class TestDivergence:
         assert e.value.epoch >= 0
         assert e.value.batch >= 0
         assert e.value.max_abs_logit > 0
+
+    def test_non_finite_validation_scores_raise_naming_the_epoch(self, tiny):
+        # one batch per epoch: its loss is finite, but the step it takes
+        # overflows every validation score
+        cfg = TrainConfig(lr=1e200, batch_size=len(tiny.train), max_epochs=3)
+        with pytest.raises(NumericalError) as e:
+            train(tiny.train, tiny.val, cfg)
+        assert str(e.value) == "non-finite validation scores at epoch 0"
 
 
 class TestTrainConfigValidation:
