@@ -23,7 +23,8 @@ from .data import Dataset
 from .errors import ConfigError, MetricError, UndefinedCorrelationError
 from .evaluation import GroupStats, evaluate, group_stats, group_sums
 from .models import ModelParams, PredictionParts, predict, prediction_parts
-from .numeric import average_ranks, sigmoid, student_t_two_sided_p, to_jsonable
+from .numeric import (JsonRecord, average_ranks, sigmoid, student_t_two_sided_p,
+                      to_jsonable)
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,22 @@ class CorrelationResult:
     method: str
 
 
+def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float arrays, refused unless 1-d and of equal length."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ConfigError("correlation inputs must be 1-d arrays of equal length")
+    return x, y
+
+
 def pearson(x, y) -> CorrelationResult:
     """Pearson r with the exact two-sided t-test p-value.
 
     Raises UndefinedCorrelationError for fewer than two points or constant
     input; p is NaN when n < 3 (no degrees of freedom for the test).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ConfigError("correlation inputs must be 1-d arrays of equal length")
+    x, y = _paired(x, y)
     n = len(x)
     if n < 2:
         raise UndefinedCorrelationError(f"need at least 2 points, got {n}")
@@ -69,10 +76,7 @@ def pearson(x, y) -> CorrelationResult:
 
 def spearman(x, y) -> CorrelationResult:
     """Rank correlation: Pearson over average ranks, t-based p-value."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ConfigError("correlation inputs must be 1-d arrays of equal length")
+    x, y = _paired(x, y)
     if len(x) and not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise UndefinedCorrelationError("correlation inputs contain non-finite values")
     base = pearson(average_ranks(x), average_ranks(y))
@@ -149,7 +153,7 @@ def variance_decomposition(ds: Dataset, parts: PredictionParts) -> VarianceDecom
 
 
 @dataclass
-class BiasChainReport:
+class BiasChainReport(JsonRecord):
     """Every link of the ratio -> weight -> prediction chain in one record."""
 
     group_labels: tuple[str, ...]
@@ -162,9 +166,6 @@ class BiasChainReport:
     variances: VarianceDecomposition | None
     weight_on_ratio_fit: RegressionFit | None
     errors: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
 
 
 def bias_chain_report(params: ModelParams, train_ds: Dataset,
@@ -188,22 +189,22 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     if not defined.all():
         errors.append(f"{int((~defined).sum())} group(s) have no training exposure")
 
-    def guarded(fn, x, y, label):
+    def guarded(fn, x, y, rows, label):
         try:
-            return fn(np.asarray(x)[defined], np.asarray(y)[defined])
+            return fn(np.asarray(x)[rows], np.asarray(y)[rows])
         except UndefinedCorrelationError as exc:
             errors.append(f"{label}: {exc}")
             return None
 
-    wr_pearson = guarded(pearson, ratio, w_bias, "weight-vs-ratio pearson")
-    wr_spearman = guarded(spearman, ratio, w_bias, "weight-vs-ratio spearman")
+    wr_pearson = guarded(pearson, ratio, w_bias, defined, "weight-vs-ratio pearson")
+    wr_spearman = guarded(spearman, ratio, w_bias, defined, "weight-vs-ratio spearman")
 
     probs = sigmoid(predict(params, train_ds.indices, train_ds.values))
     counts = stats.exposures
     with np.errstate(invalid="ignore"):
         mean_score = np.where(counts > 0, group_sums(train_ds, probs) / counts,
                               np.nan)
-    sr_pearson = guarded(pearson, ratio, mean_score, "score-vs-ratio pearson")
+    sr_pearson = guarded(pearson, ratio, mean_score, defined, "score-vs-ratio pearson")
 
     fit = None
     if defined.sum() >= 2:
@@ -220,10 +221,7 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
         ehr = np.asarray(evaluate(eval_ds, parts.logits).group_ehr)
         both = defined & np.isfinite(ehr)
         if both.sum() >= 2:
-            try:
-                ehr_spearman = spearman(ratio[both], ehr[both])
-            except UndefinedCorrelationError as exc:
-                errors.append(f"ehr-vs-ratio spearman: {exc}")
+            ehr_spearman = guarded(spearman, ratio, ehr, both, "ehr-vs-ratio spearman")
         else:
             errors.append("ehr-vs-ratio spearman: fewer than two measurable groups")
 

@@ -20,7 +20,7 @@ the grid report's ratio_ or residual_fallback_labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -30,8 +30,8 @@ from .data import Dataset
 from .errors import ConfigError
 from .evaluation import (DEFAULT_K, GroupStats, blocks_of, group_stats,
                          ranked_auc, ranked_ndcg, users_with_both_labels)
-from .models import ModelParams, model_digest, prediction_parts
-from .numeric import to_jsonable
+from .models import ModelParams, model_digest, prediction_parts, rescore
+from .numeric import JsonRecord
 
 DEFAULT_GRID = (1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
 VARIANTS = ("vanilla", "wo_ratio", "wo_residual")
@@ -119,7 +119,7 @@ class GridPoint:
 
 
 @dataclass
-class GridSearchResult:
+class GridSearchResult(JsonRecord):
     """Winning coefficients plus the full evaluation table.
 
     `errors` lists grid points whose metrics were undefined. The search
@@ -133,9 +133,6 @@ class GridSearchResult:
     ratio_fallback_labels: tuple[str, ...] = ()
     residual_fallback_labels: tuple[str, ...] = ()
     errors: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
 
 
 def _grid_for(cfg: DebiasConfig):
@@ -161,9 +158,10 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
 
     Only the bias-field linear weights change across the grid, so the
     interaction (FM) or MLP (NFM) term is scored once per search with
-    prediction_parts. Each point then rebuilds just the linear term and
-    adds the pieces in forward's logit order, (w0 + linear) + high_order,
-    so its scores equal predict() on the reconstructed model bit for bit.
+    prediction_parts. Each point then writes its weights into a model
+    that shares every other table with params and rescores it on that
+    high-order part, so its scores equal predict() on the reconstructed
+    model bit for bit.
 
     Only the scores change between points, so everything the metrics read
     of ids and labels is the unbiased split's own UserBlocks (blocks_of),
@@ -196,13 +194,12 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     indices, values = unbiased_ds.indices, unbiased_ds.values
     high = prediction_parts(params, indices, values).high_order
     blocks = blocks_of(unbiased_ds)
-    w = params.w.copy()
+    point_params = replace(params, w=params.w.copy())
 
     table: list[GridPoint] = []
     for beta, gamma in _grid_for(cfg):
-        w[lo:hi] = beta * ratios + gamma * residuals
-        # forward's logit order: (w0 + linear) + high_order
-        scores = (params.w0 + (w[indices] * values).sum(axis=1)) + high
+        point_params.w[lo:hi] = beta * ratios + gamma * residuals
+        _, scores = rescore(point_params, high, indices, values)
         ranked = blocks.rank(scores)
         uauc, _ = ranked_auc(ranked)
         ndcg, _ = ranked_ndcg(ranked, cfg.k)

@@ -65,7 +65,7 @@ import numpy as np
 
 from .data import Dataset, quote_cells
 from .errors import ConfigError, MetricError
-from .numeric import run_edges, to_jsonable
+from .numeric import JsonRecord, run_edges, to_jsonable
 
 DEFAULT_K = 5
 
@@ -356,7 +356,7 @@ def reo_at_k(tpr) -> float:
 
 
 @dataclass
-class EvalReport:
+class EvalReport(JsonRecord):
     """All metrics of one split at one cutoff, plus undefined-value notes."""
 
     split_tag: str
@@ -374,9 +374,6 @@ class EvalReport:
     group_exposures: list[int]
     group_positives: list[int]
     errors: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
 
     def write_group_csv(self, path) -> None:
         rates = [["" if math.isnan(x) else repr(x) for x in column]

@@ -177,6 +177,22 @@ class PredictionParts:
     high_order: np.ndarray
 
 
+def _dropout(x: np.ndarray, p: float, rng: np.random.Generator | None):
+    """Inverted dropout: (x * mask, mask). A rate not > 0 draws nothing."""
+    if not p > 0:
+        return x, None
+    if rng is None:
+        raise ConfigError("dropout requires a random generator")
+    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    return x * mask, mask
+
+
+def rescore(params: ModelParams, high_order: np.ndarray, indices, values):
+    """(linear, logits) of a batch: the one logit sum, on any high-order part."""
+    linear = (params.w[indices] * values).sum(axis=1)
+    return linear, (params.w0 + linear) + high_order
+
+
 def forward(params: ModelParams, indices, values, train: bool = False,
             dropout: tuple[float, float] = (0.0, 0.0),
             rng: np.random.Generator | None = None) -> ForwardCache:
@@ -189,37 +205,23 @@ def forward(params: ModelParams, indices, values, train: bool = False,
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    linear = (params.w[indices] * values).sum(axis=1)
     gathered = params.V[indices]
     sum_v = np.einsum("bf,bfd->bd", values, gathered)
     sum_sq = np.einsum("bf,bfd->bd", values ** 2, gathered ** 2)
     bi = 0.5 * (sum_v * sum_v - sum_sq)
 
     p_bi, p_h = dropout if train else (0.0, 0.0)
-    mask_bi = mask_hidden = None
-    bi_used = bi
-    if p_bi > 0:
-        if rng is None:
-            raise ConfigError("dropout requires a random generator")
-        mask_bi = (rng.random(bi.shape) >= p_bi) / (1.0 - p_bi)
-        bi_used = bi * mask_bi
-
+    bi_used, mask_bi = _dropout(bi, p_bi, rng)
     if params.arch == "fm":
         high = bi_used.sum(axis=1)
-        z1 = a1_used = None
+        z1 = a1_used = mask_hidden = None
     else:
         mlp = params.mlp
         z1 = bi_used @ mlp.W1 + mlp.b1
-        a1 = np.maximum(z1, 0.0)
-        a1_used = a1
-        if p_h > 0:
-            if rng is None:
-                raise ConfigError("dropout requires a random generator")
-            mask_hidden = (rng.random(a1.shape) >= p_h) / (1.0 - p_h)
-            a1_used = a1 * mask_hidden
+        a1_used, mask_hidden = _dropout(np.maximum(z1, 0.0), p_h, rng)
         high = a1_used @ mlp.w_out + mlp.b_out
 
-    logits = (params.w0 + linear) + high
+    linear, logits = rescore(params, high, indices, values)
     return ForwardCache(indices, values, gathered, sum_v, bi, bi_used,
                         z1, a1_used, mask_bi, mask_hidden, linear, high, logits)
 

@@ -158,10 +158,11 @@ def generate(cfg: SynthConfig) -> SynthResult:
     rho = cfg.resolved_rho()
 
     try:  # numpy refuses an array it cannot hold before allocating it
+        pref = np.empty((cfg.n_users, cfg.n_items))  # before any other work
         users_b = np.repeat(np.arange(cfg.n_users), cfg.exposures_per_user)
         A = rng.normal(size=(cfg.n_users, cfg.pref_dim))
         B = rng.normal(size=(cfg.n_items, cfg.pref_dim))
-        pref = A @ B.T
+        np.matmul(A, B.T, out=pref)
     except (MemoryError, OverflowError, ValueError) as exc:
         raise ConfigError(f"cannot allocate the synthetic world: {exc}") from None
     # the ids draw nothing, so they wait until the world is known to fit

@@ -36,7 +36,7 @@ from .errors import ConfigError, DivergenceError, NumericalError
 from .evaluation import blocks_of, ranked_auc, users_with_both_labels
 from .models import (ARCH_TAGS, DEFAULT_HIDDEN, ModelParams, init_params,
                      loss_and_grads, predict)
-from .numeric import to_jsonable
+from .numeric import JsonRecord
 
 ABLATIONS = ("none", "unaware")
 OPTIMIZERS = ("adam", "plain_sgd")
@@ -82,7 +82,7 @@ class TrainConfig:
 
 
 @dataclass
-class TrainReport:
+class TrainReport(JsonRecord):
     """Per-epoch history and the stopping decision."""
 
     arch: str
@@ -97,9 +97,6 @@ class TrainReport:
     val_uauc: list[float] = field(default_factory=list)
     best_val_uauc: float = float("nan")
     stopped_early: bool = False
-
-    def to_json_dict(self) -> dict:
-        return to_jsonable(self.__dict__)
 
 
 class Adam:
@@ -185,7 +182,8 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
     """Fit a model on train_ds; early-stop on val_ds per-user AUC if given.
 
     Raises DivergenceError as soon as a batch loss stops being finite,
-    NumericalError when a validation score does, and ConfigError before
+    NumericalError when a validation score does (or, without validation,
+    a training score after the last epoch), and ConfigError before
     the first epoch when a non-empty val_ds has no user with both labels.
     Returns the best-validation snapshot (or the final weights when no
     validation split is supplied) and the TrainReport the epochs filled.
@@ -264,6 +262,9 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
                 elif epoch - report.best_epoch >= cfg.patience:
                     report.stopped_early = True
                     break
+        if not have_val and not np.isfinite(
+                predict(params, train_ds.indices, train_ds.values)).all():
+            raise NumericalError(f"non-finite training scores at epoch {epoch}")
 
     if best is not None:
         params = best

@@ -1,7 +1,8 @@
 """Brute-force reference implementations of scoring, updates, metrics
 and CSV I/O, the allocate-per-step forms of Adam and the sigmoid, the
-broadcast-and-scatter form of the model's forward and backward pass, and
-the one-shot form of the synthetic generator.
+broadcast-and-scatter form of the model's forward and backward pass, the
+one-shot form of the synthetic generator, and the two-step form of the
+incomplete beta's continued fraction.
 
 Everything here is written in the most literal way possible (python loops,
 explicit pair enumeration, one CSV row at a time) so the vectorized package
@@ -17,13 +18,53 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ctrbias import synth
+from ctrbias import numeric, synth
 from ctrbias.data import RESERVED_COLUMNS, Dataset, FeatureIndex, FieldSchema
-from ctrbias.errors import CalibrationError, ConfigError, CsvParseError, LabelError
+from ctrbias.errors import (CalibrationError, ConfigError, CsvParseError, LabelError,
+                            NumericalError)
 from ctrbias.models import ForwardCache
 from ctrbias.numeric import bce_loss, sigmoid
 from ctrbias.synth import (SPLIT_FRACTIONS, SynthResult, _calibrate_offset,
                            _id_strings)
+
+
+def betacf_two_step_reference(a, b, x):
+    """The incomplete beta's continued fraction with term m's even and odd
+    Lentz steps written out one after the other."""
+    fpmin = numeric._CF_FPMIN
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, numeric._CF_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < numeric._CF_EPS:
+            return h
+    raise NumericalError(f"no convergence (a={a}, b={b}, x={x})")
 
 
 def pairwise_logit_reference(params, sample_indices, sample_values):

@@ -10,7 +10,9 @@ import scipy.special
 import scipy.stats
 
 import oracles
-from conftest import make_dataset, make_schema, random_dataset, random_params
+from conftest import (float_bits, make_dataset, make_schema, random_dataset,
+                      random_params)
+from ctrbias import numeric
 from ctrbias.analysis import (BiasChainReport, CorrelationResult,
                               RegressionFit, VarianceDecomposition,
                               bias_chain_report, ols_fit, pearson, spearman,
@@ -54,6 +56,19 @@ class TestIncompleteBeta:
             total = (regularized_incomplete_beta(a, b, x)
                      + regularized_incomplete_beta(b, a, 1.0 - x))
             assert total == pytest.approx(1.0, abs=1e-13)
+
+    def test_equals_the_two_step_continued_fraction(self, monkeypatch):
+        # one Lentz step per coefficient, looped over term m's even and odd
+        # coefficients, rounds exactly as the two steps written out
+        cases = [(regularized_incomplete_beta, (a, b, x))
+                 for a in (0.5, 1.0, 2.5, 7.0, 30.0, 120.0, 900.0, 5000.0)
+                 for b in (0.5, 1.0, 3.0, 11.0, 40.0, 300.0)
+                 for x in np.linspace(0.0005, 0.9995, 57)]
+        cases += [(student_t_two_sided_p, (t, dof)) for dof in range(1, 200)
+                  for t in (0.05, 0.4, 1.0, 1.7, 2.5, 4.0, 9.0, 60.0)]
+        got = [float_bits(fn(*args)) for fn, args in cases]
+        monkeypatch.setattr(numeric, "_betacf", oracles.betacf_two_step_reference)
+        assert [float_bits(fn(*args)) for fn, args in cases] == got
 
     @pytest.mark.parametrize("a,b,x", [
         (0.0, 1.0, 0.5), (-1.0, 2.0, 0.5), (1.0, 0.0, 0.5),

@@ -195,6 +195,21 @@ class TestTrain:
         assert rc == 3
         assert "numerical error" in capsys.readouterr().err
 
+    def test_non_finite_scores_without_validation_exit_3(self, tmp_path, capsys):
+        # the one step leaves the batch loss finite but every weight near
+        # 1e200, which no later command could score
+        data, model = tmp_path / "d", tmp_path / "m.bin"
+        assert main(["synth", "--users", "30", "--items", "12", "--groups", "3",
+                     "--exposures-per-user", "10", "--seed", "1",
+                     "--out", str(data)]) == 0
+        rc = main(["train", "--schema", str(data / "schema.json"),
+                   "--train", str(data / "train.csv"), "--lr", "1e200",
+                   "--max-epochs", "1", "--out", str(model)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical error: non-finite training scores at epoch 0\n")
+        assert not model.exists()
+
     @pytest.mark.parametrize("key, value, message", [
         ("label_threshold", "abc",
          "label_threshold must be a finite number or null, got 'abc'"),

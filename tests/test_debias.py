@@ -18,7 +18,7 @@ from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, fit_weight_residuals,
                             reduce_weights)
 from ctrbias.errors import ConfigError
 from ctrbias.evaluation import evaluate, group_stats, ndcg_at_k, user_auc
-from ctrbias.models import model_digest, predict
+from ctrbias.models import model_digest, predict, prediction_parts, rescore
 
 
 def build_log(schema, rows_spec, split_tag="train"):
@@ -358,6 +358,28 @@ class TestGridSearch:
                                                DebiasConfig(k=2))
         for p in result.table:
             assert math.isfinite(p.ndcg)
+
+
+class TestRescoreCorrected:
+    """A correction changes only linear weights, so the base model's
+    high-order part rescored on a corrected model is predict() on it."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_equals_predict_bit_for_bit(self, rng, monkeypatch, arch, chunk):
+        monkeypatch.setattr(models, "PREDICT_CHUNK", chunk)
+        ds = random_dataset(rng, n_users=6, n_items=9, n_groups=4, n_rows=40,
+                            multi_group_prob=0.3)
+        base = random_params(rng, ds.schema.n, 3, arch=arch)
+        bias_range = ds.schema.bias_range
+        k = bias_range[1] - bias_range[0]
+        high = prediction_parts(base, ds.indices, ds.values).high_order
+        for corrected in (reduce_weights(base, bias_range, 0.3),
+                          reconstruct_weights(base, bias_range, rng.random(k),
+                                              rng.normal(size=k), 4.0, 0.5)):
+            _, logits = rescore(corrected, high, ds.indices, ds.values)
+            assert float_bits(logits) == float_bits(
+                predict(corrected, ds.indices, ds.values))
 
 
 class TestGridScoresMatchPredict:

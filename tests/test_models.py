@@ -22,7 +22,7 @@ from ctrbias.errors import ConfigError, ModelFormatError
 from ctrbias.models import (ARCH_TAGS, ModelParams, deserialize,
                             forward, init_params, load_model, loss_and_grads,
                             model_digest, predict,
-                            prediction_parts, save_model, serialize)
+                            prediction_parts, rescore, save_model, serialize)
 from ctrbias.numeric import bce_loss
 
 
@@ -135,6 +135,15 @@ class TestPredict:
             linear = np.array([(params.w[idx[b]] * val[b]).sum()
                                for b in range(9)])
             assert parts.linear.tobytes() == linear.tobytes()
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_rescore_gives_the_linear_part_and_logits(self, rng, arch):
+        params = random_params(rng, 15, 3, arch=arch)
+        idx, val = random_batch(rng, 15, 4, 23)
+        parts = prediction_parts(params, idx, val)
+        linear, logits = rescore(params, parts.high_order, idx, val)
+        assert float_bits(linear) == float_bits(parts.linear)
+        assert float_bits(logits) == float_bits(parts.logits)
 
     def test_chunked_equals_single_shot(self, rng, monkeypatch):
         # The NFM head runs through BLAS, whose kernels for 1-3 rows may

@@ -259,6 +259,19 @@ class TestReferee:
 
 
 class TestMemory:
+    def test_users_by_items_table_is_refused_before_other_work(self, monkeypatch):
+        # 10**14 cells pass any address space, so numpy refuses them at once
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the world was known to fit")
+
+        class Unseeded:
+            normal = random = permutation = forbidden
+
+        monkeypatch.setattr(synth.np, "repeat", forbidden)
+        monkeypatch.setattr(synth.np.random, "default_rng", lambda seed: Unseeded())
+        with pytest.raises(ConfigError, match="cannot allocate the synthetic world"):
+            generate(SynthConfig(n_users=10**7, n_items=10**7))
+
     def test_splits_hold_ids_as_codes(self, result):
         for ds in result.splits.values():
             blocks_of(ds)

@@ -373,6 +373,13 @@ class TestDivergence:
             train(tiny.train, tiny.val, cfg)
         assert str(e.value) == "non-finite validation scores at epoch 0"
 
+    def test_non_finite_training_scores_raise_without_validation(self, tiny):
+        # the same step, with no validation split to score after it
+        cfg = TrainConfig(lr=1e200, batch_size=len(tiny.train), max_epochs=1)
+        with pytest.raises(NumericalError) as e:
+            train(tiny.train, None, cfg)
+        assert str(e.value) == "non-finite training scores at epoch 0"
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
