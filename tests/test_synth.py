@@ -265,7 +265,7 @@ class TestMemory:
             raise AssertionError("work done before the world was known to fit")
 
         class Unseeded:
-            normal = random = permutation = forbidden
+            normal = forbidden
 
         monkeypatch.setattr(synth.np, "repeat", forbidden)
         monkeypatch.setattr(synth.np.random, "default_rng", lambda seed: Unseeded())
