@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError, UndefinedCorrelationError
-from .evaluation import GroupStats, evaluate, group_stats, group_sums
+from .evaluation import GroupStats, _per_group_rate, evaluate, group_stats
 from .models import ModelParams, PredictionParts, predict, prediction_parts
 from .numeric import (JsonRecord, average_ranks, sigmoid, student_t_two_sided_p,
                       to_jsonable)
@@ -44,6 +44,14 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _centred(x: np.ndarray) -> np.ndarray:
+    """x less its mean, once scaled by the power of two that brings its
+    largest magnitude into [0.5, 1): exact short of a subnormal, so r keeps
+    its bits, and the squares and sums of any finite input stay in range."""
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    return x - x.mean()
+
+
 def pearson(x, y) -> CorrelationResult:
     """Pearson r with the exact two-sided t-test p-value.
 
@@ -56,8 +64,8 @@ def pearson(x, y) -> CorrelationResult:
         raise UndefinedCorrelationError(f"need at least 2 points, got {n}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise UndefinedCorrelationError("correlation inputs contain non-finite values")
-    xm = x - x.mean()
-    ym = y - y.mean()
+    xm = _centred(x)
+    ym = _centred(y)
     sx = float(np.sqrt((xm ** 2).sum()))
     sy = float(np.sqrt((ym ** 2).sum()))
     if sx == 0.0 or sy == 0.0:
@@ -146,8 +154,8 @@ def variance_decomposition(ds: Dataset, parts: PredictionParts) -> VarianceDecom
                     f"group-mean variance is undefined"
                 )
             # the other label's rows add +0.0, which leaves each sum as is
-            sums = group_sums(ds, np.where(ds.labels == y, arr, 0.0))
-            means = sums[nonempty] / counts[nonempty]
+            means = _per_group_rate(ds, np.where(ds.labels == y, arr, 0.0),
+                                    counts)[nonempty]
             out[part_name][y] = float(np.mean((means - means.mean()) ** 2))
     return VarianceDecomposition(tuple(out["linear"]), tuple(out["high_order"]))
 
@@ -200,10 +208,7 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     wr_spearman = guarded(spearman, ratio, w_bias, defined, "weight-vs-ratio spearman")
 
     probs = sigmoid(predict(params, train_ds.indices, train_ds.values))
-    counts = stats.exposures
-    with np.errstate(invalid="ignore"):
-        mean_score = np.where(counts > 0, group_sums(train_ds, probs) / counts,
-                              np.nan)
+    mean_score = _per_group_rate(train_ds, probs, stats.exposures)
     sr_pearson = guarded(pearson, ratio, mean_score, defined, "score-vs-ratio pearson")
 
     fit = None

@@ -39,7 +39,8 @@ from .data import FeatureIndex, FieldSchema, ingest_csv
 from .debias import VARIANTS, DebiasConfig, grid_search_reconstruction, reduce_weights
 from .errors import ConfigError, CtrBiasError, NumericalError
 from .evaluation import DEFAULT_K, evaluate
-from .models import ARCH_TAGS, load_model, predict, save_model
+from .models import (ARCH_TAGS, load_model, predict, prediction_parts, rescore,
+                     save_model)
 from .numeric import to_jsonable
 from .synth import SynthConfig, generate
 from .training import ABLATIONS, OPTIMIZERS, TrainConfig, train
@@ -157,10 +158,6 @@ def _load(args, *csv_flags):
     return schema, params, datasets
 
 
-def _evaluated(params, ds, k: int):
-    return evaluate(ds, predict(params, ds.indices, ds.values), k)
-
-
 def cmd_synth(args):
     result = generate(_config(SynthConfig, args))
     outdir = Path(args.out)
@@ -219,7 +216,7 @@ def cmd_debias(args):
 
 def cmd_eval(args):
     _, params, (ds,) = _load(args, "data")
-    report = _evaluated(params, ds, args.k)
+    report = evaluate(ds, predict(params, ds.indices, ds.values), args.k)
     _write_json(args.out, report.to_json_dict())
     outputs = [args.out]
     if args.group_csv:
@@ -232,13 +229,16 @@ def cmd_pipeline(args):
     """synth -> train -> analyze -> every correction -> eval, in memory.
 
     One trained model is reduced at each --alpha strength and
-    reconstructed with each of the debias.VARIANTS. Stage seeds derive
-    from --seed (synth uses it directly, training uses seed + 1) so one
-    flag pins the whole run. Every setting is checked before synthesis
-    and nothing is written until training returns, so a bad setting or a
-    failed training leaves no run directory behind. Reduced models of
-    strengths this run does not write are deleted, so the directory holds
-    exactly the models its manifest lists.
+    reconstructed with each of the debias.VARIANTS. A correction changes
+    only linear weights, so the base model scores test and unbiased_test
+    once each, and every model is evaluated by rescoring its linear part
+    on the base's high-order part, which gives its predict() bit for bit.
+    Stage seeds derive from --seed (synth uses it directly, training uses
+    seed + 1) so one flag pins the whole run. Every setting is checked
+    before synthesis and nothing is written until training returns, so a
+    bad setting or a failed training leaves no run directory behind.
+    Reduced models of strengths this run does not write are deleted, so
+    the directory holds exactly the models its manifest lists.
     """
     alphas = {}  # artifact name -> strength; equal names are duplicates
     for alpha in _parse_grid(args.alpha, "--alpha"):
@@ -269,13 +269,22 @@ def cmd_pipeline(args):
     _write_json(artifact("train_report.json"), report.to_json_dict())
     chain = bias_chain_report(params, result.train, eval_ds=result.test)
     _write_json(artifact("analysis.json"), chain.to_json_dict())
-    summary = {"base_test": _evaluated(params, result.test, args.k),
-               "base_unbiased_test": _evaluated(params, result.unbiased_test, args.k)}
+    high = {split: prediction_parts(params, ds.indices, ds.values).high_order
+            for split, ds in (("test", result.test),
+                              ("unbiased_test", result.unbiased_test))}
+
+    def evaluated(model, split: str):
+        ds = result.splits[split]
+        _, scores = rescore(model, high[split], ds.indices, ds.values)
+        return evaluate(ds, scores, args.k)
+
+    summary = {"base_test": evaluated(params, "test"),
+               "base_unbiased_test": evaluated(params, "unbiased_test")}
 
     for name, alpha in alphas.items():
         reduced = reduce_weights(params, result.schema.bias_range, alpha)
         save_model(reduced, artifact(f"model_reduced_{name}.bin"))
-        summary[f"reduced_{name}_test"] = _evaluated(reduced, result.test, args.k)
+        summary[f"reduced_{name}_test"] = evaluated(reduced, "test")
     for path in outdir.glob("model_reduced_*.bin"):  # an earlier run's strengths
         if path not in outputs:
             path.unlink()
@@ -285,8 +294,8 @@ def cmd_pipeline(args):
             params, result.train, result.unbiased_val, cfg)
         save_model(best, artifact(f"model_reconstructed_{cfg.variant}.bin"))
         _write_json(artifact(f"grid_{cfg.variant}.json"), grid.to_json_dict())
-        summary[f"reconstructed_{cfg.variant}_unbiased_test"] = _evaluated(
-            best, result.unbiased_test, args.k)
+        summary[f"reconstructed_{cfg.variant}_unbiased_test"] = evaluated(
+            best, "unbiased_test")
 
     _write_json(artifact("eval_summary.json"),
                 {k: v.to_json_dict() for k, v in summary.items()})

@@ -312,12 +312,12 @@ def group_sums(ds: Dataset, row_values: np.ndarray) -> np.ndarray:
 
 
 def _per_group_rate(ds: Dataset, row_weights: np.ndarray,
-                    positives: np.ndarray) -> np.ndarray:
+                    counts: np.ndarray) -> np.ndarray:
     """Per group, the sum of row_weights over its member rows divided by
-    its positive member rows; nan for a group without positives."""
+    its count; nan for a group whose count is 0."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(positives > 0,
-                        group_sums(ds, row_weights.astype(np.float64)) / positives,
+        return np.where(counts > 0,
+                        group_sums(ds, row_weights.astype(np.float64)) / counts,
                         np.nan)
 
 

@@ -30,9 +30,14 @@ constant's comment holds the measurements). A chunk boundary can move an
 NFM logit in its last bit, as OpenBLAS splits a block across its threads
 by size; FM logits and the linear part never move.
 
+prediction_parts is the scoring path for whole datasets and the one place
+that refuses a score that is not finite (NumericalError). Training's
+batches go through forward alone; their loss is checked in training.
+
 Serialization is a fixed little-endian binary layout with a schema digest
 and a provenance record, so downstream tools can refuse weight files that
-do not match the feature space they expect.
+do not match the feature space they expect, and a weight that is NaN or
+infinite is refused at load (ModelFormatError).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError
+from .errors import ConfigError, ModelFormatError, NumericalError
 from .numeric import bce_loss, sigmoid
 
 MAGIC = b"CTRB"
@@ -230,7 +235,10 @@ def prediction_parts(params: ModelParams, indices, values) -> PredictionParts:
     """Eval-mode forward over a dataset-sized batch, PREDICT_CHUNK rows at a time.
 
     Every index, padding included, must lie in [0, n): a negative one would
-    wrap around to the end of the weight table.
+    wrap around to the end of the weight table. This is where every
+    dataset is scored, and the one place that checks its scores: a logit
+    that is not finite (overflow is silent here) raises NumericalError
+    naming its row. A finite logit has finite parts, as it is their sum.
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -241,12 +249,18 @@ def prediction_parts(params: ModelParams, indices, values) -> PredictionParts:
                               f"[0, {params.n}) of the model")
     parts = PredictionParts(*(np.empty(len(indices)) for _ in range(3)))
     chunk = PREDICT_CHUNK
-    for lo in range(0, len(indices), chunk):
-        rows = slice(lo, lo + chunk)
-        cache = forward(params, indices[rows], values[rows])
-        parts.logits[rows] = cache.logits
-        parts.linear[rows] = cache.linear
-        parts.high_order[rows] = cache.high_order
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(indices), chunk):
+            rows = slice(lo, lo + chunk)
+            cache = forward(params, indices[rows], values[rows])
+            parts.logits[rows] = cache.logits
+            parts.linear[rows] = cache.linear
+            parts.high_order[rows] = cache.high_order
+    finite = np.isfinite(parts.logits)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NumericalError(f"the model scores row {row} as {parts.logits[row]}, "
+                             "which is not finite")
     return parts
 
 
@@ -390,8 +404,7 @@ def deserialize(buf: bytes, origin: str = "<bytes>") -> ModelParams:
     if n < 1 or d < 1:
         raise ModelFormatError(f"{origin}: empty weight shape n={n} d={d}")
     (w0,) = cur.unpack("<d")
-    w = cur.floats(n)
-    V = cur.floats(n * d).reshape(n, d)
+    weights = {"w0": w0, "w": cur.floats(n), "V": cur.floats(n * d).reshape(n, d)}
     mlp = None
     if arch == "nfm":
         (hidden,) = cur.unpack("<Q")
@@ -400,9 +413,14 @@ def deserialize(buf: bytes, origin: str = "<bytes>") -> ModelParams:
         w_out = cur.floats(hidden)
         (b_out,) = cur.unpack("<d")
         mlp = MlpParams(W1, b1, w_out, float(b_out))
+        weights.update(vars(mlp))
     if cur.pos != len(buf):
         raise ModelFormatError(f"{origin}: {len(buf) - cur.pos} trailing bytes")
-    return ModelParams(arch, float(w0), w, V, mlp, digest_hex, provenance)
+    for name, value in weights.items():
+        if not np.isfinite(value).all():
+            raise ModelFormatError(f"{origin}: {name} holds NaN or infinity")
+    return ModelParams(arch, float(w0), weights["w"], weights["V"], mlp,
+                       digest_hex, provenance)
 
 
 def save_model(params: ModelParams, path) -> None:

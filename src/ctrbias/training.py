@@ -23,6 +23,10 @@ provenance is read from it. The optional "unaware" ablation pins the bias
 field to zero influence: its linear weights and embedding rows start at
 zero and their gradients are dropped every step, so those features never
 touch the model's output.
+
+A batch loss that is not finite raises DivergenceError here; a split's
+scores are checked where they are made, in models.prediction_parts, and
+train names the split and the epoch in that NumericalError.
 """
 
 from __future__ import annotations
@@ -172,8 +176,6 @@ def _apply(params: ModelParams, deltas: dict) -> None:
 def _val_uauc(params: ModelParams, val_ds: Dataset) -> float:
     # blocks_of breaks ties by item id; AUC does not depend on tie order
     scores = predict(params, val_ds.indices, val_ds.values)
-    if not np.isfinite(scores).all():
-        return float("nan")
     return ranked_auc(blocks_of(val_ds).rank(scores))[0]
 
 
@@ -249,10 +251,15 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
             report.train_loss.append(float(np.mean(batch_losses)))
             report.epochs_run = epoch + 1
 
+            try:  # predict refuses a score that is not finite
+                if have_val:
+                    uauc = _val_uauc(params, val_ds)
+                elif epoch == cfg.max_epochs - 1:
+                    predict(params, train_ds.indices, train_ds.values)
+            except NumericalError:
+                split = "validation" if have_val else "training"
+                raise NumericalError(f"non-finite {split} scores at epoch {epoch}") from None
             if have_val:
-                uauc = _val_uauc(params, val_ds)
-                if np.isnan(uauc):
-                    raise NumericalError(f"non-finite validation scores at epoch {epoch}")
                 report.val_uauc.append(uauc)
                 # best_val_uauc starts as NaN, which no uauc exceeds
                 if best is None or uauc > report.best_val_uauc:
@@ -262,9 +269,6 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
                 elif epoch - report.best_epoch >= cfg.patience:
                     report.stopped_early = True
                     break
-        if not have_val and not np.isfinite(
-                predict(params, train_ds.indices, train_ds.values)).all():
-            raise NumericalError(f"non-finite training scores at epoch {epoch}")
 
     if best is not None:
         params = best

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (float_bits, make_dataset, make_schema, random_dataset,
@@ -134,6 +136,46 @@ class TestPearson:
             res = pearson(x, 3.0 * x + 1e-9 * rng.normal(size=6))
             assert -1.0 <= res.r <= 1.0
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_huge_and_tiny_inputs_keep_their_correlation(self, scale):
+        # squaring raw deviations overflowed at 1e200 (r = 0 with a
+        # warning) and underflowed at 1e-200 (refused as constant)
+        x = [1.0 * scale, 2.0 * scale, 3.5 * scale]
+        res = pearson(x, [1.0, 2.0, 3.0])
+        want = scipy.stats.pearsonr(x, [1.0, 2.0, 3.0])
+        assert round(res.r, 5) == 0.99340
+        assert res.r == pytest.approx(float(want.statistic), abs=1e-12)
+        assert res.p_value == pytest.approx(float(want.pvalue), rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                    st.integers(-10**6, 10**6)),
+                          min_size=3, max_size=30),
+           ex=st.integers(-300, 300), ey=st.integers(-300, 300))
+    def test_matches_scipy_at_any_scale(self, pairs, ex, ey):
+        x, y = (np.array(v, dtype=np.float64) / 1e6 for v in zip(*pairs))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        x, y = x * 10.0 ** ex, y * 10.0 ** ey
+        got = pearson(x, y)
+        want = scipy.stats.pearsonr(x, y)
+        assert got.r == pytest.approx(float(want.statistic), abs=1e-12)
+        if abs(want.statistic) < 1.0 - 1e-6:  # p is ill-conditioned at |r| = 1
+            assert got.p_value == pytest.approx(float(want.pvalue), rel=1e-8,
+                                               abs=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                    st.integers(-10**6, 10**6)),
+                          min_size=3, max_size=30),
+           kx=st.integers(-900, 900), ky=st.integers(-900, 900))
+    def test_power_of_two_scaling_moves_no_bit(self, pairs, kx, ky):
+        x, y = (np.array(v, dtype=np.float64) / 1e6 for v in zip(*pairs))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        got = pearson(np.ldexp(x, kx), np.ldexp(y, ky))
+        want = pearson(x, y)
+        assert float_bits(got.r) == float_bits(want.r)
+        assert float_bits(got.p_value) == float_bits(want.p_value)
+
     def test_error_paths(self):
         with pytest.raises(UndefinedCorrelationError):
             pearson([1.0], [2.0])
@@ -170,6 +212,21 @@ class TestSpearman:
         base = spearman(x, y)
         cubed = spearman(x ** 3, y)
         assert base.r == cubed.r and base.p_value == cubed.p_value
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+                          min_size=3, max_size=30),
+           ex=st.integers(-300, 300), ey=st.integers(-300, 300))
+    def test_matches_scipy_at_any_scale(self, pairs, ex, ey):
+        x, y = (np.array(v, dtype=np.float64) * 10.0 ** e
+                for v, e in zip(zip(*pairs), (ex, ey)))
+        assume(len(set(x)) > 1 and len(set(y)) > 1)
+        got = spearman(x, y)
+        want = scipy.stats.spearmanr(x, y)
+        assert got.r == pytest.approx(float(want.statistic), abs=1e-12)
+        if abs(want.statistic) < 1.0 - 1e-6:  # p is ill-conditioned at |r| = 1
+            assert got.p_value == pytest.approx(float(want.pvalue), rel=1e-8,
+                                               abs=1e-13)
 
     def test_non_finite_rejected_before_ranking(self):
         with pytest.raises(UndefinedCorrelationError):

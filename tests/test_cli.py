@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import ctrbias
-from ctrbias import synth
+from conftest import count_calls
+from ctrbias import cli, models, synth, training
 from ctrbias.analysis import ols_fit
 from ctrbias.cli import _config, build_parser, main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
@@ -760,6 +761,66 @@ class TestDebias:
             assert message in capsys.readouterr().err
 
 
+def scoring_commands(corpus, model, out):
+    """argv of analyze, eval and both debias modes on model, keyed by name;
+    each writes under the directory out."""
+    s = ["--schema", str(corpus["schema"]), "--model", str(model)]
+    data = corpus["data"]
+    return {
+        "analyze": ["analyze", *s, "--train", str(data / "train.csv"),
+                    "--eval", str(data / "test.csv"), "--out", str(out / "a.json")],
+        "eval": ["eval", *s, "--data", str(data / "test.csv"),
+                 "--out", str(out / "e.json")],
+        "reconstruct": ["debias", *s, "--mode", "reconstruct",
+                        "--train", str(data / "train.csv"),
+                        "--unbiased", str(data / "unbiased_val.csv"),
+                        "--out", str(out / "c.bin")],
+        "reduce": ["debias", *s, "--mode", "reduce", "--out", str(out / "r.bin")],
+    }
+
+
+class TestModelsThatCannotScore:
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weights_exit_2_at_load(self, corpus, tmp_path, capsys,
+                                               value):
+        # reduce used to write another such model, and the scoring commands
+        # failed at ranking, after their work
+        params = load_model(corpus["model"])
+        params.w[0] = value
+        model = tmp_path / "bad.bin"
+        save_model(params, model)
+        for name, argv in scoring_commands(corpus, model, tmp_path).items():
+            assert main(argv) == 2, name
+            assert capsys.readouterr().err == (
+                f"error: {model}: w holds NaN or infinity\n"), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.bin"]
+
+    def test_huge_weights_exit_3_from_every_command_that_scores(self, corpus,
+                                                                 tmp_path):
+        # finite weights near 1e200 overflow every score; the commands run in
+        # fresh processes that turn any RuntimeWarning into an error
+        params = load_model(corpus["model"])
+        for table in (params.w, params.V):
+            table *= 1e200
+        model = tmp_path / "huge.bin"
+        save_model(params, model)
+        src = str(Path(ctrbias.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for name, argv in scoring_commands(corpus, model, tmp_path).items():
+            done = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "ctrbias",
+                 *argv], env=env, capture_output=True, text=True, timeout=120)
+            if name == "reduce":  # scores nothing, so writes the reduced model
+                assert done.returncode == 0, done.stderr
+                continue
+            assert done.returncode == 3, (name, done.stderr)
+            assert done.stderr.startswith("numerical error: the model scores row ")
+            assert done.stderr.count("\n") == 1, (name, done.stderr)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "huge.bin", "r.bin", "r.bin.manifest.json"]
+
+
 class TestManifests:
     """Each manifest digests the files its path flags name and the files
     its command wrote, and nothing else."""
@@ -934,6 +995,36 @@ class TestPipeline:
         assert run_pipeline(out, *bad) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
+
+    def test_each_split_is_scored_once_per_base_model(self, tmp_path,
+                                                      monkeypatch):
+        # every correction is evaluated on the base model's high-order part
+        def kept(fn, results):
+            def call(*args):
+                results.append(fn(*args))
+                return results[-1]
+            return call
+
+        worlds, trained = [], []
+        monkeypatch.setattr(cli, "generate", kept(synth.generate, worlds))
+        monkeypatch.setattr(cli, "train", kept(training.train, trained))
+        parts = count_calls(monkeypatch, models, "prediction_parts")
+        predicts = count_calls(monkeypatch, models, "predict")
+        assert run_pipeline(tmp_path / "run") == 0
+        base, report = trained[0]
+        splits = worlds[0].splits
+
+        def scored(calls, model_is_base):
+            return sorted(next(name for name, ds in splits.items()
+                               if args[1] is ds.indices)
+                          for args, _ in calls if (args[0] is base) == model_is_base)
+
+        assert scored(parts, model_is_base=False) == ["val"] * report.epochs_run
+        assert scored(parts, model_is_base=True) == sorted([
+            "train", "test",                       # bias_chain_report
+            "test", "unbiased_test",               # the pipeline's evaluations
+            *["unbiased_val"] * len(VARIANTS)])    # one per grid search
+        assert scored(predicts, model_is_base=True) == ["train"]
 
     def test_diverged_training_exits_3_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "run"

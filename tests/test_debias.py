@@ -16,7 +16,7 @@ from ctrbias.data import Dataset
 from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, fit_weight_residuals,
                             grid_search_reconstruction, reconstruct_weights,
                             reduce_weights)
-from ctrbias.errors import ConfigError
+from ctrbias.errors import ConfigError, NumericalError
 from ctrbias.evaluation import evaluate, group_stats, ndcg_at_k, user_auc
 from ctrbias.models import model_digest, predict, prediction_parts, rescore
 
@@ -497,14 +497,14 @@ class TestGridScoresMatchPredict:
         assert by_strings[1].to_json_dict() == by_codes[1].to_json_dict()
         assert model_digest(by_strings[0]) == model_digest(by_codes[0])
 
-    def test_nan_scores_raise_config_error(self, rng):
+    def test_nan_scores_raise_numerical_error(self, rng):
         kw = dict(n_users=6, n_items=9, n_groups=4)
         train_ds = random_dataset(rng, n_rows=120, **kw)
         unbiased = random_dataset(rng, n_rows=90, split_tag="unbiased-val",
                                   **kw)
         params = random_params(rng, train_ds.schema.n, 3)
         params.V[int(unbiased.indices[0, 0])] = np.nan  # one user's factor
-        with pytest.raises(ConfigError, match="NaN"):
+        with pytest.raises(NumericalError, match="not finite"):
             grid_search_reconstruction(params, train_ds, unbiased)
 
     def test_search_scores_the_model_once(self, rng, monkeypatch):

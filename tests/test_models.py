@@ -8,6 +8,7 @@ byte offset.
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from conftest import float_bits, random_params
 from oracles import loss_and_grads_reference, pairwise_logit_reference
 from ctrbias import models
 from ctrbias.debias import reduce_weights
-from ctrbias.errors import ConfigError, ModelFormatError
+from ctrbias.errors import ConfigError, ModelFormatError, NumericalError
 from ctrbias.models import (ARCH_TAGS, ModelParams, deserialize,
                             forward, init_params, load_model, loss_and_grads,
                             model_digest, predict,
@@ -210,6 +211,26 @@ class TestPredict:
             assert np.allclose(parts.linear - unbiased.linear, manual_bias,
                                atol=1e-12)
             assert parts.high_order.tobytes() == unbiased.high_order.tobytes()
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    @pytest.mark.parametrize("weight", [1e200, np.nan])
+    def test_non_finite_score_raises_naming_its_first_row(self, rng, monkeypatch,
+                                                          arch, weight):
+        # rows 5 and 7 hold feature 14, whose factors overflow the square
+        # (or are NaN); no RuntimeWarning escapes, in any chunking
+        params = random_params(rng, 15, 3, arch=arch)
+        idx, val = random_batch(rng, 14, 4, 23)
+        idx[[5, 7], 0] = 14
+        params.V[14] = weight
+        for chunk in (1, 4, 1024):
+            monkeypatch.setattr(models, "PREDICT_CHUNK", chunk)
+            for call in (predict, prediction_parts):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NumericalError,
+                                       match="scores row 5 as .*not finite") as e:
+                        call(params, idx, val)
+                assert "\n" not in str(e.value)
 
     def test_empty_batch(self, rng):
         params = random_params(rng, 6, 2)
@@ -528,6 +549,22 @@ class TestSerialization:
         assert np.array_equal(loaded.w, params.w)
         with pytest.raises(ModelFormatError, match="different feature schema"):
             load_model(path, expected_schema_digest="ef" * 32)
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_refused_naming_the_file(self, rng, arch,
+                                                           value):
+        params = random_params(rng, 4, 2, arch=arch, hidden=3)
+        for holder, name in param_slots(params):
+            bad = params.copy()
+            holder = bad if holder is params else bad.mlp
+            if np.isscalar(getattr(holder, name)):
+                setattr(holder, name, value)
+            else:
+                getattr(holder, name).flat[-1] = value
+            with pytest.raises(ModelFormatError,
+                               match=f"^m.bin: {name} holds NaN or infinity$"):
+                deserialize(serialize(bad), origin="m.bin")
 
     def test_empty_provenance_defaults_to_digest_of_zeroes(self):
         params = init_params(3, 2, "fm", seed=0)
