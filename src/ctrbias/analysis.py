@@ -45,18 +45,23 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centred(x: np.ndarray) -> np.ndarray:
-    """x less its mean, once scaled by the power of two that brings its
-    largest magnitude into [0.5, 1): exact short of a subnormal, so r keeps
-    its bits, and the squares and sums of any finite input stay in range."""
+    """x less its mean, both before and after centring scaled by the power
+    of two that brings its largest magnitude into [0.5, 1): exact short of
+    a subnormal, so r keeps its bits, and the squares and sums of any finite
+    input stay in range. Inputs whose centred forms differ by a power of
+    two (ranks of x and of -x, say) come out equal or negated."""
     x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-    return x - x.mean()
+    x = x - x.mean()
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
 
 
 def pearson(x, y) -> CorrelationResult:
     """Pearson r with the exact two-sided t-test p-value.
 
     Raises UndefinedCorrelationError for fewer than two points or constant
-    input; p is NaN when n < 3 (no degrees of freedom for the test).
+    input; p is NaN when n < 3 (no degrees of freedom for the test). When
+    the centred inputs are equal, or one is the other negated, r is exactly
+    +-1 and p is 0, where the rounded norms could leave r an ulp short.
     """
     x, y = _paired(x, y)
     n = len(x)
@@ -70,8 +75,12 @@ def pearson(x, y) -> CorrelationResult:
     sy = float(np.sqrt((ym ** 2).sum()))
     if sx == 0.0 or sy == 0.0:
         raise UndefinedCorrelationError("correlation undefined for constant input")
-    r = float(xm @ ym) / (sx * sy)
-    r = max(-1.0, min(1.0, r))
+    if np.array_equal(xm, ym):
+        r = 1.0
+    elif np.array_equal(xm, -ym):
+        r = -1.0
+    else:
+        r = max(-1.0, min(1.0, float(xm @ ym) / (sx * sy)))
     if n < 3:
         p = float("nan")
     elif 1.0 - r * r <= 0.0:

@@ -13,6 +13,13 @@ which is linear in the number of live features. FM scores f = sum_k bi_k;
 NFM feeds the bi-interaction vector through one ReLU hidden layer and a
 linear readout. Padded entries (value 0) contribute nothing to any term.
 
+forward gathers the embedding rows with np.take and squares them in place
+once sum_v has read them; bi and the NFM hidden layer are each built in
+one buffer. Every IEEE operation and BLAS call is the one the out-of-place
+expressions make, so training and scoring keep their bits. The cache holds
+neither the gathered rows (loss_and_grads gathers its batch again) nor the
+hidden pre-activation (the ReLU mask is read off its output).
+
 The field sums are einsum contractions and the gradient scatters are flat
 np.bincount calls, each a single pass over the batch. They add in the
 same order as a broadcast product summed over the entry axis and a 2-D
@@ -60,13 +67,14 @@ ARCH_NAMES = {v: k for k, v in ARCH_TAGS.items()}
 DEFAULT_HIDDEN = 64
 # Rows per forward pass when scoring a whole dataset. A chunk's temporaries
 # set the peak of a predict call: an NFM with d = 16 and 64 hidden units
-# holds ~3.5 KB a row (the chunk's forward and the previous chunk's cache),
-# 28.8 MB traced at 8192 rows against 3.6 MB at 1024. Scoring 26k rows in a
-# fresh process on a 2-CPU VM, after a warm-up call, took per call (minor
-# faults from getrusage): NFM 18-22 ms and ~3.8k-5.9k faults at 8192 rows,
-# 15-17 ms and ~3.3k at 1024; FM 12-17 ms and ~3.6k, 7-11 ms and ~0.4k. On
-# the tune_nfm bench peak RSS fell from ~121 to ~97 MiB; 2048 rows read
-# ~97.3 MiB and a slower wall_s.
+# holds ~2.1 KB a row (the chunk's forward and the previous chunk's cache),
+# 17.4 MB traced at 8192 rows against 2.2 MB at 1024; an FM ~1.1 KB. Scoring
+# 26k rows of 3 fields in a fresh process on a 2-CPU VM, after a warm-up
+# call, took per call (minor faults from getrusage): NFM 13-20 ms and ~2.1k
+# faults at 8192 rows, 10-13 ms and ~1.9k at 1024; FM 7-9 ms and ~2.3k,
+# 5.1-5.3 ms and ~0.3k. On the tune_nfm bench peak RSS fell from ~121 to
+# ~97 MiB going from 8192 to 1024 rows; 2048 rows read ~97.3 MiB and a
+# slower wall_s.
 PREDICT_CHUNK = 1024
 
 
@@ -153,15 +161,19 @@ def init_params(n: int, d: int, arch: str, seed: int, hidden: int = DEFAULT_HIDD
 
 @dataclass
 class ForwardCache:
-    """One batch's logit parts (as in PredictionParts) and backward intermediates."""
+    """One batch's logit parts (as in PredictionParts) and backward intermediates.
+
+    a1 is the NFM hidden layer after the ReLU and before dropout: a1 > 0
+    exactly where the pre-activation is > 0, NaN and -0.0 included, so the
+    backward pass reads its ReLU mask off a1.
+    """
 
     indices: np.ndarray
     values: np.ndarray
-    gathered_V: np.ndarray
     sum_v: np.ndarray
     bi: np.ndarray
     bi_used: np.ndarray
-    z1: np.ndarray | None
+    a1: np.ndarray | None
     a1_used: np.ndarray | None
     mask_bi: np.ndarray | None
     mask_hidden: np.ndarray | None
@@ -206,29 +218,35 @@ def forward(params: ModelParams, indices, values, train: bool = False,
     dropout = (p_interaction, p_hidden); inverted scaling keeps expected
     activations unchanged, so evaluation needs no compensation. sum_v and
     sum_sq are einsum contractions over the entry axis (see the module
-    docstring for why they match the broadcast sums).
+    docstring for why they match the broadcast sums, and for the buffers
+    built in place).
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    gathered = params.V[indices]
+    gathered = np.take(params.V, indices, axis=0)
     sum_v = np.einsum("bf,bfd->bd", values, gathered)
-    sum_sq = np.einsum("bf,bfd->bd", values ** 2, gathered ** 2)
-    bi = 0.5 * (sum_v * sum_v - sum_sq)
+    sum_sq = np.einsum("bf,bfd->bd", values ** 2, np.square(gathered, out=gathered))
+    bi = sum_v * sum_v
+    bi -= sum_sq
+    bi *= 0.5
 
     p_bi, p_h = dropout if train else (0.0, 0.0)
     bi_used, mask_bi = _dropout(bi, p_bi, rng)
     if params.arch == "fm":
         high = bi_used.sum(axis=1)
-        z1 = a1_used = mask_hidden = None
+        a1 = a1_used = mask_hidden = None
     else:
         mlp = params.mlp
-        z1 = bi_used @ mlp.W1 + mlp.b1
-        a1_used, mask_hidden = _dropout(np.maximum(z1, 0.0), p_h, rng)
-        high = a1_used @ mlp.w_out + mlp.b_out
+        z1 = bi_used @ mlp.W1
+        z1 += mlp.b1
+        a1 = np.maximum(z1, 0.0, out=z1)
+        a1_used, mask_hidden = _dropout(a1, p_h, rng)
+        high = a1_used @ mlp.w_out
+        high += mlp.b_out
 
     linear, logits = rescore(params, high, indices, values)
-    return ForwardCache(indices, values, gathered, sum_v, bi, bi_used,
-                        z1, a1_used, mask_bi, mask_hidden, linear, high, logits)
+    return ForwardCache(indices, values, sum_v, bi, bi_used,
+                        a1, a1_used, mask_bi, mask_hidden, linear, high, logits)
 
 
 def prediction_parts(params: ModelParams, indices, values) -> PredictionParts:
@@ -302,7 +320,7 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
         mlp = params.mlp
         da1_used = dlogit[:, None] * mlp.w_out
         da1 = da1_used if cache.mask_hidden is None else da1_used * cache.mask_hidden
-        dz1 = da1 * (cache.z1 > 0)
+        dz1 = da1 * (cache.a1 > 0)
         grads["W1"] = cache.bi_used.T @ dz1 + 2.0 * l2 * mlp.W1
         grads["b1"] = dz1.sum(axis=0) + 2.0 * l2 * mlp.b1
         grads["w_out"] = cache.a1_used.T @ dlogit + 2.0 * l2 * mlp.w_out
@@ -313,7 +331,7 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     # d bi_k / d V_jk = x_j * sum_v_k - x_j^2 * V_jk, scattered per live entry
     val = cache.values
     contrib = np.einsum("bj,bk->bjk", val ** 2, dbi)
-    contrib *= cache.gathered_V
+    contrib *= np.take(params.V, cache.indices, axis=0)
     np.subtract(np.einsum("bj,bk->bjk", val, dbi * cache.sum_v), contrib, out=contrib)
     n, d = params.V.shape
     cells = (cache.indices * d)[..., None] + np.arange(d)

@@ -17,16 +17,16 @@ _CF_FPMIN = 1e-300
 def sigmoid(z):
     """Numerically stable logistic function, scalar or array.
 
-    Branches on sign so no exp() argument exceeds 0; exact for |z| > 30
-    where the naive form would overflow. Both branches are computed for
-    every element and np.where picks one. The exp() argument is -z where
-    z >= 0 and z elsewhere, not -|z|, so a NaN passes through with its
-    sign bit, which -|z| would set.
+    No exp() argument exceeds 0: e = exp(min(z, -z)), and the result is
+    1 / (1 + e) where z >= 0 and e / (1 + e) elsewhere, the numerator
+    picked as max(e, z >= 0) since e <= 1, with no masked select. So it
+    is exact for |z| > 30 where the naive form would overflow. min(z, -z)
+    and max(e, False) return a NaN operand as it is, so a NaN passes
+    through with its sign bit and payload, which -|z| would not keep.
     """
     z = np.asarray(z, dtype=np.float64)
-    pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))
-    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(np.minimum(z, -z))
+    out = np.maximum(e, z >= 0) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out
@@ -78,7 +78,9 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()  # nothing to replace: no per-element pass
+        return to_jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if np.isfinite(v) else None

@@ -108,7 +108,7 @@ def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
 
     if params.arch == "fm":
         high = bi_used.sum(axis=1)
-        z1 = a1_used = None
+        a1 = a1_used = None
     else:
         mlp = params.mlp
         z1 = bi_used @ mlp.W1 + mlp.b1
@@ -120,8 +120,8 @@ def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
         high = a1_used @ mlp.w_out + mlp.b_out
 
     logits = (params.w0 + linear) + high
-    return ForwardCache(indices, values, gathered, sum_v, bi, bi_used,
-                        z1, a1_used, mask_bi, mask_hidden, linear, high, logits)
+    return ForwardCache(indices, values, sum_v, bi, bi_used,
+                        a1, a1_used, mask_bi, mask_hidden, linear, high, logits)
 
 
 def loss_and_grads_reference(params, indices, values, labels, l2=0.0, train=False,
@@ -146,7 +146,8 @@ def loss_and_grads_reference(params, indices, values, labels, l2=0.0, train=Fals
         mlp = params.mlp
         da1_used = dlogit[:, None] * mlp.w_out
         da1 = da1_used if cache.mask_hidden is None else da1_used * cache.mask_hidden
-        dz1 = da1 * (cache.z1 > 0)
+        z1 = cache.bi_used @ mlp.W1 + mlp.b1  # the pre-activation, recomputed
+        dz1 = da1 * (z1 > 0)
         grads["W1"] = cache.bi_used.T @ dz1 + 2.0 * l2 * mlp.W1
         grads["b1"] = dz1.sum(axis=0) + 2.0 * l2 * mlp.b1
         grads["w_out"] = cache.a1_used.T @ dlogit + 2.0 * l2 * mlp.w_out
@@ -156,7 +157,7 @@ def loss_and_grads_reference(params, indices, values, labels, l2=0.0, train=Fals
     dbi = dbi_used if cache.mask_bi is None else dbi_used * cache.mask_bi
     val = cache.values
     contrib = (val[..., None] * (dbi[:, None, :] * cache.sum_v[:, None, :])
-               - (val ** 2)[..., None] * dbi[:, None, :] * cache.gathered_V)
+               - (val ** 2)[..., None] * dbi[:, None, :] * params.V[cache.indices])
     dV = np.zeros_like(params.V)
     np.add.at(dV, cache.indices.ravel(), contrib.reshape(-1, params.d))
 

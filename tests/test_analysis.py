@@ -130,6 +130,20 @@ class TestPearson:
         minus = pearson(x, 1.0 - x)
         assert minus.r == -1.0 and minus.p_value == 0.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=30),
+           sign=st.sampled_from([1.0, -1.0]), k=st.integers(-300, 300))
+    def test_matches_scipy_at_unit_r(self, values, sign, k):
+        # inputs whose centred forms differ by a power of two: r is +-1
+        # exactly and p is 0, where the rounded norms left r an ulp short
+        x = np.array(values, dtype=np.float64) / 1e6
+        assume(len(set(x)) > 1)
+        y = sign * np.ldexp(x, k)
+        got = pearson(x, y)
+        want = scipy.stats.pearsonr(x, y)
+        assert float_bits(got.r) == float_bits(sign) and got.p_value == 0.0
+        assert got.r == pytest.approx(float(want.statistic), abs=1e-12)
+
     def test_r_stays_in_unit_interval(self, rng):
         for _ in range(20):
             x = rng.normal(size=6)
@@ -227,6 +241,27 @@ class TestSpearman:
         if abs(want.statistic) < 1.0 - 1e-6:  # p is ill-conditioned at |r| = 1
             assert got.p_value == pytest.approx(float(want.pvalue), rel=1e-8,
                                                abs=1e-13)
+
+    def test_equal_ranks_give_unit_r_and_zero_p(self):
+        # r was 0.9999999999999998 and p 1.3e-8 here; scipy gives 1 and 0
+        for x, y, r in (([2, 3, 1], [2, 3, 1], 1.0), ([2, 3, 1], [-2, -3, -1], -1.0)):
+            res = spearman(x, y)
+            want = scipy.stats.spearmanr(x, y)
+            assert (res.r, res.p_value) == (r, 0.0) == (want.statistic, want.pvalue)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(-20, 20), min_size=3, max_size=30),
+           sign=st.sampled_from([1, -1]))
+    def test_matches_scipy_at_unit_r(self, values, sign):
+        # a monotone map keeps the ranks, ties included; negating reverses
+        # them, and the reversed ranks can fall in another binade
+        x = np.array(values, dtype=np.float64)
+        assume(len(set(x)) > 1)
+        y = sign * (x ** 3 + 5.0)
+        got = spearman(x, y)
+        want = scipy.stats.spearmanr(x, y)
+        assert got.r == sign and got.p_value == 0.0
+        assert got.r == pytest.approx(float(want.statistic), abs=1e-12)
 
     def test_non_finite_rejected_before_ranking(self):
         with pytest.raises(UndefinedCorrelationError):

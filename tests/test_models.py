@@ -36,6 +36,18 @@ def random_batch(rng, n, width, batch):
     return indices, values
 
 
+def traced_peak(fn):
+    """Bytes fn() holds at its peak, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def param_slots(params):
     """(container, attribute) pairs covering every trainable tensor."""
     slots = [(params, "w0"), (params, "w"), (params, "V")]
@@ -176,20 +188,22 @@ class TestPredict:
         params = random_params(rng, 50, 16, arch="nfm", hidden=64)
         idx = rng.integers(0, 50, size=(n, width))
         val = np.ones((n, width))
-
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                base, _ = tracemalloc.get_traced_memory()
-                tracemalloc.reset_peak()
-                fn()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         one_block = traced_peak(lambda: forward(params, idx[:2048], val[:2048]))
         scoring = traced_peak(lambda: prediction_parts(params, idx, val))
         assert scoring - 3 * n * 8 <= 2 * one_block  # minus the three outputs
+
+    def test_nfm_scoring_holds_no_spare_temporaries(self, rng):
+        # A study-size test split (26k rows, 3 fields, 3712 features,
+        # d = 16, 64 hidden units). Past the three outputs, scoring holds
+        # 2.19 MB with the squared rows, bi, + b1 and the ReLU built in
+        # place, and 3.63 MB with a fresh array for each.
+        n, width = 26_000, 3
+        params = random_params(rng, 3712, 16, arch="nfm", hidden=64)
+        idx = rng.integers(0, params.n, size=(n, width))
+        val = np.ones((n, width))
+        prediction_parts(params, idx, val)  # warm-up
+        scoring = traced_peak(lambda: prediction_parts(params, idx, val))
+        assert scoring - 3 * n * 8 <= 2.4e6
 
     def test_prediction_parts_decomposition(self, rng):
         for arch in ("fm", "nfm"):
@@ -267,8 +281,8 @@ class TestGradients:
             params = random_params(rng, 8, 3, arch="nfm", hidden=4)
             idx, val = random_batch(rng, 8, 4, 5)
             labels = rng.integers(2, size=5)
-            cache = forward(params, idx, val)
-            if np.abs(cache.z1).min() <= 1e-3:
+            z1 = forward(params, idx, val).bi_used @ params.mlp.W1 + params.mlp.b1
+            if np.abs(z1).min() <= 1e-3:
                 continue  # too close to a ReLU kink for finite differences
             l2 = float(rng.choice([0.0, 0.01]))
             _, grads, _ = loss_and_grads(params, idx, val, labels, l2=l2)
@@ -355,7 +369,7 @@ class TestBroadcastReferee:
         # the einsum adds them in SIMD lanes: two orders of the same products,
         # each within (width - 1) rounding units of their absolute sum.
         bound = 2 * (width - 1) * 2.0 ** -53 * np.einsum(
-            "bf,bfd->bd", np.abs(values), np.abs(cache.gathered_V))
+            "bf,bfd->bd", np.abs(values), np.abs(params.V[indices]))
         assert (np.abs(cache.sum_v - ref.sum_v) <= bound).all()
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=1e-12,

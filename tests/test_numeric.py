@@ -220,3 +220,18 @@ class TestToJsonable:
 
     def test_plain_values_pass_through(self):
         assert to_jsonable({"s": "x", "n": None, "i": 3}) == {"s": "x", "n": None, "i": 3}
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.int8,
+                                       np.uint16, np.bool_]),
+                      hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)))
+    def test_arrays_convert_as_element_by_element(self, arr):
+        # the whole-array tolist() shortcut against one element at a time;
+        # JSON text tells 1 from 1.0 and true
+        def elementwise(v):
+            if isinstance(v, list):
+                return [elementwise(x) for x in v]
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+
+        got = json.dumps(to_jsonable(arr), allow_nan=False)
+        assert got == json.dumps(elementwise(arr.tolist()), allow_nan=False)
