@@ -31,6 +31,17 @@ exception is d = 1, where an axis-1 sum is a pairwise sum over a row's
 entries and einsum adds them in SIMD lanes instead; with three or more
 entries a row's sums can differ there in the last bits.
 
+A batch is one-hot when it is non-empty and every value is 1.0 (no
+padding), as every synth world and single-valued log is. Then x * 1.0 is
+x, so each product with the values is dropped: at d >= 2 forward builds
+sum_v and sum_sq from one np.take per field, added in field order onto
+zeros (einsum's own order), and loss_and_grads broadcasts dlogit and dbi
+where it took outer products. At d = 1 a one-hot batch keeps the einsum
+sums, whose SIMD order the per-field adds would not reproduce, so no
+model moves. rescore sums rows of fewer than 8 entries by column adds
+onto zeros, numpy's own order below 8 entries, and wider rows with
+.sum(axis=1). Any other batch takes the general path.
+
 Whole datasets are scored PREDICT_CHUNK rows at a time: a chunk's
 temporaries, not the outputs, set the peak memory of scoring (the
 constant's comment holds the measurements). A chunk boundary can move an
@@ -66,15 +77,15 @@ ARCH_TAGS = {"fm": 0, "nfm": 1}
 ARCH_NAMES = {v: k for k, v in ARCH_TAGS.items()}
 DEFAULT_HIDDEN = 64
 # Rows per forward pass when scoring a whole dataset. A chunk's temporaries
-# set the peak of a predict call: an NFM with d = 16 and 64 hidden units
-# holds ~2.1 KB a row (the chunk's forward and the previous chunk's cache),
-# 17.4 MB traced at 8192 rows against 2.2 MB at 1024; an FM ~1.1 KB. Scoring
-# 26k rows of 3 fields in a fresh process on a 2-CPU VM, after a warm-up
-# call, took per call (minor faults from getrusage): NFM 13-20 ms and ~2.1k
-# faults at 8192 rows, 10-13 ms and ~1.9k at 1024; FM 7-9 ms and ~2.3k,
-# 5.1-5.3 ms and ~0.3k. On the tune_nfm bench peak RSS fell from ~121 to
-# ~97 MiB going from 8192 to 1024 rows; 2048 rows read ~97.3 MiB and a
-# slower wall_s.
+# set the peak of a predict call: on one-hot rows of 3 fields an NFM with
+# d = 16 and 64 hidden units holds ~1.9 KB a row (the chunk's forward and
+# the previous chunk's cache), 15.3 MB traced at 8192 rows against 1.9 MB at
+# 1024; an FM ~0.85 KB. Scoring 26k such rows in a fresh process on a 2-CPU
+# VM, after a warm-up call, took per call (minor faults from getrusage): NFM
+# 8.6-9.5 ms and ~2.0k faults at 8192 rows, 7.2-7.9 ms and ~1.8k at 1024;
+# FM 4.8-5.2 ms and ~1.2k, 2.8-4.6 ms and none. On the tune_nfm bench peak
+# RSS fell from ~121 to ~97 MiB going from 8192 to 1024 rows; 2048 rows
+# read ~97.3 MiB and a slower wall_s.
 PREDICT_CHUNK = 1024
 
 
@@ -204,9 +215,29 @@ def _dropout(x: np.ndarray, p: float, rng: np.random.Generator | None):
     return x * mask, mask
 
 
+def _one_hot(values: np.ndarray) -> bool:
+    """Whether every entry of a non-empty batch has value 1.0 (no padding)."""
+    return bool(values.size) and bool((values == 1.0).all())
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=1) bit for bit: under 8 entries numpy adds a row's entries
+    in order onto 0.0, which column adds do without its per-row loop."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    total = np.zeros(a.shape[0])
+    for column in a.T:
+        total += column
+    return total
+
+
 def rescore(params: ModelParams, high_order: np.ndarray, indices, values):
     """(linear, logits) of a batch: the one logit sum, on any high-order part."""
-    linear = (params.w[indices] * values).sum(axis=1)
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.take(params.w, indices)
+    if not _one_hot(values):
+        weights *= values
+    linear = _row_sums(weights)
     return linear, (params.w0 + linear) + high_order
 
 
@@ -217,15 +248,24 @@ def forward(params: ModelParams, indices, values, train: bool = False,
 
     dropout = (p_interaction, p_hidden); inverted scaling keeps expected
     activations unchanged, so evaluation needs no compensation. sum_v and
-    sum_sq are einsum contractions over the entry axis (see the module
-    docstring for why they match the broadcast sums, and for the buffers
-    built in place).
+    sum_sq are per-field adds on a one-hot batch at d >= 2 and einsum
+    contractions over the entry axis otherwise (see the module docstring
+    for why both match the broadcast sums, and for the buffers built in
+    place).
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    gathered = np.take(params.V, indices, axis=0)
-    sum_v = np.einsum("bf,bfd->bd", values, gathered)
-    sum_sq = np.einsum("bf,bfd->bd", values ** 2, np.square(gathered, out=gathered))
+    if params.d > 1 and _one_hot(values):
+        sum_v = np.zeros((len(indices), params.d))
+        sum_sq = np.zeros_like(sum_v)
+        for column in indices.T:
+            rows = np.take(params.V, column, axis=0)
+            sum_v += rows
+            sum_sq += np.square(rows, out=rows)
+    else:
+        gathered = np.take(params.V, indices, axis=0)
+        sum_v = np.einsum("bf,bfd->bd", values, gathered)
+        sum_sq = np.einsum("bf,bfd->bd", values ** 2, np.square(gathered, out=gathered))
     bi = sum_v * sum_v
     bi -= sum_sq
     bi *= 0.5
@@ -297,7 +337,8 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     but not the global bias w0.
 
     The per-entry contributions to dV are einsum outer products, one
-    rounding per product as in the broadcast form. dw and dV are each one
+    rounding per product as in the broadcast form; on a one-hot batch the
+    products with the values are exact and dropped. dw and dV are each one
     flat np.bincount: an entry's d contributions land on cells
     index * d + k of the flattened table, added in entry order as
     np.add.at does. bincount rejects negative indices where fancy indexing
@@ -311,8 +352,10 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     dlogit = (sigmoid(cache.logits) - labels) / m
     grads: dict[str, np.ndarray | float] = {}
     grads["w0"] = float(dlogit.sum())
-    dw = np.bincount(cache.indices.ravel(), (dlogit[:, None] * cache.values).ravel(),
-                     minlength=params.n)
+    one_hot = _one_hot(cache.values)
+    entry_grads = (np.repeat(dlogit, cache.indices.shape[1]) if one_hot
+                   else (dlogit[:, None] * cache.values).ravel())
+    dw = np.bincount(cache.indices.ravel(), entry_grads, minlength=params.n)
 
     if params.arch == "fm":
         dbi_used = np.repeat(dlogit[:, None], params.d, axis=1)  # unit-stride for einsum
@@ -329,10 +372,16 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
 
     dbi = dbi_used if cache.mask_bi is None else dbi_used * cache.mask_bi
     # d bi_k / d V_jk = x_j * sum_v_k - x_j^2 * V_jk, scattered per live entry
-    val = cache.values
-    contrib = np.einsum("bj,bk->bjk", val ** 2, dbi)
-    contrib *= np.take(params.V, cache.indices, axis=0)
-    np.subtract(np.einsum("bj,bk->bjk", val, dbi * cache.sum_v), contrib, out=contrib)
+    contrib = np.take(params.V, cache.indices, axis=0)
+    outer = dbi * cache.sum_v
+    if one_hot:  # x_j = 1: the outer products with the values are broadcasts
+        contrib *= dbi[:, None, :]
+        outer = outer[:, None, :]
+    else:
+        val = cache.values
+        contrib *= np.einsum("bj,bk->bjk", val ** 2, dbi)
+        outer = np.einsum("bj,bk->bjk", val, outer)
+    np.subtract(outer, contrib, out=contrib)
     n, d = params.V.shape
     cells = (cache.indices * d)[..., None] + np.arange(d)
     dV = np.bincount(cells.ravel(), contrib.ravel(), minlength=n * d).reshape(n, d)

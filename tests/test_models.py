@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import float_bits, random_params
-from oracles import loss_and_grads_reference, pairwise_logit_reference
+from oracles import (forward_reference, loss_and_grads_reference,
+                     pairwise_logit_reference)
 from ctrbias import models
 from ctrbias.debias import reduce_weights
 from ctrbias.errors import ConfigError, ModelFormatError, NumericalError
@@ -193,17 +195,18 @@ class TestPredict:
         assert scoring - 3 * n * 8 <= 2 * one_block  # minus the three outputs
 
     def test_nfm_scoring_holds_no_spare_temporaries(self, rng):
-        # A study-size test split (26k rows, 3 fields, 3712 features,
-        # d = 16, 64 hidden units). Past the three outputs, scoring holds
-        # 2.19 MB with the squared rows, bi, + b1 and the ReLU built in
-        # place, and 3.63 MB with a fresh array for each.
+        # A study-size test split (26k one-hot rows, 3 fields, 3712
+        # features, d = 16, 64 hidden units). Past the three outputs,
+        # scoring holds 1.93 MB with one gather per field and the squared
+        # rows, bi, + b1 and the ReLU built in place; 2.19 MB with one
+        # (rows, fields, d) gather, and 3.63 MB with a fresh array for each.
         n, width = 26_000, 3
         params = random_params(rng, 3712, 16, arch="nfm", hidden=64)
         idx = rng.integers(0, params.n, size=(n, width))
         val = np.ones((n, width))
         prediction_parts(params, idx, val)  # warm-up
         scoring = traced_peak(lambda: prediction_parts(params, idx, val))
-        assert scoring - 3 * n * 8 <= 2.4e6
+        assert scoring - 3 * n * 8 <= 2.1e6
 
     def test_prediction_parts_decomposition(self, rng):
         for arch in ("fm", "nfm"):
@@ -333,8 +336,9 @@ class TestBroadcastReferee:
         width = data.draw(st.integers(1, 9), label="fields")
         n = data.draw(st.integers(1, 6), label="n")  # few features: heavy duplicates
         batch = data.draw(st.integers(1, 40), label="batch")
+        one_hot = data.draw(st.booleans(), label="every value 1.0, no padding")
         pad_share = data.draw(st.sampled_from([0.0, 0.3, 0.9]), label="padding")
-        zero_share = data.draw(st.sampled_from([0.0, 0.5]), label="signed zeros in V")
+        zero_share = data.draw(st.sampled_from([0.0, 0.5]), label="signed zeros in V, w")
         dropout = data.draw(st.sampled_from([(0.0, 0.0), (0.3, 0.0), (0.0, 0.4),
                                              (0.3, 0.4)]), label="dropout")
         l2 = data.draw(st.sampled_from([0.0, 1e-3]), label="l2")
@@ -343,11 +347,17 @@ class TestBroadcastReferee:
         params = random_params(rng, n, d, arch=arch, hidden=5)
         zeros = rng.random(params.V.shape) < zero_share
         params.V[zeros] = np.copysign(0.0, rng.normal(size=params.V.shape))[zeros]
+        zeros = rng.random(n) < zero_share
+        params.w[zeros] = np.copysign(0.0, rng.normal(size=n))[zeros]
         indices = rng.integers(0, n, size=(batch, width))
         values = rng.uniform(0.05, 1.0, size=(batch, width))
         pad = rng.random((batch, width)) < pad_share
-        indices[pad] = 0
-        values[pad] = 0.0
+        if one_hot:  # the fast path of forward, loss_and_grads and rescore
+            values[:] = 1.0
+        else:
+            indices[pad] = 0
+            values[pad] = 0.0
+        assert models._one_hot(values) == one_hot
         labels = rng.integers(0, 2, size=batch)
 
         loss, grads, cache = loss_and_grads(
@@ -357,23 +367,84 @@ class TestBroadcastReferee:
             params, indices, values, labels, l2=l2, train=True, dropout=dropout,
             rng=np.random.default_rng(seed))
         assert list(grads) == list(ref_grads)
-        got = {"loss": loss, "logits": cache.logits, "sum_v": cache.sum_v,
-               "bi": cache.bi, **grads}
-        want = {"loss": ref_loss, "logits": ref.logits, "sum_v": ref.sum_v,
-                "bi": ref.bi, **ref_grads}
+        got = {"loss": loss, "logits": cache.logits, "linear": cache.linear,
+               "sum_v": cache.sum_v, "bi": cache.bi, **grads}
+        want = {"loss": ref_loss, "logits": ref.logits, "linear": ref.linear,
+                "sum_v": ref.sum_v, "bi": ref.bi, **ref_grads}
         if d > 1 or width <= 2:
             for key in want:
                 assert float_bits(got[key]) == float_bits(want[key]), key
             return
         # At d = 1 the axis-1 sum is a pairwise sum over a row's entries and
         # the einsum adds them in SIMD lanes: two orders of the same products,
-        # each within (width - 1) rounding units of their absolute sum.
+        # each within (width - 1) rounding units of their absolute sum. A
+        # one-hot batch takes the einsum too at d = 1, so models keep their bits.
+        einsum_sums = np.einsum("bf,bfd->bd", values, params.V[indices])
+        assert float_bits(cache.sum_v) == float_bits(einsum_sums)
         bound = 2 * (width - 1) * 2.0 ** -53 * np.einsum(
             "bf,bfd->bd", np.abs(values), np.abs(params.V[indices]))
         assert (np.abs(cache.sum_v - ref.sum_v) <= bound).all()
         for key in want:
             np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=1e-12,
                                        err_msg=key)
+
+
+class TestOneHotPath:
+    """Which batches take the one-hot fast path, and the row sums of rescore."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.integers(0, 12)),
+                      elements=st.sampled_from([0.0, -0.0])
+                      | st.floats(1e-8, 1e8).flatmap(lambda x: st.sampled_from([x, -x]))))
+    def test_row_sums_equal_numpy_sums(self, a):
+        # column adds below 8 entries, numpy's pairwise sum from 8 on
+        assert float_bits(models._row_sums(a)) == float_bits(a.sum(axis=1))
+
+    @pytest.mark.parametrize("values, one_hot", [
+        (np.ones((4, 3)), True),
+        (np.ones((1, 1)), True),
+        (np.ones((0, 3)), False),  # an empty batch
+        (np.ones((4, 0)), False),  # zero-width rows
+        (np.array([[1.0, 1.0], [1.0, 0.5]]), False),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), False),  # one padding entry
+    ])
+    def test_which_batches_are_one_hot(self, values, one_hot):
+        assert models._one_hot(values) is one_hot
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    @pytest.mark.parametrize("odd_value", [0.5, 0.0])
+    def test_one_odd_value_keeps_the_reference_bits(self, rng, arch, odd_value):
+        # a single 0.5 or padding entry sends the batch down the general path
+        params = random_params(rng, 6, 3, arch=arch)
+        indices = rng.integers(0, 6, size=(5, 3))
+        values = np.ones((5, 3))
+        values[2, 1] = odd_value
+        labels = rng.integers(0, 2, size=5)
+        loss, grads, cache = loss_and_grads(params, indices, values, labels)
+        ref_loss, ref_grads, ref = loss_and_grads_reference(params, indices, values,
+                                                            labels)
+        assert float_bits(loss) == float_bits(ref_loss)
+        for key in ref_grads:
+            assert float_bits(grads[key]) == float_bits(ref_grads[key]), key
+        for key in ("logits", "linear", "sum_v", "bi"):
+            assert float_bits(getattr(cache, key)) == float_bits(getattr(ref, key)), key
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (0, 3)])
+    def test_zero_width_and_empty_batches_keep_the_reference(self, rng, arch, shape):
+        # zero-width rows have no column to start a sum from: their linear
+        # part and sum_v are zeros, and they score w0 + the head's bias alone
+        params = random_params(rng, 6, 3, arch=arch)
+        indices, values = np.zeros(shape, np.int64), np.ones(shape)
+        cache = forward(params, indices, values)
+        ref = forward_reference(params, indices, values)
+        for key in ("logits", "linear", "sum_v", "bi"):
+            got, want = getattr(cache, key), getattr(ref, key)
+            assert got.shape == want.shape, key
+            assert float_bits(got) == float_bits(want), key
+        assert not cache.linear.any() and not cache.sum_v.any()
+        parts = prediction_parts(params, indices, values)
+        assert float_bits(parts.logits) == float_bits(cache.logits)
 
 
 class TestDropout:
