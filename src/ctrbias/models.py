@@ -33,14 +33,15 @@ entries a row's sums can differ there in the last bits.
 
 A batch is one-hot when it is non-empty and every value is 1.0 (no
 padding), as every synth world and single-valued log is. Then x * 1.0 is
-x, so each product with the values is dropped: at d >= 2 forward builds
-sum_v and sum_sq from one np.take per field, added in field order onto
-zeros (einsum's own order), and loss_and_grads broadcasts dlogit and dbi
-where it took outer products. At d = 1 a one-hot batch keeps the einsum
-sums, whose SIMD order the per-field adds would not reproduce, so no
-model moves. rescore sums rows of fewer than 8 entries by column adds
-onto zeros, numpy's own order below 8 entries, and wider rows with
-.sum(axis=1). Any other batch takes the general path.
+x, so the products with the values are dropped from scoring: at d >= 2
+forward builds sum_v and sum_sq from one np.take per field, added in
+field order onto zeros (einsum's own order), and rescore skips its
+product with the values. At d = 1 a one-hot batch keeps the einsum sums,
+whose SIMD order the per-field adds would not reproduce, so no model
+moves. Any other batch takes the general path. For every batch, rescore
+sums rows of fewer than 8 entries by column adds onto zeros, numpy's own
+order below 8 entries, and wider rows with .sum(axis=1). loss_and_grads
+keeps its products with the values on every batch.
 
 Whole datasets are scored PREDICT_CHUNK rows at a time: a chunk's
 temporaries, not the outputs, set the peak memory of scoring (the
@@ -337,8 +338,7 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     but not the global bias w0.
 
     The per-entry contributions to dV are einsum outer products, one
-    rounding per product as in the broadcast form; on a one-hot batch the
-    products with the values are exact and dropped. dw and dV are each one
+    rounding per product as in the broadcast form. dw and dV are each one
     flat np.bincount: an entry's d contributions land on cells
     index * d + k of the flattened table, added in entry order as
     np.add.at does. bincount rejects negative indices where fancy indexing
@@ -352,10 +352,8 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     dlogit = (sigmoid(cache.logits) - labels) / m
     grads: dict[str, np.ndarray | float] = {}
     grads["w0"] = float(dlogit.sum())
-    one_hot = _one_hot(cache.values)
-    entry_grads = (np.repeat(dlogit, cache.indices.shape[1]) if one_hot
-                   else (dlogit[:, None] * cache.values).ravel())
-    dw = np.bincount(cache.indices.ravel(), entry_grads, minlength=params.n)
+    dw = np.bincount(cache.indices.ravel(), (dlogit[:, None] * cache.values).ravel(),
+                     minlength=params.n)
 
     if params.arch == "fm":
         dbi_used = np.repeat(dlogit[:, None], params.d, axis=1)  # unit-stride for einsum
@@ -372,16 +370,10 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
 
     dbi = dbi_used if cache.mask_bi is None else dbi_used * cache.mask_bi
     # d bi_k / d V_jk = x_j * sum_v_k - x_j^2 * V_jk, scattered per live entry
-    contrib = np.take(params.V, cache.indices, axis=0)
-    outer = dbi * cache.sum_v
-    if one_hot:  # x_j = 1: the outer products with the values are broadcasts
-        contrib *= dbi[:, None, :]
-        outer = outer[:, None, :]
-    else:
-        val = cache.values
-        contrib *= np.einsum("bj,bk->bjk", val ** 2, dbi)
-        outer = np.einsum("bj,bk->bjk", val, outer)
-    np.subtract(outer, contrib, out=contrib)
+    val = cache.values
+    contrib = np.einsum("bj,bk->bjk", val ** 2, dbi)
+    contrib *= np.take(params.V, cache.indices, axis=0)
+    np.subtract(np.einsum("bj,bk->bjk", val, dbi * cache.sum_v), contrib, out=contrib)
     n, d = params.V.shape
     cells = (cache.indices * d)[..., None] + np.arange(d)
     dV = np.bincount(cells.ravel(), contrib.ravel(), minlength=n * d).reshape(n, d)

@@ -118,8 +118,6 @@ class Adam:
     with c1 = 1 - b1**t and c2 = 1 - b2**t: only commuted factors and
     addends differ, which IEEE arithmetic rounds identically. Reassociating
     any of them (say, lr / c1 * m) changes the last bits of the parameters.
-    Once c1 or c2 rounds to 1.0 (from t = 356 and t = 37,412 at the default
-    betas) dividing by it is exact, and the division is skipped.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -153,12 +151,10 @@ class Adam:
             tmp *= 1.0 - b2
             v *= b2
             v += tmp
-            if c1 == 1.0:  # m / 1.0 is m
-                delta = m * self.lr
-            else:
-                delta = m / c1
-                delta *= self.lr
-            np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=tmp), out=tmp)
+            delta = m / c1
+            delta *= self.lr
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
             tmp += self.eps
             delta /= tmp
             out[key] = delta

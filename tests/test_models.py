@@ -328,7 +328,8 @@ class TestBroadcastReferee:
     """forward and loss_and_grads against their broadcast-and-scatter forms,
     byte for byte: any regrouping of a sum would show in the last bits."""
 
-    @settings(max_examples=300, deadline=None)
+    # half the draws are one-hot, so the general path keeps its 300 examples
+    @settings(max_examples=600, deadline=None)
     @given(st.data())
     def test_bit_equal_to_broadcast_reference(self, data):
         arch = data.draw(st.sampled_from(["fm", "nfm"]), label="arch")
@@ -352,7 +353,7 @@ class TestBroadcastReferee:
         indices = rng.integers(0, n, size=(batch, width))
         values = rng.uniform(0.05, 1.0, size=(batch, width))
         pad = rng.random((batch, width)) < pad_share
-        if one_hot:  # the fast path of forward, loss_and_grads and rescore
+        if one_hot:  # the fast path of forward and rescore
             values[:] = 1.0
         else:
             indices[pad] = 0
