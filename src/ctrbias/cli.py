@@ -136,7 +136,10 @@ def _write_synth(result, outdir: Path) -> list:
         outputs.append(outdir / f"{name}.csv")
         ds.to_csv(outputs[-1])
     outputs.append(outdir / "truth.json")
-    _write_json(outputs[-1], result.truth)
+    # the user and item factors are ~95% of the truth's bytes and nothing
+    # reads them from the file; they stay in result.truth
+    _write_json(outputs[-1], {key: value for key, value in result.truth.items()
+                              if key not in ("user_factors", "item_factors")})
     return outputs
 
 

@@ -47,8 +47,7 @@ Group-level metrics key off the bias field: a sample counts for group j
 when its feature vector has positive mass on that group's feature.
 group_stats() is the one per-group table of a split (counts, ratios and
 the global-ratio fallback of an unexposed group) that every group count
-in the package reads, counted once per Dataset like its frame;
-group_sums() sums a row quantity per group.
+in the package reads, counted once per Dataset like its frame.
 
 Undefined values (a user with no positives, a group with no positive
 samples) are skipped or reported as NaN rather than silently treated as
@@ -303,22 +302,15 @@ def group_stats(ds: Dataset) -> GroupStats:
     return GroupStats(ds.bias_labels, n_pos.copy(), n_neg.copy(), global_ratio)
 
 
-def group_sums(ds: Dataset, row_values: np.ndarray) -> np.ndarray:
-    """Per group, the sum of row_values over the rows that carry it, added
-    in row order."""
-    rows, groups = ds.bias_memberships()
-    return np.bincount(groups, weights=row_values[rows],
-                       minlength=ds.schema.num_groups)
-
-
 def _per_group_rate(ds: Dataset, row_weights: np.ndarray,
                     counts: np.ndarray) -> np.ndarray:
-    """Per group, the sum of row_weights over its member rows divided by
-    its count; nan for a group whose count is 0."""
+    """Per group, the sum of row_weights over its member rows (added in row
+    order) divided by its count; nan for a group whose count is 0."""
+    rows, groups = ds.bias_memberships()
+    sums = np.bincount(groups, weights=row_weights.astype(np.float64)[rows],
+                       minlength=ds.schema.num_groups)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(counts > 0,
-                        group_sums(ds, row_weights.astype(np.float64)) / counts,
-                        np.nan)
+        return np.where(counts > 0, sums / counts, np.nan)
 
 
 def user_auc(user_ids, scores, labels) -> tuple[float, int]:

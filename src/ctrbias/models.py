@@ -33,15 +33,12 @@ entries a row's sums can differ there in the last bits.
 
 A batch is one-hot when it is non-empty and every value is 1.0 (no
 padding), as every synth world and single-valued log is. Then x * 1.0 is
-x, so the products with the values are dropped from scoring: at d >= 2
-forward builds sum_v and sum_sq from one np.take per field, added in
-field order onto zeros (einsum's own order), and rescore skips its
-product with the values. At d = 1 a one-hot batch keeps the einsum sums,
-whose SIMD order the per-field adds would not reproduce, so no model
-moves. Any other batch takes the general path. For every batch, rescore
-sums rows of fewer than 8 entries by column adds onto zeros, numpy's own
-order below 8 entries, and wider rows with .sum(axis=1). loss_and_grads
-keeps its products with the values on every batch.
+x, so forward builds sum_v and sum_sq from one np.take per field, added
+in field order onto zeros: einsum's own order at d >= 2, and the axis-1
+sum's at d = 1 for rows of fewer than 8 entries. Any other batch takes
+the einsum. rescore multiplies by the values on every batch and sums
+rows of fewer than 8 entries by column adds onto zeros, numpy's own
+order below 8 entries, and wider rows with .sum(axis=1).
 
 Whole datasets are scored PREDICT_CHUNK rows at a time: a chunk's
 temporaries, not the outputs, set the peak memory of scoring (the
@@ -234,10 +231,8 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 def rescore(params: ModelParams, high_order: np.ndarray, indices, values):
     """(linear, logits) of a batch: the one logit sum, on any high-order part."""
-    values = np.asarray(values, dtype=np.float64)
     weights = np.take(params.w, indices)
-    if not _one_hot(values):
-        weights *= values
+    weights *= values
     linear = _row_sums(weights)
     return linear, (params.w0 + linear) + high_order
 
@@ -249,14 +244,13 @@ def forward(params: ModelParams, indices, values, train: bool = False,
 
     dropout = (p_interaction, p_hidden); inverted scaling keeps expected
     activations unchanged, so evaluation needs no compensation. sum_v and
-    sum_sq are per-field adds on a one-hot batch at d >= 2 and einsum
-    contractions over the entry axis otherwise (see the module docstring
-    for why both match the broadcast sums, and for the buffers built in
-    place).
+    sum_sq are per-field adds on a one-hot batch and einsum contractions
+    over the entry axis otherwise (see the module docstring for how both
+    match the broadcast sums, and for the buffers built in place).
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    if params.d > 1 and _one_hot(values):
+    if _one_hot(values):
         sum_v = np.zeros((len(indices), params.d))
         sum_sq = np.zeros_like(sum_v)
         for column in indices.T:
@@ -378,10 +372,12 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     cells = (cache.indices * d)[..., None] + np.arange(d)
     dV = np.bincount(cells.ravel(), contrib.ravel(), minlength=n * d).reshape(n, d)
 
-    dw += 2.0 * l2 * params.w
-    dV += 2.0 * l2 * params.V
-    grads["w"] = dw
-    grads["V"] = dV
+    # the scatters are added onto the L2 terms, which keeps both gradients
+    # float64 where bincount over no entries counts in int64
+    grads["w"] = 2.0 * l2 * params.w
+    grads["w"] += dw
+    grads["V"] = 2.0 * l2 * params.V
+    grads["V"] += dV
     return loss, grads, cache
 
 

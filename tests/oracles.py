@@ -90,7 +90,8 @@ def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
                       rng=None):
     """models.forward with the field sums as broadcast products summed over
     axis 1. The referee for the einsum sums, which must match it bit for
-    bit for d >= 2."""
+    bit for d >= 2, and for the per-field adds of a one-hot batch, which
+    must match it at any d for rows of fewer than 8 entries."""
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     linear = (params.w[indices] * values).sum(axis=1)

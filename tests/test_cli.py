@@ -107,6 +107,7 @@ class TestSynth:
         assert len(ds) == int(round(60 * 24 * 0.8))
         truth = read_json(data / "truth.json")
         assert len(truth["rho_target"]) == 3
+        assert "user_factors" not in truth and "item_factors" not in truth
 
     def test_manifest_digests(self, corpus):
         data = corpus["data"]

@@ -353,7 +353,7 @@ class TestBroadcastReferee:
         indices = rng.integers(0, n, size=(batch, width))
         values = rng.uniform(0.05, 1.0, size=(batch, width))
         pad = rng.random((batch, width)) < pad_share
-        if one_hot:  # the fast path of forward and rescore
+        if one_hot:  # the per-field adds of forward
             values[:] = 1.0
         else:
             indices[pad] = 0
@@ -372,16 +372,23 @@ class TestBroadcastReferee:
                "sum_v": cache.sum_v, "bi": cache.bi, **grads}
         want = {"loss": ref_loss, "logits": ref.logits, "linear": ref.linear,
                 "sum_v": ref.sum_v, "bi": ref.bi, **ref_grads}
-        if d > 1 or width <= 2:
+        if d > 1 or width <= 2 or (one_hot and width < 8):
             for key in want:
                 assert float_bits(got[key]) == float_bits(want[key]), key
             return
-        # At d = 1 the axis-1 sum is a pairwise sum over a row's entries and
-        # the einsum adds them in SIMD lanes: two orders of the same products,
-        # each within (width - 1) rounding units of their absolute sum. A
-        # one-hot batch takes the einsum too at d = 1, so models keep their bits.
-        einsum_sums = np.einsum("bf,bfd->bd", values, params.V[indices])
-        assert float_bits(cache.sum_v) == float_bits(einsum_sums)
+        # At d = 1 the axis-1 sum is a pairwise sum over a row's entries. The
+        # einsum of a batch that is not one-hot adds them in SIMD lanes, and
+        # the per-field adds of a one-hot batch add them in order, which is
+        # the pairwise sum's own order only below 8 entries: two orders of the
+        # same products, each within (width - 1) rounding units of their
+        # absolute sum. Each path is still pinned to its own order.
+        if one_hot:
+            own_order = np.zeros((batch, d))
+            for column in indices.T:
+                own_order += params.V[column]
+        else:
+            own_order = np.einsum("bf,bfd->bd", values, params.V[indices])
+        assert float_bits(cache.sum_v) == float_bits(own_order)
         bound = 2 * (width - 1) * 2.0 ** -53 * np.einsum(
             "bf,bfd->bd", np.abs(values), np.abs(params.V[indices]))
         assert (np.abs(cache.sum_v - ref.sum_v) <= bound).all()
@@ -446,6 +453,19 @@ class TestOneHotPath:
         assert not cache.linear.any() and not cache.sum_v.any()
         parts = prediction_parts(params, indices, values)
         assert float_bits(parts.logits) == float_bits(cache.logits)
+        if not shape[0]:
+            return
+        # no entry to scatter: bincount counts in int64, the gradients must
+        # still be float64
+        labels = rng.integers(0, 2, size=shape[0])
+        for l2 in (0.0, 1e-3):
+            loss, grads, _ = loss_and_grads(params, indices, values, labels, l2=l2)
+            ref_loss, ref_grads, _ = loss_and_grads_reference(params, indices, values,
+                                                              labels, l2=l2)
+            assert float_bits(loss) == float_bits(ref_loss)
+            assert grads["w"].dtype == grads["V"].dtype == np.float64
+            for key in ref_grads:
+                assert float_bits(grads[key]) == float_bits(ref_grads[key]), key
 
 
 class TestDropout:
