@@ -192,10 +192,8 @@ def bias_chain_report(params: ModelParams, train_ds: Dataset,
     Weight and score correlations run against per-group training positive
     ratios; the variance decomposition and the exposure-hit-rate link use
     eval_ds when given. Undefined correlations are recorded, not raised;
-    an empty eval_ds raises ConfigError.
+    an empty eval_ds raises ConfigError (from evaluate).
     """
-    if eval_ds is not None and not len(eval_ds):
-        raise ConfigError("cannot evaluate an empty dataset")
     stats = group_stats(train_ds)
     lo, hi = train_ds.schema.bias_range
     w_bias = params.w[lo:hi].copy()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 from dataclasses import fields
@@ -41,19 +40,13 @@ from .errors import ConfigError, CtrBiasError, NumericalError
 from .evaluation import DEFAULT_K, evaluate
 from .models import (ARCH_TAGS, load_model, predict, prediction_parts, rescore,
                      save_model)
-from .numeric import to_jsonable
+from .numeric import write_json
 from .synth import SynthConfig, generate
 from .training import ABLATIONS, OPTIMIZERS, TrainConfig, train
 
 
 def _file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
 
 
 # Path flags whose files a manifest digests as inputs, when given.
@@ -79,7 +72,7 @@ def _write_manifest(path, args: argparse.Namespace, outputs, t0: float) -> None:
         "outputs": {rel(p): _file_digest(p) for p in outputs},
         "wall_seconds": time.perf_counter() - t0,
     }
-    _write_json(path, manifest)
+    write_json(path, manifest)
 
 
 def _parse_grid(text: str | None, flag: str):
@@ -138,8 +131,8 @@ def _write_synth(result, outdir: Path) -> list:
     outputs.append(outdir / "truth.json")
     # the user and item factors are ~95% of the truth's bytes and nothing
     # reads them from the file; they stay in result.truth
-    _write_json(outputs[-1], {key: value for key, value in result.truth.items()
-                              if key not in ("user_factors", "item_factors")})
+    write_json(outputs[-1], {key: value for key, value in result.truth.items()
+                             if key not in ("user_factors", "item_factors")})
     return outputs
 
 
@@ -173,14 +166,14 @@ def cmd_train(args):
     params, report = train(train_ds, val_ds, cfg)
     save_model(params, args.out)
     report_path = Path(args.report) if args.report else Path(str(args.out) + ".report.json")
-    _write_json(report_path, report.to_json_dict())
+    write_json(report_path, report.to_json_dict())
     return Path(str(args.out) + ".manifest.json"), [args.out, report_path]
 
 
 def cmd_analyze(args):
     _, params, (train_ds, eval_ds) = _load(args, "train", "eval")
     report = bias_chain_report(params, train_ds, eval_ds)
-    _write_json(args.out, report.to_json_dict())
+    write_json(args.out, report.to_json_dict())
     return Path(str(args.out) + ".manifest.json"), [args.out]
 
 
@@ -211,7 +204,7 @@ def cmd_debias(args):
         _, params, (train_ds, unbiased_ds) = _load(args, "train", "unbiased")
         adjusted, result = grid_search_reconstruction(params, train_ds, unbiased_ds, cfg)
         grid_path = Path(args.grid_report) if args.grid_report else Path(str(args.out) + ".grid.json")
-        _write_json(grid_path, result.to_json_dict())
+        write_json(grid_path, result.to_json_dict())
         outputs.append(grid_path)
     save_model(adjusted, args.out)
     return Path(str(args.out) + ".manifest.json"), outputs
@@ -220,7 +213,7 @@ def cmd_debias(args):
 def cmd_eval(args):
     _, params, (ds,) = _load(args, "data")
     report = evaluate(ds, predict(params, ds.indices, ds.values), args.k)
-    _write_json(args.out, report.to_json_dict())
+    write_json(args.out, report.to_json_dict())
     outputs = [args.out]
     if args.group_csv:
         report.write_group_csv(args.group_csv)
@@ -247,7 +240,7 @@ def cmd_pipeline(args):
     for alpha in _parse_grid(args.alpha, "--alpha"):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"--alpha values must be in [0, 1], got {alpha}")
-        alphas.setdefault(f"{alpha:g}", alpha)
+        alphas.setdefault(f"{alpha + 0.0:g}", alpha)  # -0 names the model of 0
     if args.unbiased_val_per_user < 2:
         # a user needs both labels for a per-user AUC to select a grid point
         raise ConfigError("--unbiased-val-per-user must be >= 2, got "
@@ -269,9 +262,9 @@ def cmd_pipeline(args):
         return outputs[-1]
 
     save_model(params, artifact("model_base.bin"))
-    _write_json(artifact("train_report.json"), report.to_json_dict())
+    write_json(artifact("train_report.json"), report.to_json_dict())
     chain = bias_chain_report(params, result.train, eval_ds=result.test)
-    _write_json(artifact("analysis.json"), chain.to_json_dict())
+    write_json(artifact("analysis.json"), chain.to_json_dict())
     high = {split: prediction_parts(params, ds.indices, ds.values).high_order
             for split, ds in (("test", result.test),
                               ("unbiased_test", result.unbiased_test))}
@@ -296,12 +289,12 @@ def cmd_pipeline(args):
         best, grid = grid_search_reconstruction(
             params, result.train, result.unbiased_val, cfg)
         save_model(best, artifact(f"model_reconstructed_{cfg.variant}.bin"))
-        _write_json(artifact(f"grid_{cfg.variant}.json"), grid.to_json_dict())
+        write_json(artifact(f"grid_{cfg.variant}.json"), grid.to_json_dict())
         summary[f"reconstructed_{cfg.variant}_unbiased_test"] = evaluated(
             best, "unbiased_test")
 
-    _write_json(artifact("eval_summary.json"),
-                {k: v.to_json_dict() for k, v in summary.items()})
+    write_json(artifact("eval_summary.json"),
+               {k: v.to_json_dict() for k, v in summary.items()})
     return outdir / "manifest.json", outputs
 
 

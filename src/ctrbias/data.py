@@ -48,6 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CsvParseError, LabelError, SchemaError
+from .numeric import write_json
 
 FIELD_SUM_TOL = 1e-12
 RESERVED_COLUMNS = ("user_id", "item_id", "label", "timestamp")
@@ -196,8 +197,7 @@ class FieldSchema:
         return cls(fields, bias_field, categories, d.get("label_threshold"))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "FieldSchema":

@@ -72,9 +72,10 @@ def _corrected(params: ModelParams, bias_range: tuple[int, int],
 
 def reduce_weights(params: ModelParams, bias_range: tuple[int, int],
                    alpha: float) -> ModelParams:
-    """Scale the bias-field linear weights by alpha in [0, 1]."""
+    """Scale the bias-field linear weights by alpha in [0, 1]; -0 is 0."""
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    alpha += 0.0  # -0.0 + 0.0 is 0.0, so -0 writes the bytes of 0
     lo, hi = bias_range
     return _corrected(params, bias_range, params.w[lo:hi] * alpha,
                       {"created_by": "reduce", "alpha": alpha})
@@ -136,8 +137,9 @@ class GridSearchResult(JsonRecord):
 
 
 def _grid_for(cfg: DebiasConfig):
-    beta = tuple(sorted(set(float(b) for b in cfg.beta_grid)))
-    gamma = tuple(sorted(set(float(g) for g in cfg.gamma_grid)))
+    # each value once, ascending; x + 0.0 turns -0.0 into 0.0
+    beta = tuple(sorted(set(float(b) + 0.0 for b in cfg.beta_grid)))
+    gamma = tuple(sorted(set(float(g) + 0.0 for g in cfg.gamma_grid)))
     if cfg.variant == "wo_ratio":
         return tuple(product((0.0,), gamma))
     if cfg.variant == "wo_residual":

@@ -33,6 +33,9 @@ users:
 * NDCG lays the top-d gains of the users at one depth d out as the rows
   of a (users x d) table; a row sum reduces exactly like the 1-D sum over
   that user's gains.
+* TPR@k and EHR mark the first m ranked rows of each user's block with one
+  rule, _top_rows: m = min(block size, k) for TPR@k and m = the user's
+  positives for EHR's top-|positives|.
 * The per-user values enter each mean in user order through sequential
   adds (a cumulative sum), the order a loop over users adds them in.
 
@@ -190,12 +193,14 @@ def users_with_both_labels(ds: Dataset) -> int:
     return int(blocks_of(ds).both_labels.sum())
 
 
-def _by_row(ranked: RankedData, position_sets) -> np.ndarray:
-    """Boolean per original row: the row sits at a ranked position of one
-    of the position arrays."""
+def _top_rows(ranked: RankedData, m: np.ndarray) -> np.ndarray:
+    """Per original row, whether it is one of the first m[u] <= size ranked rows
+    of its user u's block: the i-th is at i + its block's start - earlier m."""
+    blocks = ranked.blocks
+    positions = np.arange(m.sum()) + np.repeat(
+        blocks.user_starts[:-1] - (np.cumsum(m) - m), m)
     by_row = np.zeros(len(ranked.order), dtype=bool)
-    for positions in position_sets:
-        by_row[ranked.order[positions]] = True
+    by_row[ranked.order[positions]] = True
     return by_row
 
 
@@ -392,19 +397,11 @@ def evaluate(ds: Dataset, scores, k: int = DEFAULT_K) -> EvalReport:
     if math.isnan(ndcg):
         errors.append("ndcg undefined: no user has a positive sample")
     stats = group_stats(ds)
-    # TPR@k: the positives in each user's top k, which the NDCG plan lists
-    # for every user with a positive; sums of ones are exact in float64
-    in_topk = _by_row(ranked, (top for _, _, top in
-                               blocks.ndcg_plan(k).depth_groups))
+    # TPR@k counts each user's top-k positives (k cut to the split's rows
+    # first), EHR each user's top-|positives| rows; sums of ones are exact
+    in_topk = _top_rows(ranked, np.minimum(blocks.sizes, min(k, len(ds))))
     tpr = _per_group_rate(ds, in_topk & (ds.labels == 1), stats.n_pos)
-    # EHR counts the exposures of any label in each user's top-|positives|;
-    # the i-th such row is at i + its block's start - the earlier blocks'
-    # positives
-    before = np.cumsum(blocks.n_pos) - blocks.n_pos
-    prefix = np.arange(blocks.n_pos.sum()) + np.repeat(
-        blocks.user_starts[:-1] - before, blocks.n_pos)
-    in_prefix = _by_row(ranked, [prefix])
-    ehr = _per_group_rate(ds, in_prefix, stats.n_pos)
+    ehr = _per_group_rate(ds, _top_rows(ranked, blocks.n_pos), stats.n_pos)
     try:
         reo = reo_at_k(tpr)
     except MetricError as exc:

@@ -31,12 +31,12 @@ exception is d = 1, where an axis-1 sum is a pairwise sum over a row's
 entries and einsum adds them in SIMD lanes instead; with three or more
 entries a row's sums can differ there in the last bits.
 
-A batch is one-hot when it is non-empty and every value is 1.0 (no
-padding), as every synth world and single-valued log is. Then x * 1.0 is
-x, so forward builds sum_v and sum_sq from one np.take per field, added
-in field order onto zeros: einsum's own order at d >= 2, and the axis-1
-sum's at d = 1 for rows of fewer than 8 entries. Any other batch takes
-the einsum. rescore multiplies by the values on every batch and sums
+A batch is one-hot when every value is 1.0 (no padding), as every synth
+world and single-valued log is. Then x * 1.0 is x, so forward builds
+sum_v and sum_sq from one np.take per field, added in field order onto
+zeros: einsum's own order at d >= 2, and the axis-1 sum's at d = 1 for
+rows of fewer than 8 entries; an empty or zero-width batch gets +0.0
+sums, as from the einsum. Any other batch takes the einsum. rescore multiplies by the values on every batch and sums
 rows of fewer than 8 entries by column adds onto zeros, numpy's own
 order below 8 entries, and wider rows with .sum(axis=1).
 
@@ -48,7 +48,8 @@ by size; FM logits and the linear part never move.
 
 prediction_parts is the scoring path for whole datasets and the one place
 that refuses a score that is not finite (NumericalError). Training's
-batches go through forward alone; their loss is checked in training.
+batches go through forward alone, with dropout wherever train() passes
+a rate above 0; their loss is checked in training.
 
 Serialization is a fixed little-endian binary layout with a schema digest
 and a provenance record, so downstream tools can refuse weight files that
@@ -213,11 +214,6 @@ def _dropout(x: np.ndarray, p: float, rng: np.random.Generator | None):
     return x * mask, mask
 
 
-def _one_hot(values: np.ndarray) -> bool:
-    """Whether every entry of a non-empty batch has value 1.0 (no padding)."""
-    return bool(values.size) and bool((values == 1.0).all())
-
-
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """a.sum(axis=1) bit for bit: under 8 entries numpy adds a row's entries
     in order onto 0.0, which column adds do without its per-row loop."""
@@ -237,10 +233,9 @@ def rescore(params: ModelParams, high_order: np.ndarray, indices, values):
     return linear, (params.w0 + linear) + high_order
 
 
-def forward(params: ModelParams, indices, values, train: bool = False,
-            dropout: tuple[float, float] = (0.0, 0.0),
+def forward(params: ModelParams, indices, values, dropout: tuple[float, float] = (0.0, 0.0),
             rng: np.random.Generator | None = None) -> ForwardCache:
-    """Score a batch, keeping intermediates. Dropout only fires when train=True.
+    """Score a batch, keeping intermediates. Dropout fires where a rate is > 0.
 
     dropout = (p_interaction, p_hidden); inverted scaling keeps expected
     activations unchanged, so evaluation needs no compensation. sum_v and
@@ -250,7 +245,7 @@ def forward(params: ModelParams, indices, values, train: bool = False,
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    if _one_hot(values):
+    if (values == 1.0).all():
         sum_v = np.zeros((len(indices), params.d))
         sum_sq = np.zeros_like(sum_v)
         for column in indices.T:
@@ -265,8 +260,7 @@ def forward(params: ModelParams, indices, values, train: bool = False,
     bi -= sum_sq
     bi *= 0.5
 
-    p_bi, p_h = dropout if train else (0.0, 0.0)
-    bi_used, mask_bi = _dropout(bi, p_bi, rng)
+    bi_used, mask_bi = _dropout(bi, dropout[0], rng)
     if params.arch == "fm":
         high = bi_used.sum(axis=1)
         a1 = a1_used = mask_hidden = None
@@ -275,7 +269,7 @@ def forward(params: ModelParams, indices, values, train: bool = False,
         z1 = bi_used @ mlp.W1
         z1 += mlp.b1
         a1 = np.maximum(z1, 0.0, out=z1)
-        a1_used, mask_hidden = _dropout(a1, p_h, rng)
+        a1_used, mask_hidden = _dropout(a1, dropout[1], rng)
         high = a1_used @ mlp.w_out
         high += mlp.b_out
 
@@ -323,7 +317,7 @@ def predict(params: ModelParams, indices, values) -> np.ndarray:
 
 
 def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0,
-                   train: bool = False, dropout: tuple[float, float] = (0.0, 0.0),
+                   dropout: tuple[float, float] = (0.0, 0.0),
                    rng: np.random.Generator | None = None):
     """Mean BCE plus L2 penalty, and its exact gradient for every weight.
 
@@ -339,7 +333,7 @@ def loss_and_grads(params: ModelParams, indices, values, labels, l2: float = 0.0
     would wrap them; Dataset refuses any index outside [0, n).
     """
     labels = np.asarray(labels, dtype=np.float64)
-    cache = forward(params, indices, values, train=train, dropout=dropout, rng=rng)
+    cache = forward(params, indices, values, dropout=dropout, rng=rng)
     m = len(labels)
     loss = float(np.mean(bce_loss(cache.logits, labels))) + l2 * params.l2_norm_sq()
 

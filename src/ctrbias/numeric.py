@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -93,6 +94,12 @@ def to_jsonable(obj):
     if dataclasses.is_dataclass(obj):
         return to_jsonable(obj.__dict__)
     return obj
+
+
+def write_json(path, obj) -> None:
+    """The one writer of JSON files: to_jsonable(obj), indented, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(to_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
 class JsonRecord:

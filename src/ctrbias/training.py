@@ -235,7 +235,7 @@ def train(train_ds: Dataset, val_ds: Dataset | None,
                 hi = lo + cfg.batch_size
                 loss, grads, cache = loss_and_grads(
                     params, epoch_idx[lo:hi], epoch_val[lo:hi], epoch_lab[lo:hi],
-                    l2=cfg.l2, train=True, dropout=dropout, rng=rng,
+                    l2=cfg.l2, dropout=dropout, rng=rng,
                 )
                 if not np.isfinite(loss):
                     logits = cache.logits[np.isfinite(cache.logits)]

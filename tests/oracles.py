@@ -86,8 +86,7 @@ def pairwise_logit_reference(params, sample_indices, sample_values):
     return float(total)
 
 
-def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
-                      rng=None):
+def forward_reference(params, indices, values, dropout=(0.0, 0.0), rng=None):
     """models.forward with the field sums as broadcast products summed over
     axis 1. The referee for the einsum sums, which must match it bit for
     bit for d >= 2, and for the per-field adds of a one-hot batch, which
@@ -100,7 +99,7 @@ def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
     sum_sq = ((values ** 2)[..., None] * gathered ** 2).sum(axis=1)
     bi = 0.5 * (sum_v * sum_v - sum_sq)
 
-    p_bi, p_h = dropout if train else (0.0, 0.0)
+    p_bi, p_h = dropout
     mask_bi = mask_hidden = None
     bi_used = bi
     if p_bi > 0:
@@ -125,14 +124,13 @@ def forward_reference(params, indices, values, train=False, dropout=(0.0, 0.0),
                         a1, a1_used, mask_bi, mask_hidden, linear, high, logits)
 
 
-def loss_and_grads_reference(params, indices, values, labels, l2=0.0, train=False,
+def loss_and_grads_reference(params, indices, values, labels, l2=0.0,
                              dropout=(0.0, 0.0), rng=None):
     """models.loss_and_grads over forward_reference, with the per-entry
     contributions built by broadcasting and scattered by 2-D np.add.at.
     The referee for the flat bincount scatters."""
     labels = np.asarray(labels, dtype=np.float64)
-    cache = forward_reference(params, indices, values, train=train, dropout=dropout,
-                              rng=rng)
+    cache = forward_reference(params, indices, values, dropout=dropout, rng=rng)
     m = len(labels)
     loss = float(np.mean(bce_loss(cache.logits, labels))) + l2 * params.l2_norm_sq()
 

@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 
 import ctrbias
-from conftest import count_calls
+from conftest import count_calls, random_dataset
 from ctrbias import cli, models, synth, training
 from ctrbias.analysis import ols_fit
 from ctrbias.cli import _config, build_parser, main
 from ctrbias.data import FeatureIndex, FieldSchema, ingest_csv
 from ctrbias.debias import VARIANTS, DebiasConfig, grid_search_reconstruction
 from ctrbias.evaluation import DEFAULT_K, evaluate, group_stats
-from ctrbias.models import load_model, predict, save_model
+from ctrbias.models import load_model, predict, save_model, serialize
 from ctrbias.numeric import to_jsonable
 from ctrbias.synth import SynthConfig
 from ctrbias.training import TrainConfig
@@ -748,6 +748,26 @@ class TestDebias:
         assert read_json(tmp_path / "analysis.json")["group_labels"] == [
             "A", "B", "C"]
 
+    def test_minus_zero_writes_the_bytes_of_zero(self, corpus, tmp_path):
+        common = ["debias", "--schema", str(corpus["schema"]),
+                  "--model", str(corpus["model"])]
+        for alpha in ("0", "-0"):
+            assert main([*common, "--mode", "reduce", "--alpha", alpha,
+                         "--out", str(tmp_path / f"reduced{alpha}.bin")]) == 0
+        assert ((tmp_path / "reduced-0.bin").read_bytes()
+                == (tmp_path / "reduced0.bin").read_bytes())
+        assert repr(load_model(tmp_path / "reduced-0.bin").provenance["alpha"]) == "0.0"
+        for grid in ("0,1", "-0,1"):
+            assert main([*common, "--mode", "reconstruct",
+                         "--train", str(corpus["data"] / "train.csv"),
+                         "--unbiased", str(corpus["data"] / "unbiased_val.csv"),
+                         f"--beta-grid={grid}", "--gamma-grid=-0,1",
+                         "--out", str(tmp_path / f"recon{grid}.bin")]) == 0
+        for suffix in ("", ".grid.json"):
+            assert ((tmp_path / f"recon-0,1.bin{suffix}").read_bytes()
+                    == (tmp_path / f"recon0,1.bin{suffix}").read_bytes()), suffix
+        assert "-0.0" not in (tmp_path / "recon-0,1.bin.grid.json").read_text()
+
     def test_bad_grid_text_exits_2(self, corpus, tmp_path, capsys):
         for grid, message in (("1,x", "comma-separated"),
                               (",", "at least one value")):
@@ -760,6 +780,59 @@ class TestDebias:
             ])
             assert rc == 2
             assert message in capsys.readouterr().err
+
+
+class TestMultiValuedLog:
+    """A log with '|' cells through the file commands. Ingest pads a
+    single-group row with 0.0, so every batch takes the general (einsum)
+    path of forward."""
+
+    @pytest.mark.parametrize("arch, dropout", [("fm", ()), ("nfm", ("0.2", "0.2"))])
+    def test_chain_equals_the_library(self, tmp_path, arch, dropout):
+        rng = np.random.default_rng(11)
+        world = dict(n_users=8, n_items=10, n_groups=4, multi_group_prob=0.3)
+        splits = {tag: random_dataset(rng, n_rows=rows, split_tag=tag, **world)
+                  for tag, rows in (("train", 240), ("unbiased", 80), ("test", 80))}
+        # make_schema declares every vocabulary, so feature identity does not
+        # depend on which file a command ingests first
+        schema = splits["train"].schema
+        schema.save(tmp_path / "schema.json")
+        for tag, ds in splits.items():
+            ds.to_csv(tmp_path / f"{tag}.csv")
+        assert "|" in (tmp_path / "train.csv").read_text()
+        s = ["--schema", str(tmp_path / "schema.json")]
+        train_csv, model = str(tmp_path / "train.csv"), str(tmp_path / "m.bin")
+        flags = ["--arch", arch, "--embedding-dim", "4", "--max-epochs", "2",
+                 "--seed", "5"]
+        if dropout:
+            flags += ["--dropout-interaction", dropout[0],
+                      "--dropout-hidden", dropout[1]]
+        recon = str(tmp_path / "r.bin")
+        assert main(["train", *s, "--train", train_csv, *flags, "--out", model]) == 0
+        assert main(["analyze", *s, "--model", model, "--train", train_csv,
+                     "--eval", str(tmp_path / "test.csv"),
+                     "--out", str(tmp_path / "analysis.json")]) == 0
+        assert main(["debias", *s, "--model", model, "--mode", "reconstruct",
+                     "--train", train_csv, "--unbiased", str(tmp_path / "unbiased.csv"),
+                     "--out", recon]) == 0
+        assert main(["eval", *s, "--model", recon, "--data", str(tmp_path / "test.csv"),
+                     "--out", str(tmp_path / "eval.json")]) == 0
+
+        ingested = {tag: ingest_csv(tmp_path / f"{tag}.csv", schema,
+                                    FeatureIndex(schema), split_tag=tag)
+                    for tag in splits}
+        assert (ingested["train"].values == 0.0).any()
+        cfg = TrainConfig(arch=arch, embedding_dim=4, max_epochs=2, seed=5,
+                          dropout_interaction=float(dropout[0]) if dropout else 0.0,
+                          dropout_hidden=float(dropout[1]) if dropout else 0.0)
+        params, _ = training.train(ingested["train"], None, cfg)
+        assert Path(model).read_bytes() == serialize(params)
+        best, _ = grid_search_reconstruction(params, ingested["train"],
+                                             ingested["unbiased"])
+        assert Path(recon).read_bytes() == serialize(best)
+        test = ingested["test"]
+        report = evaluate(test, predict(best, test.indices, test.values))
+        assert read_json(tmp_path / "eval.json") == as_json(report.to_json_dict())
 
 
 def scoring_commands(corpus, model, out):
@@ -925,9 +998,11 @@ class TestPipeline:
 
     def test_summary_and_grids_match_the_saved_files(self, tmp_path):
         out = tmp_path / "run"
-        assert run_pipeline(out, "--alpha", "0.5,0,0.5", "--k", "3") == 0
+        # -0 is the strength 0: one model, written as by --alpha 0
+        assert run_pipeline(out, "--alpha", "0.5,-0,0,0.5", "--k", "3") == 0
         assert sorted(p.name for p in out.glob("model_reduced_*")) == [
             "model_reduced_0.5.bin", "model_reduced_0.bin"]
+        assert repr(load_model(out / "model_reduced_0.bin").provenance["alpha"]) == "0.0"
         schema = FieldSchema.load(out / "schema.json")
 
         def load(split, tag="train"):

@@ -358,14 +358,14 @@ class TestBroadcastReferee:
         else:
             indices[pad] = 0
             values[pad] = 0.0
-        assert models._one_hot(values) == one_hot
+        assert (values == 1.0).all() == one_hot
         labels = rng.integers(0, 2, size=batch)
 
         loss, grads, cache = loss_and_grads(
-            params, indices, values, labels, l2=l2, train=True, dropout=dropout,
+            params, indices, values, labels, l2=l2, dropout=dropout,
             rng=np.random.default_rng(seed))
         ref_loss, ref_grads, ref = loss_and_grads_reference(
-            params, indices, values, labels, l2=l2, train=True, dropout=dropout,
+            params, indices, values, labels, l2=l2, dropout=dropout,
             rng=np.random.default_rng(seed))
         assert list(grads) == list(ref_grads)
         got = {"loss": loss, "logits": cache.logits, "linear": cache.linear,
@@ -407,17 +407,6 @@ class TestOneHotPath:
     def test_row_sums_equal_numpy_sums(self, a):
         # column adds below 8 entries, numpy's pairwise sum from 8 on
         assert float_bits(models._row_sums(a)) == float_bits(a.sum(axis=1))
-
-    @pytest.mark.parametrize("values, one_hot", [
-        (np.ones((4, 3)), True),
-        (np.ones((1, 1)), True),
-        (np.ones((0, 3)), False),  # an empty batch
-        (np.ones((4, 0)), False),  # zero-width rows
-        (np.array([[1.0, 1.0], [1.0, 0.5]]), False),
-        (np.array([[1.0, 1.0], [0.0, 1.0]]), False),  # one padding entry
-    ])
-    def test_which_batches_are_one_hot(self, values, one_hot):
-        assert models._one_hot(values) is one_hot
 
     @pytest.mark.parametrize("arch", ["fm", "nfm"])
     @pytest.mark.parametrize("odd_value", [0.5, 0.0])
@@ -469,24 +458,27 @@ class TestOneHotPath:
 
 
 class TestDropout:
-    def test_eval_mode_ignores_dropout(self, rng):
+    def test_zero_rates_draw_nothing(self, rng):
         params = random_params(rng, 10, 3, arch="nfm")
         idx, val = random_batch(rng, 10, 4, 6)
-        a = forward(params, idx, val, train=False, dropout=(0.5, 0.5)).logits
+        gen = np.random.default_rng(3)
+        state = gen.bit_generator.state
+        a = forward(params, idx, val, dropout=(0.0, 0.0), rng=gen).logits
         b = forward(params, idx, val).logits
-        assert np.array_equal(a, b)
+        assert float_bits(a) == float_bits(b)
+        assert gen.bit_generator.state == state
 
     def test_train_mode_requires_rng(self, rng):
         idx, val = random_batch(rng, 10, 4, 6)
         for arch, dropout in (("fm", (0.5, 0.0)), ("nfm", (0.0, 0.5))):
             params = random_params(rng, 10, 3, arch=arch)
             with pytest.raises(ConfigError, match="random generator"):
-                forward(params, idx, val, train=True, dropout=dropout)
+                forward(params, idx, val, dropout=dropout)
 
     def test_inverted_masks_take_expected_values(self, rng):
         params = random_params(rng, 10, 3, arch="nfm")
         idx, val = random_batch(rng, 10, 4, 50)
-        cache = forward(params, idx, val, train=True, dropout=(0.25, 0.5),
+        cache = forward(params, idx, val, dropout=(0.25, 0.5),
                         rng=np.random.default_rng(0))
         assert set(np.unique(cache.mask_bi)) <= {0.0, 1.0 / 0.75}
         assert set(np.unique(cache.mask_hidden)) <= {0.0, 2.0}
@@ -498,7 +490,7 @@ class TestDropout:
         idx, val = random_batch(rng, 10, 4, 6)
         labels = rng.integers(2, size=6)
         _, clean, _ = loss_and_grads(params, idx, val, labels)
-        _, noisy, _ = loss_and_grads(params, idx, val, labels, train=True,
+        _, noisy, _ = loss_and_grads(params, idx, val, labels,
                                      dropout=(1e-12, 1e-12),
                                      rng=np.random.default_rng(1))
         for key in clean:
@@ -511,7 +503,7 @@ class TestDropout:
         labels = rng.integers(2, size=6)
         outs = []
         for _ in range(2):
-            _, grads, _ = loss_and_grads(params, idx, val, labels, train=True,
+            _, grads, _ = loss_and_grads(params, idx, val, labels,
                                          dropout=(0.3, 0.3),
                                          rng=np.random.default_rng(42))
             outs.append(grads)

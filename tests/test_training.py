@@ -299,7 +299,7 @@ def replay_train(ds, cfg):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 _, grads, _ = loss_and_grads(
                     params, ds.indices[rows], ds.values[rows], ds.labels[rows],
-                    l2=cfg.l2, train=True,
+                    l2=cfg.l2,
                     dropout=(cfg.dropout_interaction, cfg.dropout_hidden), rng=rng)
             if cfg.ablation == "unaware":
                 grads["w"][lo:hi] = 0.0
