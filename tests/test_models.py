@@ -408,6 +408,33 @@ class TestOneHotPath:
         # column adds below 8 entries, numpy's pairwise sum from 8 on
         assert float_bits(models._row_sums(a)) == float_bits(a.sum(axis=1))
 
+    @pytest.mark.parametrize("values, one_hot", [
+        (np.ones((4, 3)), True),
+        (np.ones((1, 1)), True),
+        (np.ones((0, 3)), True),  # an empty batch: nothing to add
+        (np.ones((4, 0)), True),  # zero-width rows: no field to add
+        (np.array([[1.0, 1.0], [1.0, 0.5]]), False),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), False),  # one padding entry
+    ])
+    def test_which_batches_are_one_hot(self, rng, monkeypatch, values, one_hot):
+        # forward's field sums take the per-field adds exactly when every
+        # value is 1, and either way score the reference bits
+        params = random_params(rng, 6, 3, arch="nfm")
+        indices = rng.integers(0, 6, size=values.shape)
+        einsum, calls = np.einsum, []
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        cache = forward(params, indices, values)
+        monkeypatch.undo()
+        assert (not calls) is one_hot
+        ref = forward_reference(params, indices, values)
+        for key in ("logits", "linear", "sum_v", "bi"):
+            assert float_bits(getattr(cache, key)) == float_bits(getattr(ref, key)), key
+
     @pytest.mark.parametrize("arch", ["fm", "nfm"])
     @pytest.mark.parametrize("odd_value", [0.5, 0.0])
     def test_one_odd_value_keeps_the_reference_bits(self, rng, arch, odd_value):
