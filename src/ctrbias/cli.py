@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 import time
 from dataclasses import fields
@@ -236,11 +237,14 @@ def cmd_pipeline(args):
     Reduced models of strengths this run does not write are deleted, so
     the directory holds exactly the models its manifest lists.
     """
-    alphas = {}  # artifact name -> strength; equal names are duplicates
+    alphas = {}  # artifact name -> strength; equal strengths are duplicates
     for alpha in _parse_grid(args.alpha, "--alpha"):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"--alpha values must be in [0, 1], got {alpha}")
-        alphas.setdefault(f"{alpha + 0.0:g}", alpha)  # -0 names the model of 0
+        name = f"{alpha + 0.0:g}"  # -0 names the model of 0
+        if alphas.setdefault(name, alpha) != alpha:
+            raise ConfigError(f"--alpha values {alphas[name]!r} and {alpha!r} "
+                              f"would share model_reduced_{name}.bin")
     if args.unbiased_val_per_user < 2:
         # a user needs both labels for a per-user AUC to select a grid point
         raise ConfigError("--unbiased-val-per-user must be >= 2, got "
@@ -364,8 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# List flags whose first value may be negative. argparse reads "-1,2" as
+# an option, so main passes "--beta-grid -1,2" on as "--beta-grid=-1,2".
+LIST_FLAGS = ("--beta-grid", "--gamma-grid", "--alpha")
+
+
+def _joined_lists(argv) -> list:
+    out = []
+    for token in argv:
+        if out and out[-1] in LIST_FLAGS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_joined_lists(argv))
     t0 = time.perf_counter()
     try:
         manifest, outputs = args.func(args)

@@ -29,7 +29,8 @@ from .analysis import ols_fit
 from .data import Dataset
 from .errors import ConfigError
 from .evaluation import (DEFAULT_K, GroupStats, blocks_of, group_stats,
-                         ranked_auc, ranked_ndcg, users_with_both_labels)
+                         pair_auc, ranked_auc, ranked_ndcg,
+                         users_with_both_labels)
 from .models import ModelParams, model_digest, prediction_parts, rescore
 from .numeric import JsonRecord
 
@@ -116,12 +117,16 @@ class GridPoint:
     beta: float
     gamma: float
     uauc: float
+
+
+@dataclass
+class GridWinner(GridPoint):
     ndcg: float
 
 
 @dataclass
 class GridSearchResult(JsonRecord):
-    """Winning coefficients plus the full evaluation table.
+    """Winning coefficients, with the winner's NDCG@k, plus the UAUC table.
 
     `errors` lists grid points whose metrics were undefined. The search
     rejects a split that would leave any point undefined, so it is empty;
@@ -129,7 +134,7 @@ class GridSearchResult(JsonRecord):
     """
 
     variant: str
-    best: GridPoint
+    best: GridWinner
     table: list[GridPoint] = field(default_factory=list)
     ratio_fallback_labels: tuple[str, ...] = ()
     residual_fallback_labels: tuple[str, ...] = ()
@@ -155,8 +160,8 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
 
     The grid is scanned in ascending (beta, gamma) order and the winner is
     the first maximum of the table, so ties resolve to the smallest
-    coefficients. NDCG@k is recorded for every point but does not drive
-    the choice.
+    coefficients. The winner's NDCG@k is recorded but does not drive the
+    choice; the table holds each point's UAUC alone.
 
     Only the bias-field linear weights change across the grid, so the
     interaction (FM) or MLP (NFM) term is scored once per search with
@@ -167,11 +172,14 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
 
     Only the scores change between points, so everything the metrics read
     of ids and labels is the unbiased split's own UserBlocks (blocks_of),
-    with its NDCG plan, and both splits' group counts (group_stats): each
-    is built once per Dataset and shared with evaluate(). Each point ranks
-    its scores once, and AUC and NDCG share that RankedData, exactly as in
-    evaluate(). Only the winning model is built, at the end, by
-    reconstruct_weights.
+    with its pair list and NDCG plan, and both splits' group counts
+    (group_stats): each is built once per Dataset and shared with
+    evaluate(). A split with few_pairs (at most PAIRS_PER_ROW pairs per
+    row) scores each point's UAUC by pair counts (pair_auc), with no
+    ranking; any other split, such as a biased log, ranks each point's
+    scores for ranked_auc. Both give the same float. Only the winning
+    model is built, at the end, by reconstruct_weights, and its scores are
+    ranked once for its NDCG.
 
     A split where no user has both labels leaves every point's AUC
     undefined and a training split with fewer than two exposed groups
@@ -202,17 +210,18 @@ def grid_search_reconstruction(params: ModelParams, train_ds: Dataset,
     for beta, gamma in _grid_for(cfg):
         point_params.w[lo:hi] = beta * ratios + gamma * residuals
         _, scores = rescore(point_params, high, indices, values)
-        ranked = blocks.rank(scores)
-        uauc, _ = ranked_auc(ranked)
-        ndcg, _ = ranked_ndcg(ranked, cfg.k)
-        table.append(GridPoint(beta, gamma, float(uauc), float(ndcg)))
-    best = max(table, key=lambda point: point.uauc)
+        uauc, _ = (pair_auc(blocks, scores) if blocks.few_pairs
+                   else ranked_auc(blocks.rank(scores)))
+        table.append(GridPoint(beta, gamma, uauc))
+    top = max(table, key=lambda point: point.uauc)
     best_params = reconstruct_weights(params, bias_range, ratios, residuals,
-                                      best.beta, best.gamma)
+                                      top.beta, top.gamma)
     best_params.provenance["variant"] = cfg.variant
+    _, scores = rescore(best_params, high, indices, values)
+    ndcg, _ = ranked_ndcg(blocks.rank(scores), cfg.k)
     result = GridSearchResult(
         variant=cfg.variant,
-        best=best,
+        best=GridWinner(top.beta, top.gamma, top.uauc, ndcg),
         table=table,
         ratio_fallback_labels=unbiased_stats.fallback_labels,
         residual_fallback_labels=train_stats.fallback_labels,

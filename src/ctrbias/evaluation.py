@@ -39,6 +39,15 @@ users:
 * The per-user values enter each mean in user order through sequential
   adds (a cumulative sum), the order a loop over users adds them in.
 
+pair_auc() gives ranked_auc's float without ranking: a user's AUC is its
+share of (positive, negative) pairs in order, a tie counting half, which
+is the same exact half-integer the rank sum forms. The frame lists each
+user's pairs once, on first use (pair_rows), and a score vector then costs
+one comparison per pair and one np.bincount by user. Pairs cost less than
+a ranking while a split holds at most PAIRS_PER_ROW pairs per row
+(few_pairs), as unbiased logs do; the grid search scores its points by
+pairs on such a split and ranks once per search, for the winner's NDCG.
+
 So every result equals, bit for bit, that of a per-user loop; the loops in
 tests/oracles.py are the reference. The item-id tie-break makes the top-k
 metrics independent of row order only while no (user, item) pair repeats:
@@ -70,6 +79,11 @@ from .errors import ConfigError, MetricError
 from .numeric import JsonRecord, run_edges, to_jsonable
 
 DEFAULT_K = 5
+# A split with at most this many (positive, negative) pairs per row has
+# few_pairs: pair_auc scores it faster than a ranking does. Pairs cost
+# time per pair and a ranking two sorts of the rows; they broke even at
+# ~8 pairs per row on 10k- and 100k-row splits (2-CPU VM).
+PAIRS_PER_ROW = 8
 
 
 class UserBlocks:
@@ -82,7 +96,7 @@ class UserBlocks:
     ranking moves rows only inside their block, so the blocks hold for
     every ranked order too. `auc_offset` and `auc_pairs` are, per user with
     both labels, n_pos * block end - n_pos (n_pos + 1) / 2 and
-    n_pos * n_neg.
+    n_pos * n_neg. pair_rows() lists those pairs, built on first use.
     """
 
     def __init__(self, user_ids, labels, item_ids):
@@ -114,6 +128,7 @@ class UserBlocks:
         self.offsets = np.repeat(np.arange(self.n_users, dtype=np.int64) * n,
                                  self.sizes)
         self._ndcg_plans: dict[int, NdcgPlan] = {}
+        self._pair_rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def ndcg_plan(self, k: int) -> NdcgPlan:
         """The NdcgPlan at cutoff k, built on first use per clamped k."""
@@ -125,13 +140,48 @@ class UserBlocks:
             self._ndcg_plans[k] = NdcgPlan(self, k)
         return self._ndcg_plans[k]
 
-    def rank(self, scores) -> RankedData:
-        """Rows by (user asc, score desc), tied scores in base order."""
+    @property
+    def few_pairs(self) -> bool:
+        """Whether the split holds at most PAIRS_PER_ROW pairs per row."""
+        return bool(self.auc_pairs.sum() <= PAIRS_PER_ROW * len(self.base))
+
+    def pair_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each (positive row, negative row) pair of a user with both labels,
+        and that user's place among them, built on first use and kept.
+
+        A user's pairs run positive-major in base order, and the users in
+        block order, so the places ascend.
+        """
+        if self._pair_rows is None:
+            is_pos = self.labels[self.base] == 1
+            n_neg = self.sizes - self.n_pos
+            both = self.both_labels
+            p, q = self.n_pos[both], n_neg[both]
+            # a user's positives (negatives) are contiguous in base order
+            pos_start = (np.cumsum(self.n_pos) - self.n_pos)[both]
+            neg_start = (np.cumsum(n_neg) - n_neg)[both]
+            per_user = p * q
+            place = np.repeat(np.arange(len(p)), per_user)
+            nth = np.arange(per_user.sum()) - np.repeat(
+                np.cumsum(per_user) - per_user, per_user)
+            q_of = q[place]
+            self._pair_rows = (
+                self.base[is_pos][pos_start[place] + nth // q_of],
+                self.base[~is_pos][neg_start[place] + nth % q_of], place)
+        return self._pair_rows
+
+    def _checked(self, scores) -> np.ndarray:
+        """scores as float64, refused unless one per row and free of NaN."""
         scores = np.asarray(scores, dtype=np.float64)
         if len(scores) != len(self.base):
             raise ConfigError("scores length does not match the dataset")
         if np.isnan(scores).any():
             raise ConfigError("scores contain NaN, which has no rank")
+        return scores
+
+    def rank(self, scores) -> RankedData:
+        """Rows by (user asc, score desc), tied scores in base order."""
+        scores = self._checked(scores)
         neg = -scores[self.base]
         by_score = np.argsort(neg)
         ascending = neg[by_score]
@@ -230,6 +280,22 @@ def ranked_auc(ranked: RankedData) -> tuple[float, int]:
     return _mean_in_user_order(
         (blocks.auc_offset - 0.5 * twice_mid[blocks.both_labels])
         / blocks.auc_pairs, blocks.n_users)
+
+
+def pair_auc(blocks: UserBlocks, scores) -> tuple[float, int]:
+    """ranked_auc's result without a ranking: each user's (positive,
+    negative) pairs in order, a tie counting half, over its pair count.
+
+    The scores are compared, never subtracted, so +-0 tie and +-inf order
+    as the ranking orders them. Each count is an exact half-integer, as is
+    ranked_auc's rank sum, so both divide to the same float.
+    """
+    scores = blocks._checked(scores)
+    pos, neg, place = blocks.pair_rows()
+    s_pos, s_neg = scores[pos], scores[neg]
+    wins = (s_pos > s_neg) + 0.5 * (s_pos == s_neg)
+    counts = np.bincount(place, weights=wins, minlength=len(blocks.auc_pairs))
+    return _mean_in_user_order(counts / blocks.auc_pairs, blocks.n_users)
 
 
 def ranked_ndcg(ranked: RankedData, k: int) -> tuple[float, int]:

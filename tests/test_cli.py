@@ -768,6 +768,24 @@ class TestDebias:
                     == (tmp_path / f"recon0,1.bin{suffix}").read_bytes()), suffix
         assert "-0.0" not in (tmp_path / "recon-0,1.bin.grid.json").read_text()
 
+    @pytest.mark.parametrize("flag", ["--beta-grid", "--gamma-grid"])
+    def test_negative_first_grid_value_reads_as_with_equals_sign(
+            self, corpus, tmp_path, flag):
+        common = ["debias", "--schema", str(corpus["schema"]),
+                  "--model", str(corpus["model"]), "--mode", "reconstruct",
+                  "--train", str(corpus["data"] / "train.csv"),
+                  "--unbiased", str(corpus["data"] / "unbiased_val.csv")]
+        for form, grid in (("spaced", [flag, "-1,2"]),
+                           ("joined", [f"{flag}=-1,2"])):
+            assert main([*common, *grid,
+                         "--out", str(tmp_path / f"{form}.bin")]) == 0
+        for suffix in ("", ".grid.json"):
+            assert ((tmp_path / f"spaced.bin{suffix}").read_bytes()
+                    == (tmp_path / f"joined.bin{suffix}").read_bytes()), suffix
+        coefficient = "beta" if flag == "--beta-grid" else "gamma"
+        table = read_json(tmp_path / "spaced.bin.grid.json")["table"]
+        assert {row[coefficient] for row in table} == {-1.0, 2.0}
+
     def test_bad_grid_text_exits_2(self, corpus, tmp_path, capsys):
         for grid, message in (("1,x", "comma-separated"),
                               (",", "at least one value")):
@@ -1044,6 +1062,12 @@ class TestPipeline:
         ]) == 0
         assert read_json(report) == read_json(out / "eval_summary.json")["base_test"]
 
+    def test_negative_first_strength_reads_as_with_equals_sign(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_pipeline(out, "--alpha", "-0,1") == 0
+        assert sorted(p.name for p in out.glob("model_reduced_*")) == [
+            "model_reduced_0.bin", "model_reduced_1.bin"]
+
     def test_rerun_into_same_directory_drops_other_strengths(self, tmp_path):
         out = tmp_path / "run"
         assert run_pipeline(out) == 0
@@ -1065,6 +1089,8 @@ class TestPipeline:
         # weight tables numpy refuses to allocate
         ["--embedding-dim", "1000000000000"],
         ["--arch", "nfm", "--hidden", "100000000000000"],
+        # two strengths that one model_reduced_0.123457.bin would name
+        ["--alpha", "0.1234567,0.1234568"],
     ])
     def test_bad_setting_exits_2_before_any_output(self, tmp_path, capsys, bad):
         out = tmp_path / "run"

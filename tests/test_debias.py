@@ -10,15 +10,17 @@ import pytest
 import oracles
 from conftest import (count_calls, float_bits, make_dataset, make_schema,
                       random_dataset, random_params)
-from ctrbias import evaluation, models
+from ctrbias import debias, evaluation, models
 from ctrbias.analysis import bias_chain_report, ols_fit
 from ctrbias.data import Dataset
 from ctrbias.debias import (DEFAULT_GRID, DebiasConfig, fit_weight_residuals,
                             grid_search_reconstruction, reconstruct_weights,
                             reduce_weights)
 from ctrbias.errors import ConfigError, NumericalError
-from ctrbias.evaluation import evaluate, group_stats, ndcg_at_k, user_auc
+from ctrbias.evaluation import (blocks_of, evaluate, group_stats, ndcg_at_k,
+                                user_auc)
 from ctrbias.models import model_digest, predict, prediction_parts, rescore
+from ctrbias.numeric import write_json
 
 
 def build_log(schema, rows_spec, split_tag="train"):
@@ -354,10 +356,16 @@ class TestGridSearch:
                                                     train_ds):
         params = random_params(rng, schema.n, 4)
         unbiased = unbiased_log(schema)
-        _, result = grid_search_reconstruction(params, train_ds, unbiased,
-                                               DebiasConfig(k=2))
-        for p in result.table:
-            assert math.isfinite(p.ndcg)
+        best, result = grid_search_reconstruction(params, train_ds, unbiased,
+                                                  DebiasConfig(k=2))
+        scores = predict(best, unbiased.indices, unbiased.values)
+        assert result.best.ndcg == ndcg_at_k(unbiased.user_ids, scores,
+                                             unbiased.labels,
+                                             unbiased.item_ids, 2)[0]
+        assert math.isfinite(result.best.ndcg)
+        # the table holds each point's UAUC alone
+        rows = result.to_json_dict()["table"]
+        assert all(set(row) == {"beta", "gamma", "uauc"} for row in rows)
 
 
 class TestRescoreCorrected:
@@ -382,6 +390,19 @@ class TestRescoreCorrected:
                 predict(corrected, ds.indices, ds.values))
 
 
+def capture_scores(monkeypatch):
+    """Record the logits of every debias.rescore call, in call order."""
+    scored = []
+
+    def recorded(*args):
+        out = rescore(*args)
+        scored.append(out[1])
+        return out
+
+    monkeypatch.setattr(debias, "rescore", recorded)
+    return scored
+
+
 class TestGridScoresMatchPredict:
     """Each grid row scores exactly what predict() gives the rebuilt model."""
 
@@ -399,25 +420,27 @@ class TestGridScoresMatchPredict:
 
     @pytest.mark.parametrize("arch", ["fm", "nfm"])
     def test_every_row_equals_rescoring(self, rng, arch, monkeypatch):
-        scored = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
+        scored = capture_scores(monkeypatch)
         params, train_ds, unbiased, (best, result) = self.search(rng, arch)
         ratios = group_stats(unbiased).filled_ratio
         residuals = residuals_of(params, train_ds)
-        assert len(result.table) == len(scored) == len(self.GRID) ** 2
-        for point, (args, _) in zip(result.table, scored):
+        # one rescore per point, then the winner's for its NDCG
+        assert len(result.table) == len(scored) - 1 == len(self.GRID) ** 2
+        for point, point_scores in zip(result.table, scored):
             rebuilt = reconstruct_weights(params, train_ds.schema.bias_range,
                                           ratios, residuals, point.beta,
                                           point.gamma)
             scores = predict(rebuilt, unbiased.indices, unbiased.values)
-            np.testing.assert_array_equal(args[1], scores)
+            np.testing.assert_array_equal(point_scores, scores)
             assert point.uauc == user_auc(unbiased.user_ids, scores,
                                           unbiased.labels)[0]
-            assert point.ndcg == ndcg_at_k(unbiased.user_ids, scores,
-                                           unbiased.labels, unbiased.item_ids,
-                                           3)[0]
         scores = predict(best, unbiased.indices, unbiased.values)
+        np.testing.assert_array_equal(scored[-1], scores)
         assert result.best.uauc == user_auc(unbiased.user_ids, scores,
                                             unbiased.labels)[0]
+        assert result.best.ndcg == ndcg_at_k(unbiased.user_ids, scores,
+                                             unbiased.labels,
+                                             unbiased.item_ids, 3)[0]
 
     def test_wide_rows_best_equals_evaluate(self, rng, monkeypatch):
         # 8 bias cells a row make 10 entries, which numpy's row sum adds
@@ -443,31 +466,67 @@ class TestGridScoresMatchPredict:
         train_ds, unbiased = log(60, "train"), log(80, "unbiased-val")
         assert unbiased.indices.shape[1] == 10
         params = random_params(rng, schema.n, 3)
-        scored = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
+        scored = capture_scores(monkeypatch)
         cfg = DebiasConfig(beta_grid=self.GRID, gamma_grid=self.GRID, k=3)
         best, result = grid_search_reconstruction(params, train_ds, unbiased,
                                                   cfg)
         scores = predict(best, unbiased.indices, unbiased.values)
-        at_best = next(args[1] for point, (args, _)
-                       in zip(result.table, scored) if point is result.best)
+        winner = (result.best.beta, result.best.gamma)
+        at_best = next(point_scores for point, point_scores
+                       in zip(result.table, scored)
+                       if (point.beta, point.gamma) == winner)
         assert float_bits(at_best) == float_bits(scores)
-        assert float_bits(result.best.uauc) == float_bits(
-            evaluate(unbiased, scores, 3).uauc)
+        assert float_bits(scored[-1]) == float_bits(scores)
+        report = evaluate(unbiased, scores, 3)
+        assert float_bits(result.best.uauc) == float_bits(report.uauc)
+        assert float_bits(result.best.ndcg) == float_bits(report.ndcg)
 
-    def test_search_builds_blocks_once_and_ranks_once_per_point(
-            self, rng, monkeypatch):
+    def test_search_builds_blocks_once_and_ranks_once(self, rng, monkeypatch):
         builds = count_calls(monkeypatch, evaluation.UserBlocks, "__init__")
         ranks = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
+        pairs = count_calls(monkeypatch, evaluation.UserBlocks, "pair_rows")
         aucs = count_calls(monkeypatch, evaluation, "user_auc")
         ndcgs = count_calls(monkeypatch, evaluation, "ndcg_at_k")
         _, _, unbiased, (best, result) = self.search(rng, "fm")
+        assert blocks_of(unbiased).few_pairs
         assert len(builds) == 1
-        assert len(ranks) == len(self.GRID) ** 2
-        assert len(result.table) + len(result.errors) == len(ranks)
+        # the points count pairs; only the winner is ranked, for its NDCG
+        assert len(ranks) == 1
+        assert len(pairs) == len(result.table) == len(self.GRID) ** 2
+        assert not result.errors
         assert aucs == ndcgs == []
         # evaluating on the searched split reuses the search's blocks
         evaluate(unbiased, predict(best, unbiased.indices, unbiased.values))
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("arch", ["fm", "nfm"])
+    def test_pairs_and_rankings_write_the_same_files(self, rng, monkeypatch,
+                                                     tmp_path, arch):
+        # 90 rows over 6 users hold ~4 pairs per row, 400 rows ~17; each
+        # split is searched on both sides of the cap
+        kw = dict(n_users=6, n_items=9, n_groups=4)
+        train_ds = random_dataset(rng, n_rows=120, **kw)
+        params = random_params(rng, train_ds.schema.n, 3, arch=arch)
+        cfg = DebiasConfig(beta_grid=self.GRID, gamma_grid=self.GRID, k=3)
+        ranks = count_calls(monkeypatch, evaluation.UserBlocks, "rank")
+        default = evaluation.PAIRS_PER_ROW
+        for n_rows, few in ((90, True), (400, False)):
+            unbiased = random_dataset(rng, n_rows=n_rows, multi_group_prob=0.3,
+                                      split_tag="unbiased-val", **kw)
+            written = []
+            for cap, by_pairs in ((default, few),
+                                  (0 if few else math.inf, not few)):
+                monkeypatch.setattr(evaluation, "PAIRS_PER_ROW", cap)
+                assert blocks_of(unbiased).few_pairs == by_pairs
+                del ranks[:]
+                best, result = grid_search_reconstruction(
+                    params, train_ds, unbiased, cfg)
+                assert len(ranks) == (1 if by_pairs
+                                      else len(result.table) + 1)
+                path = tmp_path / f"{n_rows}-{by_pairs}.json"
+                write_json(path, result.to_json_dict())
+                written.append((path.read_bytes(), models.serialize(best)))
+            assert written[0] == written[1]
 
     @pytest.mark.parametrize("arch", ["fm", "nfm"])
     def test_string_ids_give_the_interned_ids_table(self, rng, arch):

@@ -20,8 +20,8 @@ from ctrbias import evaluation, numeric, training
 from ctrbias.data import Dataset, ingest_csv
 from ctrbias.errors import ConfigError, MetricError
 from ctrbias.evaluation import (EvalReport, UserBlocks, blocks_of, evaluate,
-                                group_stats, ndcg_at_k, reo_at_k, user_auc,
-                                users_with_both_labels)
+                                group_stats, ndcg_at_k, pair_auc, ranked_auc,
+                                reo_at_k, user_auc, users_with_both_labels)
 
 
 def random_instance(rng, coarse=True, **kwargs):
@@ -38,23 +38,16 @@ def random_instance(rng, coarse=True, **kwargs):
     return ds, scores
 
 
-@st.composite
-def ranking_logs(draw, max_users=5, max_rows=40):
-    """(dataset, scores) in arbitrary row order; scores are tie-heavy (four
-    levels), signed zeros and infinities, or from a continuous range, and a
-    few rows may repeat exactly."""
-    n_users = draw(st.integers(1, max_users))
-    n_items = draw(st.integers(1, 8))
-    n_groups = draw(st.integers(2, 4))
-    score = draw(st.sampled_from((
-        st.integers(0, 3).map(lambda v: v / 2.0),
-        st.sampled_from((0.0, -0.0, math.inf, -math.inf, 1.0)),
-        st.floats(-4.0, 4.0, allow_nan=False))))
-    rows = draw(st.lists(
-        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
-                  st.integers(0, n_groups - 1), st.integers(0, 1), score),
-        min_size=1, max_size=max_rows))
-    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+# one of: tie-heavy (four levels), signed zeros and infinities, continuous
+SCORE_KINDS = st.sampled_from((
+    st.integers(0, 3).map(lambda v: v / 2.0),
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, 1.0)),
+    st.floats(-4.0, 4.0, allow_nan=False)))
+
+
+def shuffled_log(draw, rows, n_users, n_items, n_groups):
+    """(dataset, scores) of (user, item, group, label, score) rows, in an
+    order drawn at random."""
     schema = make_schema(n_users, n_items, n_groups)
     ds = make_dataset(schema, [
         ([u, n_users + i, n_users + n_items + g], np.ones(3), y, f"u{u}",
@@ -62,6 +55,38 @@ def ranking_logs(draw, max_users=5, max_rows=40):
     scores = np.array([r[4] for r in rows], dtype=np.float64)
     perm = np.array(draw(st.permutations(range(len(rows)))))
     return ds.subset(perm), scores[perm]
+
+
+@st.composite
+def ranking_logs(draw, max_users=5, max_rows=40):
+    """(dataset, scores) in arbitrary row order; scores of one SCORE_KINDS
+    kind, and a few rows may repeat exactly."""
+    n_users = draw(st.integers(1, max_users))
+    n_items = draw(st.integers(1, 8))
+    n_groups = draw(st.integers(2, 4))
+    score = draw(SCORE_KINDS)
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1),
+                  st.integers(0, n_groups - 1), st.integers(0, 1), score),
+        min_size=1, max_size=max_rows))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return shuffled_log(draw, rows, n_users, n_items, n_groups)
+
+
+@st.composite
+def pair_logs(draw, dense):
+    """(dataset, scores) whose user blocks hold 1-6 rows, so at most 1.5
+    pairs per row, or, when dense, 40-60 rows with at least a third of
+    each label, so at least 8.9 pairs per row."""
+    sizes = draw(st.lists(st.integers(40, 60) if dense else st.integers(1, 6),
+                          min_size=1, max_size=3 if dense else 25))
+    score = draw(SCORE_KINDS)
+    rows = []
+    for u, size in enumerate(sizes):
+        n_pos = draw(st.integers(size // 3, size - size // 3))
+        rows += [(u, draw(st.integers(0, 7)), draw(st.integers(0, 2)),
+                  int(j < n_pos), draw(score)) for j in range(size)]
+    return shuffled_log(draw, rows, len(sizes), 8, 3)
 
 
 def same_or_both_nan(a, b):
@@ -324,6 +349,43 @@ class TestUserAuc:
         perm = rng.permutation(len(ds))
         b, _ = user_auc(ds.user_ids[perm], scores[perm], ds.labels[perm])
         assert a == b
+
+
+class TestPairAuc:
+    """pair_auc counts pairs and equals the ranked AUC bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_equals_ranked_auc_and_the_pair_loop(self, data, dense):
+        ds, scores = data.draw(pair_logs(dense))
+        blocks = blocks_of(ds)
+        assert blocks.few_pairs != dense
+        got = pair_auc(blocks, scores)
+        for want in (ranked_auc(blocks.rank(scores)),
+                     oracles.uauc_brute(oracles.users_of(ds), scores,
+                                        ds.labels)):
+            assert float_bits(got[0]) == float_bits(want[0])
+            assert got[1] == want[1]
+
+    def test_hand_pairs(self):
+        # rows 0-2 are user a's (labels 1, 0, 0), rows 3-5 user b's (1, 1, 0);
+        # user c has no negative and no pair
+        blocks = UserBlocks(["b", "a", "a", "b", "c", "a", "b"],
+                            [1, 1, 0, 1, 1, 0, 0], [0, 1, 2, 3, 4, 5, 6])
+        pos, neg, place = blocks.pair_rows()
+        assert list(zip(pos.tolist(), neg.tolist(), place.tolist())) == [
+            (1, 2, 0), (1, 5, 0), (0, 6, 1), (3, 6, 1)]
+        assert blocks.pair_rows() is blocks.pair_rows()  # built once
+        scores = [2.0, 0.0, -0.0, 2.0, 9.0, -math.inf, math.inf]
+        # a: 0 ties -0 (half), beats -inf; b: both lose to +inf
+        assert pair_auc(blocks, scores) == ((0.75 + 0.0) / 2, 1)
+
+    def test_nan_and_wrong_length_raise(self):
+        blocks = UserBlocks(["a", "a"], [1, 0], [0, 1])
+        with pytest.raises(ConfigError, match="NaN"):
+            pair_auc(blocks, [0.5, math.nan])
+        with pytest.raises(ConfigError, match="length"):
+            pair_auc(blocks, [0.5])
 
 
 class TestNdcg:
